@@ -11,12 +11,26 @@ from .errors import ParameterError
 def steering_vector(angle, count, spacing_ratio=0.5):
     """Uniform-linear-array response: element n is exp(-j*2*pi*n*d/lambda*cos(angle)).
 
+    `angle` may be an array of any shape; the element axis is appended last.
     The first element is exactly 1+0j and every element has unit modulus.
     """
     if count < 1:
         raise ParameterError(f"steering vector length must be >= 1, got {count}")
-    n = np.arange(count)
-    return np.exp(-2j * np.pi * n * spacing_ratio * np.cos(angle))
+    return np.exp(-2j * np.pi * spacing_ratio * np.cos(angle)[..., None] * np.arange(count))
+
+
+def large_scale_gains(cfg):
+    """(L, L, K) table beta[j, l, k]: 1 intra-cell and cfg.beta_inter across cells."""
+    L = cfg.L
+    beta = np.full((L, L, cfg.K), cfg.beta_inter, dtype=float)
+    beta[np.arange(L), np.arange(L), :] = 1.0
+    return beta
+
+
+def draw_angles(cfg, rng):
+    """(phi, theta), each (L, L, K) i.i.d. uniform on [0, pi], drawn in that order."""
+    phi, theta = rng.uniform(0.0, np.pi, size=(2, cfg.L, cfg.L, cfg.K))
+    return phi, theta
 
 
 @dataclass
@@ -73,16 +87,12 @@ def sample_channel(cfg, rng):
     Angles are i.i.d. uniform on [0, pi] for every (j, l, k) triple; the
     large-scale gain is 1 intra-cell and cfg.beta_inter across cells.
     """
-    L, K, N, M = cfg.L, cfg.K, cfg.N, cfg.M
-    phi = rng.uniform(0.0, np.pi, size=(L, L, K))
-    theta = rng.uniform(0.0, np.pi, size=(L, L, K))
-    beta = np.full((L, L, K), cfg.beta_inter, dtype=float)
-    beta[np.arange(L), np.arange(L), :] = 1.0
-
+    phi, theta = draw_angles(cfg, rng)
     r = cfg.antenna_spacing_ratio
-    h_U = np.exp(-2j * np.pi * r * np.cos(phi)[..., None] * np.arange(M))
-    h_B = np.exp(-2j * np.pi * r * np.cos(theta)[..., None] * np.arange(N))
-    return ChannelRealization(phi=phi, theta=theta, beta=beta, h_U=h_U, h_B=h_B)
+    return ChannelRealization(
+        phi=phi, theta=theta, beta=large_scale_gains(cfg),
+        h_U=steering_vector(phi, cfg.M, r), h_B=steering_vector(theta, cfg.N, r),
+    )
 
 
 def effective_channel(realization, training, j, l):

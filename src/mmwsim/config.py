@@ -49,8 +49,7 @@ class SystemConfig:
     """All scenario parameters for one simulation or bound evaluation.
 
     Powers are linear.  `tau` and `p_p` default to K and tau*p_t when left
-    unset.  Instances are immutable once validated and safe to share across
-    worker threads.
+    unset.  Instances are immutable once validated.
     """
 
     L: int = 1                      # cells
@@ -132,8 +131,18 @@ def validate_config(cfg):
     elif isinstance(cfg.K, int) and cfg.K >= 1 and cfg.tau < cfg.K:
         errors.append(f"tau < K: orthogonal pilots need tau >= K (tau={cfg.tau}, K={cfg.K})")
 
+    bad = set()
+    for name in ("p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad",
+                 "antenna_spacing_ratio", "rate_log_base"):
+        v = getattr(cfg, name)
+        if name == "rho_ad" and v is None:
+            continue        # optional: adc_bits then sets the distortion factor
+        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            errors.append(f"{name} must be a finite number, got {v!r}")
+            bad.add(name)
+
     if cfg.rho_ad is not None:
-        if not 0.0 <= cfg.rho_ad < 1.0:
+        if "rho_ad" not in bad and not 0.0 <= cfg.rho_ad < 1.0:
             errors.append(f"rho_ad must be in [0, 1), got {cfg.rho_ad}")
     elif cfg.adc_bits is None:
         errors.append("one of adc_bits or rho_ad must be set")
@@ -142,14 +151,14 @@ def validate_config(cfg):
 
     for name in ("p_t", "p_p", "sigma_n2"):
         v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and v > 0):
+        if name not in bad and not v > 0:
             errors.append(f"{name} must be > 0, got {v!r}")
 
-    if cfg.beta_inter is not None and not 0.0 < cfg.beta_inter < 1.0:
+    if "beta_inter" not in bad and not 0.0 < cfg.beta_inter < 1.0:
         errors.append(f"beta_inter must be in (0, 1), got {cfg.beta_inter}")
-    if not (isinstance(cfg.antenna_spacing_ratio, (int, float)) and cfg.antenna_spacing_ratio > 0):
+    if "antenna_spacing_ratio" not in bad and not cfg.antenna_spacing_ratio > 0:
         errors.append(f"antenna_spacing_ratio must be > 0, got {cfg.antenna_spacing_ratio!r}")
-    if not (isinstance(cfg.rate_log_base, (int, float)) and cfg.rate_log_base > 1):
+    if "rate_log_base" not in bad and not cfg.rate_log_base > 1:
         errors.append(f"rate_log_base must be > 1, got {cfg.rate_log_base!r}")
 
     if errors:

@@ -2,12 +2,14 @@
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import effective_channel
 from .errors import ParameterError, DegenerateInputError
 from .quantize import lloyd_max_quantize, quant_noise_power_pilot
+from .rng import complex_normal
 
 
 def build_pilot_matrix(tau, K):
@@ -55,13 +57,18 @@ def receive_pilots(eff_channels, Psi, cfg, sigma_pq2, quant_path="bussgang", rng
     N = eff_channels.shape[1]
     tau = Psi.shape[0]
     Y_p = np.sqrt(cfg.p_p) * eff_channels.sum(axis=0) @ Psi.T
-    Y_p = Y_p + _cn_noise(rng, (N, tau), cfg.sigma_n2)
+    Y_p = Y_p + complex_normal(rng, (N, tau), cfg.sigma_n2)
     rho = cfg.rho
     if quant_path == "bussgang":
-        return (1.0 - rho) * Y_p + _cn_noise(rng, (N, tau), sigma_pq2), Y_p
+        return (1.0 - rho) * Y_p + complex_normal(rng, (N, tau), sigma_pq2), Y_p
     if quant_path == "real":
         if cfg.adc_bits is None:
             raise ParameterError("the real quantizer path needs adc_bits")
+        if cfg.rho_ad is not None:
+            raise ParameterError(
+                "the real quantizer path runs the adc_bits quantizer and cannot honor "
+                f"a rho_ad override (rho_ad={cfg.rho_ad})"
+            )
         agc_var = sigma_pq2 / (rho * (1.0 - rho)) if rho > 0 else None
         if agc_var is None:
             return Y_p.copy(), Y_p
@@ -107,33 +114,63 @@ class EstimationResult:
     sigma_pq2: np.ndarray
 
 
+class CellEstimate(NamedTuple):
+    """Pilot-phase outputs at one BS (one cell's slice of an EstimationResult)."""
+
+    sigma_pq2: float
+    mu: float
+    G: np.ndarray
+    Y_qp: np.ndarray
+    H_hat: np.ndarray
+    e: np.ndarray
+
+
+def cell_statistics(C, Bmat, j, cfg):
+    """(sigma_pq2, mu, G) at BS j from gains and config only (no sampling).
+
+    C and Bmat are gain and large-scale tables indexed [j, l, k]; only row j
+    is read, so tables holding rows 0..j suffice.
+    """
+    sigma_pq2 = quant_noise_power_pilot(cfg, np.abs(C) ** 2, Bmat, j)
+    mu = noise_equivalent_mu(cfg, sigma_pq2)
+    return sigma_pq2, mu, mmse_gain_matrix(C, Bmat, mu, j)
+
+
 def pilot_statistics(realization, training, cfg):
     """(sigma_pq2, mu, G) per cell, from gains and config only (no sampling)."""
-    L = realization.L
-    gains2 = np.abs(training.c) ** 2
-    sigma_pq2 = np.array(
-        [quant_noise_power_pilot(cfg, gains2, realization.beta, j) for j in range(L)]
-    )
-    mu = np.array([noise_equivalent_mu(cfg, s) for s in sigma_pq2])
-    G = np.stack(
-        [mmse_gain_matrix(training.c, realization.beta, mu[j], j) for j in range(L)]
-    )
+    stats = [cell_statistics(training.c, realization.beta, j, cfg)
+             for j in range(realization.L)]
+    sigma_pq2, mu, G = (np.array(x) for x in zip(*stats))
     return sigma_pq2, mu, G
 
 
-def estimate_all(realization, training, cfg, rng, quant_path="bussgang"):
-    """Run the full pilot phase for every cell and return an EstimationResult."""
-    L, N, K = realization.L, realization.N, realization.K
-    Psi = build_pilot_matrix(cfg.tau, K)
-    sigma_pq2, mu, G = pilot_statistics(realization, training, cfg)
+def estimate_cell(eff, C, Bmat, j, cfg, Psi, rng, quant_path="bussgang"):
+    """Run the pilot phase at BS j alone and return its CellEstimate.
 
-    Y_qp = np.empty((L, N, cfg.tau), dtype=complex)
-    H_hat = np.empty((L, N, K), dtype=complex)
-    e = np.empty((L, N, K), dtype=complex)
-    for j in range(L):
-        eff = np.stack([effective_channel(realization, training, j, l) for l in range(L)])
-        Y_qp[j], _ = receive_pilots(eff, Psi, cfg, sigma_pq2[j], quant_path, rng)
-        H_hat[j], e[j] = estimate_channel(Y_qp[j], Psi, G[j], cfg, hbar_jj=eff[j])
+    eff stacks the L effective channels (L, N, K) BS j sees; C and Bmat are
+    read as in cell_statistics.  Only the pilot observation draws from rng.
+    """
+    sigma_pq2, mu, G = cell_statistics(C, Bmat, j, cfg)
+    Y_qp, _ = receive_pilots(eff, Psi, cfg, sigma_pq2, quant_path, rng)
+    H_hat, e = estimate_channel(Y_qp, Psi, G, cfg, hbar_jj=eff[j])
+    return CellEstimate(sigma_pq2, mu, G, Y_qp, H_hat, e)
+
+
+def estimate_all(realization, training, cfg, rng, quant_path="bussgang"):
+    """Run the full pilot phase for every cell and return an EstimationResult.
+
+    Cells run in order 0..L-1 on one rng, so cell 0's draws come first.
+    """
+    L = realization.L
+    Psi = build_pilot_matrix(cfg.tau, realization.K)
+    cells = [
+        estimate_cell(
+            np.stack([effective_channel(realization, training, j, l) for l in range(L)]),
+            training.c, realization.beta, j, cfg, Psi, rng, quant_path,
+        )
+        for j in range(L)
+    ]
+    sigma_pq2, mu, G, Y_qp, H_hat, e = (np.array(x) for x in zip(*cells))
     return EstimationResult(
         Psi=Psi, Y_qp=Y_qp, G=G, mu=mu, H_hat=H_hat, e=e,
         C=training.c, Bmat=realization.beta, sigma_pq2=sigma_pq2,
@@ -150,10 +187,3 @@ def dump_error_power_csv(result, path):
             for k in range(K):
                 w.writerow([j, k, f"{np.sum(np.abs(result.e[j, :, k]) ** 2):.10g}"])
 
-
-def _cn_noise(rng, shape, variance):
-    """Circularly-symmetric complex Gaussian with the given per-entry variance."""
-    if variance == 0.0:
-        return np.zeros(shape, dtype=complex)
-    s = np.sqrt(variance / 2.0)
-    return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

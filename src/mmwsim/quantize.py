@@ -110,22 +110,28 @@ def total_rx_gain(gains2, betas, j):
     return float(np.sum(betas[j] * gains2[j]))
 
 
+def quant_noise_power(cfg, total, power):
+    """rho(1-rho) * (sigma_n^2 + power * total) at a BS.
+
+    `total` is the received gain sum_l sum_k beta_jlk |c_jlk|^2 (a scalar or
+    an array of them) and `power` the per-symbol transmit power.
+    """
+    rho = cfg.rho
+    return rho * (1.0 - rho) * (cfg.sigma_n2 + power * total)
+
+
 def quant_noise_power_data(cfg, gains2, betas, j):
     """Data-phase quantization noise power at BS j.
 
     rho(1-rho) * (sigma_n^2 + P_t * sum beta|c|^2); gains2 and betas are the
     (L, L, K) tables of |c_jlk|^2 and beta_jlk.
     """
-    rho = cfg.rho
-    return rho * (1.0 - rho) * (cfg.sigma_n2 + cfg.p_t * total_rx_gain(gains2, betas, j))
+    return quant_noise_power(cfg, total_rx_gain(gains2, betas, j), cfg.p_t)
 
 
 def quant_noise_power_pilot(cfg, gains2, betas, j):
     """Pilot-phase quantization noise power at BS j (per-symbol power P_p/tau)."""
-    rho = cfg.rho
-    return rho * (1.0 - rho) * (
-        cfg.sigma_n2 + cfg.p_p / cfg.tau * total_rx_gain(gains2, betas, j)
-    )
+    return quant_noise_power(cfg, total_rx_gain(gains2, betas, j), cfg.p_p / cfg.tau)
 
 
 @dataclass(frozen=True)

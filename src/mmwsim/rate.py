@@ -4,23 +4,28 @@ The semi-analytic mode conditions on the realized angles and beamforming
 gains and integrates the data symbols, AWGN, quantization noise, and the
 equivalent estimation noise analytically.  The symbol-level mode samples all
 of those and runs the real quantizer, providing a model-error cross-check.
+
+Both modes run trials in blocks and evaluate BS 0 only, the BS the rate is
+reported for.  Every trial still draws from its own (seed, trial, stage)
+substreams, so results do not depend on the block size.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rngmod
-from .channel import effective_channel, sample_channel
+from .channel import draw_angles, large_scale_gains, steering_vector
 from .config import validate_config
 from .errors import InternalConsistencyError, ParameterError, DegenerateInputError
-from .estimation import estimate_all, pilot_statistics
-from .quantize import lloyd_max_quantize, quant_noise_power_data
-from .training import train_beams
+from .estimation import build_pilot_matrix, estimate_cell, noise_equivalent_mu
+from .quantize import lloyd_max_quantize, quant_noise_power, quant_noise_power_data
+from .training import beamformer_from_angle, build_codebook, select_beams
 
-THREADS_ENV = "SIMKIT_THREADS"
+# Memory budget of one trial block.  A trial's share is its largest
+# intermediate, the (LK, LK) Gram kernel or the (L, K, 2^B) beam scores,
+# counted at 16 bytes per entry.
+BLOCK_BYTES = 1 << 18
 
 
 def mrc_detect(H_hat, received):
@@ -132,47 +137,120 @@ class RateReport:
     seed: int
 
 
-def _semi_trial(cfg, trial, training_noise_var):
-    ch_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_CHANNEL)
-    realization = sample_channel(cfg, ch_rng)
-    tr_rng = (
-        rngmod.substream(cfg.seed, trial, rngmod.STAGE_TRAINING)
-        if training_noise_var is not None
-        else None
-    )
-    training = train_beams(realization, cfg, noise_var=training_noise_var, rng=tr_rng)
-    gains2 = np.abs(training.c) ** 2
-    _, mu, _ = pilot_statistics(realization, training, cfg)
-    sigma_q2 = quant_noise_power_data(cfg, gains2, realization.beta, 0)
-    S, I, I_floor = _conditional_powers(realization, training, mu[0], sigma_q2, cfg, 0)
-    bad = I <= 0.0
-    I = np.where(bad, I_floor, I)
-    return S, I, int(np.sum(bad))
+def _block_trials(cfg):
+    """Trials per block under BLOCK_BYTES (at least one)."""
+    LK = cfg.L * cfg.K
+    return max(1, BLOCK_BYTES // (16 * LK * max(LK, 2 ** cfg.B)))
 
 
-def _symbol_trial(cfg, trial, training_noise_var, n_symbols):
+def _draw_block(cfg, trials, training_noise_var):
+    """Draws and beam training for a block of trials, reduced to BS 0.
+
+    Each trial draws its angles from its (seed, trial, STAGE_CHANNEL)
+    substream and, for noisy training, its tone noise from STAGE_TRAINING,
+    exactly as sample_channel and train_beams would.  Returns theta0, BS 0's
+    (T, L, K) angles of arrival, and c0, the (T, L, K) realized gains
+    c[0, l, k] = h_U[0, l, k]^H w[l, k].
+    """
+    L, K, M = cfg.L, cfg.K, cfg.M
+    codebook = build_codebook(cfg.B)
+    phi = np.empty((len(trials), L, L, K))
+    theta = np.empty_like(phi)
+    nu = None if training_noise_var is None else np.empty(
+        (len(trials), L, K, codebook.size), dtype=complex)
+    for i, t in enumerate(trials):
+        phi[i], theta[i] = draw_angles(
+            cfg, rngmod.substream(cfg.seed, t, rngmod.STAGE_CHANNEL))
+        if nu is not None:
+            nu[i] = rngmod.complex_normal(
+                rngmod.substream(cfg.seed, t, rngmod.STAGE_TRAINING), nu.shape[1:],
+                training_noise_var)
+    cells = np.arange(L)
+    amp = np.sqrt(large_scale_gains(cfg)[cells, cells])[..., None]
+    phi_hat = select_beams(phi[:, cells, cells], amp, codebook, M, nu)   # (T, L, K)
+    r = cfg.antenna_spacing_ratio
+    w = beamformer_from_angle(phi_hat, M, r)
+    c0 = np.einsum("tlkm,tlkm->tlk", steering_vector(phi[:, 0], M, r).conj(), w)
+    return theta[:, 0], c0
+
+
+def _semi_block(cfg, theta0, c0):
+    """(S, I, I_floor) at BS 0 for a block of trials, each (T, K).
+
+    The same conditional powers as _conditional_powers, with every BS-side
+    inner product taken from the closed-form Gram matrix of the steering
+    vectors instead of length-N vectors:
+
+        h_a^H h_b = e^{j(N-1)(x_a - x_b)} sin(N(x_a - x_b)) / sin(x_a - x_b),
+
+    x = pi * d/lambda * cos(theta), and N where the denominator vanishes.
+    The difference identities turn the kernel into outer products of
+    per-user sines and cosines, and the phase factors are folded into the
+    coefficients, so the per-pair work is real arithmetic.
+    """
+    rho, N = cfg.rho, cfg.N
+    T, L, K = c0.shape
+    b0 = large_scale_gains(cfg)[0]                    # (L, K)
+    gains2 = np.abs(c0) ** 2
+    bg = b0 * gains2
+    total = np.sum(bg, axis=(1, 2))                   # (T,)
+    sigma_q2 = quant_noise_power(cfg, total, cfg.p_t)[:, None]
+    mu = noise_equivalent_mu(cfg, quant_noise_power(cfg, total, cfg.p_p / cfg.tau))[:, None]
+
+    x = np.pi * cfg.antenna_spacing_ratio * np.cos(theta0).reshape(T, L * K)
+    s, c = np.sin(x), np.cos(x)
+    sN, cN = np.sin(N * x), np.cos(N * x)
+    den = s[:, :, None] * c[:, None, :]
+    den -= c[:, :, None] * s[:, None, :]
+    kernel = sN[:, :, None] * cN[:, None, :]
+    kernel -= cN[:, :, None] * sN[:, None, :]
+    small = np.abs(den) < 1e-12
+    den[small] = 1.0
+    kernel[small] = N
+    kernel /= den
+    phase = np.exp(1j * (N - 1) * x).reshape(T, L, K)
+
+    # u_k = sum_l beta^(1/2) c_0lk h_lk is the pilot-contaminated estimate
+    # mean; y[t, k, b] = e^{j(N-1)x_b} u_k^H h_b
+    a = np.sqrt(b0) * c0
+    v = a.conj() * phase
+    kernel = kernel.reshape(T, L, K, L * K)
+    y = sum(v[:, l, :, None] * kernel[:, l] for l in range(L))   # (T, K, LK)
+    y_own = np.diagonal(y.reshape(T, K, L, K), axis1=1, axis2=3)  # (T, L, K): b = (l, k)
+    u_norm2 = np.einsum("tlk,tlk->tk", v.conj(), y_own).real
+    bracket = N * mu + u_norm2
+    quad = np.einsum("tb,tkb->tk", bg.reshape(T, L * K), y.real ** 2 + y.imag ** 2)
+
+    e_in = (1.0 - rho) ** 2 * cfg.sigma_n2 * bracket
+    e_iq = sigma_q2 * bracket
+    e_sr = (1.0 - rho) ** 2 * cfg.p_t * (mu * N * total[:, None] + quad)
+
+    S = (1.0 - rho) ** 2 * cfg.p_t * (b0[0] ** 2) * gains2[:, 0] ** 2 * N ** 2
+    I = e_in + e_iq + e_sr - S
+
+    a_clean = (1.0 - rho) * np.sqrt(cfg.p_t) * b0[0] * gains2[:, 0] * N
+    ea = (1.0 - rho) * np.sqrt(cfg.p_t) * a[:, 0] * phase[:, 0].conj() * y_own[:, 0]
+    I_floor = I + 2.0 * a_clean * (a_clean - ea.real)
+    return S, I, I_floor
+
+
+def _symbol_trial(cfg, trial, theta0, c0, n_symbols):
+    """(S, I) at BS 0 for one trial with sampled pilots, symbols and quantizer."""
     rho = cfg.rho
-    if rho > 0.0 and cfg.adc_bits is None:
-        raise ParameterError("symbol_level mode needs adc_bits for the real quantizer")
-    ch_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_CHANNEL)
-    realization = sample_channel(cfg, ch_rng)
-    tr_rng = (
-        rngmod.substream(cfg.seed, trial, rngmod.STAGE_TRAINING)
-        if training_noise_var is not None
-        else None
-    )
-    training = train_beams(realization, cfg, noise_var=training_noise_var, rng=tr_rng)
+    L, K, N = cfg.L, cfg.K, cfg.N
+    b0 = large_scale_gains(cfg)[0]                    # (L, K)
+    # effective channels (L, N, K) from every cell's users to BS 0
+    eff = np.swapaxes(
+        steering_vector(theta0, N, cfg.antenna_spacing_ratio)
+        * (np.sqrt(b0) * c0)[..., None], 1, 2)
 
     pilot_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT)
-    est = estimate_all(realization, training, cfg, pilot_rng, quant_path="real")
-    combiner = est.H_hat[0] / est.G[0][None, :]      # hbar + realized error
+    est = estimate_cell(eff, c0[None], b0[None], 0, cfg, build_pilot_matrix(cfg.tau, K),
+                        pilot_rng, quant_path="real")
+    combiner = est.H_hat / est.G[None, :]             # hbar + realized error
 
-    L, K, N = realization.L, realization.K, realization.N
-    eff_all = np.concatenate(
-        [effective_channel(realization, training, 0, l) for l in range(L)], axis=1
-    )                                                 # (N, L*K)
-    b0 = realization.beta[0]
-    gains2 = np.abs(training.c[0]) ** 2
+    eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
+    gains2 = np.abs(c0) ** 2
     total = float(np.sum(b0 * gains2))
     agc_var = cfg.sigma_n2 + cfg.p_t * total
 
@@ -195,7 +273,7 @@ def _symbol_trial(cfg, trial, training_noise_var, n_symbols):
     # positive, and everything the analytic path treats as interference
     # (inter-user, inter-cell, noises, estimation error) lands in it
     I = np.mean(np.abs(Y - a[:, None] * X[:K, :]) ** 2, axis=1)
-    return S, I, 0
+    return S, I
 
 
 def ergodic_rate(cfg, trials, mode="semi_analytic", training_noise_var=None,
@@ -203,36 +281,47 @@ def ergodic_rate(cfg, trials, mode="semi_analytic", training_noise_var=None,
     """Monte-Carlo ergodic rate over `trials` block-fading realizations.
 
     Returns mean log(1 + gamma) in the configured base with a 95% confidence
-    half-width over per-trial averages.  Deterministic for a given cfg.seed
-    regardless of worker count (SIMKIT_THREADS caps workers).
+    half-width over per-trial averages.  Deterministic for a given cfg.seed;
+    trials run in blocks of BLOCK_BYTES, and every trial draws from its own
+    (seed, trial, stage) substreams, so the result does not depend on the
+    block size.
     """
     cfg = cfg if cfg.validated else validate_config(cfg)
     if trials < 10:
         raise ParameterError(f"trials must be >= 10, got {trials}")
     if mode in ("semi", "semi_analytic"):
         mode = "semi_analytic"
-        worker = lambda t: _semi_trial(cfg, t, training_noise_var)
     elif mode in ("symbol", "symbol_level"):
         mode = "symbol_level"
-        worker = lambda t: _symbol_trial(cfg, t, training_noise_var, symbols_per_trial)
+        if cfg.rho_ad is not None:
+            raise ParameterError(
+                "symbol_level mode runs the real adc_bits quantizer and cannot honor "
+                f"a rho_ad override (rho_ad={cfg.rho_ad}); set adc_bits only"
+            )
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))
     npath = 0
-    n_workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for t, (s_t, i_t, bad) in enumerate(pool.map(worker, range(trials))):
-                S[t], I[t] = s_t, i_t
-                npath += bad
-    else:
-        for t in range(trials):
-            S[t], I[t], bad = worker(t)
-            npath += bad
+    block = _block_trials(cfg)
+    for start in range(0, trials, block):
+        ts = range(start, min(start + block, trials))
+        theta0, c0 = _draw_block(cfg, ts, training_noise_var)
+        if mode == "semi_analytic":
+            S_b, I_b, I_floor = _semi_block(cfg, theta0, c0)
+            bad = I_b <= 0.0
+            S[start:ts.stop], I[start:ts.stop] = S_b, np.where(bad, I_floor, I_b)
+            npath += int(np.sum(bad))
+        else:
+            for i, t in enumerate(ts):
+                S[t], I[t] = _symbol_trial(cfg, t, theta0[i], c0[i], symbols_per_trial)
 
     gamma = S / I
+    if not np.all(np.isfinite(gamma)):
+        raise InternalConsistencyError(
+            f"non-finite SIQNR in {np.sum(~np.isfinite(gamma))} user-realizations"
+        )
     log_base = np.log(cfg.rate_log_base)
     per_trial = np.mean(np.log1p(gamma) / log_base, axis=1)
     rate = float(np.mean(per_trial))

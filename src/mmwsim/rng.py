@@ -1,7 +1,7 @@
 """Deterministic RNG substreams.
 
 Every stochastic stage draws from a stream keyed by (seed, trial, stage), so
-results do not depend on how trials are scheduled across workers.
+results do not depend on how trials are grouped into blocks.
 """
 
 import numpy as np
@@ -17,3 +17,14 @@ def substream(seed, *key):
     """Generator for the substream identified by `key` under `seed`."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
+
+
+def complex_normal(rng, shape, variance):
+    """Circularly-symmetric complex Gaussian with the given per-entry variance.
+
+    Real parts are drawn before imaginary parts; a zero variance draws nothing.
+    """
+    if variance == 0.0:
+        return np.zeros(shape, dtype=complex)
+    s = np.sqrt(variance / 2.0)
+    return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

@@ -7,6 +7,7 @@ import numpy as np
 
 from .channel import steering_vector
 from .errors import ParameterError
+from .rng import complex_normal
 
 
 def build_codebook(B):
@@ -18,7 +19,10 @@ def build_codebook(B):
 
 
 def beamformer_from_angle(phi_hat, M, spacing_ratio=0.5):
-    """Unit-norm analog beamformer steered at phi_hat; entries have modulus 1/sqrt(M)."""
+    """Unit-norm analog beamformer steered at phi_hat; entries have modulus 1/sqrt(M).
+
+    phi_hat may be an array; the element axis is appended last.
+    """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
     return steering_vector(phi_hat, M, spacing_ratio) / math.sqrt(M)
@@ -89,6 +93,19 @@ class TrainingResult:
     codebook: np.ndarray
 
 
+def select_beams(own_phi, amp, codebook, M, nu=None):
+    """Codebook phase maximizing each user's received tone magnitude.
+
+    own_phi holds own-cell angles phi[l, l, k] with any leading shape; amp is
+    the tone amplitude beta_llk^(1/2), broadcastable against the candidate
+    scores (..., 2^B); nu is the matching complex observation noise, or None
+    for noiseless selection.  Ties break toward the smallest codebook index.
+    """
+    cand = _candidate_gains(np.cos(own_phi), np.cos(codebook), M)
+    scores = amp * cand if nu is None else np.abs(amp * cand + nu)
+    return codebook[np.argmax(scores, axis=-1)]
+
+
 def train_beams(realization, cfg, noise_var=None, rng=None):
     """Run AoA selection for every user and tabulate all cross-cell gains.
 
@@ -97,23 +114,15 @@ def train_beams(realization, cfg, noise_var=None, rng=None):
     """
     L, K, M = realization.L, realization.K, realization.M
     codebook = build_codebook(cfg.B)
-    cos_cb = np.cos(codebook)
-
-    own_phi = realization.phi[np.arange(L)[:, None], np.arange(L)[:, None], np.arange(K)[None, :]]
-    cand = _candidate_gains(np.cos(own_phi), cos_cb, M)          # (L, K, 2^B)
-    amp = np.sqrt(realization.beta[np.arange(L), np.arange(L)])  # (L, K)
-    if noise_var is None:
-        scores = amp[..., None] * cand
-    else:
+    nu = None
+    if noise_var is not None:
         if rng is None:
             raise ParameterError("noisy training needs an rng")
-        nu = (rng.standard_normal((L, K, codebook.size))
-              + 1j * rng.standard_normal((L, K, codebook.size))) * np.sqrt(noise_var / 2.0)
-        scores = np.abs(amp[..., None] * cand + nu)
-    phi_hat = codebook[np.argmax(scores, axis=-1)]               # (L, K)
-
-    r = cfg.antenna_spacing_ratio
-    w = np.exp(-2j * np.pi * r * np.cos(phi_hat)[..., None] * np.arange(M)) / math.sqrt(M)
+        nu = complex_normal(rng, (L, K, codebook.size), noise_var)
+    cells = np.arange(L)
+    amp = np.sqrt(realization.beta[cells, cells])[..., None]      # (L, K, 1)
+    phi_hat = select_beams(realization.phi[cells, cells], amp, codebook, M, nu)  # (L, K)
+    w = beamformer_from_angle(phi_hat, M, cfg.antenna_spacing_ratio)
 
     # c[j, l, k] = h_U[j, l, k]^H w[l, k]
     c = np.einsum("jlkm,lkm->jlk", realization.h_U.conj(), w)

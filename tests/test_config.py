@@ -108,3 +108,21 @@ def test_table_matches_regenerated_fixed_point():
     from mmwsim.quantize import lloyd_max_distortion
     for b in range(1, 7):
         assert lloyd_max_distortion(b) == pytest.approx(RHO_AD_TABLE[b], rel=1e-4)
+
+
+@pytest.mark.parametrize("name", ["p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad",
+                                  "antenna_spacing_ratio", "rate_log_base"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_numbers_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+        validate_config(SystemConfig(adc_bits=2, **{name: value}))
+
+
+def test_infinite_power_fails_before_any_rate():
+    from mmwsim.bounds import lower_bound_rate
+    from mmwsim.rate import ergodic_rate
+    cfg = SystemConfig(L=2, K=2, adc_bits=2, p_t=math.inf)
+    with pytest.raises(ConfigError):
+        ergodic_rate(cfg, 10)
+    with pytest.raises(ConfigError):
+        lower_bound_rate(cfg)

@@ -4,7 +4,7 @@ import pytest
 from mmwsim.channel import effective_channel, sample_channel
 from mmwsim.config import SystemConfig, validate_config
 from mmwsim.errors import DegenerateInputError, ParameterError
-from mmwsim.estimation import (build_pilot_matrix, estimate_all,
+from mmwsim.estimation import (build_pilot_matrix, estimate_all, estimate_cell,
                                estimate_channel, mmse_gain_matrix,
                                noise_equivalent_mu, pilot_statistics,
                                receive_pilots, dump_error_power_csv)
@@ -205,6 +205,36 @@ def test_real_quantizer_path_runs():
     agc = est.sigma_pq2[0] / (cfg.rho * (1 - cfg.rho))
     lim = levels[-1] * np.sqrt(agc / 2) + 1e-9
     assert np.max(np.abs(est.Y_qp[0].real)) <= lim
+
+
+@pytest.mark.parametrize("quant_path", ["bussgang", "real"])
+def test_cell_zero_alone_reproduces_estimate_all(quant_path):
+    # cell 0 draws first from the pilot stream, and BS 0 reads only row 0 of
+    # the gain tables, so running it alone changes nothing
+    cfg = validate_config(SystemConfig(L=3, K=2, N=16, M=2, adc_bits=2,
+                                       p_t=1.0, p_p=4.0, seed=13))
+    real = sample_channel(cfg, substream(cfg.seed, 0, 0))
+    training = train_beams(real, cfg)
+    full = estimate_all(real, training, cfg, substream(cfg.seed, 0, 2), quant_path)
+    eff = np.stack([effective_channel(real, training, 0, l) for l in range(cfg.L)])
+    cell = estimate_cell(eff, training.c[:1], real.beta[:1], 0, cfg, full.Psi,
+                         substream(cfg.seed, 0, 2), quant_path)
+    assert cell.sigma_pq2 == full.sigma_pq2[0] and cell.mu == full.mu[0]
+    for name in ("G", "Y_qp", "H_hat", "e"):
+        np.testing.assert_array_equal(getattr(cell, name), getattr(full, name)[0])
+
+
+def test_real_quantizer_path_rejects_rho_ad_override():
+    cfg = validate_config(SystemConfig(L=1, K=2, N=8, M=2, adc_bits=3, rho_ad=0.3,
+                                       p_p=2.0, seed=12))
+    real = sample_channel(cfg, substream(cfg.seed, 0, 0))
+    training = train_beams(real, cfg)
+    eff = np.stack([effective_channel(real, training, 0, 0)])
+    psi = build_pilot_matrix(cfg.tau, cfg.K)
+    with pytest.raises(ParameterError, match="rho_ad"):
+        receive_pilots(eff, psi, cfg, 0.1, "real", substream(cfg.seed, 0, 2))
+    y_qp, _ = receive_pilots(eff, psi, cfg, 0.1, "bussgang", substream(cfg.seed, 0, 2))
+    assert y_qp.shape == (8, 2)
 
 
 def test_estimate_channel_rejects_zero_gain():

@@ -1,16 +1,21 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mmwsim import rate
 from mmwsim.channel import sample_channel
 from mmwsim.config import SystemConfig, validate_config
 from mmwsim.errors import (DegenerateInputError, InternalConsistencyError,
                            ParameterError)
 from mmwsim.estimation import pilot_statistics
-from mmwsim.rate import (ergodic_rate, interference_power, mrc_detect,
-                         signal_power, siqnr)
-from mmwsim.rng import substream
+from mmwsim.quantize import quant_noise_power_data
+from mmwsim.rate import (_conditional_powers, ergodic_rate, interference_power,
+                         mrc_detect, signal_power, siqnr)
+from mmwsim.rng import STAGE_CHANNEL, STAGE_TRAINING, substream
+from mmwsim.sweep import _point_config, load_preset
 from mmwsim.training import train_beams, build_codebook, _candidate_gains
 
 
@@ -159,14 +164,98 @@ def test_ergodic_rate_matched_filter_oracle():
     assert rep.rate_mc == pytest.approx(oracle, abs=3 * rep.ci95 + 1e-3)
 
 
-def test_ergodic_rate_deterministic_and_thread_invariant(monkeypatch):
+def test_ergodic_rate_deterministic():
     cfg = _cfg(L=2, K=2, N=16, adc_bits=2, seed=13)
     a = ergodic_rate(cfg, 40)
     b = ergodic_rate(cfg, 40)
     assert a.rate_mc == b.rate_mc
-    monkeypatch.setenv("SIMKIT_THREADS", "4")
-    c = ergodic_rate(cfg, 40)
-    assert c.rate_mc == a.rate_mc
+
+
+@pytest.mark.parametrize("mode, noise_var", [("semi", None), ("semi", 0.5), ("symbol", None)])
+def test_ergodic_rate_block_size_invariant(monkeypatch, mode, noise_var):
+    # seed 7 realizes the destructive-contamination floor at trial 75
+    cfg = _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7)
+    trials = 30 if mode == "symbol" else 100
+    reports = []
+    for budget in (1, 10 ** 9):      # one trial per block; one block for all trials
+        monkeypatch.setattr(rate, "BLOCK_BYTES", budget)
+        reports.append(ergodic_rate(cfg, trials, mode=mode, training_noise_var=noise_var))
+    one, whole = reports
+    assert rate._block_trials(cfg) >= trials
+    assert one.rate_mc == pytest.approx(whole.rate_mc, rel=1e-12)
+    np.testing.assert_allclose(one.S, whole.S, rtol=1e-12)
+    np.testing.assert_allclose(one.I, whole.I, rtol=1e-12)
+    assert one.pathological == whole.pathological
+    if mode == "semi" and noise_var is None:
+        assert whole.pathological > 0
+
+
+def _oracle_powers(cfg, trials, noise_var=None):
+    """Per-trial S, I (after the floor) and floor count from the vector path."""
+    S = np.empty((trials, cfg.K))
+    I = np.empty((trials, cfg.K))
+    bad = 0
+    for t in range(trials):
+        real = sample_channel(cfg, substream(cfg.seed, t, STAGE_CHANNEL))
+        tr_rng = None if noise_var is None else substream(cfg.seed, t, STAGE_TRAINING)
+        training = train_beams(real, cfg, noise_var=noise_var, rng=tr_rng)
+        _, mu, _ = pilot_statistics(real, training, cfg)
+        sigma_q2 = quant_noise_power_data(cfg, np.abs(training.c) ** 2, real.beta, 0)
+        S[t], I_t, I_floor = _conditional_powers(real, training, mu[0], sigma_q2, cfg, 0)
+        I[t] = np.where(I_t <= 0.0, I_floor, I_t)
+        bad += int(np.sum(I_t <= 0.0))
+    return S, I, bad
+
+
+def _assert_engine_matches_oracle(cfg, trials, noise_var=None):
+    rep = ergodic_rate(cfg, trials, training_noise_var=noise_var)
+    S, I, bad = _oracle_powers(cfg, trials, noise_var)
+    np.testing.assert_allclose(rep.S, S, rtol=1e-9)
+    np.testing.assert_allclose(rep.I, I, rtol=1e-9)
+    assert rep.pathological == bad
+    return rep
+
+
+def _fig2_cfg(K, **overrides):
+    """The fig2 preset's point at K, with fields replaced by `overrides`."""
+    cfg = _point_config(load_preset("fig2"), {}, K, {})
+    return validate_config(replace(cfg, validated=False, **overrides))
+
+
+@pytest.mark.parametrize("cfg, trials, noise_var", [
+    (_fig2_cfg(2), 60, None),
+    (_fig2_cfg(32), 12, None),
+    (_fig2_cfg(8, N=16), 40, None),
+    (_fig2_cfg(8, N=1024), 20, None),
+    (_fig2_cfg(4, L=1), 40, None),
+    (_fig2_cfg(4), 40, 0.5),
+], ids=["fig2-K2", "fig2-K32", "N16", "N1024", "L1", "noisy-training"])
+def test_block_engine_matches_vector_oracle(cfg, trials, noise_var):
+    _assert_engine_matches_oracle(cfg, trials, noise_var)
+
+
+def test_block_engine_matches_oracle_on_contamination_floor():
+    # the realization test_interference_positive_and_raises_when_not pins
+    cfg = _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7)
+    rep = _assert_engine_matches_oracle(cfg, 80)
+    assert rep.pathological > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.integers(1, 3), K=st.integers(1, 8), N=st.integers(4, 256),
+       M=st.integers(1, 8), B=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
+       quantizer=st.one_of(st.integers(1, 12).map(lambda b: {"adc_bits": b}),
+                           st.floats(0.0, 0.9).map(lambda r: {"rho_ad": r})))
+def test_block_engine_matches_oracle_property(L, K, N, M, B, seed, quantizer):
+    cfg = validate_config(SystemConfig(L=L, K=K, N=N, M=M, B=B, seed=seed, **quantizer))
+    _assert_engine_matches_oracle(cfg, 10)
+
+
+def test_ergodic_rate_rejects_non_finite_siqnr():
+    # finite inputs whose signal power overflows
+    cfg = _cfg(L=1, K=1, N=16, adc_bits=3, p_t=1e308, p_p=1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InternalConsistencyError):
+        ergodic_rate(cfg, 10)
 
 
 def test_ergodic_rate_trials_precondition():
@@ -212,6 +301,15 @@ def test_symbol_mode_agrees_at_moderate_depth():
 def test_symbol_mode_needs_bits():
     cfg = _cfg(rho_ad=0.25, adc_bits=None, L=1, K=1)
     with pytest.raises(ParameterError):
+        ergodic_rate(cfg, 10, mode="symbol_level")
+
+
+def test_symbol_mode_rejects_rho_ad_override():
+    # the real quantizer is the adc_bits one; scaling it by 1 - rho_ad would
+    # evaluate a different model from the semi-analytic mode
+    cfg = _cfg(L=3, K=4, N=64, adc_bits=3, rho_ad=0.3, seed=7)
+    assert ergodic_rate(cfg, 10).rate_mc > 0.0
+    with pytest.raises(ParameterError, match="rho_ad"):
         ergodic_rate(cfg, 10, mode="symbol_level")
 
 
