@@ -7,7 +7,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.special
-from scipy.signal import fftconvolve
 
 from .config import validate_config
 from .errors import ParameterError
@@ -52,12 +51,15 @@ def exact_mean_abs2(N):
     return float(N + 2.0 * np.sum((N - n) * b[1:] ** 2))
 
 
+@lru_cache(maxsize=32)
 def _triple_double_sum(N):
     """sum_{m=1}^{N-1} sum_{n=0}^{N-m-1} J0(m pi) J0(n pi) J0((n+m) pi)."""
     b = _j0_pi_table(N)
     if N < 2:
         return 0.0
-    conv = (np.convolve(b, b) if N <= 2048 else fftconvolve(b, b))[:N]
+    # self-convolution by a zero-padded real FFT (length 2N holds all 2N-1 lags)
+    f = np.fft.rfft(b, 2 * N)
+    conv = np.fft.irfft(f * f, 2 * N)[:N]
     # conv[s] = sum_{m=0..s} b_m b_{s-m}; drop the m=0 term to start at m=1
     return float(np.sum(b[1:] * (conv[1:] - b[0] * b[1:])))
 

@@ -15,7 +15,7 @@ from .estimation import dump_error_power_csv, estimate_all
 from .rate import ergodic_rate
 from .rng import substream, STAGE_CHANNEL, STAGE_PILOT
 from .sweep import (emit_plot_script, list_presets, load_preset, load_sweep_spec,
-                    run_sweep, rows_to_csv_text)
+                    rows_to_csv_text, run_sweep, sweep_row, write_csv)
 from .training import build_codebook, gain_lower_bound, train_beams
 
 
@@ -65,19 +65,7 @@ def cmd_bound(args):
     print(f"low-SNR scaling   xi1={rep.xi1:.6g}  R_LB_1={rep.R_LB_1:.6f}")
     print(f"high-pilot scaling xi2={rep.xi2:.6g}  R_LB_2={rep.R_LB_2:.6f}")
     if args.out:
-        from .sweep import CSV_COLUMNS, write_csv
-        row = {c: "" for c in CSV_COLUMNS}
-        row.update({
-            "scenario_id": "bound", "L": cfg.L, "K": cfg.K, "N": cfg.N, "M": cfg.M,
-            "bits": cfg.adc_bits if cfg.rho_ad is None else "", "B": cfg.B,
-            "tau": cfg.tau, "beta": cfg.beta_inter,
-            "snr_db": f"{cfg.snr_db:.6g}", "pilot_snr_db": f"{cfg.pilot_snr_db:.6g}",
-            "trials": 0, "seed": cfg.seed,
-            "rate_lb": f"{rep.R_LB:.6g}",
-            "rate_lb_s": "" if rep.R_LB_s is None else f"{rep.R_LB_s:.6g}",
-            "xi1": f"{rep.xi1:.6g}", "xi2": f"{rep.xi2:.6g}",
-            "r_inf": f"{rep.R_inf:.6g}" if math.isfinite(rep.R_inf) else "",
-        })
+        row = sweep_row("bound", cfg, 0, rep)
         with open(args.out, "w") as fh:
             write_csv([row], fh)
         print(f"wrote {args.out}")

@@ -98,6 +98,14 @@ class SystemConfig:
 _CONFIG_KEYS = {f.name for f in fields(SystemConfig)} - {"warnings", "validated"}
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def validate_config(cfg):
     """Normalize and check a SystemConfig.
 
@@ -113,31 +121,33 @@ def validate_config(cfg):
         updates["beta_inter"] = 0.1
     if cfg.B is None:
         updates["B"] = 6
-    if cfg.tau is None:
+    # tau and p_p derive only from a K, tau and p_t that pass their type
+    # checks; otherwise they stay unset and only the field at fault is reported
+    if cfg.tau is None and _is_int(cfg.K):
         updates["tau"] = cfg.K
-    if cfg.p_p is None:
-        tau = updates.get("tau", cfg.tau)
+    tau = updates.get("tau", cfg.tau)
+    if cfg.p_p is None and _is_int(tau) and _is_finite_number(cfg.p_t):
         updates["p_p"] = tau * cfg.p_t
     cfg = replace(cfg, **updates)
+    underived = {name for name in ("tau", "p_p") if getattr(cfg, name) is None}
 
-    for name in ("L", "K", "N", "M"):
+    bad = set(underived)
+    for name, low in (("L", 1), ("K", 1), ("N", 1), ("M", 1), ("B", 0), ("tau", 1),
+                      ("seed", 0)):
         v = getattr(cfg, name)
-        if not isinstance(v, int) or v < 1:
-            errors.append(f"{name} must be a positive integer, got {v!r}")
-    if not isinstance(cfg.B, int) or cfg.B < 0:
-        errors.append(f"B must be a non-negative integer, got {cfg.B!r}")
-    if not isinstance(cfg.tau, int) or cfg.tau < 1:
-        errors.append(f"tau must be a positive integer, got {cfg.tau!r}")
-    elif isinstance(cfg.K, int) and cfg.K >= 1 and cfg.tau < cfg.K:
+        if name not in bad and not (_is_int(v) and v >= low):
+            kind = "positive" if low else "non-negative"
+            errors.append(f"{name} must be a {kind} integer, got {v!r}")
+            bad.add(name)
+    if not bad & {"tau", "K"} and cfg.tau < cfg.K:
         errors.append(f"tau < K: orthogonal pilots need tau >= K (tau={cfg.tau}, K={cfg.K})")
 
-    bad = set()
     for name in ("p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad",
                  "antenna_spacing_ratio", "rate_log_base"):
         v = getattr(cfg, name)
         if name == "rho_ad" and v is None:
             continue        # optional: adc_bits then sets the distortion factor
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+        if name not in bad and not _is_finite_number(v):
             errors.append(f"{name} must be a finite number, got {v!r}")
             bad.add(name)
 
@@ -146,7 +156,7 @@ def validate_config(cfg):
             errors.append(f"rho_ad must be in [0, 1), got {cfg.rho_ad}")
     elif cfg.adc_bits is None:
         errors.append("one of adc_bits or rho_ad must be set")
-    elif not isinstance(cfg.adc_bits, int) or not MIN_ADC_BITS <= cfg.adc_bits <= MAX_ADC_BITS:
+    elif not _is_int(cfg.adc_bits) or not MIN_ADC_BITS <= cfg.adc_bits <= MAX_ADC_BITS:
         errors.append(f"adc_bits must be an integer in [1, 12], got {cfg.adc_bits!r}")
 
     for name in ("p_t", "p_p", "sigma_n2"):

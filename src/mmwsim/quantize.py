@@ -72,16 +72,27 @@ def lloyd_max_quantize(samples, bits, input_variance):
 
     Real and imaginary parts are quantized independently with the codebook
     matched to a Gaussian of variance input_variance / 2 per component, i.e.
-    ideal automatic gain control.
+    ideal automatic gain control.  Returns a complex128 array of the input's
+    shape.
     """
     if input_variance <= 0:
         raise ParameterError(f"input_variance must be > 0, got {input_variance}")
     levels, thresholds = lloyd_max_design(bits)
     scale = np.sqrt(input_variance / 2.0)
     samples = np.asarray(samples)
-    re = levels[np.searchsorted(thresholds, samples.real / scale)]
-    im = levels[np.searchsorted(thresholds, samples.imag / scale)]
-    return scale * (re + 1j * im)
+    # both components at once, as the interleaved float64 view of the samples
+    x = np.ascontiguousarray(samples, dtype=complex).reshape(-1).view(np.float64) / scale
+    # branch-free binary search over the 2^bits - 1 sorted thresholds: idx ends
+    # as the count of thresholds strictly below x, i.e. searchsorted(side="left")
+    step = 1 << (bits - 1)
+    idx = (x > thresholds[step - 1]) * step
+    step >>= 1
+    while step:
+        idx += step * (x > thresholds[step - 1:][idx])
+        step >>= 1
+    out = levels[idx]
+    out *= scale
+    return out.view(complex).reshape(samples.shape)
 
 
 def bussgang_decompose(pre_quant, post_quant):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -123,37 +124,44 @@ def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
     for curve in spec.curves:
         for value in spec.values:
             cfg = _point_config(spec, curve, value, overrides)
-            row = {
-                "scenario_id": spec.scenario_id,
-                "L": cfg.L, "K": cfg.K, "N": cfg.N, "M": cfg.M,
-                "bits": cfg.adc_bits if cfg.rho_ad is None else "",
-                "B": cfg.B, "tau": cfg.tau, "beta": cfg.beta_inter,
-                "snr_db": _fmt(cfg.snr_db), "pilot_snr_db": _fmt(cfg.pilot_snr_db),
-                "trials": trials, "seed": cfg.seed,
-            }
             report = lower_bound_rate(cfg)
-            bound_vals = {
-                "rate_lb": report.R_LB,
-                "rate_lb_s": report.R_LB_s,
-                "xi1": report.xi1,
-                "xi2": report.xi2,
-                "r_inf": report.R_inf if cfg.L > 1 else None,
-            }
-            for name in OUTPUT_COLUMNS:
-                row[name] = ""
+            mc = None
             if "rate_mc" in spec.outputs or "ci95" in spec.outputs:
                 mc = ergodic_rate(cfg, trials, mode=mode)
-                if "rate_mc" in spec.outputs:
-                    row["rate_mc"] = _fmt(mc.rate_mc)
-                if "ci95" in spec.outputs:
-                    row["ci95"] = _fmt(mc.ci95)
-            for name, val in bound_vals.items():
-                if name in spec.outputs and val is not None:
-                    row[name] = _fmt(val)
+            row = sweep_row(spec.scenario_id, cfg, trials, report, mc, spec.outputs)
             rows.append(row)
             if progress is not None:
                 progress(row)
     return rows
+
+
+def sweep_row(scenario_id, cfg, trials, report, mc=None, outputs=OUTPUT_COLUMNS):
+    """One CSV row for a validated config: its identity columns, then the
+    selected outputs, formatted; the rest of OUTPUT_COLUMNS stay empty.
+
+    `report` is the config's lower_bound_rate, `mc` its ergodic_rate report or
+    None when nothing was simulated.
+    """
+    row = {
+        "scenario_id": scenario_id,
+        "L": cfg.L, "K": cfg.K, "N": cfg.N, "M": cfg.M,
+        "bits": cfg.adc_bits if cfg.rho_ad is None else "",
+        "B": cfg.B, "tau": cfg.tau, "beta": cfg.beta_inter,
+        "snr_db": _fmt(cfg.snr_db), "pilot_snr_db": _fmt(cfg.pilot_snr_db),
+        "trials": trials, "seed": cfg.seed,
+    }
+    values = {
+        "rate_mc": None if mc is None else mc.rate_mc,
+        "ci95": None if mc is None else mc.ci95,
+        "rate_lb": report.R_LB,
+        "rate_lb_s": report.R_LB_s,
+        "xi1": report.xi1,
+        "xi2": report.xi2,
+        "r_inf": report.R_inf if cfg.L > 1 else None,   # +inf for a single cell
+    }
+    for name in OUTPUT_COLUMNS:
+        row[name] = _fmt(values[name]) if name in outputs else ""
+    return row
 
 
 def write_csv(rows, fh):
@@ -171,9 +179,14 @@ def rows_to_csv_text(rows):
 
 
 def read_csv_rows(path):
-    """Read back a sweep CSV, skipping the units comment."""
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+    """Read back a sweep CSV, skipping the units comment above the header.
+
+    Each cell comes back as the string write_csv was given, unless it holds a
+    carriage return, which the writer leaves unquoted under its newline line
+    terminator.
+    """
+    with open(path, newline="") as fh:
+        lines = list(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
     reader = csv.DictReader(lines)
     if reader.fieldnames is None:
         raise FormatError(f"{path} is empty")

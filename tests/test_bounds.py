@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from mmwsim.bounds import (EULER_GAMMA, asymptotic_limit, bessel_j0,
+import mmwsim
+from mmwsim.bounds import (EULER_GAMMA, _triple_double_sum, asymptotic_limit, bessel_j0,
                            bound_inputs, eta1, eta2, eta3, eta3_upper_bound,
                            exact_mean_abs2, exact_mean_inner, exact_mean_triple,
                            gain_floor, high_pilot_approx, low_snr_approx,
@@ -84,6 +90,48 @@ def test_eta3_upper_bound_property():
 def test_eta3_switches_to_bound_for_huge_N():
     n = 2 * 10 ** 5
     assert eta3(n) == pytest.approx(eta3_upper_bound(n))
+
+
+def _loop_triple_double_sum(N):
+    # the definition, term by term
+    b = [float(mpmath.besselj(0, n * mpmath.pi)) for n in range(N)]
+    return sum(b[m] * b[n] * b[n + m] for m in range(1, N) for n in range(N - m))
+
+
+def _convolve_triple_double_sum(N):
+    b = bessel_j0(math.pi * np.arange(N))
+    conv = np.convolve(b, b)[:N]
+    return float(np.sum(b[1:] * (conv[1:] - b[0] * b[1:])))
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 12, 40])
+def test_triple_double_sum_matches_definition(N):
+    assert _triple_double_sum(N) == pytest.approx(_loop_triple_double_sum(N),
+                                                  rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("N", [2, 3, 17, 64, 333, 1024, 2047, 2048])
+def test_triple_double_sum_matches_direct_convolution(N):
+    assert _triple_double_sum(N) == pytest.approx(_convolve_triple_double_sum(N), rel=1e-13)
+
+
+def test_triple_double_sum_at_largest_exact_N():
+    # the value the former scipy.signal.fftconvolve path gave at N = 10^5
+    assert _triple_double_sum(10 ** 5) == pytest.approx(63.91434178683845, rel=1e-12)
+    assert _triple_double_sum(1) == 0.0
+
+
+def test_package_import_loads_only_scipy_special():
+    # a fresh interpreter, so that no other test's imports count
+    src = pathlib.Path(mmwsim.__file__).resolve().parents[1]
+    code = ("import json, sys, mmwsim, mmwsim.cli\n"
+            "print(json.dumps(sorted(name for name, mod in list(sys.modules.items())\n"
+            "    if name.count('.') == 1 and name.startswith('scipy.')\n"
+            "    and not name.split('.')[1].startswith('_') and hasattr(mod, '__path__'))))")
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert json.loads(proc.stdout) == ["scipy.special"]
 
 
 def test_gain_floor_value():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mmwsim.cli import main
 
 
@@ -26,6 +28,30 @@ def test_bound_command_with_overrides(capsys, tmp_path):
     assert out_csv.exists()
     text = out_csv.read_text()
     assert "1.88003" in text
+
+
+_CSV_HEAD = (
+    "# rate columns (rate_mc, ci95, rate_lb, rate_lb_s) in bits/s/Hz, log base 2\n"
+    "scenario_id,L,K,N,M,bits,B,tau,beta,snr_db,pilot_snr_db,trials,seed,"
+    "rate_mc,ci95,rate_lb,rate_lb_s,xi1,xi2,r_inf\n"
+)
+
+
+@pytest.mark.parametrize("overrides, row", [
+    (["L=1", "K=2", "N=32", "adc_bits=3", "p_t=0.1"],
+     "bound,1,2,32,2,3,6,2,0.1,-10,-6.9897,0,0,,,1.15781,1.15781,23.8617,59.6543,\n"),
+    (["L=3", "K=4", "adc_bits=1", "p_p=4"],
+     "bound,3,4,64,2,1,6,4,0.1,0,6.0206,0,0,,,1.88003,,415.012,51.8764,5.66682\n"),
+    (["L=3", "K=8", "rho_ad=0.2", "snr_db=-7"],
+     "bound,3,8,64,2,,6,8,0.1,-7,2.0309,0,0,,,1.37532,,261.523,81.92,5.66682\n"),
+], ids=["L1", "L3", "L3-rho_ad"])
+def test_bound_out_csv_bytes(capsys, tmp_path, overrides, row):
+    out_csv = tmp_path / "row.csv"
+    argv = ["bound", "--out", str(out_csv)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    assert out_csv.read_bytes() == (_CSV_HEAD + row).encode()
 
 
 def test_bound_command_config_file(capsys, tmp_path):

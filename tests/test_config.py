@@ -1,10 +1,13 @@
 import json
 import math
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mmwsim.config import (RHO_AD_TABLE, SystemConfig, distortion_factor,
-                           load_config, set_param, validate_config)
+from mmwsim.cli import _resolve_config, build_parser
+from mmwsim.config import (RHO_AD_TABLE, SETTABLE_KEYS, SystemConfig, config_from_dict,
+                           distortion_factor, load_config, set_param, validate_config)
 from mmwsim.errors import ConfigError, ParameterError
 
 
@@ -126,3 +129,92 @@ def test_infinite_power_fails_before_any_rate():
         ergodic_rate(cfg, 10)
     with pytest.raises(ConfigError):
         lower_bound_rate(cfg)
+
+
+_WRONG_TYPES = [
+    ({"p_t": None}, "p_t must be a finite number, got None"),
+    ({"K": None}, "K must be a positive integer, got None"),
+    ({"K": 3, "p_t": "1"}, "p_t must be a finite number, got '1'"),
+    ({"K": 3, "tau": "4"}, "tau must be a positive integer, got '4'"),
+    ({"p_t": True}, "p_t must be a finite number, got True"),
+    ({"sigma_n2": False}, "sigma_n2 must be a finite number, got False"),
+    ({"rho_ad": True}, "rho_ad must be a finite number, got True"),
+    ({"K": True}, "K must be a positive integer, got True"),
+    ({"tau": True}, "tau must be a positive integer, got True"),
+    ({"B": False}, "B must be a non-negative integer, got False"),
+    ({"adc_bits": True}, "adc_bits must be an integer in [1, 12], got True"),
+    ({"seed": True}, "seed must be a non-negative integer, got True"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("kw, message", _WRONG_TYPES,
+                         ids=[",".join(f"{k}={v}" for k, v in kw.items()) for kw, _ in _WRONG_TYPES])
+def test_wrong_types_fail_with_config_error_naming_the_field(kw, message):
+    # one error, for the field at fault, not for the defaults derived from it
+    with pytest.raises(ConfigError) as err:
+        validate_config(SystemConfig(**{"adc_bits": 2, **kw}))
+    assert err.value.errors == [message]
+
+
+_POSITIVE = st.floats(1e-6, 1e6)
+_SETTABLE_VALUES = {
+    "L": st.integers(1, 4), "K": st.integers(1, 16), "N": st.integers(1, 4096),
+    "M": st.integers(1, 8), "B": st.integers(0, 8), "tau": st.integers(16, 24),
+    "adc_bits": st.integers(1, 12), "seed": st.integers(0, 2 ** 63),
+    "rho_ad": st.floats(0.0, 0.99), "p_t": _POSITIVE, "p_p": _POSITIVE,
+    "sigma_n2": _POSITIVE, "beta_inter": st.floats(0.001, 0.999),
+    "antenna_spacing_ratio": st.floats(0.05, 4.0), "rate_log_base": st.floats(1.01, 20.0),
+    "snr_db": st.floats(-40.0, 40.0), "pilot_snr_db": st.floats(-40.0, 40.0),
+}
+
+
+@st.composite
+def _settings(draw, required=()):
+    """(key, value) pairs over SETTABLE_KEYS that make a valid config."""
+    keys = draw(st.sets(st.sampled_from(sorted(SETTABLE_KEYS))))
+    keys |= set(required) | {"adc_bits"}
+    return [(k, draw(_SETTABLE_VALUES[k])) for k in sorted(keys)]
+
+
+def _doc(pairs):
+    doc = {}
+    for k, v in pairs:
+        set_param(doc, k, v)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+def test_settable_value_strategies_cover_every_key():
+    assert set(_SETTABLE_VALUES) == SETTABLE_KEYS
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=_settings())
+def test_config_json_round_trip_property(pairs, json_dir):
+    doc = _doc(pairs)
+    cfg = validate_config(config_from_dict(doc))
+    path = json_dir / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert validate_config(load_config(path)) == cfg
+    # the validated config, written out field by field, loads back to itself
+    fields_doc = {k: v for k, v in asdict(cfg).items() if k not in ("warnings", "validated")}
+    path.write_text(json.dumps(fields_doc))
+    assert validate_config(load_config(path)) == cfg
+
+
+@pytest.mark.parametrize("key", sorted(SETTABLE_KEYS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_set_overrides_reproduce_json_config(key, data, json_dir):
+    pairs = data.draw(_settings(required=(key,)))
+    path = json_dir / "doc.json"
+    path.write_text(json.dumps(_doc(pairs)))
+    argv = ["bound"] + [a for k, v in pairs for a in ("--set", f"{k}={v!r}")]
+    from_set = _resolve_config(build_parser().parse_args(argv))
+    from_json = _resolve_config(build_parser().parse_args(["bound", "--config", str(path)]))
+    assert from_set == from_json == validate_config(load_config(path))

@@ -52,6 +52,45 @@ def test_quantize_rejects_bad_args():
         lloyd_max_quantize(np.ones(4, dtype=complex), 3, 0.0)
 
 
+def _searchsorted_quantize(samples, bits, input_variance):
+    # the per-component searchsorted formula the quantizer must reproduce
+    levels, thresholds = lloyd_max_design(bits)
+    scale = np.sqrt(input_variance / 2.0)
+    samples = np.asarray(samples)
+    re = levels[np.searchsorted(thresholds, samples.real / scale)]
+    im = levels[np.searchsorted(thresholds, samples.imag / scale)]
+    return scale * (re + 1j * im)
+
+
+def _assert_bit_equal(got, want):
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_quantizer_matches_searchsorted_oracle(bits):
+    rng = np.random.default_rng(100 + bits)
+    z = 1.7 * (rng.standard_normal((64, 33)) + 1j * rng.standard_normal((64, 33)))
+    _assert_bit_equal(lloyd_max_quantize(z, bits, 3.1), _searchsorted_quantize(z, bits, 3.1))
+    # a strided (non-contiguous) view quantizes the same
+    _assert_bit_equal(lloyd_max_quantize(z[:, ::2], bits, 0.4),
+                      _searchsorted_quantize(z[:, ::2], bits, 0.4))
+    # real-valued input: imaginary parts quantize as zeros
+    x = rng.standard_normal(257)
+    _assert_bit_equal(lloyd_max_quantize(x, bits, 2.0), _searchsorted_quantize(x, bits, 2.0))
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_quantizer_ties_at_thresholds_match_oracle(bits):
+    # input_variance = 2 makes the scale exactly 1, so these samples sit on the
+    # thresholds and a neighbour of each; ties must resolve as searchsorted does
+    _, thresholds = lloyd_max_design(bits)
+    edge = np.concatenate((thresholds, np.nextafter(thresholds, np.inf),
+                           np.nextafter(thresholds, -np.inf), [-50.0, 0.0, 50.0]))
+    z = edge + 1j * edge[::-1]
+    _assert_bit_equal(lloyd_max_quantize(z, bits, 2.0), _searchsorted_quantize(z, bits, 2.0))
+
+
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
 def test_empirical_distortion_matches_table(gaussian_samples, bits):
     q = lloyd_max_quantize(gaussian_samples, bits, 1.0)

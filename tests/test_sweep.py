@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmwsim.errors import FormatError, ParameterError
-from mmwsim.sweep import (emit_plot_script, list_presets, load_preset,
+from mmwsim.sweep import (CSV_COLUMNS, emit_plot_script, list_presets, load_preset,
                           read_csv_rows, rows_to_csv_text, run_sweep,
                           sweep_spec_from_dict, write_csv)
 
@@ -101,6 +102,26 @@ def test_csv_round_trip(tmp_path):
     assert len(back) == len(rows)
     assert back[0]["scenario_id"] == "tiny"
     assert path.read_text().startswith("#")  # units comment
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+# any text but a carriage return: the csv module leaves a lone "\r" unquoted
+# under the "\n" line terminator these files are written with
+_CELL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries({c: _CELL for c in CSV_COLUMNS}), max_size=4))
+@example(rows=[dict.fromkeys(CSV_COLUMNS, "#1"), dict.fromkeys(CSV_COLUMNS, "a\nb,\"c\"")])
+def test_csv_round_trip_keeps_every_cell_property(rows, csv_dir):
+    path = csv_dir / "rows.csv"
+    with open(path, "w", newline="") as fh:
+        write_csv(rows, fh)
+    assert read_csv_rows(path) == rows
 
 
 def test_plot_script_two_series(tmp_path):
