@@ -8,15 +8,15 @@ import numpy as np
 from .errors import ParameterError
 
 
-def steering_vector(angle, count, spacing_ratio=0.5):
-    """Uniform-linear-array response: element n is exp(-j*2*pi*n*d/lambda*cos(angle)).
+def steering_vector(angle, count):
+    """Half-wavelength ULA response: element n is exp(-j*pi*n*cos(angle)).
 
     `angle` may be an array of any shape; the element axis is appended last.
     The first element is exactly 1+0j and every element has unit modulus.
     """
     if count < 1:
         raise ParameterError(f"steering vector length must be >= 1, got {count}")
-    return np.exp(-2j * np.pi * spacing_ratio * np.cos(angle)[..., None] * np.arange(count))
+    return np.exp(-1j * np.pi * np.cos(angle)[..., None] * np.arange(count))
 
 
 def large_scale_gains(cfg):
@@ -88,10 +88,9 @@ def sample_channel(cfg, rng):
     large-scale gain is 1 intra-cell and cfg.beta_inter across cells.
     """
     phi, theta = draw_angles(cfg, rng)
-    r = cfg.antenna_spacing_ratio
     return ChannelRealization(
         phi=phi, theta=theta, beta=large_scale_gains(cfg),
-        h_U=steering_vector(phi, cfg.M, r), h_B=steering_vector(theta, cfg.N, r),
+        h_U=steering_vector(phi, cfg.M), h_B=steering_vector(theta, cfg.N),
     )
 
 

@@ -17,14 +17,6 @@ from .rng import substream
 from .training import build_codebook, gain_lower_bound, _candidate_gains
 
 
-def selected_gain_range(M, B, grid):
-    """(min, max) over an angle grid of the noiseless argmax-selected gain |c|."""
-    cos_cb = np.cos(build_codebook(B))
-    gains = _candidate_gains(np.cos(np.linspace(0.0, np.pi, grid)), cos_cb, M)
-    sel = gains.max(axis=-1)
-    return float(sel.min()), float(sel.max())
-
-
 @dataclass
 class CheckResult:
     suite: str
@@ -198,6 +190,22 @@ def bounds_suite(seed=99):
     return out
 
 
+def gain_bound_checks(B=6, grid=10 ** 4):
+    """Noiseless beam-selection gain |c| on an angle grid against its analytic
+    bounds gain_lower_bound(M, B) <= |c| <= sqrt(M), for M in 2, 4, 8."""
+    out = []
+    cos_cb = np.cos(build_codebook(B))
+    cos_grid = np.cos(np.linspace(0.0, np.pi, grid))
+    for M in (2, 4, 8):
+        sel = _candidate_gains(cos_grid, cos_cb, M).max(axis=-1)
+        worst, best = float(sel.min()), float(sel.max())
+        lo = gain_lower_bound(M, B)
+        ok = worst >= lo - 1e-12 and best <= math.sqrt(M) + 1e-12
+        out.append(CheckResult(
+            "rate", f"gain_bounds_M{M}", ok, worst, lo, f"max={best:.6f}"))
+    return out
+
+
 def rate_suite(seed=11, trials=400):
     """Bound validity, gain-bound sweep, and mode agreement at reduced scale."""
     out = []
@@ -210,18 +218,12 @@ def rate_suite(seed=11, trials=400):
             "rate", f"bound_validity_K{K}", rep.rate_mc + rep.ci95 >= lb,
             rep.rate_mc - lb, -rep.ci95, f"rate={rep.rate_mc:.4f} lb={lb:.4f}"))
 
-    # noiseless beam-selection gain stays inside its analytic bounds
-    for M in (2, 4, 8):
-        worst, best = selected_gain_range(M, B=6, grid=10 ** 4)
-        lo = gain_lower_bound(M, 6)
-        ok = worst >= lo - 1e-12 and best <= math.sqrt(M) + 1e-12
-        out.append(CheckResult(
-            "rate", f"gain_bounds_M{M}", ok, worst, lo, f"max={best:.6f}"))
+    out.extend(gain_bound_checks())
 
     cfg = validate_config(SystemConfig(L=3, K=4, N=64, M=2, adc_bits=3,
                                        p_t=1.0, p_p=4.0, sigma_n2=1.0, seed=seed))
     semi = ergodic_rate(cfg, trials)
-    symb = ergodic_rate(cfg, trials, mode="symbol_level")
+    symb = ergodic_rate(cfg, trials, mode="symbol")
     rel = abs(semi.rate_mc - symb.rate_mc) / semi.rate_mc
     out.append(CheckResult(
         "rate", "mode_agreement_b3", rel < 0.03, float(rel), 0.03,

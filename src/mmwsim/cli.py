@@ -8,14 +8,14 @@ import sys
 from . import __version__
 from .bounds import lower_bound_rate
 from .channel import dump_realization_csv, sample_channel
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .config import SystemConfig, config_from_dict, set_param, validate_config
 from .errors import ParameterError
 from .estimation import dump_error_power_csv, estimate_all
 from .rate import ergodic_rate
 from .rng import substream, STAGE_CHANNEL, STAGE_PILOT
-from .sweep import (emit_plot_script, list_presets, load_preset, load_sweep_spec,
-                    rows_to_csv_text, run_sweep, sweep_row, write_csv)
+from .sweep import (AXIS_COLUMN, emit_plot_script, list_presets, load_preset,
+                    load_sweep_spec, rows_to_csv_text, run_sweep, sweep_row, write_csv)
 from .training import build_codebook, gain_lower_bound, train_beams
 
 
@@ -76,8 +76,7 @@ def cmd_simulate(args):
     cfg = _resolve_config(args)
     for w in cfg.warnings:
         print(f"warning: {w}")
-    mode = {"semi": "semi_analytic", "symbol": "symbol_level"}[args.mode]
-    rep = ergodic_rate(cfg, args.trials, mode=mode)
+    rep = ergodic_rate(cfg, args.trials, mode=args.mode)
     lb = lower_bound_rate(cfg)
     print(f"mode={rep.mode} trials={rep.trials} seed={cfg.seed}")
     print(f"ergodic rate = {rep.rate_mc:.6f} +- {rep.ci95:.6f} bits/s/Hz (95% CI)")
@@ -89,8 +88,9 @@ def cmd_simulate(args):
         rng = substream(cfg.seed, 0, STAGE_CHANNEL)
         realization = sample_channel(cfg, rng)
         training = train_beams(realization, cfg)
-        est = estimate_all(realization, training, cfg,
-                           substream(cfg.seed, 0, STAGE_PILOT))
+        # the pilot phase the run sampled: symbol mode quantizes for real
+        est = estimate_all(realization, training, cfg, substream(cfg.seed, 0, STAGE_PILOT),
+                           quant_path="real" if args.mode == "symbol" else "bussgang")
         dump_realization_csv(realization, training, args.debug_dump + "_realization.csv")
         dump_error_power_csv(est, args.debug_dump + "_error_power.csv")
         print(f"wrote {args.debug_dump}_realization.csv and _error_power.csv")
@@ -106,10 +106,9 @@ def cmd_sweep(args):
         print("choose --preset {" + ",".join(list_presets()) + "} or --spec FILE",
               file=sys.stderr)
         return 2
-    mode = {"semi": "semi", "symbol": "symbol"}[args.mode] if args.mode else None
-    rows = run_sweep(spec, trials=args.trials, seed=args.seed, mode=mode,
+    rows = run_sweep(spec, trials=args.trials, seed=args.seed, mode=args.mode,
                      progress=lambda r: print(
-                         f"  {spec.axis}={r[_axis_col(spec.axis)]} rate_mc={r['rate_mc'] or '-'} "
+                         f"  {spec.axis}={r[AXIS_COLUMN[spec.axis]]} rate_mc={r['rate_mc'] or '-'} "
                          f"rate_lb={r['rate_lb'] or '-'}", file=sys.stderr))
     text = rows_to_csv_text(rows)
     if args.out:
@@ -124,10 +123,6 @@ def cmd_sweep(args):
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _axis_col(axis):
-    return {"adc_bits": "bits"}.get(axis, axis)
 
 
 def cmd_validate(args):
@@ -186,8 +181,7 @@ def build_parser():
     w.set_defaults(fn=cmd_sweep)
 
     v = sub.add_parser("validate", help="run self-validation suites")
-    v.add_argument("--suite", default="all",
-                   choices=("quantizer", "lemmas", "bounds", "rate", "all"))
+    v.add_argument("--suite", default="all", choices=(*SUITES, "all"))
     v.set_defaults(fn=cmd_validate)
 
     c = sub.add_parser("codebook", help="print the phase codebook and gain bounds")

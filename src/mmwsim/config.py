@@ -49,7 +49,9 @@ class SystemConfig:
     """All scenario parameters for one simulation or bound evaluation.
 
     Powers are linear.  `tau` and `p_p` default to K and tau*p_t when left
-    unset.  Instances are immutable once validated.
+    unset.  Instances are immutable once validated.  Both arrays are
+    half-wavelength ULAs, as the closed-form bound assumes, and rates are in
+    bits.
     """
 
     L: int = 1                      # cells
@@ -64,8 +66,6 @@ class SystemConfig:
     p_p: float = None               # pilot power (total per user over tau)
     sigma_n2: float = 1.0           # noise power
     beta_inter: float = None        # inter-cell large-scale factor, default 0.1
-    antenna_spacing_ratio: float = 0.5
-    rate_log_base: float = 2.0
     seed: int = 0
     warnings: tuple = ()            # attached by validate_config
     validated: bool = False
@@ -91,8 +91,8 @@ class SystemConfig:
         return 10.0 * math.log10(self.p_p / self.sigma_n2)
 
     def log_rate(self, x):
-        """log(x) in the configured rate base."""
-        return math.log(x) / math.log(self.rate_log_base)
+        """log2(x), the rate in bits."""
+        return math.log(x) / math.log(2.0)
 
 
 _CONFIG_KEYS = {f.name for f in fields(SystemConfig)} - {"warnings", "validated"}
@@ -142,8 +142,7 @@ def validate_config(cfg):
     if not bad & {"tau", "K"} and cfg.tau < cfg.K:
         errors.append(f"tau < K: orthogonal pilots need tau >= K (tau={cfg.tau}, K={cfg.K})")
 
-    for name in ("p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad",
-                 "antenna_spacing_ratio", "rate_log_base"):
+    for name in ("p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad"):
         v = getattr(cfg, name)
         if name == "rho_ad" and v is None:
             continue        # optional: adc_bits then sets the distortion factor
@@ -166,10 +165,6 @@ def validate_config(cfg):
 
     if "beta_inter" not in bad and not 0.0 < cfg.beta_inter < 1.0:
         errors.append(f"beta_inter must be in (0, 1), got {cfg.beta_inter}")
-    if "antenna_spacing_ratio" not in bad and not cfg.antenna_spacing_ratio > 0:
-        errors.append(f"antenna_spacing_ratio must be > 0, got {cfg.antenna_spacing_ratio!r}")
-    if "rate_log_base" not in bad and not cfg.rate_log_base > 1:
-        errors.append(f"rate_log_base must be > 1, got {cfg.rate_log_base!r}")
 
     if errors:
         raise ConfigError(errors)
@@ -205,8 +200,7 @@ def load_config(path):
 # Keys settable through `--set key=value` and sweep axes.  snr_db and
 # pilot_snr_db translate to p_t / p_p against the document's sigma_n2.
 _INT_KEYS = {"L", "K", "N", "M", "B", "tau", "adc_bits", "seed"}
-_FLOAT_KEYS = {"rho_ad", "p_t", "p_p", "sigma_n2", "beta_inter",
-               "antenna_spacing_ratio", "rate_log_base"}
+_FLOAT_KEYS = {"rho_ad", "p_t", "p_p", "sigma_n2", "beta_inter"}
 SETTABLE_KEYS = _INT_KEYS | _FLOAT_KEYS | {"snr_db", "pilot_snr_db"}
 
 

@@ -22,6 +22,9 @@ from .estimation import build_pilot_matrix, estimate_cell, noise_equivalent_mu
 from .quantize import lloyd_max_quantize, quant_noise_power, quant_noise_power_data
 from .training import beamformer_from_angle, build_codebook, select_beams
 
+# Data symbols sampled per trial in symbol mode.
+SYMBOLS_PER_TRIAL = 256
+
 # Memory budget of one trial block.  A trial's share is its largest
 # intermediate, the (LK, LK) Gram kernel or the (L, K, 2^B) beam scores,
 # counted at 16 bytes per entry.
@@ -168,9 +171,8 @@ def _draw_block(cfg, trials, training_noise_var):
     cells = np.arange(L)
     amp = np.sqrt(large_scale_gains(cfg)[cells, cells])[..., None]
     phi_hat = select_beams(phi[:, cells, cells], amp, codebook, M, nu)   # (T, L, K)
-    r = cfg.antenna_spacing_ratio
-    w = beamformer_from_angle(phi_hat, M, r)
-    c0 = np.einsum("tlkm,tlkm->tlk", steering_vector(phi[:, 0], M, r).conj(), w)
+    w = beamformer_from_angle(phi_hat, M)
+    c0 = np.einsum("tlkm,tlkm->tlk", steering_vector(phi[:, 0], M).conj(), w)
     return theta[:, 0], c0
 
 
@@ -183,7 +185,7 @@ def _semi_block(cfg, theta0, c0):
 
         h_a^H h_b = e^{j(N-1)(x_a - x_b)} sin(N(x_a - x_b)) / sin(x_a - x_b),
 
-    x = pi * d/lambda * cos(theta), and N where the denominator vanishes.
+    x = (pi/2) * cos(theta), and N where the denominator vanishes.
     The difference identities turn the kernel into outer products of
     per-user sines and cosines, and the phase factors are folded into the
     coefficients, so the per-pair work is real arithmetic.
@@ -197,7 +199,7 @@ def _semi_block(cfg, theta0, c0):
     sigma_q2 = quant_noise_power(cfg, total, cfg.p_t)[:, None]
     mu = noise_equivalent_mu(cfg, quant_noise_power(cfg, total, cfg.p_p / cfg.tau))[:, None]
 
-    x = np.pi * cfg.antenna_spacing_ratio * np.cos(theta0).reshape(T, L * K)
+    x = (np.pi / 2) * np.cos(theta0).reshape(T, L * K)
     s, c = np.sin(x), np.cos(x)
     sN, cN = np.sin(N * x), np.cos(N * x)
     den = s[:, :, None] * c[:, None, :]
@@ -234,15 +236,14 @@ def _semi_block(cfg, theta0, c0):
     return S, I, I_floor
 
 
-def _symbol_trial(cfg, trial, theta0, c0, n_symbols):
+def _symbol_trial(cfg, trial, theta0, c0):
     """(S, I) at BS 0 for one trial with sampled pilots, symbols and quantizer."""
     rho = cfg.rho
     L, K, N = cfg.L, cfg.K, cfg.N
     b0 = large_scale_gains(cfg)[0]                    # (L, K)
     # effective channels (L, N, K) from every cell's users to BS 0
     eff = np.swapaxes(
-        steering_vector(theta0, N, cfg.antenna_spacing_ratio)
-        * (np.sqrt(b0) * c0)[..., None], 1, 2)
+        steering_vector(theta0, N) * (np.sqrt(b0) * c0)[..., None], 1, 2)
 
     pilot_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT)
     est = estimate_cell(eff, c0[None], b0[None], 0, cfg, build_pilot_matrix(cfg.tau, K),
@@ -256,17 +257,17 @@ def _symbol_trial(cfg, trial, theta0, c0, n_symbols):
 
     data_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_DATA)
     X = (
-        data_rng.standard_normal((L * K, n_symbols))
-        + 1j * data_rng.standard_normal((L * K, n_symbols))
+        data_rng.standard_normal((L * K, SYMBOLS_PER_TRIAL))
+        + 1j * data_rng.standard_normal((L * K, SYMBOLS_PER_TRIAL))
     ) / np.sqrt(2.0)
     noise = (
-        data_rng.standard_normal((N, n_symbols))
-        + 1j * data_rng.standard_normal((N, n_symbols))
+        data_rng.standard_normal((N, SYMBOLS_PER_TRIAL))
+        + 1j * data_rng.standard_normal((N, SYMBOLS_PER_TRIAL))
     ) * np.sqrt(cfg.sigma_n2 / 2.0)
     R = np.sqrt(cfg.p_t) * eff_all @ X + noise
     Q = lloyd_max_quantize(R, cfg.adc_bits, agc_var) if rho > 0.0 else R
 
-    Y = combiner.conj().T @ Q                         # (K, n_symbols)
+    Y = combiner.conj().T @ Q                         # (K, SYMBOLS_PER_TRIAL)
     a = (1.0 - rho) * np.sqrt(cfg.p_t) * b0[0] * gains2[0] * N
     S = a ** 2
     # measured mean-square deviation from the clean-coefficient signal; always
@@ -276,30 +277,26 @@ def _symbol_trial(cfg, trial, theta0, c0, n_symbols):
     return S, I
 
 
-def ergodic_rate(cfg, trials, mode="semi_analytic", training_noise_var=None,
-                 symbols_per_trial=256):
+def ergodic_rate(cfg, trials, mode="semi", training_noise_var=None):
     """Monte-Carlo ergodic rate over `trials` block-fading realizations.
 
-    Returns mean log(1 + gamma) in the configured base with a 95% confidence
-    half-width over per-trial averages.  Deterministic for a given cfg.seed;
-    trials run in blocks of BLOCK_BYTES, and every trial draws from its own
-    (seed, trial, stage) substreams, so the result does not depend on the
-    block size.
+    `mode` is "semi" (semi-analytic) or "symbol" (symbol-level).  Returns
+    mean log2(1 + gamma) with a 95% confidence half-width over per-trial
+    averages.  Deterministic for a given cfg.seed; trials run in blocks of
+    BLOCK_BYTES, and every trial draws from its own (seed, trial, stage)
+    substreams, so the result does not depend on the block size.
     """
     cfg = cfg if cfg.validated else validate_config(cfg)
     if trials < 10:
         raise ParameterError(f"trials must be >= 10, got {trials}")
-    if mode in ("semi", "semi_analytic"):
-        mode = "semi_analytic"
-    elif mode in ("symbol", "symbol_level"):
-        mode = "symbol_level"
+    if mode == "symbol":
         if cfg.rho_ad is not None:
             raise ParameterError(
-                "symbol_level mode runs the real adc_bits quantizer and cannot honor "
+                "symbol mode runs the real adc_bits quantizer and cannot honor "
                 f"a rho_ad override (rho_ad={cfg.rho_ad}); set adc_bits only"
             )
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
+    elif mode != "semi":
+        raise ParameterError(f"unknown mode {mode!r}; choose 'semi' or 'symbol'")
 
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))
@@ -308,22 +305,21 @@ def ergodic_rate(cfg, trials, mode="semi_analytic", training_noise_var=None,
     for start in range(0, trials, block):
         ts = range(start, min(start + block, trials))
         theta0, c0 = _draw_block(cfg, ts, training_noise_var)
-        if mode == "semi_analytic":
+        if mode == "semi":
             S_b, I_b, I_floor = _semi_block(cfg, theta0, c0)
             bad = I_b <= 0.0
             S[start:ts.stop], I[start:ts.stop] = S_b, np.where(bad, I_floor, I_b)
             npath += int(np.sum(bad))
         else:
             for i, t in enumerate(ts):
-                S[t], I[t] = _symbol_trial(cfg, t, theta0[i], c0[i], symbols_per_trial)
+                S[t], I[t] = _symbol_trial(cfg, t, theta0[i], c0[i])
 
     gamma = S / I
     if not np.all(np.isfinite(gamma)):
         raise InternalConsistencyError(
             f"non-finite SIQNR in {np.sum(~np.isfinite(gamma))} user-realizations"
         )
-    log_base = np.log(cfg.rate_log_base)
-    per_trial = np.mean(np.log1p(gamma) / log_base, axis=1)
+    per_trial = np.mean(np.log1p(gamma) / np.log(2.0), axis=1)
     rate = float(np.mean(per_trial))
     ci95 = float(1.96 * np.std(per_trial, ddof=1) / np.sqrt(trials))
     return RateReport(

@@ -12,15 +12,16 @@ from .config import SETTABLE_KEYS, config_from_dict, set_param, validate_config
 from .errors import FormatError, ParameterError
 from .rate import ergodic_rate
 
-AXES = ("K", "N", "M", "adc_bits", "snr_db", "pilot_snr_db")
+# sweep axis -> the CSV column that holds its value
+AXIS_COLUMN = {"K": "K", "N": "N", "M": "M", "adc_bits": "bits",
+               "snr_db": "snr_db", "pilot_snr_db": "pilot_snr_db"}
+AXES = tuple(AXIS_COLUMN)
 OUTPUT_COLUMNS = ("rate_mc", "ci95", "rate_lb", "rate_lb_s", "xi1", "xi2", "r_inf")
 CSV_COLUMNS = (
     "scenario_id", "L", "K", "N", "M", "bits", "B", "tau", "beta",
     "snr_db", "pilot_snr_db", "trials", "seed",
 ) + OUTPUT_COLUMNS
 CSV_UNITS_COMMENT = "# rate columns (rate_mc, ci95, rate_lb, rate_lb_s) in bits/s/Hz, log base 2"
-
-PILOT_RULES = ("tau_times_data",)
 
 
 @dataclass
@@ -34,11 +35,15 @@ class SweepSpec:
     trials: int = 2000
     outputs: tuple = OUTPUT_COLUMNS
     curves: list = field(default_factory=lambda: [{}])
-    pilot_rule: str = None
     mode: str = "semi"
     notes: str = ""
 
     def __post_init__(self):
+        # the id is written into CSV cells and a quoted gnuplot title
+        if not (isinstance(self.scenario_id, str) and self.scenario_id.isprintable()
+                and '"' not in self.scenario_id):
+            raise ParameterError(
+                f"scenario_id must be printable text without '\"', got {self.scenario_id!r}")
         if self.axis not in AXES:
             raise ParameterError(f"unknown sweep axis {self.axis!r}; choose from {AXES}")
         if not self.values:
@@ -46,8 +51,6 @@ class SweepSpec:
         bad = [o for o in self.outputs if o not in OUTPUT_COLUMNS]
         if bad:
             raise ParameterError(f"unknown output columns {bad}")
-        if self.pilot_rule is not None and self.pilot_rule not in PILOT_RULES:
-            raise ParameterError(f"unknown pilot rule {self.pilot_rule!r}")
         unknown = set(self.base) - SETTABLE_KEYS
         if unknown:
             raise ParameterError(f"unknown base config keys {sorted(unknown)}")
@@ -61,7 +64,7 @@ def load_sweep_spec(path):
 
 def sweep_spec_from_dict(doc):
     known = {"scenario_id", "base", "axis", "values", "trials", "outputs",
-             "curves", "pilot_rule", "mode", "notes"}
+             "curves", "mode", "notes"}
     unknown = set(doc) - known
     if unknown:
         raise ParameterError(f"unknown sweep spec keys {sorted(unknown)}")
@@ -96,18 +99,11 @@ def _point_config(spec, curve, value, trials_seed_overrides):
     ordered += [(k, v) for k, v in spec.base.items() if k in ("snr_db", "pilot_snr_db")]
     for k, v in ordered:
         set_param(doc, k, v)
-    pilot_rule = spec.pilot_rule
     for k, v in curve.items():
-        if k == "pilot_rule":
-            pilot_rule = v
-            continue
         set_param(doc, k, v)
     set_param(doc, spec.axis, value)
     for k, v in trials_seed_overrides.items():
         set_param(doc, k, v)
-    if pilot_rule == "tau_times_data":
-        tau = doc.get("tau", doc.get("K", 1))
-        doc["p_p"] = tau * doc.get("p_t", 1.0)
     return validate_config(config_from_dict(doc))
 
 
@@ -196,10 +192,6 @@ def read_csv_rows(path):
     return list(reader)
 
 
-_AXIS_COLUMN = {"K": "K", "N": "N", "M": "M", "adc_bits": "bits",
-                "snr_db": "snr_db", "pilot_snr_db": "pilot_snr_db"}
-
-
 def emit_plot_script(csv_path, spec):
     """Self-contained gnuplot script for one sweep CSV.
 
@@ -210,12 +202,12 @@ def emit_plot_script(csv_path, spec):
     rows = read_csv_rows(csv_path)
     if not rows:
         raise FormatError(f"{csv_path} has no data rows")
-    axis_col = _AXIS_COLUMN[spec.axis]
+    axis_col = AXIS_COLUMN[spec.axis]
     identity = [c for c in ("L", "K", "N", "M", "bits", "B", "tau", "beta",
                             "snr_db", "pilot_snr_db") if c != axis_col]
     # a column separates curves only if it varies among rows sharing an axis
-    # value (columns merely derived from the axis, like tau under the pilot
-    # rule, are not identities)
+    # value (columns merely derived from the axis, like tau = K, are not
+    # identities)
     by_axis = {}
     for r in rows:
         by_axis.setdefault(r[axis_col], []).append(r)

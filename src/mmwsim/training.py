@@ -18,14 +18,14 @@ def build_codebook(B):
     return (2 * np.arange(2 ** B) + 1) * zeta
 
 
-def beamformer_from_angle(phi_hat, M, spacing_ratio=0.5):
+def beamformer_from_angle(phi_hat, M):
     """Unit-norm analog beamformer steered at phi_hat; entries have modulus 1/sqrt(M).
 
     phi_hat may be an array; the element axis is appended last.
     """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
-    return steering_vector(phi_hat, M, spacing_ratio) / math.sqrt(M)
+    return steering_vector(phi_hat, M) / math.sqrt(M)
 
 
 def beamforming_gain(h_U, w):
@@ -122,7 +122,7 @@ def train_beams(realization, cfg, noise_var=None, rng=None):
     cells = np.arange(L)
     amp = np.sqrt(realization.beta[cells, cells])[..., None]      # (L, K, 1)
     phi_hat = select_beams(realization.phi[cells, cells], amp, codebook, M, nu)  # (L, K)
-    w = beamformer_from_angle(phi_hat, M, cfg.antenna_spacing_ratio)
+    w = beamformer_from_angle(phi_hat, M)
 
     # c[j, l, k] = h_U[j, l, k]^H w[l, k]
     c = np.einsum("jlkm,lkm->jlk", realization.h_U.conj(), w)

@@ -17,24 +17,24 @@ def _cfg(**kw):
 
 
 def test_steering_vector_broadside():
-    np.testing.assert_allclose(steering_vector(np.pi / 2, 4, 0.5), np.ones(4), atol=1e-12)
+    np.testing.assert_allclose(steering_vector(np.pi / 2, 4), np.ones(4), atol=1e-12)
 
 
 def test_steering_vector_endfire():
-    np.testing.assert_allclose(steering_vector(0.0, 2, 0.5), [1.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(steering_vector(0.0, 2), [1.0, -1.0], atol=1e-12)
 
 
 def test_steering_vector_single_element():
-    np.testing.assert_allclose(steering_vector(1.234, 1, 0.5), [1.0])
+    np.testing.assert_allclose(steering_vector(1.234, 1), [1.0])
 
 
 def test_steering_vector_rejects_empty():
     with pytest.raises(ParameterError):
-        steering_vector(0.5, 0, 0.5)
+        steering_vector(0.5, 0)
 
 
 def test_steering_vector_unit_modulus():
-    v = steering_vector(0.777, 33, 0.5)
+    v = steering_vector(0.777, 33)
     np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
     assert v[0] == 1.0 + 0.0j
 

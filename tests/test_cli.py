@@ -1,8 +1,15 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from mmwsim.channel import sample_channel
 from mmwsim.cli import main
+from mmwsim.config import SystemConfig, validate_config
+from mmwsim.estimation import estimate_all
+from mmwsim.rng import STAGE_CHANNEL, STAGE_PILOT, substream
+from mmwsim.training import train_beams
 
 
 def test_codebook_command(capsys):
@@ -88,7 +95,16 @@ def test_simulate_symbol_mode_and_dump(capsys, tmp_path):
                "--debug-dump", prefix])
     assert rc == 0
     assert (tmp_path / "dbg_realization.csv").exists()
-    assert (tmp_path / "dbg_error_power.csv").exists()
+    # the dump's error powers come from the pilot phase symbol mode samples:
+    # the real quantizer on the first realization
+    cfg = validate_config(SystemConfig(L=2, K=2, N=16, M=2, adc_bits=3, p_t=1.0, p_p=2.0))
+    realization = sample_channel(cfg, substream(cfg.seed, 0, STAGE_CHANNEL))
+    est = estimate_all(realization, train_beams(realization, cfg), cfg,
+                       substream(cfg.seed, 0, STAGE_PILOT), quant_path="real")
+    with open(tmp_path / "dbg_error_power.csv", newline="") as fh:
+        dumped = [float(r["err_power"]) for r in csv.DictReader(fh)]
+    expected = np.sum(np.abs(est.e) ** 2, axis=1).ravel()     # (j, k) row order
+    np.testing.assert_allclose(dumped, expected, rtol=1e-9)
 
 
 def test_sweep_preset_to_files(capsys, tmp_path):

@@ -41,7 +41,6 @@ def test_defaults_filled():
     assert cfg.B == 6
     assert cfg.tau == 8
     assert cfg.p_p == 8 * 0.5
-    assert cfg.antenna_spacing_ratio == 0.5
     assert cfg.validated
 
 
@@ -85,6 +84,11 @@ def test_unknown_json_key_is_hard_error(tmp_path):
     path.write_text(json.dumps({"L": 2, "K": 2, "adc_bits": 3, "pt": 1.0}))
     with pytest.raises(ConfigError, match="unknown config key 'pt'"):
         load_config(path)
+    # half-wavelength arrays and base-2 rates are fixed, not settings
+    for key, value in (("antenna_spacing_ratio", 1.0), ("rate_log_base", 2.0)):
+        path.write_text(json.dumps({"L": 2, "K": 2, "adc_bits": 3, key: value}))
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(path)
 
 
 def test_json_round_trip(tmp_path):
@@ -105,6 +109,9 @@ def test_set_param_snr_translation():
     assert doc["p_p"] == pytest.approx(20.0)
     with pytest.raises(ParameterError):
         set_param(doc, "bogus", 1)
+    with pytest.raises(ParameterError, match="antenna_spacing_ratio"):
+        _resolve_config(build_parser().parse_args(
+            ["bound", "--set", "antenna_spacing_ratio=0.5"]))
 
 
 def test_table_matches_regenerated_fixed_point():
@@ -113,8 +120,7 @@ def test_table_matches_regenerated_fixed_point():
         assert lloyd_max_distortion(b) == pytest.approx(RHO_AD_TABLE[b], rel=1e-4)
 
 
-@pytest.mark.parametrize("name", ["p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad",
-                                  "antenna_spacing_ratio", "rate_log_base"])
+@pytest.mark.parametrize("name", ["p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_numbers_rejected(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
@@ -164,7 +170,6 @@ _SETTABLE_VALUES = {
     "adc_bits": st.integers(1, 12), "seed": st.integers(0, 2 ** 63),
     "rho_ad": st.floats(0.0, 0.99), "p_t": _POSITIVE, "p_p": _POSITIVE,
     "sigma_n2": _POSITIVE, "beta_inter": st.floats(0.001, 0.999),
-    "antenna_spacing_ratio": st.floats(0.05, 4.0), "rate_log_base": st.floats(1.01, 20.0),
     "snr_db": st.floats(-40.0, 40.0), "pilot_snr_db": st.floats(-40.0, 40.0),
 }
 

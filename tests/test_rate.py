@@ -294,14 +294,14 @@ def test_symbol_mode_agrees_at_moderate_depth():
     # full fig2 configuration and trial count
     cfg = _cfg(L=3, K=8, N=64, adc_bits=3, p_t=1.0, p_p=8.0, seed=2)
     semi = ergodic_rate(cfg, 400)
-    symb = ergodic_rate(cfg, 400, mode="symbol_level")
+    symb = ergodic_rate(cfg, 400, mode="symbol")
     assert symb.rate_mc == pytest.approx(semi.rate_mc, rel=0.04)
 
 
 def test_symbol_mode_needs_bits():
     cfg = _cfg(rho_ad=0.25, adc_bits=None, L=1, K=1)
     with pytest.raises(ParameterError):
-        ergodic_rate(cfg, 10, mode="symbol_level")
+        ergodic_rate(cfg, 10, mode="symbol")
 
 
 def test_symbol_mode_rejects_rho_ad_override():
@@ -310,12 +310,14 @@ def test_symbol_mode_rejects_rho_ad_override():
     cfg = _cfg(L=3, K=4, N=64, adc_bits=3, rho_ad=0.3, seed=7)
     assert ergodic_rate(cfg, 10).rate_mc > 0.0
     with pytest.raises(ParameterError, match="rho_ad"):
-        ergodic_rate(cfg, 10, mode="symbol_level")
+        ergodic_rate(cfg, 10, mode="symbol")
 
 
 def test_unknown_mode():
-    with pytest.raises(ParameterError):
-        ergodic_rate(_cfg(), 10, mode="exact")
+    # one name per mode: the long forms are not aliases
+    for mode in ("exact", "semi_analytic", "symbol_level"):
+        with pytest.raises(ParameterError, match="unknown mode"):
+            ergodic_rate(_cfg(), 10, mode=mode)
 
 
 def test_report_shapes_and_nonnegative_gamma():

@@ -17,7 +17,6 @@ def _tiny_spec(**kw):
         axis="K",
         values=[1, 2],
         trials=20,
-        pilot_rule="tau_times_data",
         outputs=["rate_mc", "ci95", "rate_lb"],
     )
     doc.update(kw)
@@ -43,9 +42,18 @@ def test_empty_values_rejected():
 
 
 def test_unknown_spec_key_rejected():
-    with pytest.raises(ParameterError):
-        sweep_spec_from_dict({"scenario_id": "x", "base": {}, "axis": "K",
-                              "values": [1], "plot": True})
+    for key, value in (("plot", True), ("pilot_rule", "tau_times_data")):
+        with pytest.raises(ParameterError, match=key):
+            sweep_spec_from_dict({"scenario_id": "x", "base": {}, "axis": "K",
+                                  "values": [1], key: value})
+
+
+@pytest.mark.parametrize("scenario_id", ["a\rb", "a\nb", 'say "hi"', "a\x00", 7],
+                         ids=["carriage-return", "newline", "quote", "nul", "int"])
+def test_scenario_id_that_breaks_outputs_rejected(scenario_id):
+    # the id lands in CSV cells and in the gnuplot title "..." line
+    with pytest.raises(ParameterError, match="scenario_id"):
+        _tiny_spec(scenario_id=scenario_id)
 
 
 def test_unknown_base_key_rejected():
@@ -53,10 +61,10 @@ def test_unknown_base_key_rejected():
         _tiny_spec(base={"L": 2, "frequency": 28e9})
 
 
-def test_rows_follow_axis_and_pilot_rule():
+def test_rows_follow_axis_and_default_pilot_power():
     rows = run_sweep(_tiny_spec())
     assert [r["K"] for r in rows] == [1, 2]
-    # pilot power follows tau * p_t, so pilot SNR rises with K
+    # p_p is unset, so it defaults to tau * p_t and pilot SNR rises with K
     assert [r["tau"] for r in rows] == [1, 2]
     assert float(rows[0]["pilot_snr_db"]) == pytest.approx(0.0)
     assert float(rows[1]["pilot_snr_db"]) == pytest.approx(3.0103, abs=1e-3)
@@ -164,7 +172,7 @@ def test_spec_json_round_trip(tmp_path):
     path.write_text(json.dumps({
         "scenario_id": spec.scenario_id, "base": spec.base, "axis": spec.axis,
         "values": spec.values, "trials": spec.trials,
-        "outputs": list(spec.outputs), "pilot_rule": spec.pilot_rule,
+        "outputs": list(spec.outputs),
     }))
     from mmwsim.sweep import load_sweep_spec
     loaded = load_sweep_spec(path)
