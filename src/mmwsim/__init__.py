@@ -5,11 +5,11 @@ matching closed-form lower bound, large-N limit, and low-SNR scaling laws."""
 __version__ = "0.1.0"
 
 from .config import SystemConfig, distortion_factor, load_config, validate_config
-from .channel import ChannelRealization, sample_channel, steering_vector, effective_channel
-from .training import TrainingResult, build_codebook, train_beams
-from .estimation import EstimationResult, build_pilot_matrix, estimate_all
-from .quantize import BussgangModel, bussgang_decompose, lloyd_max_quantize
-from .rate import RateReport, ergodic_rate, siqnr
+from .channel import steering_vector
+from .training import build_codebook
+from .estimation import build_pilot_matrix
+from .quantize import bussgang_decompose, lloyd_max_quantize
+from .rate import RateReport, ergodic_rate
 from .bounds import (BoundInputs, BoundReport, asymptotic_limit, bessel_j0,
                      eta1, eta2, eta3, high_pilot_approx, low_snr_approx,
                      lower_bound_rate, single_cell_bound)
@@ -17,11 +17,9 @@ from .sweep import SweepSpec, load_preset, run_sweep
 
 __all__ = [
     "SystemConfig", "distortion_factor", "load_config", "validate_config",
-    "ChannelRealization", "sample_channel", "steering_vector", "effective_channel",
-    "TrainingResult", "build_codebook", "train_beams",
-    "EstimationResult", "build_pilot_matrix", "estimate_all",
-    "BussgangModel", "bussgang_decompose", "lloyd_max_quantize",
-    "RateReport", "ergodic_rate", "siqnr",
+    "steering_vector", "build_codebook", "build_pilot_matrix",
+    "bussgang_decompose", "lloyd_max_quantize",
+    "RateReport", "ergodic_rate",
     "BoundInputs", "BoundReport", "asymptotic_limit", "bessel_j0",
     "eta1", "eta2", "eta3", "high_pilot_approx", "low_snr_approx",
     "lower_bound_rate", "single_cell_bound",

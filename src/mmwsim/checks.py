@@ -13,7 +13,7 @@ import numpy as np
 from . import bounds, quantize
 from .config import SystemConfig, distortion_factor, validate_config
 from .rate import ergodic_rate
-from .rng import substream
+from .rng import complex_normal, substream
 from .training import build_codebook, gain_lower_bound, _candidate_gains
 
 
@@ -33,15 +33,11 @@ class CheckResult:
                 f"tol={self.tolerance:.6g}{extra}")
 
 
-def _cn(rng, n, var=1.0):
-    return np.sqrt(var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
 def quantizer_suite(samples=10 ** 6, seed=1234):
     """Distortion table, linearized-model gain/noise, and residual decorrelation."""
     out = []
     rng = substream(seed, 0)
-    y = _cn(rng, samples)
+    y = complex_normal(rng, samples, 1.0)
     power = np.mean(np.abs(y) ** 2)
     for b in range(1, 6):
         rho = distortion_factor(b)
@@ -118,6 +114,21 @@ def lemmas_suite(draws=10 ** 5, seed=77):
     return out
 
 
+def xi_ordering_violations(rng, count=1000):
+    """Random single-cell configs, with tau >= K and M*gamma_p <= 1, where xi2 < xi1."""
+    violations = 0
+    for _ in range(count):
+        K = int(rng.integers(1, 17))
+        M = int(2 ** rng.integers(0, 4))
+        cfg = validate_config(SystemConfig(
+            L=1, K=K, tau=int(rng.integers(K, 2 * K + 8)), M=M,
+            N=int(2 ** rng.integers(4, 10)), adc_bits=int(rng.integers(1, 13)),
+            p_t=float(rng.uniform(1e-3, 0.1)),
+            p_p=float(rng.uniform(1e-3, 1.0 / M)), sigma_n2=1.0))
+        violations += int(bounds.high_pilot_approx(cfg)[0] < bounds.low_snr_approx(cfg)[0])
+    return violations
+
+
 def bounds_suite(seed=99):
     """Single-cell identity, parameter monotonicity, limits, and xi ordering."""
     out = []
@@ -171,21 +182,7 @@ def bounds_suite(seed=99):
     out.append(CheckResult(
         "bounds", "low_snr_convergence", rel < 0.05, float(rel), 0.05))
 
-    # xi ordering on random configs with tau >= K and M*gamma_p <= 1
-    rng = substream(seed, 1)
-    viol = 0
-    for _ in range(1000):
-        K = int(rng.integers(1, 17))
-        tau = int(rng.integers(K, 2 * K + 8))
-        M = int(2 ** rng.integers(0, 4))
-        g_p = float(rng.uniform(0.001, 1.0 / M))
-        cfg = validate_config(SystemConfig(
-            L=1, K=K, N=int(2 ** rng.integers(4, 10)), M=M, tau=tau,
-            adc_bits=int(rng.integers(1, 13)),
-            p_t=float(rng.uniform(0.001, 0.1)), p_p=g_p, sigma_n2=1.0))
-        xi1, _ = bounds.low_snr_approx(cfg)
-        xi2, _ = bounds.high_pilot_approx(cfg)
-        viol += int(xi2 < xi1)
+    viol = xi_ordering_violations(substream(seed, 1))
     out.append(CheckResult("bounds", "xi_ordering_1000", viol == 0, viol, 0))
     return out
 

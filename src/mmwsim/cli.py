@@ -1,22 +1,21 @@
 """Command-line entry point: bound, simulate, sweep, validate, codebook."""
 
 import argparse
+import csv
 import json
 import math
 import sys
 
 from . import __version__
 from .bounds import lower_bound_rate
-from .channel import dump_realization_csv, sample_channel
+from .channel import large_scale_gains
 from .checks import SUITES, run_suite
 from .config import SystemConfig, config_from_dict, set_param, validate_config
 from .errors import ParameterError
-from .estimation import dump_error_power_csv, estimate_all
-from .rate import ergodic_rate
-from .rng import substream, STAGE_CHANNEL, STAGE_PILOT
+from .rate import MODES, _draw_block, _pilot_phase, ergodic_rate
 from .sweep import (AXIS_COLUMN, emit_plot_script, list_presets, load_preset,
                     load_sweep_spec, rows_to_csv_text, run_sweep, sweep_row, write_csv)
-from .training import build_codebook, gain_lower_bound, train_beams
+from .training import build_codebook, gain_lower_bound
 
 
 def _add_config_args(p):
@@ -85,16 +84,38 @@ def cmd_simulate(args):
         print(f"note: {rep.pathological} of {rep.trials * cfg.K} user-realizations "
               "hit the destructive-contamination floor")
     if args.debug_dump:
-        rng = substream(cfg.seed, 0, STAGE_CHANNEL)
-        realization = sample_channel(cfg, rng)
-        training = train_beams(realization, cfg)
-        # the pilot phase the run sampled: symbol mode quantizes for real
-        est = estimate_all(realization, training, cfg, substream(cfg.seed, 0, STAGE_PILOT),
-                           quant_path="real" if args.mode == "symbol" else "bussgang")
-        dump_realization_csv(realization, training, args.debug_dump + "_realization.csv")
-        dump_error_power_csv(est, args.debug_dump + "_error_power.csv")
-        print(f"wrote {args.debug_dump}_realization.csv and _error_power.csv")
+        for path in _debug_dump(cfg, args.mode, args.debug_dump):
+            print(f"wrote {path}")
     return 0
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _debug_dump(cfg, mode, prefix):
+    """Write trial 0's draws at BS 0, as the run computed them; returns the paths.
+
+    The realization CSV holds theta_0lk, beta_0lk and |c_0lk|.  Symbol mode
+    also writes ||e_0k||^2 from its sampled pilot phase; semi mode samples no
+    pilots, so it writes no error powers.
+    """
+    theta0, c0 = _draw_block(cfg, range(1), None)
+    beta0 = large_scale_gains(cfg)[0]
+    paths = [prefix + "_realization.csv"]
+    _write_rows(paths[0], ["l", "k", "theta", "beta", "abs_c"], [
+        [l, k, f"{theta0[0, l, k]:.10g}", f"{beta0[l, k]:.10g}", f"{abs(c0[0, l, k]):.10g}"]
+        for l in range(cfg.L) for k in range(cfg.K)])
+    if mode == "symbol":
+        _, est = _pilot_phase(cfg, 0, theta0[0], c0[0])
+        err = (abs(est.e) ** 2).sum(axis=0)
+        paths.append(prefix + "_error_power.csv")
+        _write_rows(paths[1], ["k", "err_power"],
+                    [[k, f"{err[k]:.10g}"] for k in range(cfg.K)])
+    return paths
 
 
 def cmd_sweep(args):
@@ -165,9 +186,10 @@ def build_parser():
     s = sub.add_parser("simulate", help="Monte-Carlo ergodic rate for one config")
     _add_config_args(s)
     s.add_argument("--trials", type=int, default=2000)
-    s.add_argument("--mode", choices=("semi", "symbol"), default="semi")
+    s.add_argument("--mode", choices=MODES, default="semi")
     s.add_argument("--debug-dump", metavar="PREFIX",
-                   help="dump first-trial realization and error-power CSVs")
+                   help="dump trial 0's BS-0 realization CSV (and, in symbol mode, "
+                        "its error-power CSV)")
     s.set_defaults(fn=cmd_simulate)
 
     w = sub.add_parser("sweep", help="run a preset or custom sweep to CSV")
@@ -175,7 +197,7 @@ def build_parser():
     w.add_argument("--spec", help="sweep spec JSON path")
     w.add_argument("--trials", type=int)
     w.add_argument("--seed", type=int)
-    w.add_argument("--mode", choices=("semi", "symbol"))
+    w.add_argument("--mode", choices=MODES)
     w.add_argument("--out", help="output CSV path (stdout when omitted)")
     w.add_argument("--plot-script", help="also emit a gnuplot script here")
     w.set_defaults(fn=cmd_sweep)

@@ -1,12 +1,9 @@
 """Orthogonal pilots, quantized pilot reception, and per-cell MMSE estimation."""
 
-import csv
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import effective_channel
 from .errors import ParameterError, DegenerateInputError
 from .quantize import lloyd_max_quantize, quant_noise_power_pilot
 from .rng import complex_normal
@@ -93,29 +90,8 @@ def estimate_channel(Y_qp, Psi, g_diag, cfg, hbar_jj=None):
     return H_hat, E
 
 
-@dataclass
-class EstimationResult:
-    """Pilot-phase outputs for every cell.
-
-    Per-cell arrays are stacked along axis 0: Y_qp is (L, N, tau), G holds the
-    estimator diagonals (L, K), H_hat is (L, N, K), e is (L, N, K) realized
-    error columns, mu and sigma_pq2 are length-L.  C and Bmat alias the
-    (L, L, K) gain and large-scale tables the estimator was given.
-    """
-
-    Psi: np.ndarray
-    Y_qp: np.ndarray
-    G: np.ndarray
-    mu: np.ndarray
-    H_hat: np.ndarray
-    e: np.ndarray
-    C: np.ndarray
-    Bmat: np.ndarray
-    sigma_pq2: np.ndarray
-
-
 class CellEstimate(NamedTuple):
-    """Pilot-phase outputs at one BS (one cell's slice of an EstimationResult)."""
+    """Pilot-phase outputs at one BS."""
 
     sigma_pq2: float
     mu: float
@@ -136,14 +112,6 @@ def cell_statistics(C, Bmat, j, cfg):
     return sigma_pq2, mu, mmse_gain_matrix(C, Bmat, mu, j)
 
 
-def pilot_statistics(realization, training, cfg):
-    """(sigma_pq2, mu, G) per cell, from gains and config only (no sampling)."""
-    stats = [cell_statistics(training.c, realization.beta, j, cfg)
-             for j in range(realization.L)]
-    sigma_pq2, mu, G = (np.array(x) for x in zip(*stats))
-    return sigma_pq2, mu, G
-
-
 def estimate_cell(eff, C, Bmat, j, cfg, Psi, rng, quant_path="bussgang"):
     """Run the pilot phase at BS j alone and return its CellEstimate.
 
@@ -154,36 +122,3 @@ def estimate_cell(eff, C, Bmat, j, cfg, Psi, rng, quant_path="bussgang"):
     Y_qp, _ = receive_pilots(eff, Psi, cfg, sigma_pq2, quant_path, rng)
     H_hat, e = estimate_channel(Y_qp, Psi, G, cfg, hbar_jj=eff[j])
     return CellEstimate(sigma_pq2, mu, G, Y_qp, H_hat, e)
-
-
-def estimate_all(realization, training, cfg, rng, quant_path="bussgang"):
-    """Run the full pilot phase for every cell and return an EstimationResult.
-
-    Cells run in order 0..L-1 on one rng, so cell 0's draws come first.
-    """
-    L = realization.L
-    Psi = build_pilot_matrix(cfg.tau, realization.K)
-    cells = [
-        estimate_cell(
-            np.stack([effective_channel(realization, training, j, l) for l in range(L)]),
-            training.c, realization.beta, j, cfg, Psi, rng, quant_path,
-        )
-        for j in range(L)
-    ]
-    sigma_pq2, mu, G, Y_qp, H_hat, e = (np.array(x) for x in zip(*cells))
-    return EstimationResult(
-        Psi=Psi, Y_qp=Y_qp, G=G, mu=mu, H_hat=H_hat, e=e,
-        C=training.c, Bmat=realization.beta, sigma_pq2=sigma_pq2,
-    )
-
-
-def dump_error_power_csv(result, path):
-    """Debug dump: realized per-user estimation error power ||e_jk||^2."""
-    L, _, K = result.H_hat.shape
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "k", "err_power"])
-        for j in range(L):
-            for k in range(K):
-                w.writerow([j, k, f"{np.sum(np.abs(result.e[j, :, k]) ** 2):.10g}"])
-

@@ -5,7 +5,6 @@ powers; the actual quantizer exists so the linearized model can be validated
 empirically and so the rate engine has a fully-sampled mode.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -116,11 +115,6 @@ def bussgang_decompose(pre_quant, post_quant):
     return gain, noise_var, crosscorr
 
 
-def total_rx_gain(gains2, betas, j):
-    """sum_l sum_k beta_jlk |c_jlk|^2 at BS j."""
-    return float(np.sum(betas[j] * gains2[j]))
-
-
 def quant_noise_power(cfg, total, power):
     """rho(1-rho) * (sigma_n^2 + power * total) at a BS.
 
@@ -131,35 +125,9 @@ def quant_noise_power(cfg, total, power):
     return rho * (1.0 - rho) * (cfg.sigma_n2 + power * total)
 
 
-def quant_noise_power_data(cfg, gains2, betas, j):
-    """Data-phase quantization noise power at BS j.
-
-    rho(1-rho) * (sigma_n^2 + P_t * sum beta|c|^2); gains2 and betas are the
-    (L, L, K) tables of |c_jlk|^2 and beta_jlk.
-    """
-    return quant_noise_power(cfg, total_rx_gain(gains2, betas, j), cfg.p_t)
-
-
 def quant_noise_power_pilot(cfg, gains2, betas, j):
-    """Pilot-phase quantization noise power at BS j (per-symbol power P_p/tau)."""
-    return quant_noise_power(cfg, total_rx_gain(gains2, betas, j), cfg.p_p / cfg.tau)
+    """Pilot-phase quantization noise power at BS j (per-symbol power P_p/tau).
 
-
-@dataclass(frozen=True)
-class BussgangModel:
-    """Linearized quantizer statistics for one BS."""
-
-    rho_ad: float
-    gain: float
-    sigma_q2: float
-    sigma_pq2: float
-
-    @classmethod
-    def from_tables(cls, cfg, gains2, betas, j):
-        rho = cfg.rho
-        return cls(
-            rho_ad=rho,
-            gain=1.0 - rho,
-            sigma_q2=quant_noise_power_data(cfg, gains2, betas, j),
-            sigma_pq2=quant_noise_power_pilot(cfg, gains2, betas, j),
-        )
+    gains2 and betas are the (L, L, K) tables of |c_jlk|^2 and beta_jlk.
+    """
+    return quant_noise_power(cfg, float(np.sum(betas[j] * gains2[j])), cfg.p_p / cfg.tau)

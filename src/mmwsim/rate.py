@@ -1,4 +1,4 @@
-"""MRC detection, per-realization SIQNR, and the Monte-Carlo ergodic rate.
+"""The Monte-Carlo ergodic rate under estimated CSI, from per-user SIQNRs at BS 0.
 
 The semi-analytic mode conditions on the realized angles and beamforming
 gains and integrates the data symbols, AWGN, quantization noise, and the
@@ -17,10 +17,13 @@ import numpy as np
 from . import rng as rngmod
 from .channel import draw_angles, large_scale_gains, steering_vector
 from .config import validate_config
-from .errors import InternalConsistencyError, ParameterError, DegenerateInputError
+from .errors import InternalConsistencyError, ParameterError
 from .estimation import build_pilot_matrix, estimate_cell, noise_equivalent_mu
-from .quantize import lloyd_max_quantize, quant_noise_power, quant_noise_power_data
+from .quantize import lloyd_max_quantize, quant_noise_power
 from .training import beamformer_from_angle, build_codebook, select_beams
+
+# Engine modes: semi-analytic and symbol-level.
+MODES = ("semi", "symbol")
 
 # Data symbols sampled per trial in symbol mode.
 SYMBOLS_PER_TRIAL = 256
@@ -29,95 +32,6 @@ SYMBOLS_PER_TRIAL = 256
 # intermediate, the (LK, LK) Gram kernel or the (L, K, 2^B) beam scores,
 # counted at 16 bytes per entry.
 BLOCK_BYTES = 1 << 18
-
-
-def mrc_detect(H_hat, received):
-    """Maximal ratio combining: H_hat^H @ received."""
-    H_hat = np.asarray(H_hat)
-    received = np.asarray(received)
-    if H_hat.ndim != 2 or received.shape[0] != H_hat.shape[0]:
-        raise ParameterError(
-            f"MRC shapes do not align: H_hat {H_hat.shape}, received {received.shape}"
-        )
-    return H_hat.conj().T @ received
-
-
-def signal_power(realization, training, cfg, j, k):
-    """Desired-signal power (1-rho)^2 P_t beta^2 |c|^4 N^2 for user (j, k)."""
-    rho = cfg.rho
-    return (
-        (1.0 - rho) ** 2
-        * cfg.p_t
-        * realization.beta[j, j, k] ** 2
-        * abs(training.c[j, j, k]) ** 4
-        * realization.N ** 2
-    )
-
-
-def _conditional_powers(realization, training, mu_j, sigma_q2, cfg, j):
-    """Per-user (S, I, I_floor) at BS j, vectorized over k.
-
-    S and I follow the conditional split: S is the clean-channel signal power
-    and I = E|I_n|^2 + E|I_q|^2 + E|S_r|^2 - S with the expectations taken
-    over symbols, AWGN, quantization noise, and the estimation noise vector.
-    I_floor is the always-positive mean-square-error form E|y - a x_k|^2 that
-    the rate engine falls back to when destructive pilot contamination drives
-    I itself below zero (rare, small K only).
-    """
-    rho = cfg.rho
-    N = realization.N
-    b_j = realization.beta[j]                     # (L, K)
-    c_j = training.c[j]                           # (L, K)
-    h_j = realization.h_B[j]                      # (L, K, N)
-    gains2 = np.abs(c_j) ** 2
-
-    total = float(np.sum(b_j * gains2))
-    # u_k = sum_l beta^(1/2) c_jlk h_B_jlk: the pilot-contaminated estimate mean
-    u = np.einsum("lk,lkn->kn", np.sqrt(b_j) * c_j, h_j)
-    u_norm2 = np.sum(np.abs(u) ** 2, axis=1).real
-    bracket = N * mu_j + u_norm2
-
-    uh = np.einsum("kn,lin->kli", u.conj(), h_j)
-    quad = np.einsum("li,kli->k", b_j * gains2, np.abs(uh) ** 2)
-
-    e_in = (1.0 - rho) ** 2 * cfg.sigma_n2 * bracket
-    e_iq = sigma_q2 * bracket
-    e_sr = (1.0 - rho) ** 2 * cfg.p_t * (mu_j * N * total + quad)
-
-    S = (1.0 - rho) ** 2 * cfg.p_t * (b_j[j] ** 2) * gains2[j] ** 2 * N ** 2
-    I = e_in + e_iq + e_sr - S
-
-    # clean coefficient a and the nu-averaged realized coefficient of x_jk
-    a = (1.0 - rho) * np.sqrt(cfg.p_t) * b_j[j] * gains2[j] * N
-    ea = (1.0 - rho) * np.sqrt(cfg.p_t) * np.sqrt(b_j[j]) * c_j[j] \
-        * np.einsum("kn,kn->k", u.conj(), h_j[j])
-    I_floor = I + 2.0 * a * (a - ea.real)
-    return S, I, I_floor
-
-
-def interference_power(realization, training, estimation, cfg, j, k):
-    """Conditional interference-plus-noise power for user (j, k).
-
-    Evaluates the closed-form expectations over data, AWGN, quantization
-    noise, and estimation noise, holding the realized angles and gains fixed.
-    """
-    gains2 = np.abs(training.c) ** 2
-    sigma_q2 = quant_noise_power_data(cfg, gains2, realization.beta, j)
-    _, I, _ = _conditional_powers(realization, training, estimation.mu[j], sigma_q2, cfg, j)
-    val = float(I[k])
-    if val <= 0.0:
-        raise InternalConsistencyError(
-            f"conditional interference power is non-positive ({val:.4g}) for user "
-            f"({j}, {k}); the realized estimate anti-aligned with the desired channel"
-        )
-    return val
-
-
-def siqnr(S, I):
-    """gamma = S / I."""
-    if I <= 0.0:
-        raise DegenerateInputError(f"interference power must be > 0, got {I}")
-    return S / I
 
 
 @dataclass
@@ -151,7 +65,7 @@ def _draw_block(cfg, trials, training_noise_var):
 
     Each trial draws its angles from its (seed, trial, STAGE_CHANNEL)
     substream and, for noisy training, its tone noise from STAGE_TRAINING,
-    exactly as sample_channel and train_beams would.  Returns theta0, BS 0's
+    exactly as the per-realization reference in tests/oracles.py does.  Returns theta0, BS 0's
     (T, L, K) angles of arrival, and c0, the (T, L, K) realized gains
     c[0, l, k] = h_U[0, l, k]^H w[l, k].
     """
@@ -179,9 +93,10 @@ def _draw_block(cfg, trials, training_noise_var):
 def _semi_block(cfg, theta0, c0):
     """(S, I, I_floor) at BS 0 for a block of trials, each (T, K).
 
-    The same conditional powers as _conditional_powers, with every BS-side
-    inner product taken from the closed-form Gram matrix of the steering
-    vectors instead of length-N vectors:
+    The same conditional powers as the per-realization _conditional_powers
+    in tests/oracles.py, with every BS-side inner product taken from the
+    closed-form Gram matrix of the steering vectors instead of length-N
+    vectors:
 
         h_a^H h_b = e^{j(N-1)(x_a - x_b)} sin(N(x_a - x_b)) / sin(x_a - x_b),
 
@@ -236,18 +151,27 @@ def _semi_block(cfg, theta0, c0):
     return S, I, I_floor
 
 
+def _pilot_phase(cfg, trial, theta0, c0):
+    """BS 0's effective channels (L, N, K) and CellEstimate for one trial.
+
+    The pilots are sampled from the trial's STAGE_PILOT substream and pass
+    through the real adc_bits quantizer.
+    """
+    b0 = large_scale_gains(cfg)[0]                    # (L, K)
+    eff = np.swapaxes(
+        steering_vector(theta0, cfg.N) * (np.sqrt(b0) * c0)[..., None], 1, 2)
+    est = estimate_cell(eff, c0[None], b0[None], 0, cfg, build_pilot_matrix(cfg.tau, cfg.K),
+                        rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT),
+                        quant_path="real")
+    return eff, est
+
+
 def _symbol_trial(cfg, trial, theta0, c0):
     """(S, I) at BS 0 for one trial with sampled pilots, symbols and quantizer."""
     rho = cfg.rho
     L, K, N = cfg.L, cfg.K, cfg.N
     b0 = large_scale_gains(cfg)[0]                    # (L, K)
-    # effective channels (L, N, K) from every cell's users to BS 0
-    eff = np.swapaxes(
-        steering_vector(theta0, N) * (np.sqrt(b0) * c0)[..., None], 1, 2)
-
-    pilot_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT)
-    est = estimate_cell(eff, c0[None], b0[None], 0, cfg, build_pilot_matrix(cfg.tau, K),
-                        pilot_rng, quant_path="real")
+    eff, est = _pilot_phase(cfg, trial, theta0, c0)
     combiner = est.H_hat / est.G[None, :]             # hbar + realized error
 
     eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
@@ -295,8 +219,8 @@ def ergodic_rate(cfg, trials, mode="semi", training_noise_var=None):
                 "symbol mode runs the real adc_bits quantizer and cannot honor "
                 f"a rho_ad override (rho_ad={cfg.rho_ad}); set adc_bits only"
             )
-    elif mode != "semi":
-        raise ParameterError(f"unknown mode {mode!r}; choose 'semi' or 'symbol'")
+    elif mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}; choose from {MODES}")
 
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))

@@ -4,13 +4,13 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .bounds import lower_bound_rate
 from .config import SETTABLE_KEYS, config_from_dict, set_param, validate_config
 from .errors import FormatError, ParameterError
-from .rate import ergodic_rate
+from .rate import MODES, ergodic_rate
 
 # sweep axis -> the CSV column that holds its value
 AXIS_COLUMN = {"K": "K", "N": "N", "M": "M", "adc_bits": "bits",
@@ -54,6 +54,8 @@ class SweepSpec:
         unknown = set(self.base) - SETTABLE_KEYS
         if unknown:
             raise ParameterError(f"unknown base config keys {sorted(unknown)}")
+        if self.mode not in MODES:
+            raise ParameterError(f"unknown mode {self.mode!r}; choose from {MODES}")
 
 
 def load_sweep_spec(path):
@@ -114,7 +116,8 @@ def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
     axis-order.
     """
     trials = spec.trials if trials is None else trials
-    mode = spec.mode if mode is None else mode
+    # replace() re-runs the spec's checks, so a bad mode fails before any point
+    mode = spec.mode if mode is None else replace(spec, mode=mode).mode
     overrides = {} if seed is None else {"seed": seed}
     rows = []
     for curve in spec.curves:

@@ -1,0 +1,222 @@
+"""Per-realization reference pipeline for the trial-blocked rate engine.
+
+One block-fading draw of every (BS j, cell l, user k) link, beam training
+for every user, the pilot phase at every BS, and the conditional signal and
+interference powers at one BS, all with length-N vectors.  The engine in
+mmwsim.rate evaluates BS 0 only, from the closed-form Gram matrix; the tests
+compare it against this code.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from mmwsim.channel import draw_angles, large_scale_gains, steering_vector
+from mmwsim.errors import ParameterError
+from mmwsim.estimation import build_pilot_matrix, cell_statistics, estimate_cell
+from mmwsim.rng import complex_normal
+from mmwsim.training import (_candidate_gains, beamformer_from_angle, build_codebook,
+                             select_beams)
+
+
+@dataclass
+class ChannelRealization:
+    """One block-fading draw of every (BS j, cell l, user k) link.
+
+    phi/theta/beta have shape (L, L, K) indexed [j, l, k]; h_U is (L, L, K, M)
+    and h_B is (L, L, K, N).
+    """
+
+    phi: np.ndarray
+    theta: np.ndarray
+    beta: np.ndarray
+    h_U: np.ndarray
+    h_B: np.ndarray
+
+    @property
+    def L(self):
+        return self.phi.shape[0]
+
+    @property
+    def K(self):
+        return self.phi.shape[2]
+
+    @property
+    def M(self):
+        return self.h_U.shape[3]
+
+    @property
+    def N(self):
+        return self.h_B.shape[3]
+
+    def channel_matrix(self, j, l, k):
+        """beta^(1/2) * h_B h_U^H for one link (N x M, rank one)."""
+        return np.sqrt(self.beta[j, l, k]) * np.outer(
+            self.h_B[j, l, k], self.h_U[j, l, k].conj()
+        )
+
+
+def sample_channel(cfg, rng):
+    """Draw one ChannelRealization for a validated config.
+
+    Angles are i.i.d. uniform on [0, pi] for every (j, l, k) triple; the
+    large-scale gain is 1 intra-cell and cfg.beta_inter across cells.
+    """
+    phi, theta = draw_angles(cfg, rng)
+    return ChannelRealization(
+        phi=phi, theta=theta, beta=large_scale_gains(cfg),
+        h_U=steering_vector(phi, cfg.M), h_B=steering_vector(theta, cfg.N),
+    )
+
+
+def effective_channel(realization, training, j, l):
+    """Post-beamforming N x K channel from cell l's users to BS j.
+
+    Column k is beta_jlk^(1/2) * c_jlk * h_B_jlk with c_jlk the realized
+    beamforming gain from training.
+    """
+    if training.c.shape != realization.beta.shape:
+        raise ParameterError(
+            f"training gains shaped {training.c.shape} do not match channel "
+            f"{realization.beta.shape}"
+        )
+    w = np.sqrt(realization.beta[j, l]) * training.c[j, l]      # (K,)
+    return (realization.h_B[j, l] * w[:, None]).T               # (N, K)
+
+
+def estimate_aoa(realization, cfg, l, k):
+    """Pick the codebook phase maximizing the noiseless received tone magnitude
+    for user (l, k).  Ties break toward the smallest codebook index."""
+    codebook = build_codebook(cfg.B)
+    phi = realization.phi[l, l, k]
+    gains = _candidate_gains(np.cos(phi), np.cos(codebook), cfg.M)
+    r = np.sqrt(realization.beta[l, l, k]) * gains
+    return float(codebook[np.argmax(r)])
+
+
+@dataclass
+class TrainingResult:
+    """Per-user beam selections and every realized beamforming gain.
+
+    phi_hat is (L, K); w is (L, K, M) unit-norm rows; c is the complex
+    (L, L, K) gain table c[j, l, k] = h_U[j, l, k]^H w[l, k].
+    """
+
+    phi_hat: np.ndarray
+    w: np.ndarray
+    c: np.ndarray
+    codebook: np.ndarray
+
+
+def train_beams(realization, cfg, noise_var=None, rng=None):
+    """Run AoA selection for every user and tabulate all cross-cell gains.
+
+    Cells train on orthogonal resources, so there is no inter-cell
+    interference here; only thermal noise (optional) perturbs the selection.
+    """
+    L, K, M = realization.L, realization.K, realization.M
+    codebook = build_codebook(cfg.B)
+    nu = None
+    if noise_var is not None:
+        if rng is None:
+            raise ParameterError("noisy training needs an rng")
+        nu = complex_normal(rng, (L, K, codebook.size), noise_var)
+    cells = np.arange(L)
+    amp = np.sqrt(realization.beta[cells, cells])[..., None]      # (L, K, 1)
+    phi_hat = select_beams(realization.phi[cells, cells], amp, codebook, M, nu)  # (L, K)
+    w = beamformer_from_angle(phi_hat, M)
+
+    # c[j, l, k] = h_U[j, l, k]^H w[l, k]
+    c = np.einsum("jlkm,lkm->jlk", realization.h_U.conj(), w)
+    return TrainingResult(phi_hat=phi_hat, w=w, c=c, codebook=codebook)
+
+
+@dataclass
+class EstimationResult:
+    """Pilot-phase outputs for every cell.
+
+    Per-cell arrays are stacked along axis 0: Y_qp is (L, N, tau), G holds the
+    estimator diagonals (L, K), H_hat is (L, N, K), e is (L, N, K) realized
+    error columns, mu and sigma_pq2 are length-L.  C and Bmat alias the
+    (L, L, K) gain and large-scale tables the estimator was given.
+    """
+
+    Psi: np.ndarray
+    Y_qp: np.ndarray
+    G: np.ndarray
+    mu: np.ndarray
+    H_hat: np.ndarray
+    e: np.ndarray
+    C: np.ndarray
+    Bmat: np.ndarray
+    sigma_pq2: np.ndarray
+
+
+def pilot_statistics(realization, training, cfg):
+    """(sigma_pq2, mu, G) per cell, from gains and config only (no sampling)."""
+    stats = [cell_statistics(training.c, realization.beta, j, cfg)
+             for j in range(realization.L)]
+    sigma_pq2, mu, G = (np.array(x) for x in zip(*stats))
+    return sigma_pq2, mu, G
+
+
+def estimate_all(realization, training, cfg, rng, quant_path="bussgang"):
+    """Run the full pilot phase for every cell and return an EstimationResult.
+
+    Cells run in order 0..L-1 on one rng, so cell 0's draws come first.
+    """
+    L = realization.L
+    Psi = build_pilot_matrix(cfg.tau, realization.K)
+    cells = [
+        estimate_cell(
+            np.stack([effective_channel(realization, training, j, l) for l in range(L)]),
+            training.c, realization.beta, j, cfg, Psi, rng, quant_path,
+        )
+        for j in range(L)
+    ]
+    sigma_pq2, mu, G, Y_qp, H_hat, e = (np.array(x) for x in zip(*cells))
+    return EstimationResult(
+        Psi=Psi, Y_qp=Y_qp, G=G, mu=mu, H_hat=H_hat, e=e,
+        C=training.c, Bmat=realization.beta, sigma_pq2=sigma_pq2,
+    )
+
+
+def _conditional_powers(realization, training, mu_j, sigma_q2, cfg, j):
+    """Per-user (S, I, I_floor) at BS j, vectorized over k.
+
+    S and I follow the conditional split: S is the clean-channel signal power
+    and I = E|I_n|^2 + E|I_q|^2 + E|S_r|^2 - S with the expectations taken
+    over symbols, AWGN, quantization noise, and the estimation noise vector.
+    I_floor is the always-positive mean-square-error form E|y - a x_k|^2 that
+    the rate engine falls back to when destructive pilot contamination drives
+    I itself below zero (rare, small K only).
+    """
+    rho = cfg.rho
+    N = realization.N
+    b_j = realization.beta[j]                     # (L, K)
+    c_j = training.c[j]                           # (L, K)
+    h_j = realization.h_B[j]                      # (L, K, N)
+    gains2 = np.abs(c_j) ** 2
+
+    total = float(np.sum(b_j * gains2))
+    # u_k = sum_l beta^(1/2) c_jlk h_B_jlk: the pilot-contaminated estimate mean
+    u = np.einsum("lk,lkn->kn", np.sqrt(b_j) * c_j, h_j)
+    u_norm2 = np.sum(np.abs(u) ** 2, axis=1).real
+    bracket = N * mu_j + u_norm2
+
+    uh = np.einsum("kn,lin->kli", u.conj(), h_j)
+    quad = np.einsum("li,kli->k", b_j * gains2, np.abs(uh) ** 2)
+
+    e_in = (1.0 - rho) ** 2 * cfg.sigma_n2 * bracket
+    e_iq = sigma_q2 * bracket
+    e_sr = (1.0 - rho) ** 2 * cfg.p_t * (mu_j * N * total + quad)
+
+    S = (1.0 - rho) ** 2 * cfg.p_t * (b_j[j] ** 2) * gains2[j] ** 2 * N ** 2
+    I = e_in + e_iq + e_sr - S
+
+    # clean coefficient a and the nu-averaged realized coefficient of x_jk
+    a = (1.0 - rho) * np.sqrt(cfg.p_t) * b_j[j] * gains2[j] * N
+    ea = (1.0 - rho) * np.sqrt(cfg.p_t) * np.sqrt(b_j[j]) * c_j[j] \
+        * np.einsum("kn,kn->k", u.conj(), h_j[j])
+    I_floor = I + 2.0 * a * (a - ea.real)
+    return S, I, I_floor

@@ -13,9 +13,10 @@ import time
 
 import numpy as np
 
-from mmwsim.bounds import (asymptotic_limit, bound_inputs, high_pilot_approx,
-                           low_snr_approx, lower_bound_rate)
-from mmwsim.checks import gain_bound_checks, lemmas_suite, quantizer_suite
+from mmwsim.bounds import (asymptotic_limit, bound_inputs, low_snr_approx,
+                           lower_bound_rate)
+from mmwsim.checks import (gain_bound_checks, lemmas_suite, quantizer_suite,
+                           xi_ordering_violations)
 from mmwsim.config import SystemConfig, validate_config
 from mmwsim.rate import ergodic_rate
 from mmwsim.rng import substream
@@ -102,18 +103,7 @@ def test_criterion_2_adc_antenna_tradeoff():
 
 
 def test_criterion_3_xi_ordering():
-    rng = substream(2024, 0)
-    violations = 0
-    for _ in range(1000):
-        K = int(rng.integers(1, 17))
-        M = int(2 ** rng.integers(0, 4))
-        cfg = validate_config(SystemConfig(
-            L=1, K=K, tau=int(rng.integers(K, 2 * K + 8)), M=M,
-            N=int(2 ** rng.integers(4, 10)), adc_bits=int(rng.integers(1, 13)),
-            p_t=float(rng.uniform(1e-3, 0.1)),
-            p_p=float(rng.uniform(1e-3, 1.0 / M)), sigma_n2=1.0))
-        if high_pilot_approx(cfg)[0] < low_snr_approx(cfg)[0]:
-            violations += 1
+    violations = xi_ordering_violations(substream(2024, 0))
     ok = violations == 0
     _report(3, ok, f"{violations} violations in 1000 random configs "
                    "with tau >= K and M*pilot_snr <= 1")

@@ -238,19 +238,6 @@ def test_high_pilot_approx_limits():
         assert xi2 == pytest.approx((1 - rho) ** 2 * 64 * 2)
 
 
-def test_xi_ordering_random_configs():
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        K = int(rng.integers(1, 17))
-        M = int(2 ** rng.integers(0, 4))
-        cfg = _cfg(L=1, K=K, tau=int(rng.integers(K, 2 * K + 8)), M=M,
-                   N=int(2 ** rng.integers(4, 10)),
-                   adc_bits=int(rng.integers(1, 13)),
-                   p_t=float(rng.uniform(1e-3, 0.1)),
-                   p_p=float(rng.uniform(1e-3, 1.0 / M)))
-        assert high_pilot_approx(cfg)[0] >= low_snr_approx(cfg)[0]
-
-
 def test_bound_monotone_on_lattice():
     def rlb(**kw):
         return lower_bound_rate(_cfg(**kw)).R_LB

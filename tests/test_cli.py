@@ -4,12 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from mmwsim.channel import sample_channel
 from mmwsim.cli import main
 from mmwsim.config import SystemConfig, validate_config
-from mmwsim.estimation import estimate_all
 from mmwsim.rng import STAGE_CHANNEL, STAGE_PILOT, substream
-from mmwsim.training import train_beams
+from oracles import estimate_all, sample_channel, train_beams
 
 
 def test_codebook_command(capsys):
@@ -87,24 +85,52 @@ def test_simulate_command(capsys):
     assert "ergodic rate" in out and "lower bound" in out
 
 
+_DUMP_ARGS = ["simulate", "--set", "L=2", "--set", "K=2", "--set", "N=16",
+              "--set", "M=2", "--set", "adc_bits=3", "--set", "p_t=1",
+              "--set", "p_p=2", "--trials", "20"]
+
+
+def _read_dump(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_simulate_symbol_mode_and_dump(capsys, tmp_path):
     prefix = str(tmp_path / "dbg")
-    rc = main(["simulate", "--set", "L=2", "--set", "K=2", "--set", "N=16",
-               "--set", "M=2", "--set", "adc_bits=3", "--set", "p_t=1",
-               "--set", "p_p=2", "--trials", "20", "--mode", "symbol",
-               "--debug-dump", prefix])
-    assert rc == 0
-    assert (tmp_path / "dbg_realization.csv").exists()
-    # the dump's error powers come from the pilot phase symbol mode samples:
-    # the real quantizer on the first realization
+    assert main(_DUMP_ARGS + ["--mode", "symbol", "--debug-dump", prefix]) == 0
+    out = capsys.readouterr().out
+    assert f"wrote {prefix}_realization.csv" in out
+    assert f"wrote {prefix}_error_power.csv" in out
+    # the dump holds BS 0's row of trial 0 as the reference pipeline computes
+    # it, with the error powers of the pilot phase symbol mode samples: the
+    # real quantizer on the first realization
     cfg = validate_config(SystemConfig(L=2, K=2, N=16, M=2, adc_bits=3, p_t=1.0, p_p=2.0))
-    realization = sample_channel(cfg, substream(cfg.seed, 0, STAGE_CHANNEL))
-    est = estimate_all(realization, train_beams(realization, cfg), cfg,
-                       substream(cfg.seed, 0, STAGE_PILOT), quant_path="real")
-    with open(tmp_path / "dbg_error_power.csv", newline="") as fh:
-        dumped = [float(r["err_power"]) for r in csv.DictReader(fh)]
-    expected = np.sum(np.abs(est.e) ** 2, axis=1).ravel()     # (j, k) row order
-    np.testing.assert_allclose(dumped, expected, rtol=1e-9)
+    real = sample_channel(cfg, substream(cfg.seed, 0, STAGE_CHANNEL))
+    training = train_beams(real, cfg)
+    est = estimate_all(real, training, cfg, substream(cfg.seed, 0, STAGE_PILOT),
+                       quant_path="real")
+    rows = _read_dump(prefix + "_realization.csv")
+    assert list(rows[0]) == ["l", "k", "theta", "beta", "abs_c"]
+    assert [(r["l"], r["k"]) for r in rows] == [
+        (str(l), str(k)) for l in range(cfg.L) for k in range(cfg.K)]
+    for r in rows:
+        l, k = int(r["l"]), int(r["k"])
+        assert (r["theta"], r["beta"], r["abs_c"]) == (
+            f"{real.theta[0, l, k]:.10g}", f"{real.beta[0, l, k]:.10g}",
+            f"{abs(training.c[0, l, k]):.10g}")
+    err = np.sum(np.abs(est.e[0]) ** 2, axis=0)
+    assert _read_dump(prefix + "_error_power.csv") == [
+        {"k": str(k), "err_power": f"{err[k]:.10g}"} for k in range(cfg.K)]
+
+
+def test_simulate_semi_mode_dump_writes_realization_only(capsys, tmp_path):
+    # semi mode samples no pilots, so there are no error powers to dump
+    prefix = str(tmp_path / "dbg")
+    assert main(_DUMP_ARGS + ["--debug-dump", prefix]) == 0
+    out = capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dbg_realization.csv"]
+    assert f"wrote {prefix}_realization.csv" in out and "error_power" not in out
+    assert len(_read_dump(prefix + "_realization.csv")) == 2 * 2
 
 
 def test_sweep_preset_to_files(capsys, tmp_path):

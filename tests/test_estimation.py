@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from mmwsim.channel import effective_channel, sample_channel
 from mmwsim.config import SystemConfig, validate_config
 from mmwsim.errors import DegenerateInputError, ParameterError
-from mmwsim.estimation import (build_pilot_matrix, estimate_all, estimate_cell,
-                               estimate_channel, mmse_gain_matrix,
-                               noise_equivalent_mu, pilot_statistics,
-                               receive_pilots, dump_error_power_csv)
+from mmwsim.estimation import (build_pilot_matrix, estimate_cell, estimate_channel,
+                               mmse_gain_matrix, noise_equivalent_mu, receive_pilots)
 from mmwsim.rng import substream
-from mmwsim.training import train_beams
+from oracles import (effective_channel, estimate_all, pilot_statistics, sample_channel,
+                     train_beams)
 
 
 def test_pilot_matrix_trivial():
@@ -243,14 +241,3 @@ def test_estimate_channel_rejects_zero_gain():
     psi = build_pilot_matrix(2, 2)
     with pytest.raises(DegenerateInputError):
         estimate_channel(y, psi, np.zeros(2), cfg)
-
-
-def test_dump_error_power_csv(tmp_path):
-    cfg = validate_config(SystemConfig(L=2, K=2, N=8, M=2, adc_bits=2,
-                                       p_t=1.0, p_p=2.0, seed=11))
-    _, _, est = _pipeline(cfg)
-    path = tmp_path / "err.csv"
-    dump_error_power_csv(est, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,k,err_power"
-    assert len(lines) == 1 + 2 * 2

@@ -3,9 +3,8 @@ import pytest
 
 from mmwsim.config import SystemConfig, distortion_factor, validate_config
 from mmwsim.errors import ParameterError
-from mmwsim.quantize import (BussgangModel, bussgang_decompose,
-                             lloyd_max_design, lloyd_max_quantize,
-                             quant_noise_power_data, quant_noise_power_pilot)
+from mmwsim.quantize import (bussgang_decompose, lloyd_max_design, lloyd_max_quantize,
+                             quant_noise_power, quant_noise_power_pilot)
 
 
 @pytest.fixture(scope="module")
@@ -131,10 +130,15 @@ def _tables(L, K, val, beta):
     return gains2, betas
 
 
+def _total(g2, b, j):
+    """The received gain sum_l sum_k beta_jlk |c_jlk|^2 at BS j."""
+    return float(np.sum(b[j] * g2[j]))
+
+
 def test_noise_power_zero_when_distortionless():
     cfg = validate_config(SystemConfig(L=2, K=3, rho_ad=0.0, p_t=2.0))
     g2, b = _tables(2, 3, 1.5, cfg.beta_inter)
-    assert quant_noise_power_data(cfg, g2, b, 0) == 0.0
+    assert quant_noise_power(cfg, _total(g2, b, 0), cfg.p_t) == 0.0
     assert quant_noise_power_pilot(cfg, g2, b, 0) == 0.0
 
 
@@ -144,7 +148,7 @@ def test_noise_power_single_user_hand_value():
                                        p_p=6.0, tau=2, sigma_n2=0.7))
     g2, b = _tables(1, 1, float(M), cfg.beta_inter)
     rho = cfg.rho
-    assert quant_noise_power_data(cfg, g2, b, 0) == pytest.approx(
+    assert quant_noise_power(cfg, _total(g2, b, 0), cfg.p_t) == pytest.approx(
         rho * (1 - rho) * (0.7 + 3.0 * M))
     assert quant_noise_power_pilot(cfg, g2, b, 0) == pytest.approx(
         rho * (1 - rho) * (0.7 + 6.0 / 2 * M))
@@ -154,8 +158,9 @@ def test_noise_power_linear_in_signal_power():
     cfg1 = validate_config(SystemConfig(L=2, K=4, adc_bits=3, p_t=1.0, sigma_n2=1e-12))
     cfg2 = validate_config(SystemConfig(L=2, K=4, adc_bits=3, p_t=2.0, sigma_n2=1e-12))
     g2, b = _tables(2, 4, 2.0, 0.1)
-    assert quant_noise_power_data(cfg2, g2, b, 0) == pytest.approx(
-        2.0 * quant_noise_power_data(cfg1, g2, b, 0))
+    total = _total(g2, b, 0)
+    assert quant_noise_power(cfg2, total, cfg2.p_t) == pytest.approx(
+        2.0 * quant_noise_power(cfg1, total, cfg1.p_t))
 
 
 def test_pilot_equals_data_when_tau_matches_power_ratio():
@@ -163,7 +168,7 @@ def test_pilot_equals_data_when_tau_matches_power_ratio():
     cfg = validate_config(SystemConfig(L=2, K=4, adc_bits=3, p_t=0.5, tau=6, p_p=3.0))
     g2, b = _tables(2, 4, 1.3, cfg.beta_inter)
     assert quant_noise_power_pilot(cfg, g2, b, 1) == pytest.approx(
-        quant_noise_power_data(cfg, g2, b, 1))
+        quant_noise_power(cfg, _total(g2, b, 1), cfg.p_t))
 
 
 def test_noise_power_symmetric_under_relabeling():
@@ -172,15 +177,6 @@ def test_noise_power_symmetric_under_relabeling():
     cfg = validate_config(SystemConfig(L=L, K=K, adc_bits=2, p_t=1.3))
     g2 = rng.uniform(0.0, 4.0, size=(L, L, K))
     b = rng.uniform(0.05, 1.0, size=(L, L, K))
-    base = quant_noise_power_data(cfg, g2, b, 0)
+    base = quant_noise_power_pilot(cfg, g2, b, 0)
     perm = rng.permutation(K)
-    assert quant_noise_power_data(cfg, g2[:, :, perm], b[:, :, perm], 0) == pytest.approx(base)
-
-
-def test_bussgang_model_dataclass():
-    cfg = validate_config(SystemConfig(L=1, K=1, M=2, adc_bits=1, p_t=1.0))
-    g2, b = _tables(1, 1, 2.0, cfg.beta_inter)
-    model = BussgangModel.from_tables(cfg, g2, b, 0)
-    assert model.gain == pytest.approx(1.0 - cfg.rho)
-    assert 0.0 < model.gain <= 1.0
-    assert model.sigma_q2 > 0.0 and model.sigma_pq2 > 0.0
+    assert quant_noise_power_pilot(cfg, g2[:, :, perm], b[:, :, perm], 0) == pytest.approx(base)

@@ -1,22 +1,18 @@
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmwsim import rate
-from mmwsim.channel import sample_channel
 from mmwsim.config import SystemConfig, validate_config
-from mmwsim.errors import (DegenerateInputError, InternalConsistencyError,
-                           ParameterError)
-from mmwsim.estimation import pilot_statistics
-from mmwsim.quantize import quant_noise_power_data
-from mmwsim.rate import (_conditional_powers, ergodic_rate, interference_power,
-                         mrc_detect, signal_power, siqnr)
+from mmwsim.errors import InternalConsistencyError, ParameterError
+from mmwsim.quantize import quant_noise_power
+from mmwsim.rate import ergodic_rate
 from mmwsim.rng import STAGE_CHANNEL, STAGE_TRAINING, substream
 from mmwsim.sweep import _point_config, load_preset
-from mmwsim.training import train_beams, build_codebook, _candidate_gains
+from mmwsim.training import build_codebook, _candidate_gains
+from oracles import _conditional_powers, pilot_statistics, sample_channel, train_beams
 
 
 def _cfg(**kw):
@@ -27,94 +23,77 @@ def _cfg(**kw):
 
 
 def _pipeline(cfg, trial=0):
+    """Oracle realization, training and BS 0's mu for one trial."""
     real = sample_channel(cfg, substream(cfg.seed, trial, 0))
     training = train_beams(real, cfg)
     _, mu, _ = pilot_statistics(real, training, cfg)
-    est = SimpleNamespace(mu=mu)
-    return real, training, est
+    return real, training, mu[0]
 
 
-def test_mrc_unit_vector_recovery():
-    H = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 3))
-                     + 1j * np.random.default_rng(1).standard_normal((8, 3)))[0]
-    y = mrc_detect(H, H[:, 1])
-    np.testing.assert_allclose(y, np.eye(3)[1], atol=1e-12)
+def _sigma_q2(cfg, real, training):
+    """Data-phase quantization noise power at BS 0."""
+    total = float(np.sum(real.beta[0] * np.abs(training.c[0]) ** 2))
+    return quant_noise_power(cfg, total, cfg.p_t)
 
 
-def test_mrc_matched_filter_energy():
-    h = np.arange(1, 5) + 1j
-    assert mrc_detect(h[:, None], h)[0] == pytest.approx(np.sum(np.abs(h) ** 2))
-
-
-def test_mrc_matches_direct_product():
-    rng = np.random.default_rng(2)
-    H = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
-    r = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    np.testing.assert_allclose(mrc_detect(H, r), H.conj().T @ r)
-    with pytest.raises(ParameterError):
-        mrc_detect(H, r[:8])
+def _powers(cfg, real, training, mu0):
+    """Oracle per-user (S, I) at BS 0."""
+    S, I, _ = _conditional_powers(real, training, mu0, _sigma_q2(cfg, real, training), cfg, 0)
+    return S, I
 
 
 def test_signal_power_aligned_distortionless():
     cfg = _cfg(rho_ad=0.0, M=4, N=8)
-    real, training, _ = _pipeline(cfg)
+    real, training, mu0 = _pipeline(cfg)
     training.c[0, 0, 0] = 2.0  # |c|^2 = M = 4
-    assert signal_power(real, training, cfg, 0, 0) == pytest.approx(
-        1.0 * 16.0 * 64.0)
+    assert _powers(cfg, real, training, mu0)[0][0] == pytest.approx(1.0 * 16.0 * 64.0)
 
 
 def test_signal_power_one_bit_factor():
     cfg = _cfg(adc_bits=1, M=4, N=8)
-    real, training, _ = _pipeline(cfg)
+    real, training, mu0 = _pipeline(cfg)
     training.c[0, 0, 0] = 2.0
     factor = (1.0 - cfg.rho) ** 2
     assert factor == pytest.approx(0.6366 ** 2, abs=1e-4)
-    assert signal_power(real, training, cfg, 0, 0) == pytest.approx(factor * 16 * 64)
+    assert _powers(cfg, real, training, mu0)[0][0] == pytest.approx(factor * 16 * 64)
 
 
 def test_signal_power_quadratic_in_N():
     c1 = _cfg(N=16)
     c2 = _cfg(N=32)
-    r1, t1, _ = _pipeline(c1)
-    r2, t2, _ = _pipeline(c2)
+    r1, t1, mu1 = _pipeline(c1)
+    r2, t2, mu2 = _pipeline(c2)
     t1.c[0, 0, 0] = t2.c[0, 0, 0] = 1.0 + 0.5j
-    assert signal_power(r2, t2, c2, 0, 0) == pytest.approx(
-        4.0 * signal_power(r1, t1, c1, 0, 0))
+    assert _powers(c2, r2, t2, mu2)[0][0] == pytest.approx(
+        4.0 * _powers(c1, r1, t1, mu1)[0][0])
 
 
 def test_interference_degenerate_single_user():
     # single cell, one user, distortionless, perfect pilots: only AWGN remains
     cfg = _cfg(rho_ad=0.0, N=16, M=2)
-    real, training, est = _pipeline(cfg)
-    est.mu = np.array([0.0])
-    I = interference_power(real, training, est, cfg, 0, 0)
+    real, training, _ = _pipeline(cfg)
+    S, I = _powers(cfg, real, training, 0.0)
     expect = cfg.sigma_n2 * cfg.N * abs(training.c[0, 0, 0]) ** 2
-    assert I == pytest.approx(expect, rel=1e-10)
-    S = signal_power(real, training, cfg, 0, 0)
-    gamma = siqnr(S, I)
-    assert gamma == pytest.approx(
+    assert I[0] == pytest.approx(expect, rel=1e-10)
+    assert S[0] / I[0] == pytest.approx(
         cfg.p_t * cfg.N * abs(training.c[0, 0, 0]) ** 2 / cfg.sigma_n2, rel=1e-10)
 
 
 def test_interference_positive_and_raises_when_not():
     cfg = _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7)
-    real, training, est = _pipeline(cfg, trial=0)
-    assert interference_power(real, training, est, cfg, 0, 0) > 0.0
-    # trial 75 at this seed realizes destructive pilot contamination
-    real, training, est = _pipeline(cfg, trial=75)
-    with pytest.raises(InternalConsistencyError):
-        interference_power(real, training, est, cfg, 0, 1)
+    assert _powers(cfg, *_pipeline(cfg, trial=0))[1][0] > 0.0
+    # trial 75 at this seed realizes destructive pilot contamination: the
+    # conditional interference power of user 1 is not positive
+    assert _powers(cfg, *_pipeline(cfg, trial=75))[1][1] <= 0.0
 
 
 def test_interference_matches_brute_force():
     cfg = _cfg(L=3, K=2, N=32, adc_bits=2, p_t=0.3, p_p=2.0, seed=5)
-    real, training, est = _pipeline(cfg)
-    from mmwsim.quantize import quant_noise_power_data
-    gains2 = np.abs(training.c) ** 2
-    sq2 = quant_noise_power_data(cfg, gains2, real.beta, 0)
-    mu0 = est.mu[0]
+    real, training, mu0 = _pipeline(cfg)
+    sq2 = _sigma_q2(cfg, real, training)
     k = 0
-    I_closed = interference_power(real, training, est, cfg, 0, k)
+    S, I = _powers(cfg, real, training, mu0)
+    S, I_closed = S[k], I[k]
 
     # sample (x, n, n_q, n_tilde) and measure E|y|^2 - S; the known clean
     # signal draw is subtracted per sample so its fluctuation cancels
@@ -122,7 +101,6 @@ def test_interference_matches_brute_force():
     coef = (np.sqrt(real.beta[0]) * training.c[0]).reshape(-1)
     cols = real.h_B[0].reshape(-1, cfg.N)
     u = np.einsum("lk,lkn->kn", np.sqrt(real.beta[0]) * training.c[0], real.h_B[0])[k]
-    S = signal_power(real, training, cfg, 0, k)
     draws, acc, done = 2 * 10 ** 5, 0.0, 0
     while done < draws:
         nb = min(20000, draws - done)
@@ -141,14 +119,6 @@ def test_interference_matches_brute_force():
         done += nb
     I_sampled = acc / draws
     assert I_closed == pytest.approx(I_sampled, rel=0.02)
-
-
-def test_siqnr_basics():
-    assert siqnr(4.0, 4.0) == 1.0
-    assert siqnr(0.0, 3.0) == 0.0
-    assert siqnr(6.0, 2.0) == 3.0
-    with pytest.raises(DegenerateInputError):
-        siqnr(1.0, 0.0)
 
 
 def test_ergodic_rate_matched_filter_oracle():
@@ -200,8 +170,8 @@ def _oracle_powers(cfg, trials, noise_var=None):
         tr_rng = None if noise_var is None else substream(cfg.seed, t, STAGE_TRAINING)
         training = train_beams(real, cfg, noise_var=noise_var, rng=tr_rng)
         _, mu, _ = pilot_statistics(real, training, cfg)
-        sigma_q2 = quant_noise_power_data(cfg, np.abs(training.c) ** 2, real.beta, 0)
-        S[t], I_t, I_floor = _conditional_powers(real, training, mu[0], sigma_q2, cfg, 0)
+        S[t], I_t, I_floor = _conditional_powers(real, training, mu[0],
+                                                 _sigma_q2(cfg, real, training), cfg, 0)
         I[t] = np.where(I_t <= 0.0, I_floor, I_t)
         bad += int(np.sum(I_t <= 0.0))
     return S, I, bad

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mmwsim import sweep
 from mmwsim.errors import FormatError, ParameterError
 from mmwsim.sweep import (CSV_COLUMNS, emit_plot_script, list_presets, load_preset,
                           read_csv_rows, rows_to_csv_text, run_sweep,
@@ -59,6 +60,17 @@ def test_scenario_id_that_breaks_outputs_rejected(scenario_id):
 def test_unknown_base_key_rejected():
     with pytest.raises(ParameterError):
         _tiny_spec(base={"L": 2, "frequency": 28e9})
+
+
+def test_unknown_mode_rejected_before_any_point(monkeypatch):
+    # at load, or at the run_sweep override before the first point's bound
+    monkeypatch.setattr(sweep, "lower_bound_rate", pytest.fail)
+    for mode in ("bogus", "semi_analytic", "Semi"):
+        with pytest.raises(ParameterError, match="unknown mode"):
+            _tiny_spec(mode=mode)
+        with pytest.raises(ParameterError, match="unknown mode"):
+            run_sweep(_tiny_spec(), mode=mode)
+    assert [_tiny_spec(mode=m).mode for m in ("semi", "symbol")] == ["semi", "symbol"]
 
 
 def test_rows_follow_axis_and_default_pilot_power():
