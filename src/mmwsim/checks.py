@@ -66,6 +66,15 @@ def quantizer_suite(samples=10 ** 6, seed=1234):
     return out
 
 
+def _steering_sum(N, d):
+    """sum_n e^{j pi d n} over n < N in the Dirichlet closed form
+    e^{j pi d (N-1)/2} sin(N pi d/2) / sin(pi d/2), N where the sine vanishes."""
+    x = (np.pi / 2) * d
+    den = np.sin(x)
+    small = np.abs(den) < 1e-12
+    return np.exp(1j * (N - 1) * x) * np.where(small, N, np.sin(N * x) / np.where(small, 1.0, den))
+
+
 def _mc_inner_products(N, draws, rng):
     """h^H h' and the triple product over independent angle draws, chunked."""
     inner = np.empty(draws, dtype=complex)
@@ -74,9 +83,8 @@ def _mc_inner_products(N, draws, rng):
     while done < draws:
         nb = min(20000, draws - done)
         th = rng.uniform(0.0, np.pi, size=(3, nb))
-        n = np.arange(N)
-        e1 = np.exp(1j * np.pi * np.outer(np.cos(th[0]) - np.cos(th[1]), n)).sum(axis=1)
-        e2 = np.exp(1j * np.pi * np.outer(np.cos(th[1]) - np.cos(th[2]), n)).sum(axis=1)
+        e1 = _steering_sum(N, np.cos(th[0]) - np.cos(th[1]))
+        e2 = _steering_sum(N, np.cos(th[1]) - np.cos(th[2]))
         inner[done:done + nb] = e1
         triple[done:done + nb] = e1 * e2
         done += nb

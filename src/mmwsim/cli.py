@@ -110,8 +110,9 @@ def _debug_dump(cfg, mode, prefix):
         [l, k, f"{theta0[0, l, k]:.10g}", f"{beta0[l, k]:.10g}", f"{abs(c0[0, l, k]):.10g}"]
         for l in range(cfg.L) for k in range(cfg.K)])
     if mode == "symbol":
-        _, est = _pilot_phase(cfg, 0, theta0[0], c0[0])
-        err = (abs(est.e) ** 2).sum(axis=0)
+        total = float((beta0 * abs(c0[0]) ** 2).sum())
+        eff, est = _pilot_phase(cfg, 0, theta0[0], c0[0], total)
+        err = (abs(est - eff[0]) ** 2).sum(axis=0)
         paths.append(prefix + "_error_power.csv")
         _write_rows(paths[1], ["k", "err_power"],
                     [[k, f"{err[k]:.10g}"] for k in range(cfg.K)])
@@ -119,14 +120,9 @@ def _debug_dump(cfg, mode, prefix):
 
 
 def cmd_sweep(args):
-    if args.preset:
-        spec = load_preset(args.preset)
-    elif args.spec:
-        spec = load_sweep_spec(args.spec)
-    else:
-        print("choose --preset {" + ",".join(list_presets()) + "} or --spec FILE",
-              file=sys.stderr)
-        return 2
+    if args.plot_script and not args.out:
+        raise ParameterError("--plot-script needs --out: the script plots the CSV file")
+    spec = load_preset(args.preset) if args.preset else load_sweep_spec(args.spec)
     rows = run_sweep(spec, trials=args.trials, seed=args.seed, mode=args.mode,
                      progress=lambda r: print(
                          f"  {spec.axis}={r[AXIS_COLUMN[spec.axis]]} rate_mc={r['rate_mc'] or '-'} "
@@ -193,13 +189,14 @@ def build_parser():
     s.set_defaults(fn=cmd_simulate)
 
     w = sub.add_parser("sweep", help="run a preset or custom sweep to CSV")
-    w.add_argument("--preset", choices=list_presets())
-    w.add_argument("--spec", help="sweep spec JSON path")
+    source = w.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=list_presets())
+    source.add_argument("--spec", help="sweep spec JSON path")
     w.add_argument("--trials", type=int)
     w.add_argument("--seed", type=int)
     w.add_argument("--mode", choices=MODES)
     w.add_argument("--out", help="output CSV path (stdout when omitted)")
-    w.add_argument("--plot-script", help="also emit a gnuplot script here")
+    w.add_argument("--plot-script", help="also emit a gnuplot script here (needs --out)")
     w.set_defaults(fn=cmd_sweep)
 
     v = sub.add_parser("validate", help="run self-validation suites")

@@ -18,11 +18,6 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-class DegenerateInputError(ValueError):
-    """Inputs are individually valid but jointly degenerate (e.g. a singular
-    estimator bracket)."""
-
-
 class InternalConsistencyError(RuntimeError):
     """A quantity violated an internal sanity condition."""
 

@@ -123,11 +123,3 @@ def quant_noise_power(cfg, total, power):
     """
     rho = cfg.rho
     return rho * (1.0 - rho) * (cfg.sigma_n2 + power * total)
-
-
-def quant_noise_power_pilot(cfg, gains2, betas, j):
-    """Pilot-phase quantization noise power at BS j (per-symbol power P_p/tau).
-
-    gains2 and betas are the (L, L, K) tables of |c_jlk|^2 and beta_jlk.
-    """
-    return quant_noise_power(cfg, float(np.sum(betas[j] * gains2[j])), cfg.p_p / cfg.tau)

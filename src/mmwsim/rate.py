@@ -18,7 +18,7 @@ from . import rng as rngmod
 from .channel import draw_angles, large_scale_gains, steering_vector
 from .config import validate_config
 from .errors import InternalConsistencyError, ParameterError
-from .estimation import build_pilot_matrix, estimate_cell, noise_equivalent_mu
+from .estimation import build_pilot_matrix, noise_equivalent_mu
 from .quantize import lloyd_max_quantize, quant_noise_power
 from .training import beamformer_from_angle, build_codebook, select_beams
 
@@ -151,19 +151,24 @@ def _semi_block(cfg, theta0, c0):
     return S, I, I_floor
 
 
-def _pilot_phase(cfg, trial, theta0, c0):
-    """BS 0's effective channels (L, N, K) and CellEstimate for one trial.
+def _pilot_phase(cfg, trial, theta0, c0, total):
+    """BS 0's effective channels (L, N, K) and pilot estimate hbar + e (N, K).
 
-    The pilots are sampled from the trial's STAGE_PILOT substream and pass
-    through the real adc_bits quantizer.
+    The pilots come from the trial's STAGE_PILOT substream and pass through
+    the real adc_bits quantizer; `total` is sum_lk beta_0lk |c_0lk|^2.  The
+    paper's per-user MMSE shrinkage is left out: MRC ignores it.
     """
+    rho = cfg.rho
     b0 = large_scale_gains(cfg)[0]                    # (L, K)
     eff = np.swapaxes(
         steering_vector(theta0, cfg.N) * (np.sqrt(b0) * c0)[..., None], 1, 2)
-    est = estimate_cell(eff, c0[None], b0[None], 0, cfg, build_pilot_matrix(cfg.tau, cfg.K),
-                        rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT),
-                        quant_path="real")
-    return eff, est
+    Psi = build_pilot_matrix(cfg.tau, cfg.K)
+    Y_p = np.sqrt(cfg.p_p) * eff.sum(axis=0) @ Psi.T
+    Y_p = Y_p + rngmod.complex_normal(
+        rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT), Y_p.shape, cfg.sigma_n2)
+    sigma_pq2 = quant_noise_power(cfg, total, cfg.p_p / cfg.tau)
+    Y_qp = lloyd_max_quantize(Y_p, cfg.adc_bits, sigma_pq2 / (rho * (1.0 - rho)))
+    return eff, (Y_qp @ Psi.conj()) / ((1.0 - rho) * np.sqrt(cfg.p_p))
 
 
 def _symbol_trial(cfg, trial, theta0, c0):
@@ -171,12 +176,11 @@ def _symbol_trial(cfg, trial, theta0, c0):
     rho = cfg.rho
     L, K, N = cfg.L, cfg.K, cfg.N
     b0 = large_scale_gains(cfg)[0]                    # (L, K)
-    eff, est = _pilot_phase(cfg, trial, theta0, c0)
-    combiner = est.H_hat / est.G[None, :]             # hbar + realized error
-
-    eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
     gains2 = np.abs(c0) ** 2
     total = float(np.sum(b0 * gains2))
+    eff, combiner = _pilot_phase(cfg, trial, theta0, c0, total)   # hbar + realized error
+
+    eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
     agc_var = cfg.sigma_n2 + cfg.p_t * total
 
     data_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_DATA)
@@ -189,7 +193,7 @@ def _symbol_trial(cfg, trial, theta0, c0):
         + 1j * data_rng.standard_normal((N, SYMBOLS_PER_TRIAL))
     ) * np.sqrt(cfg.sigma_n2 / 2.0)
     R = np.sqrt(cfg.p_t) * eff_all @ X + noise
-    Q = lloyd_max_quantize(R, cfg.adc_bits, agc_var) if rho > 0.0 else R
+    Q = lloyd_max_quantize(R, cfg.adc_bits, agc_var)
 
     Y = combiner.conj().T @ Q                         # (K, SYMBOLS_PER_TRIAL)
     a = (1.0 - rho) * np.sqrt(cfg.p_t) * b0[0] * gains2[0] * N

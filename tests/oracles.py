@@ -1,10 +1,11 @@
 """Per-realization reference pipeline for the trial-blocked rate engine.
 
 One block-fading draw of every (BS j, cell l, user k) link, beam training
-for every user, the pilot phase at every BS, and the conditional signal and
-interference powers at one BS, all with length-N vectors.  The engine in
-mmwsim.rate evaluates BS 0 only, from the closed-form Gram matrix; the tests
-compare it against this code.
+for every user, the paper's MMSE pilot phase at every BS (with its per-user
+shrinkage G), and the conditional signal and interference powers at one BS,
+all with length-N vectors.  The engine in mmwsim.rate evaluates BS 0 only,
+from the closed-form Gram matrix, and never forms G; the tests compare it
+against this code.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ import numpy as np
 
 from mmwsim.channel import draw_angles, large_scale_gains, steering_vector
 from mmwsim.errors import ParameterError
-from mmwsim.estimation import build_pilot_matrix, cell_statistics, estimate_cell
+from mmwsim.estimation import build_pilot_matrix, noise_equivalent_mu
+from mmwsim.quantize import lloyd_max_quantize, quant_noise_power
 from mmwsim.rng import complex_normal
 from mmwsim.training import (_candidate_gains, beamformer_from_angle, build_codebook,
                              select_beams)
@@ -137,48 +139,73 @@ class EstimationResult:
 
     Per-cell arrays are stacked along axis 0: Y_qp is (L, N, tau), G holds the
     estimator diagonals (L, K), H_hat is (L, N, K), e is (L, N, K) realized
-    error columns, mu and sigma_pq2 are length-L.  C and Bmat alias the
-    (L, L, K) gain and large-scale tables the estimator was given.
+    error columns, mu and sigma_pq2 are length-L.
     """
 
-    Psi: np.ndarray
     Y_qp: np.ndarray
     G: np.ndarray
     mu: np.ndarray
     H_hat: np.ndarray
     e: np.ndarray
-    C: np.ndarray
-    Bmat: np.ndarray
     sigma_pq2: np.ndarray
+
+
+def mmse_gain(C, Bmat, mu_j, j):
+    """Diagonal of the per-user MMSE shrinkage at BS j.
+
+    C and Bmat are the (L, L, K) gain and large-scale tables; entry k is
+    beta_jjk |c_jjk|^2 / (sum_l beta_jlk |c_jlk|^2 + mu_j).
+    """
+    bg = Bmat[j] * np.abs(C[j]) ** 2                  # (L, K)
+    return bg[j] / (np.sum(bg, axis=0) + mu_j)
 
 
 def pilot_statistics(realization, training, cfg):
     """(sigma_pq2, mu, G) per cell, from gains and config only (no sampling)."""
-    stats = [cell_statistics(training.c, realization.beta, j, cfg)
-             for j in range(realization.L)]
-    sigma_pq2, mu, G = (np.array(x) for x in zip(*stats))
+    bg = realization.beta * np.abs(training.c) ** 2
+    sigma_pq2 = np.array([quant_noise_power(cfg, float(np.sum(bg[j])), cfg.p_p / cfg.tau)
+                          for j in range(realization.L)])
+    mu = noise_equivalent_mu(cfg, sigma_pq2)
+    G = np.array([mmse_gain(training.c, realization.beta, mu[j], j)
+                  for j in range(realization.L)])
     return sigma_pq2, mu, G
+
+
+def receive_pilots(eff, Psi, cfg, sigma_pq2, quant_path, rng):
+    """One quantized pilot observation (Y_qp, Y_p), each N x tau, at a BS.
+
+    eff stacks the L effective channels (L, N, K) this BS sees.  The
+    bussgang path applies the linearized model (scale by 1-rho, add white
+    noise of power sigma_pq2); the real path runs the adc_bits quantizer with
+    gain control matched to the statistical receive variance.
+    """
+    Y_p = np.sqrt(cfg.p_p) * eff.sum(axis=0) @ Psi.T
+    Y_p = Y_p + complex_normal(rng, Y_p.shape, cfg.sigma_n2)
+    rho = cfg.rho
+    if quant_path == "bussgang":
+        return (1.0 - rho) * Y_p + complex_normal(rng, Y_p.shape, sigma_pq2), Y_p
+    return lloyd_max_quantize(Y_p, cfg.adc_bits, sigma_pq2 / (rho * (1.0 - rho))), Y_p
 
 
 def estimate_all(realization, training, cfg, rng, quant_path="bussgang"):
     """Run the full pilot phase for every cell and return an EstimationResult.
 
-    Cells run in order 0..L-1 on one rng, so cell 0's draws come first.
+    Cells run in order 0..L-1 on one rng, so cell 0's draws come first.  The
+    estimate is H_hat = Y_qp Psi* diag(G) / ((1-rho) sqrt(P_p)), and the
+    realized error is e = H_hat diag(1/G) - hbar_jj.
     """
     L = realization.L
     Psi = build_pilot_matrix(cfg.tau, realization.K)
-    cells = [
-        estimate_cell(
-            np.stack([effective_channel(realization, training, j, l) for l in range(L)]),
-            training.c, realization.beta, j, cfg, Psi, rng, quant_path,
-        )
-        for j in range(L)
-    ]
-    sigma_pq2, mu, G, Y_qp, H_hat, e = (np.array(x) for x in zip(*cells))
-    return EstimationResult(
-        Psi=Psi, Y_qp=Y_qp, G=G, mu=mu, H_hat=H_hat, e=e,
-        C=training.c, Bmat=realization.beta, sigma_pq2=sigma_pq2,
-    )
+    sigma_pq2, mu, G = pilot_statistics(realization, training, cfg)
+    Y_qp, H_hat, e = [], [], []
+    for j in range(L):
+        eff = np.stack([effective_channel(realization, training, j, l) for l in range(L)])
+        y, _ = receive_pilots(eff, Psi, cfg, sigma_pq2[j], quant_path, rng)
+        H_hat.append((y @ Psi.conj()) * G[j] / ((1.0 - cfg.rho) * np.sqrt(cfg.p_p)))
+        e.append(H_hat[j] / G[j] - eff[j])
+        Y_qp.append(y)
+    return EstimationResult(Y_qp=np.array(Y_qp), G=G, mu=mu, H_hat=np.array(H_hat),
+                            e=np.array(e), sigma_pq2=sigma_pq2)
 
 
 def _conditional_powers(realization, training, mu_j, sigma_q2, cfg, j):

@@ -13,17 +13,20 @@ PUBLIC = [
     "SweepSpec", "load_preset", "run_sweep",
 ]
 
-# the per-realization reference pipeline lives in tests/oracles.py; the rest
-# had no caller outside the tests
+# the per-realization reference pipeline and the paper's MMSE estimator live
+# in tests/oracles.py; the rest had no caller outside the tests
 RETIRED = {
     "channel": ["ChannelRealization", "sample_channel", "effective_channel",
                 "dump_realization_csv"],
     "training": ["TrainingResult", "train_beams", "estimate_aoa", "beamforming_gain"],
     "estimation": ["EstimationResult", "pilot_statistics", "estimate_all",
-                   "dump_error_power_csv"],
+                   "dump_error_power_csv", "mmse_gain_matrix", "receive_pilots",
+                   "estimate_channel", "CellEstimate", "cell_statistics", "estimate_cell"],
     "rate": ["_conditional_powers", "mrc_detect", "siqnr", "signal_power",
              "interference_power"],
-    "quantize": ["BussgangModel", "total_rx_gain", "quant_noise_power_data"],
+    "quantize": ["BussgangModel", "total_rx_gain", "quant_noise_power_data",
+                 "quant_noise_power_pilot"],
+    "errors": ["DegenerateInputError"],
 }
 
 

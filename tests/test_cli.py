@@ -158,7 +158,31 @@ def test_sweep_spec_file_stdout(capsys, tmp_path):
 
 
 def test_sweep_requires_source(capsys):
-    assert main(["sweep"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep"])
+    assert exc.value.code == 2
+    assert "one of the arguments --preset --spec is required" in capsys.readouterr().err
+
+
+def test_sweep_rejects_preset_with_spec(capsys, tmp_path):
+    # one source only: a spec given next to a preset must not be ignored
+    spec = tmp_path / "s.json"
+    spec.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "fig2", "--spec", str(spec), "--trials", "10"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_sweep_plot_script_needs_out(capsys, tmp_path):
+    # the script plots the CSV file, so without --out nothing runs
+    gp = tmp_path / "fig2.gp"
+    assert main(["sweep", "--preset", "fig2", "--trials", "10",
+                 "--plot-script", str(gp)]) == 2
+    captured = capsys.readouterr()
+    assert "--plot-script needs --out" in captured.err
+    assert "rate_mc=" not in captured.err and captured.out == ""
+    assert not gp.exists()
 
 
 def test_validate_suite_exit_codes(capsys):

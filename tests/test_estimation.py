@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from mmwsim import rate
+from mmwsim.channel import large_scale_gains
 from mmwsim.config import SystemConfig, validate_config
-from mmwsim.errors import DegenerateInputError, ParameterError
-from mmwsim.estimation import (build_pilot_matrix, estimate_cell, estimate_channel,
-                               mmse_gain_matrix, noise_equivalent_mu, receive_pilots)
-from mmwsim.rng import substream
-from oracles import (effective_channel, estimate_all, pilot_statistics, sample_channel,
-                     train_beams)
+from mmwsim.errors import ParameterError
+from mmwsim.estimation import build_pilot_matrix, noise_equivalent_mu
+from mmwsim.quantize import quant_noise_power
+from mmwsim.rng import STAGE_CHANNEL, STAGE_PILOT, substream
+from oracles import (effective_channel, estimate_all, mmse_gain, pilot_statistics,
+                     receive_pilots, sample_channel, train_beams)
 
 
 def test_pilot_matrix_trivial():
@@ -49,14 +51,12 @@ def test_mu_scales_inversely_with_pilot_power_in_noise_regime():
 
 def test_mu_saturates_with_quantization():
     # quantization keeps the error floor above zero as pilot power grows
-    from mmwsim.quantize import quant_noise_power_pilot
+    total = 2.0             # one user, beta = 1, |c|^2 = 2
     vals = []
     for p_p in (1.0, 10.0, 1e3, 1e6, 1e9):
         cfg = validate_config(SystemConfig(L=1, K=1, M=2, adc_bits=2, tau=1,
                                            p_p=p_p, p_t=1.0))
-        g2 = np.full((1, 1, 1), 2.0)
-        b = np.ones((1, 1, 1))
-        vals.append(noise_equivalent_mu(cfg, quant_noise_power_pilot(cfg, g2, b, 0)))
+        vals.append(noise_equivalent_mu(cfg, quant_noise_power(cfg, total, cfg.p_p / cfg.tau)))
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     rho = validate_config(SystemConfig(adc_bits=2)).rho
     floor = rho * 2.0 / ((1 - rho) * 1)
@@ -66,27 +66,20 @@ def test_mu_saturates_with_quantization():
 def test_gain_matrix_interference_free_limit():
     C = np.full((1, 1, 4), 0.7 + 0.2j)
     B = np.ones((1, 1, 4))
-    np.testing.assert_allclose(mmse_gain_matrix(C, B, 0.0, 0), np.ones(4))
+    np.testing.assert_allclose(mmse_gain(C, B, 0.0, 0), np.ones(4))
 
 
 def test_gain_matrix_scalar_value():
     M = 4.0
     C = np.full((1, 1, 3), np.sqrt(M))
     B = np.ones((1, 1, 3))
-    np.testing.assert_allclose(mmse_gain_matrix(C, B, 2.0, 0), M / (M + 2.0))
+    np.testing.assert_allclose(mmse_gain(C, B, 2.0, 0), M / (M + 2.0))
 
 
 def test_gain_matrix_shrinks_to_zero():
     C = np.full((1, 1, 2), 1.0)
     B = np.ones((1, 1, 2))
-    assert np.all(mmse_gain_matrix(C, B, 1e12, 0) < 1e-10)
-
-
-def test_gain_matrix_degenerate():
-    C = np.zeros((1, 1, 2))
-    B = np.ones((1, 1, 2))
-    with pytest.raises(DegenerateInputError):
-        mmse_gain_matrix(C, B, 0.0, 0)
+    assert np.all(mmse_gain(C, B, 1e12, 0) < 1e-10)
 
 
 def test_gain_matrix_entries_at_most_one():
@@ -94,7 +87,7 @@ def test_gain_matrix_entries_at_most_one():
     C = rng.uniform(0.1, 2.0, size=(2, 2, 5)) * np.exp(1j * rng.uniform(0, np.pi, (2, 2, 5)))
     B = np.full((2, 2, 5), 0.1)
     B[0, 0] = B[1, 1] = 1.0
-    g = mmse_gain_matrix(C, B, 0.3, 0)
+    g = mmse_gain(C, B, 0.3, 0)
     assert np.all(g > 0.0) and np.all(g <= 1.0)
 
 
@@ -205,39 +198,25 @@ def test_real_quantizer_path_runs():
     assert np.max(np.abs(est.Y_qp[0].real)) <= lim
 
 
-@pytest.mark.parametrize("quant_path", ["bussgang", "real"])
-def test_cell_zero_alone_reproduces_estimate_all(quant_path):
-    # cell 0 draws first from the pilot stream, and BS 0 reads only row 0 of
-    # the gain tables, so running it alone changes nothing
-    cfg = validate_config(SystemConfig(L=3, K=2, N=16, M=2, adc_bits=2,
-                                       p_t=1.0, p_p=4.0, seed=13))
-    real = sample_channel(cfg, substream(cfg.seed, 0, 0))
-    training = train_beams(real, cfg)
-    full = estimate_all(real, training, cfg, substream(cfg.seed, 0, 2), quant_path)
-    eff = np.stack([effective_channel(real, training, 0, l) for l in range(cfg.L)])
-    cell = estimate_cell(eff, training.c[:1], real.beta[:1], 0, cfg, full.Psi,
-                         substream(cfg.seed, 0, 2), quant_path)
-    assert cell.sigma_pq2 == full.sigma_pq2[0] and cell.mu == full.mu[0]
-    for name in ("G", "Y_qp", "H_hat", "e"):
-        np.testing.assert_array_equal(getattr(cell, name), getattr(full, name)[0])
+# (L, K, tau, adc_bits): one and several cells, one and several users, 1 to
+# 12 bits, and one pilot longer than K
+_PILOT_GRID = [(L, K, K, bits) for L in (1, 3) for K in (1, 8) for bits in (1, 3, 12)]
+_PILOT_GRID.append((3, 2, 5, 3))
 
 
-def test_real_quantizer_path_rejects_rho_ad_override():
-    cfg = validate_config(SystemConfig(L=1, K=2, N=8, M=2, adc_bits=3, rho_ad=0.3,
-                                       p_p=2.0, seed=12))
-    real = sample_channel(cfg, substream(cfg.seed, 0, 0))
-    training = train_beams(real, cfg)
-    eff = np.stack([effective_channel(real, training, 0, 0)])
-    psi = build_pilot_matrix(cfg.tau, cfg.K)
-    with pytest.raises(ParameterError, match="rho_ad"):
-        receive_pilots(eff, psi, cfg, 0.1, "real", substream(cfg.seed, 0, 2))
-    y_qp, _ = receive_pilots(eff, psi, cfg, 0.1, "bussgang", substream(cfg.seed, 0, 2))
-    assert y_qp.shape == (8, 2)
-
-
-def test_estimate_channel_rejects_zero_gain():
-    cfg = validate_config(SystemConfig(L=1, K=2, N=4, M=2, adc_bits=3, p_p=2.0))
-    y = np.zeros((4, 2), dtype=complex)
-    psi = build_pilot_matrix(2, 2)
-    with pytest.raises(DegenerateInputError):
-        estimate_channel(y, psi, np.zeros(2), cfg)
+@pytest.mark.parametrize("L, K, tau, bits", _PILOT_GRID)
+def test_pilot_phase_matches_oracle_mmse_form(L, K, tau, bits):
+    # the engine's estimate is the oracle's MMSE estimate with its shrinkage
+    # G divided out, hbar_00 + e_0, on the same draws
+    for seed in (0, 5, 23):
+        cfg = validate_config(SystemConfig(L=L, K=K, N=16, M=2, tau=tau, adc_bits=bits,
+                                           p_t=1.0, seed=seed))
+        for trial in (0, 3):
+            theta0, c0 = rate._draw_block(cfg, range(trial, trial + 1), None)
+            total = float(np.sum(large_scale_gains(cfg)[0] * np.abs(c0[0]) ** 2))
+            eff, est = rate._pilot_phase(cfg, trial, theta0[0], c0[0], total)
+            real = sample_channel(cfg, substream(seed, trial, STAGE_CHANNEL))
+            ref = estimate_all(real, train_beams(real, cfg), cfg,
+                               substream(seed, trial, STAGE_PILOT), quant_path="real")
+            np.testing.assert_allclose(est, ref.H_hat[0] / ref.G[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(est - eff[0], ref.e[0], rtol=1e-12, atol=0)

@@ -4,7 +4,7 @@ import pytest
 from mmwsim.config import SystemConfig, distortion_factor, validate_config
 from mmwsim.errors import ParameterError
 from mmwsim.quantize import (bussgang_decompose, lloyd_max_design, lloyd_max_quantize,
-                             quant_noise_power, quant_noise_power_pilot)
+                             quant_noise_power)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,7 @@ def test_noise_power_zero_when_distortionless():
     cfg = validate_config(SystemConfig(L=2, K=3, rho_ad=0.0, p_t=2.0))
     g2, b = _tables(2, 3, 1.5, cfg.beta_inter)
     assert quant_noise_power(cfg, _total(g2, b, 0), cfg.p_t) == 0.0
-    assert quant_noise_power_pilot(cfg, g2, b, 0) == 0.0
+    assert quant_noise_power(cfg, _total(g2, b, 0), cfg.p_p / cfg.tau) == 0.0
 
 
 def test_noise_power_single_user_hand_value():
@@ -150,7 +150,7 @@ def test_noise_power_single_user_hand_value():
     rho = cfg.rho
     assert quant_noise_power(cfg, _total(g2, b, 0), cfg.p_t) == pytest.approx(
         rho * (1 - rho) * (0.7 + 3.0 * M))
-    assert quant_noise_power_pilot(cfg, g2, b, 0) == pytest.approx(
+    assert quant_noise_power(cfg, _total(g2, b, 0), cfg.p_p / cfg.tau) == pytest.approx(
         rho * (1 - rho) * (0.7 + 6.0 / 2 * M))
 
 
@@ -167,7 +167,7 @@ def test_pilot_equals_data_when_tau_matches_power_ratio():
     # per-symbol pilot power P_p / tau equals P_t
     cfg = validate_config(SystemConfig(L=2, K=4, adc_bits=3, p_t=0.5, tau=6, p_p=3.0))
     g2, b = _tables(2, 4, 1.3, cfg.beta_inter)
-    assert quant_noise_power_pilot(cfg, g2, b, 1) == pytest.approx(
+    assert quant_noise_power(cfg, _total(g2, b, 1), cfg.p_p / cfg.tau) == pytest.approx(
         quant_noise_power(cfg, _total(g2, b, 1), cfg.p_t))
 
 
@@ -177,6 +177,7 @@ def test_noise_power_symmetric_under_relabeling():
     cfg = validate_config(SystemConfig(L=L, K=K, adc_bits=2, p_t=1.3))
     g2 = rng.uniform(0.0, 4.0, size=(L, L, K))
     b = rng.uniform(0.05, 1.0, size=(L, L, K))
-    base = quant_noise_power_pilot(cfg, g2, b, 0)
+    base = quant_noise_power(cfg, _total(g2, b, 0), cfg.p_p / cfg.tau)
     perm = rng.permutation(K)
-    assert quant_noise_power_pilot(cfg, g2[:, :, perm], b[:, :, perm], 0) == pytest.approx(base)
+    assert quant_noise_power(cfg, _total(g2[:, :, perm], b[:, :, perm], 0),
+                             cfg.p_p / cfg.tau) == pytest.approx(base)
