@@ -10,6 +10,7 @@ import scipy.special
 
 from .config import validate_config
 from .errors import ParameterError
+from .training import gain_lower_bound
 
 EULER_GAMMA = 0.577215664901533  # Euler-Mascheroni constant
 
@@ -31,11 +32,6 @@ def bessel_j0(x):
 def _j0_pi_table(N):
     """J0(n*pi) for n = 0..N-1."""
     return bessel_j0(math.pi * np.arange(N))
-
-
-def sinc(x):
-    """sin(x)/x with sinc(0) = 1 (unnormalized)."""
-    return math.sin(x) / x if x != 0.0 else 1.0
 
 
 def exact_mean_inner(N):
@@ -104,7 +100,12 @@ def eta3_upper_bound(N):
 
 def gain_floor(cfg):
     """Analog-gain lower bound c = sqrt(M) sinc(M*pi*zeta/2)."""
-    return math.sqrt(cfg.M) * sinc(0.5 * cfg.M * math.pi * cfg.zeta)
+    return gain_lower_bound(cfg.M, cfg.B)
+
+
+def log_rate(x):
+    """log2(x), the rate in bits."""
+    return math.log(x) / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,6 @@ class BoundInputs:
     eta1: float
     eta2: float
     eta3: float
-    euler_a: float = EULER_GAMMA
 
 
 def bound_inputs(cfg):
@@ -187,7 +187,7 @@ def lower_bound_rate(cfg):
         + 2.0 * (L - 1) * (L * K - K - 1) * beta ** 1.5 * c * M ** 1.5 * e3
     )
     denom = P_u + P_c + P_n + P_q + P_e
-    r_lb = cfg.log_rate(1.0 + one ** 2 * pt * N ** 2 / denom)
+    r_lb = log_rate(1.0 + one ** 2 * pt * N ** 2 / denom)
 
     xi1, r_lb_1 = low_snr_approx(cfg)
     xi2, r_lb_2 = high_pilot_approx(cfg)
@@ -210,7 +210,7 @@ def asymptotic_limit(cfg):
     if cfg.L == 1:
         return math.inf
     c = gain_floor(cfg)
-    return cfg.log_rate(1.0 + c ** 4 / ((cfg.L - 1) * cfg.beta_inter ** 2 * cfg.M ** 2))
+    return log_rate(1.0 + c ** 4 / ((cfg.L - 1) * cfg.beta_inter ** 2 * cfg.M ** 2))
 
 
 def single_cell_bound(cfg):
@@ -235,7 +235,7 @@ def single_cell_bound(cfg):
         + (one + c ** -2 * lam / cfg.tau) * rho * N * c ** -2 * lam
         + one ** 2 * M * (K - 1) * c ** -2 * eta2(N)
     )
-    return cfg.log_rate(1.0 + one ** 2 * N ** 2 / denom)
+    return log_rate(1.0 + one ** 2 * N ** 2 / denom)
 
 
 def low_snr_approx(cfg):
@@ -245,7 +245,7 @@ def low_snr_approx(cfg):
     g_t = cfg.p_t / cfg.sigma_n2
     g_p = cfg.p_p / cfg.sigma_n2
     xi1 = one ** 2 * cfg.N * cfg.M ** 2 * g_p
-    return xi1, cfg.log_rate(1.0 + xi1 * g_t)
+    return xi1, log_rate(1.0 + xi1 * g_t)
 
 
 def high_pilot_approx(cfg):
@@ -255,4 +255,4 @@ def high_pilot_approx(cfg):
     one = 1.0 - rho
     g_t = cfg.p_t / cfg.sigma_n2
     xi2 = one ** 2 * cfg.N * cfg.M / (one + rho * cfg.K / cfg.tau)
-    return xi2, cfg.log_rate(1.0 + xi2 * g_t)
+    return xi2, log_rate(1.0 + xi2 * g_t)

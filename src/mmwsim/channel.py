@@ -1,4 +1,4 @@
-"""Sparse rank-one LoS channel: steering vectors, large-scale gains, angle draws."""
+"""Sparse rank-one LoS channel: steering vectors, their Dirichlet kernel, gains, angles."""
 
 import numpy as np
 
@@ -14,6 +14,19 @@ def steering_vector(angle, count):
     if count < 1:
         raise ParameterError(f"steering vector length must be >= 1, got {count}")
     return np.exp(-1j * np.pi * np.cos(angle)[..., None] * np.arange(count))
+
+
+def dirichlet(n, x):
+    """sin(n x) / sin(x) over an array x, and its limit where sin(x) vanishes:
+    n at even multiples of pi, (-1)^(n-1) n at odd ones (the endfire pair).
+
+    e^{j(n-1)x} dirichlet(n, x) = h(a)^H h(b), x = (pi/2)(cos a - cos b)."""
+    den = np.sin(x)
+    small = np.abs(den) < 1e-12
+    out = np.sin(n * x)
+    np.divide(out, den, out=out, where=~small)
+    out[small] = np.where(np.cos(x[small]) > 0.0, n, (-1) ** (n - 1) * n)
+    return out
 
 
 def large_scale_gains(cfg):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, quantize
+from .channel import dirichlet
 from .config import SystemConfig, distortion_factor, validate_config
 from .rate import ergodic_rate
 from .rng import complex_normal, substream
@@ -67,12 +68,9 @@ def quantizer_suite(samples=10 ** 6, seed=1234):
 
 
 def _steering_sum(N, d):
-    """sum_n e^{j pi d n} over n < N in the Dirichlet closed form
-    e^{j pi d (N-1)/2} sin(N pi d/2) / sin(pi d/2), N where the sine vanishes."""
+    """sum_n e^{j pi d n} over n < N, as e^{j(N-1)x} dirichlet(N, x) with x = pi d / 2."""
     x = (np.pi / 2) * d
-    den = np.sin(x)
-    small = np.abs(den) < 1e-12
-    return np.exp(1j * (N - 1) * x) * np.where(small, N, np.sin(N * x) / np.where(small, 1.0, den))
+    return np.exp(1j * (N - 1) * x) * dirichlet(N, x)
 
 
 def _mc_inner_products(N, draws, rng):

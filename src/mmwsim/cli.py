@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import json
 import math
 import sys
 
@@ -10,11 +9,13 @@ from . import __version__
 from .bounds import lower_bound_rate
 from .channel import large_scale_gains
 from .checks import SUITES, run_suite
-from .config import SystemConfig, config_from_dict, set_param, validate_config
+from .config import (codebook_zeta, config_from_dict, load_config_doc, parse_setting,
+                     set_param, validate_config)
 from .errors import ParameterError
 from .rate import MODES, _draw_block, _pilot_phase, ergodic_rate
 from .sweep import (AXIS_COLUMN, emit_plot_script, list_presets, load_preset,
-                    load_sweep_spec, rows_to_csv_text, run_sweep, sweep_row, write_csv)
+                    load_sweep_spec, plotted_outputs, rows_to_csv_text, run_sweep,
+                    sweep_row, write_csv)
 from .training import build_codebook, gain_lower_bound
 
 
@@ -26,19 +27,15 @@ def _add_config_args(p):
 
 
 def _resolve_config(args):
-    if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    else:
-        doc = {}
+    doc = load_config_doc(args.config) if args.config else {}
     for item in args.overrides:
         if "=" not in item:
             raise ParameterError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        set_param(doc, key.strip(), value.strip())
+        key, value = (part.strip() for part in item.split("=", 1))
+        set_param(doc, key, parse_setting(key, value))
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
-    return validate_config(config_from_dict(doc) if doc else SystemConfig())
+    return validate_config(config_from_dict(doc))
 
 
 def cmd_bound(args):
@@ -103,7 +100,7 @@ def _debug_dump(cfg, mode, prefix):
     also writes ||e_0k||^2 from its sampled pilot phase; semi mode samples no
     pilots, so it writes no error powers.
     """
-    theta0, c0 = _draw_block(cfg, range(1), None)
+    theta0, c0 = _draw_block(cfg, range(1))
     beta0 = large_scale_gains(cfg)[0]
     paths = [prefix + "_realization.csv"]
     _write_rows(paths[0], ["l", "k", "theta", "beta", "abs_c"], [
@@ -123,6 +120,8 @@ def cmd_sweep(args):
     if args.plot_script and not args.out:
         raise ParameterError("--plot-script needs --out: the script plots the CSV file")
     spec = load_preset(args.preset) if args.preset else load_sweep_spec(args.spec)
+    if args.plot_script:
+        plotted_outputs(spec)
     rows = run_sweep(spec, trials=args.trials, seed=args.seed, mode=args.mode,
                      progress=lambda r: print(
                          f"  {spec.axis}={r[AXIS_COLUMN[spec.axis]]} rate_mc={r['rate_mc'] or '-'} "
@@ -133,7 +132,7 @@ def cmd_sweep(args):
             fh.write(text)
         print(f"wrote {args.out}")
         if args.plot_script:
-            script = emit_plot_script(args.out, spec)
+            script = emit_plot_script(args.out, spec, rows)
             with open(args.plot_script, "w") as fh:
                 fh.write(script)
             print(f"wrote {args.plot_script}")
@@ -154,7 +153,7 @@ def cmd_validate(args):
 
 def cmd_codebook(args):
     phases = build_codebook(args.B)
-    zeta = math.pi / 2 ** (args.B + 1)
+    zeta = codebook_zeta(args.B)
     print(f"B={args.B} -> {len(phases)} phases, interval zeta={zeta:.6f} rad")
     for i, p in enumerate(phases):
         print(f"  [{i:3d}] {p:.6f}")

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, replace
 
 from .errors import ParameterError, ConfigError
 
@@ -44,6 +44,11 @@ def distortion_factor(bits):
     return RHO_AD_TABLE[bits]
 
 
+def codebook_zeta(B):
+    """Half-interval pi / 2^(B+1) of the B-bit phase codebook."""
+    return math.pi / 2 ** (B + 1)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All scenario parameters for one simulation or bound evaluation.
@@ -78,24 +83,12 @@ class SystemConfig:
         return distortion_factor(self.adc_bits)
 
     @property
-    def zeta(self):
-        """Phase codebook half-interval pi / 2^(B+1)."""
-        return math.pi / 2 ** (self.B + 1)
-
-    @property
     def snr_db(self):
         return 10.0 * math.log10(self.p_t / self.sigma_n2)
 
     @property
     def pilot_snr_db(self):
         return 10.0 * math.log10(self.p_p / self.sigma_n2)
-
-    def log_rate(self, x):
-        """log2(x), the rate in bits."""
-        return math.log(x) / math.log(2.0)
-
-
-_CONFIG_KEYS = {f.name for f in fields(SystemConfig)} - {"warnings", "validated"}
 
 
 def _is_int(v):
@@ -171,50 +164,73 @@ def validate_config(cfg):
 
     # The analytic lower gain bound only holds for zeta <= 2/M; wider
     # codebook intervals are allowed but flagged.
-    if cfg.zeta > 2.0 / cfg.M:
+    zeta = codebook_zeta(cfg.B)
+    if zeta > 2.0 / cfg.M:
         warnings.append(
-            f"zeta = pi/2^(B+1) = {cfg.zeta:.4g} exceeds 2/M = {2.0 / cfg.M:.4g}; "
+            f"zeta = pi/2^(B+1) = {zeta:.4g} exceeds 2/M = {2.0 / cfg.M:.4g}; "
             "the analog-gain lower bound is not asserted"
         )
 
     return replace(cfg, warnings=tuple(warnings), validated=True)
 
 
+# Keys of settings dicts (`--set`, config documents, sweeps): the SystemConfig
+# fields, plus snr_db and pilot_snr_db, p_t and p_p in dB over the final sigma_n2.
+_INT_KEYS = {"L", "K", "N", "M", "B", "tau", "adc_bits", "seed"}
+_DB_POWER = {"snr_db": "p_t", "pilot_snr_db": "p_p"}
+SETTABLE_KEYS = _INT_KEYS | {"rho_ad", "p_t", "p_p", "sigma_n2", "beta_inter"} | set(_DB_POWER)
+_PAIRED = {**_DB_POWER, **{power: db for db, power in _DB_POWER.items()}}
+
+
+def set_param(doc, name, value):
+    """Set one parameter on a settings dict, as given.  A dB key and the
+    power it stands for replace each other: the later one set wins."""
+    if name not in SETTABLE_KEYS:
+        raise ParameterError(f"unknown parameter {name!r}")
+    doc.pop(_PAIRED.get(name), None)
+    doc[name] = value
+    return doc
+
+
+def parse_setting(name, text):
+    """Value of a `--set name=text` string, parsed by the key's type."""
+    if name not in SETTABLE_KEYS:
+        raise ParameterError(f"unknown parameter {name!r}")
+    return int(text) if name in _INT_KEYS else float(text)
+
+
 def config_from_dict(doc):
-    """Build a SystemConfig from a plain dict with strict key checking."""
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    """Build a SystemConfig from a settings dict with strict key checking.
+
+    Keys apply in order, as set_param sets them; then snr_db and pilot_snr_db
+    translate against the final sigma_n2.  Values keep their types, for
+    validate_config to check.
+    """
+    unknown = sorted(set(doc) - SETTABLE_KEYS)
     if unknown:
         raise ConfigError([f"unknown config key {k!r}" for k in unknown])
-    return SystemConfig(**doc)
+    fields_doc = {}
+    for name, value in doc.items():
+        set_param(fields_doc, name, value)
+    sigma_n2 = fields_doc.get("sigma_n2", SystemConfig.sigma_n2)
+    for db in [key for key in _DB_POWER if key in fields_doc]:
+        value = fields_doc.pop(db)
+        if not _is_finite_number(value):
+            raise ConfigError(f"{db} must be a finite number, got {value!r}")
+        if _is_finite_number(sigma_n2):   # otherwise validate_config reports it
+            fields_doc[_DB_POWER[db]] = sigma_n2 * 10.0 ** (value / 10.0)
+    return SystemConfig(**fields_doc)
 
 
-def load_config(path):
-    """Read a config JSON document; unknown keys are a hard error."""
+def load_config_doc(path):
+    """Read a settings document: a JSON object, checked by config_from_dict."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    return config_from_dict(doc)
-
-
-# Keys settable through `--set key=value` and sweep axes.  snr_db and
-# pilot_snr_db translate to p_t / p_p against the document's sigma_n2.
-_INT_KEYS = {"L", "K", "N", "M", "B", "tau", "adc_bits", "seed"}
-_FLOAT_KEYS = {"rho_ad", "p_t", "p_p", "sigma_n2", "beta_inter"}
-SETTABLE_KEYS = _INT_KEYS | _FLOAT_KEYS | {"snr_db", "pilot_snr_db"}
-
-
-def set_param(doc, name, value):
-    """Set one parameter on a raw config dict, coercing the value type."""
-    if name not in SETTABLE_KEYS:
-        raise ParameterError(f"unknown parameter {name!r}")
-    sigma_n2 = doc.get("sigma_n2", 1.0)
-    if name == "snr_db":
-        doc["p_t"] = sigma_n2 * 10.0 ** (float(value) / 10.0)
-    elif name == "pilot_snr_db":
-        doc["p_p"] = sigma_n2 * 10.0 ** (float(value) / 10.0)
-    elif name in _INT_KEYS:
-        doc[name] = int(value)
-    else:
-        doc[name] = float(value)
     return doc
+
+
+def load_config(path):
+    """Read a config JSON document; unknown keys are a hard error."""
+    return config_from_dict(load_config_doc(path))

@@ -20,7 +20,3 @@ class ConfigError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A quantity violated an internal sanity condition."""
-
-
-class FormatError(ValueError):
-    """A data file does not have the expected layout."""

@@ -21,7 +21,7 @@ def _norm_pdf(x):
 
 
 @lru_cache(maxsize=None)
-def lloyd_max_design(bits, max_iters=None, tol=1e-12):
+def lloyd_max_design(bits):
     """Levels and thresholds of the MMSE quantizer for a unit-variance Gaussian.
 
     Fixed-point iteration (levels -> midpoint thresholds -> conditional means)
@@ -32,10 +32,9 @@ def lloyd_max_design(bits, max_iters=None, tol=1e-12):
     if not MIN_ADC_BITS <= bits <= MAX_ADC_BITS:
         raise ParameterError(f"adc bits must be in [1, 12], got {bits}")
     n = 2 ** bits
-    if max_iters is None:
-        # low depths converge fully; high depths start close enough that a
-        # bounded budget leaves the levels within noise of optimal
-        max_iters = 20000 if bits <= 6 else 1500
+    # low depths converge fully; high depths start close enough that a
+    # bounded budget leaves the levels within noise of optimal
+    max_iters = 20000 if bits <= 6 else 1500
     p = (np.arange(n) + 0.5) / n
     # quantile init on the companded density
     y = np.sqrt(3.0) * ndtri(p)
@@ -47,18 +46,18 @@ def lloyd_max_design(bits, max_iters=None, tol=1e-12):
         y_new = (_norm_pdf(tl) - _norm_pdf(tu)) / prob
         delta = np.max(np.abs(y_new - y))
         y = y_new
-        if delta < tol:
+        if delta < 1e-12:
             break
     thresholds = 0.5 * (y[:-1] + y[1:])
     return y, thresholds
 
 
-def lloyd_max_distortion(bits, **design_kwargs):
+def lloyd_max_distortion(bits):
     """MSE of the designed quantizer on a unit-variance Gaussian.
 
     Regenerates the value behind distortion_factor's frozen table.
     """
-    levels, thresholds = lloyd_max_design(bits, **design_kwargs)
+    levels, thresholds = lloyd_max_design(bits)
     tl = np.concatenate(([-np.inf], thresholds))
     tu = np.concatenate((thresholds, [np.inf]))
     prob = ndtr(tu) - ndtr(tl)

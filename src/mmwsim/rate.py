@@ -60,31 +60,24 @@ def _block_trials(cfg):
     return max(1, BLOCK_BYTES // (16 * LK * max(LK, 2 ** cfg.B)))
 
 
-def _draw_block(cfg, trials, training_noise_var):
+def _draw_block(cfg, trials):
     """Draws and beam training for a block of trials, reduced to BS 0.
 
     Each trial draws its angles from its (seed, trial, STAGE_CHANNEL)
-    substream and, for noisy training, its tone noise from STAGE_TRAINING,
-    exactly as the per-realization reference in tests/oracles.py does.  Returns theta0, BS 0's
+    substream, exactly as the per-realization reference in tests/oracles.py
+    does, and training selects beams noiselessly.  Returns theta0, BS 0's
     (T, L, K) angles of arrival, and c0, the (T, L, K) realized gains
     c[0, l, k] = h_U[0, l, k]^H w[l, k].
     """
     L, K, M = cfg.L, cfg.K, cfg.M
-    codebook = build_codebook(cfg.B)
     phi = np.empty((len(trials), L, L, K))
     theta = np.empty_like(phi)
-    nu = None if training_noise_var is None else np.empty(
-        (len(trials), L, K, codebook.size), dtype=complex)
     for i, t in enumerate(trials):
         phi[i], theta[i] = draw_angles(
             cfg, rngmod.substream(cfg.seed, t, rngmod.STAGE_CHANNEL))
-        if nu is not None:
-            nu[i] = rngmod.complex_normal(
-                rngmod.substream(cfg.seed, t, rngmod.STAGE_TRAINING), nu.shape[1:],
-                training_noise_var)
     cells = np.arange(L)
     amp = np.sqrt(large_scale_gains(cfg)[cells, cells])[..., None]
-    phi_hat = select_beams(phi[:, cells, cells], amp, codebook, M, nu)   # (T, L, K)
+    phi_hat = select_beams(phi[:, cells, cells], amp, build_codebook(cfg.B), M)   # (T, L, K)
     w = beamformer_from_angle(phi_hat, M)
     c0 = np.einsum("tlkm,tlkm->tlk", steering_vector(phi[:, 0], M).conj(), w)
     return theta[:, 0], c0
@@ -100,10 +93,12 @@ def _semi_block(cfg, theta0, c0):
 
         h_a^H h_b = e^{j(N-1)(x_a - x_b)} sin(N(x_a - x_b)) / sin(x_a - x_b),
 
-    x = (pi/2) * cos(theta), and N where the denominator vanishes.
-    The difference identities turn the kernel into outer products of
-    per-user sines and cosines, and the phase factors are folded into the
-    coefficients, so the per-pair work is real arithmetic.
+    x = (pi/2) * cos(theta).  Where the denominator vanishes the kernel takes
+    its limit: N for equal angles and (-1)^(N-1) N for the endfire pair
+    x_a - x_b = +-pi, as channel.dirichlet does.  The difference identities
+    turn the kernel into outer products of per-user sines and cosines, and
+    the phase factors are folded into the coefficients, so the per-pair work
+    is real arithmetic.
     """
     rho, N = cfg.rho, cfg.N
     T, L, K = c0.shape
@@ -124,6 +119,11 @@ def _semi_block(cfg, theta0, c0):
     small = np.abs(den) < 1e-12
     den[small] = 1.0
     kernel[small] = N
+    # an endfire pair needs users with |sin x| = 1, at theta = 0 and pi
+    if N % 2 == 0 and np.any(np.abs(s) == 1.0):
+        ti, ai, bi = np.nonzero(small)
+        endfire = c[ti, ai] * c[ti, bi] + s[ti, ai] * s[ti, bi] < 0.0   # cos(x_a - x_b)
+        kernel[ti[endfire], ai[endfire], bi[endfire]] = -N
     kernel /= den
     phase = np.exp(1j * (N - 1) * x).reshape(T, L, K)
 
@@ -205,7 +205,7 @@ def _symbol_trial(cfg, trial, theta0, c0):
     return S, I
 
 
-def ergodic_rate(cfg, trials, mode="semi", training_noise_var=None):
+def ergodic_rate(cfg, trials, mode="semi"):
     """Monte-Carlo ergodic rate over `trials` block-fading realizations.
 
     `mode` is "semi" (semi-analytic) or "symbol" (symbol-level).  Returns
@@ -217,14 +217,13 @@ def ergodic_rate(cfg, trials, mode="semi", training_noise_var=None):
     cfg = cfg if cfg.validated else validate_config(cfg)
     if trials < 10:
         raise ParameterError(f"trials must be >= 10, got {trials}")
-    if mode == "symbol":
-        if cfg.rho_ad is not None:
-            raise ParameterError(
-                "symbol mode runs the real adc_bits quantizer and cannot honor "
-                f"a rho_ad override (rho_ad={cfg.rho_ad}); set adc_bits only"
-            )
-    elif mode not in MODES:
+    if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}; choose from {MODES}")
+    if mode == "symbol" and cfg.rho_ad is not None:
+        raise ParameterError(
+            "symbol mode runs the real adc_bits quantizer and cannot honor "
+            f"a rho_ad override (rho_ad={cfg.rho_ad}); set adc_bits only"
+        )
 
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))
@@ -232,7 +231,7 @@ def ergodic_rate(cfg, trials, mode="semi", training_noise_var=None):
     block = _block_trials(cfg)
     for start in range(0, trials, block):
         ts = range(start, min(start + block, trials))
-        theta0, c0 = _draw_block(cfg, ts, training_noise_var)
+        theta0, c0 = _draw_block(cfg, ts)
         if mode == "semi":
             S_b, I_b, I_floor = _semi_block(cfg, theta0, c0)
             bad = I_b <= 0.0

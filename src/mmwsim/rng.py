@@ -6,9 +6,8 @@ results do not depend on how trials are grouped into blocks.
 
 import numpy as np
 
-# Stage indices within one trial.
+# Stage indices within one trial; beam training draws nothing, and 1 is unused.
 STAGE_CHANNEL = 0
-STAGE_TRAINING = 1
 STAGE_PILOT = 2
 STAGE_DATA = 3
 

@@ -2,14 +2,13 @@
 
 import csv
 import io
-import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 from .bounds import lower_bound_rate
 from .config import SETTABLE_KEYS, config_from_dict, set_param, validate_config
-from .errors import FormatError, ParameterError
+from .errors import ParameterError
 from .rate import MODES, ergodic_rate
 
 # sweep axis -> the CSV column that holds its value
@@ -51,9 +50,14 @@ class SweepSpec:
         bad = [o for o in self.outputs if o not in OUTPUT_COLUMNS]
         if bad:
             raise ParameterError(f"unknown output columns {bad}")
-        unknown = set(self.base) - SETTABLE_KEYS
-        if unknown:
-            raise ParameterError(f"unknown base config keys {sorted(unknown)}")
+        if not self.curves:
+            raise ParameterError("sweep curves must be non-empty; [{}] is one plain curve")
+        for name, layer in [("base", self.base)] + [("curve", c) for c in self.curves]:
+            if not isinstance(layer, dict):
+                raise ParameterError(f"a sweep {name} must be an object, got {layer!r}")
+            unknown = set(layer) - SETTABLE_KEYS
+            if unknown:
+                raise ParameterError(f"unknown {name} config keys {sorted(unknown)}")
         if self.mode not in MODES:
             raise ParameterError(f"unknown mode {self.mode!r}; choose from {MODES}")
 
@@ -65,9 +69,7 @@ def load_sweep_spec(path):
 
 
 def sweep_spec_from_dict(doc):
-    known = {"scenario_id", "base", "axis", "values", "trials", "outputs",
-             "curves", "mode", "notes"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(SweepSpec)}
     if unknown:
         raise ParameterError(f"unknown sweep spec keys {sorted(unknown)}")
     doc = dict(doc)
@@ -76,16 +78,12 @@ def sweep_spec_from_dict(doc):
     return SweepSpec(**doc)
 
 
-def preset_path(name):
-    """Path of a packaged preset such as 'fig2'."""
+def load_preset(name):
+    """The packaged preset `name`, such as 'fig2'."""
     res = resources.files("mmwsim").joinpath("presets", f"{name}.json")
     if not res.is_file():
         raise ParameterError(f"no preset named {name!r}")
-    return res
-
-
-def load_preset(name):
-    with preset_path(name).open() as fh:
+    with res.open() as fh:
         return sweep_spec_from_dict(json.load(fh))
 
 
@@ -94,18 +92,15 @@ def list_presets():
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _point_config(spec, curve, value, trials_seed_overrides):
-    """Resolve one (curve, axis value) pair into a validated SystemConfig."""
+def _point_config(spec, curve, value, overrides):
+    """Resolve one (curve, axis value) pair into a validated SystemConfig.
+
+    Settings apply in order: base, curve, axis value, then `overrides`.
+    """
     doc = {}
-    ordered = [(k, v) for k, v in spec.base.items() if k not in ("snr_db", "pilot_snr_db")]
-    ordered += [(k, v) for k, v in spec.base.items() if k in ("snr_db", "pilot_snr_db")]
-    for k, v in ordered:
-        set_param(doc, k, v)
-    for k, v in curve.items():
-        set_param(doc, k, v)
-    set_param(doc, spec.axis, value)
-    for k, v in trials_seed_overrides.items():
-        set_param(doc, k, v)
+    for layer in (spec.base, curve, {spec.axis: value}, overrides):
+        for k, v in layer.items():
+            set_param(doc, k, v)
     return validate_config(config_from_dict(doc))
 
 
@@ -113,24 +108,24 @@ def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
     """Run every (curve, value) point and return CSV-ready row dicts.
 
     Deterministic for fixed seed and flags; rows appear in curve-major,
-    axis-order.
+    axis-order.  Every point's config resolves before the first one runs.
     """
     trials = spec.trials if trials is None else trials
     # replace() re-runs the spec's checks, so a bad mode fails before any point
     mode = spec.mode if mode is None else replace(spec, mode=mode).mode
     overrides = {} if seed is None else {"seed": seed}
+    cfgs = [_point_config(spec, curve, value, overrides)
+            for curve in spec.curves for value in spec.values]
     rows = []
-    for curve in spec.curves:
-        for value in spec.values:
-            cfg = _point_config(spec, curve, value, overrides)
-            report = lower_bound_rate(cfg)
-            mc = None
-            if "rate_mc" in spec.outputs or "ci95" in spec.outputs:
-                mc = ergodic_rate(cfg, trials, mode=mode)
-            row = sweep_row(spec.scenario_id, cfg, trials, report, mc, spec.outputs)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
+    for cfg in cfgs:
+        report = lower_bound_rate(cfg)
+        mc = None
+        if "rate_mc" in spec.outputs or "ci95" in spec.outputs:
+            mc = ergodic_rate(cfg, trials, mode=mode)
+        row = sweep_row(spec.scenario_id, cfg, trials, report, mc, spec.outputs)
+        rows.append(row)
+        if progress is not None:
+            progress(row)
     return rows
 
 
@@ -177,57 +172,33 @@ def rows_to_csv_text(rows):
     return buf.getvalue()
 
 
-def read_csv_rows(path):
-    """Read back a sweep CSV, skipping the units comment above the header.
-
-    Each cell comes back as the string write_csv was given, unless it holds a
-    carriage return, which the writer leaves unquoted under its newline line
-    terminator.
-    """
-    with open(path, newline="") as fh:
-        lines = list(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
-        raise FormatError(f"{path} is empty")
-    missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
-    if missing:
-        raise FormatError(f"{path} lacks expected columns {missing}")
-    return list(reader)
+def plotted_outputs(spec):
+    """The plotted outputs, rate_mc and rate_lb, that the spec holds: one or both."""
+    series = [c for c in ("rate_mc", "rate_lb") if c in spec.outputs]
+    if not series:
+        raise ParameterError(f"a plot needs rate_mc or rate_lb among the outputs {spec.outputs}")
+    return series
 
 
-def emit_plot_script(csv_path, spec):
-    """Self-contained gnuplot script for one sweep CSV.
+def emit_plot_script(csv_path, spec, rows):
+    """Self-contained gnuplot script that plots `rows`, as written to csv_path.
 
     Rows are grouped into curves by whichever identity columns actually vary
     (other than the swept axis); each curve gets a rate_mc errorbar series
-    and, when present, a dashed rate_lb series.
+    and a dashed rate_lb series, each when the spec outputs it.
     """
-    rows = read_csv_rows(csv_path)
-    if not rows:
-        raise FormatError(f"{csv_path} has no data rows")
+    series = plotted_outputs(spec)
     axis_col = AXIS_COLUMN[spec.axis]
     identity = [c for c in ("L", "K", "N", "M", "bits", "B", "tau", "beta",
                             "snr_db", "pilot_snr_db") if c != axis_col]
     # a column separates curves only if it varies among rows sharing an axis
-    # value (columns merely derived from the axis, like tau = K, are not
-    # identities)
-    by_axis = {}
-    for r in rows:
-        by_axis.setdefault(r[axis_col], []).append(r)
-    varying = [c for c in identity
-               if any(len({r[c] for r in grp}) > 1 for grp in by_axis.values())]
-
-    groups = []
-    seen = {}
-    for r in rows:
-        key = tuple(r[c] for c in varying)
-        if key not in seen:
-            seen[key] = True
-            groups.append(key)
+    # value, i.e. has more distinct (axis, column) pairs than axis values
+    # (columns merely derived from the axis, like tau = K, are not identities)
+    axis_values = {r[axis_col] for r in rows}
+    varying = [c for c in identity if len({(r[axis_col], r[c]) for r in rows}) > len(axis_values)]
+    groups = list(dict.fromkeys(tuple(r[c] for c in varying) for r in rows))
 
     col_idx = {c: i + 1 for i, c in enumerate(CSV_COLUMNS)}
-    have_mc = any(r["rate_mc"] != "" for r in rows)
-    have_lb = any(r["rate_lb"] != "" for r in rows)
 
     lines = [
         "# gnuplot script generated by mmwsim",
@@ -245,12 +216,12 @@ def emit_plot_script(csv_path, spec):
         ) or "1"
         label = ", ".join(f"{c}={v}" for c, v in zip(varying, key)) or spec.scenario_id
         x = f"(({cond}) ? ${col_idx[axis_col]} : 1/0)"
-        if have_mc:
+        if "rate_mc" in series:
             plots.append(
                 f"'{csv_path}' using {x}:(${col_idx['rate_mc']}):(${col_idx['ci95']}) "
                 f"with yerrorlines title \"{label} simulated\""
             )
-        if have_lb:
+        if "rate_lb" in series:
             plots.append(
                 f"'{csv_path}' using {x}:(${col_idx['rate_lb']}) "
                 f"with lines dashtype 2 title \"{label} bound\""

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from .channel import steering_vector
+from .channel import dirichlet, steering_vector
+from .config import codebook_zeta
 from .errors import ParameterError
 
 
@@ -12,8 +13,7 @@ def build_codebook(B):
     """Candidate phases [zeta, 3*zeta, ..., (2^(B+1)-1)*zeta], zeta = pi/2^(B+1)."""
     if B < 0:
         raise ParameterError(f"B must be >= 0, got {B}")
-    zeta = math.pi / 2 ** (B + 1)
-    return (2 * np.arange(2 ** B) + 1) * zeta
+    return (2 * np.arange(2 ** B) + 1) * codebook_zeta(B)
 
 
 def beamformer_from_angle(phi_hat, M):
@@ -21,15 +21,12 @@ def beamformer_from_angle(phi_hat, M):
 
     phi_hat may be an array; the element axis is appended last.
     """
-    if M < 1:
-        raise ParameterError(f"M must be >= 1, got {M}")
     return steering_vector(phi_hat, M) / math.sqrt(M)
 
 
 def gain_lower_bound(M, B):
     """Noiseless in-cell gain floor sqrt(M) * sinc(M*pi*zeta/2), valid for zeta <= 2/M."""
-    zeta = math.pi / 2 ** (B + 1)
-    x = 0.5 * M * math.pi * zeta
+    x = 0.5 * M * math.pi * codebook_zeta(B)
     return math.sqrt(M) * (math.sin(x) / x if x != 0.0 else 1.0)
 
 
@@ -39,21 +36,15 @@ def _candidate_gains(cos_phi, cos_codebook, M):
     cos_phi may be any array shape; a trailing codebook axis is appended.
     """
     x = np.pi * (np.asarray(cos_phi)[..., None] - cos_codebook)
-    num = np.sin(0.5 * M * x)
-    den = np.sin(0.5 * x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.abs(num / den)
-    return np.where(np.abs(den) < 1e-12, float(M), mag) / math.sqrt(M)
+    return np.abs(dirichlet(M, 0.5 * x)) / math.sqrt(M)
 
 
-def select_beams(own_phi, amp, codebook, M, nu=None):
-    """Codebook phase maximizing each user's received tone magnitude.
+def select_beams(own_phi, amp, codebook, M):
+    """Codebook phase maximizing each user's noiseless received tone magnitude.
 
     own_phi holds own-cell angles phi[l, l, k] with any leading shape; amp is
     the tone amplitude beta_llk^(1/2), broadcastable against the candidate
-    scores (..., 2^B); nu is the matching complex observation noise, or None
-    for noiseless selection.  Ties break toward the smallest codebook index.
+    scores (..., 2^B).  Ties break toward the smallest codebook index.
     """
-    cand = _candidate_gains(np.cos(own_phi), np.cos(codebook), M)
-    scores = amp * cand if nu is None else np.abs(amp * cand + nu)
+    scores = amp * _candidate_gains(np.cos(own_phi), np.cos(codebook), M)
     return codebook[np.argmax(scores, axis=-1)]

@@ -110,22 +110,15 @@ class TrainingResult:
     codebook: np.ndarray
 
 
-def train_beams(realization, cfg, noise_var=None, rng=None):
-    """Run AoA selection for every user and tabulate all cross-cell gains.
-
-    Cells train on orthogonal resources, so there is no inter-cell
-    interference here; only thermal noise (optional) perturbs the selection.
-    """
-    L, K, M = realization.L, realization.K, realization.M
+def train_beams(realization, cfg):
+    """Run noiseless AoA selection for every user and tabulate all cross-cell
+    gains.  Cells train on orthogonal resources, so nothing perturbs the
+    selection."""
+    L, M = realization.L, realization.M
     codebook = build_codebook(cfg.B)
-    nu = None
-    if noise_var is not None:
-        if rng is None:
-            raise ParameterError("noisy training needs an rng")
-        nu = complex_normal(rng, (L, K, codebook.size), noise_var)
     cells = np.arange(L)
     amp = np.sqrt(realization.beta[cells, cells])[..., None]      # (L, K, 1)
-    phi_hat = select_beams(realization.phi[cells, cells], amp, codebook, M, nu)  # (L, K)
+    phi_hat = select_beams(realization.phi[cells, cells], amp, codebook, M)  # (L, K)
     w = beamformer_from_angle(phi_hat, M)
 
     # c[j, l, k] = h_U[j, l, k]^H w[l, k]

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import mmwsim
 
@@ -14,7 +15,8 @@ PUBLIC = [
 ]
 
 # the per-realization reference pipeline and the paper's MMSE estimator live
-# in tests/oracles.py; the rest had no caller outside the tests
+# in tests/oracles.py; the rest had no caller outside the tests.  Keys name a
+# module or a class in it.
 RETIRED = {
     "channel": ["ChannelRealization", "sample_channel", "effective_channel",
                 "dump_realization_csv"],
@@ -26,8 +28,27 @@ RETIRED = {
              "interference_power"],
     "quantize": ["BussgangModel", "total_rx_gain", "quant_noise_power_data",
                  "quant_noise_power_pilot"],
-    "errors": ["DegenerateInputError"],
+    "errors": ["DegenerateInputError", "FormatError"],
+    "rng": ["STAGE_TRAINING"],
+    "sweep": ["read_csv_rows"],
+    "bounds": ["sinc"],
+    "bounds.BoundInputs": ["euler_a"],
+    "config.SystemConfig": ["zeta", "log_rate"],
 }
+
+SIGNATURES = {
+    "rate.ergodic_rate": "(cfg, trials, mode='semi')",
+    "training.select_beams": "(own_phi, amp, codebook, M)",
+    "quantize.lloyd_max_design": "(bits)",
+    "quantize.lloyd_max_distortion": "(bits)",
+    "sweep.emit_plot_script": "(csv_path, spec, rows)",
+}
+
+
+def _lookup(path):
+    module, _, attr = path.partition(".")
+    obj = importlib.import_module(f"mmwsim.{module}")
+    return getattr(obj, attr) if attr else obj
 
 
 def test_public_names():
@@ -36,6 +57,11 @@ def test_public_names():
 
 
 def test_retired_names_are_gone():
-    for module, names in RETIRED.items():
-        mod = importlib.import_module(f"mmwsim.{module}")
-        assert [n for n in names if hasattr(mod, n)] == []
+    for owner, names in RETIRED.items():
+        obj = _lookup(owner)
+        assert [n for n in names if hasattr(obj, n)] == []
+
+
+def test_signatures():
+    # beam training is noiseless and the quantizer design has one budget
+    assert {name: str(inspect.signature(_lookup(name))) for name in SIGNATURES} == SIGNATURES

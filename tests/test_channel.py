@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmwsim.bounds import eta1
-from mmwsim.channel import steering_vector
+from mmwsim.channel import dirichlet, steering_vector
 from mmwsim.config import SystemConfig, validate_config
 from mmwsim.errors import ParameterError
 from mmwsim.rng import substream
@@ -110,9 +110,10 @@ def test_effective_channel_shape_mismatch():
 
 
 def _inner_products(N, draws, rng):
+    """h(a)^H h(b) over independent uniform angle pairs, in closed form."""
     th = rng.uniform(0.0, np.pi, size=(2, draws))
-    n = np.arange(N)
-    return np.exp(1j * np.pi * np.outer(np.cos(th[0]) - np.cos(th[1]), n)).sum(axis=1)
+    x = (np.pi / 2) * (np.cos(th[0]) - np.cos(th[1]))
+    return np.exp(1j * (N - 1) * x) * dirichlet(N, x)
 
 
 def test_large_N_column_orthogonality():
@@ -124,3 +125,14 @@ def test_large_N_column_orthogonality():
     predicted = eta1(N) / N
     assert abs(np.mean(vals) - predicted) < 3 * se
     assert abs(np.mean(vals)) < predicted + 3 * se
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 1024])
+def test_dirichlet_is_the_steering_inner_product(n):
+    # angle pairs with d = cos a - cos b at 0, at the endfire +-2, and between
+    a, b = np.array([(0.0, 0.0), (np.pi, np.pi), (np.pi / 2, np.pi / 2), (0.0, np.pi),
+                     (np.pi, 0.0), (0.3, 2.9), (1.1, 0.4), (2.0, 2.0 + 1e-9)]).T
+    x = (np.pi / 2) * (np.cos(a) - np.cos(b))
+    closed = np.exp(1j * (n - 1) * x) * dirichlet(n, x)
+    explicit = [np.vdot(steering_vector(p, n), steering_vector(q, n)) for p, q in zip(a, b)]
+    np.testing.assert_allclose(closed, explicit, rtol=0, atol=1e-9 * n)

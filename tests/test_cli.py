@@ -76,6 +76,15 @@ def test_bound_command_rejects_bad_config(capsys, tmp_path):
     assert "tau < K" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["null", "[]", "0", '""'])
+@pytest.mark.parametrize("extra", [[], ["--set", "K=2"]], ids=["plain", "with-set"])
+def test_config_file_must_hold_an_object(capsys, tmp_path, text, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["bound", "--config", str(cfg)] + extra) == 2
+    assert "config document must be a JSON object" in capsys.readouterr().err
+
+
 def test_simulate_command(capsys):
     rc = main(["simulate", "--set", "L=2", "--set", "K=2", "--set", "N=16",
                "--set", "M=2", "--set", "adc_bits=2", "--set", "p_t=1",
@@ -183,6 +192,21 @@ def test_sweep_plot_script_needs_out(capsys, tmp_path):
     assert "--plot-script needs --out" in captured.err
     assert "rate_mc=" not in captured.err and captured.out == ""
     assert not gp.exists()
+
+
+def test_sweep_plot_script_needs_a_plotted_output(capsys, tmp_path):
+    # a spec without rate_mc or rate_lb has nothing to plot: nothing runs
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"scenario_id": "t", "base": {"L": 1, "adc_bits": 2},
+                                "axis": "K", "values": [1, 2], "trials": 10,
+                                "outputs": ["ci95", "xi1"]}))
+    out, gp = tmp_path / "s.csv", tmp_path / "s.gp"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out),
+                 "--plot-script", str(gp)]) == 2
+    captured = capsys.readouterr()
+    assert "a plot needs rate_mc or rate_lb" in captured.err
+    assert "rate_mc=" not in captured.err and captured.out == ""
+    assert not out.exists() and not gp.exists()
 
 
 def test_validate_suite_exit_codes(capsys):

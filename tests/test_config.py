@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmwsim.cli import _resolve_config, build_parser
-from mmwsim.config import (RHO_AD_TABLE, SETTABLE_KEYS, SystemConfig, config_from_dict,
+from mmwsim.config import (SETTABLE_KEYS, SystemConfig, config_from_dict,
                            distortion_factor, load_config, set_param, validate_config)
 from mmwsim.errors import ConfigError, ParameterError
 
@@ -104,9 +104,9 @@ def test_json_round_trip(tmp_path):
 def test_set_param_snr_translation():
     doc = {"sigma_n2": 2.0}
     set_param(doc, "snr_db", -10)
-    assert doc["p_t"] == pytest.approx(0.2)
+    assert config_from_dict(doc).p_t == pytest.approx(0.2)
     set_param(doc, "pilot_snr_db", 10)
-    assert doc["p_p"] == pytest.approx(20.0)
+    assert config_from_dict(doc).p_p == pytest.approx(20.0)
     with pytest.raises(ParameterError):
         set_param(doc, "bogus", 1)
     with pytest.raises(ParameterError, match="antenna_spacing_ratio"):
@@ -114,10 +114,30 @@ def test_set_param_snr_translation():
             ["bound", "--set", "antenna_spacing_ratio=0.5"]))
 
 
-def test_table_matches_regenerated_fixed_point():
-    from mmwsim.quantize import lloyd_max_distortion
-    for b in range(1, 7):
-        assert lloyd_max_distortion(b) == pytest.approx(RHO_AD_TABLE[b], rel=1e-4)
+def _resolve(*settings):
+    argv = ["bound"] + [a for item in ("adc_bits=3",) + settings for a in ("--set", item)]
+    return _resolve_config(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("key", ["snr_db", "pilot_snr_db"])
+def test_db_key_translates_against_final_sigma_n2_in_any_order(key):
+    cfg = _resolve(f"{key}=10", "sigma_n2=2")
+    assert cfg == _resolve("sigma_n2=2", f"{key}=10")
+    assert cfg.sigma_n2 == 2.0
+    assert getattr(cfg, key) == pytest.approx(10.0, abs=1e-12)
+
+
+def test_later_of_db_key_and_power_wins_from_any_source(tmp_path):
+    assert _resolve("p_t=2", "snr_db=10").p_t == pytest.approx(10.0)
+    assert _resolve("snr_db=10", "p_t=2").p_t == 2.0
+    assert _resolve("p_p=2", "pilot_snr_db=10").p_p == pytest.approx(10.0)
+    assert _resolve("pilot_snr_db=10", "p_p=2").p_p == 2.0
+    # one document: its own key order decides
+    assert config_from_dict({"snr_db": 10, "p_t": 2}).p_t == 2
+    assert config_from_dict({"p_t": 2, "snr_db": 10, "sigma_n2": 2}).p_t == pytest.approx(20.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"adc_bits": 3, "pilot_snr_db": 10, "sigma_n2": 2}))
+    assert load_config(path).p_p == pytest.approx(20.0)
 
 
 @pytest.mark.parametrize("name", ["p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad"])

@@ -212,7 +212,7 @@ def test_pilot_phase_matches_oracle_mmse_form(L, K, tau, bits):
         cfg = validate_config(SystemConfig(L=L, K=K, N=16, M=2, tau=tau, adc_bits=bits,
                                            p_t=1.0, seed=seed))
         for trial in (0, 3):
-            theta0, c0 = rate._draw_block(cfg, range(trial, trial + 1), None)
+            theta0, c0 = rate._draw_block(cfg, range(trial, trial + 1))
             total = float(np.sum(large_scale_gains(cfg)[0] * np.abs(c0[0]) ** 2))
             eff, est = rate._pilot_phase(cfg, trial, theta0[0], c0[0], total)
             real = sample_channel(cfg, substream(seed, trial, STAGE_CHANNEL))

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmwsim import rate
+from mmwsim.channel import steering_vector
 from mmwsim.config import SystemConfig, validate_config
 from mmwsim.errors import InternalConsistencyError, ParameterError
 from mmwsim.quantize import quant_noise_power
 from mmwsim.rate import ergodic_rate
-from mmwsim.rng import STAGE_CHANNEL, STAGE_TRAINING, substream
+from mmwsim.rng import STAGE_CHANNEL, substream
 from mmwsim.sweep import _point_config, load_preset
 from mmwsim.training import build_codebook, _candidate_gains
 from oracles import _conditional_powers, pilot_statistics, sample_channel, train_beams
@@ -141,34 +142,33 @@ def test_ergodic_rate_deterministic():
     assert a.rate_mc == b.rate_mc
 
 
-@pytest.mark.parametrize("mode, noise_var", [("semi", None), ("semi", 0.5), ("symbol", None)])
-def test_ergodic_rate_block_size_invariant(monkeypatch, mode, noise_var):
+@pytest.mark.parametrize("mode", ["semi", "symbol"], ids=["semi-None", "symbol-None"])
+def test_ergodic_rate_block_size_invariant(monkeypatch, mode):
     # seed 7 realizes the destructive-contamination floor at trial 75
     cfg = _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7)
     trials = 30 if mode == "symbol" else 100
     reports = []
     for budget in (1, 10 ** 9):      # one trial per block; one block for all trials
         monkeypatch.setattr(rate, "BLOCK_BYTES", budget)
-        reports.append(ergodic_rate(cfg, trials, mode=mode, training_noise_var=noise_var))
+        reports.append(ergodic_rate(cfg, trials, mode=mode))
     one, whole = reports
     assert rate._block_trials(cfg) >= trials
     assert one.rate_mc == pytest.approx(whole.rate_mc, rel=1e-12)
     np.testing.assert_allclose(one.S, whole.S, rtol=1e-12)
     np.testing.assert_allclose(one.I, whole.I, rtol=1e-12)
     assert one.pathological == whole.pathological
-    if mode == "semi" and noise_var is None:
+    if mode == "semi":
         assert whole.pathological > 0
 
 
-def _oracle_powers(cfg, trials, noise_var=None):
+def _oracle_powers(cfg, trials):
     """Per-trial S, I (after the floor) and floor count from the vector path."""
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))
     bad = 0
     for t in range(trials):
         real = sample_channel(cfg, substream(cfg.seed, t, STAGE_CHANNEL))
-        tr_rng = None if noise_var is None else substream(cfg.seed, t, STAGE_TRAINING)
-        training = train_beams(real, cfg, noise_var=noise_var, rng=tr_rng)
+        training = train_beams(real, cfg)
         _, mu, _ = pilot_statistics(real, training, cfg)
         S[t], I_t, I_floor = _conditional_powers(real, training, mu[0],
                                                  _sigma_q2(cfg, real, training), cfg, 0)
@@ -177,9 +177,9 @@ def _oracle_powers(cfg, trials, noise_var=None):
     return S, I, bad
 
 
-def _assert_engine_matches_oracle(cfg, trials, noise_var=None):
-    rep = ergodic_rate(cfg, trials, training_noise_var=noise_var)
-    S, I, bad = _oracle_powers(cfg, trials, noise_var)
+def _assert_engine_matches_oracle(cfg, trials):
+    rep = ergodic_rate(cfg, trials)
+    S, I, bad = _oracle_powers(cfg, trials)
     np.testing.assert_allclose(rep.S, S, rtol=1e-9)
     np.testing.assert_allclose(rep.I, I, rtol=1e-9)
     assert rep.pathological == bad
@@ -192,16 +192,15 @@ def _fig2_cfg(K, **overrides):
     return validate_config(replace(cfg, validated=False, **overrides))
 
 
-@pytest.mark.parametrize("cfg, trials, noise_var", [
-    (_fig2_cfg(2), 60, None),
-    (_fig2_cfg(32), 12, None),
-    (_fig2_cfg(8, N=16), 40, None),
-    (_fig2_cfg(8, N=1024), 20, None),
-    (_fig2_cfg(4, L=1), 40, None),
-    (_fig2_cfg(4), 40, 0.5),
-], ids=["fig2-K2", "fig2-K32", "N16", "N1024", "L1", "noisy-training"])
-def test_block_engine_matches_vector_oracle(cfg, trials, noise_var):
-    _assert_engine_matches_oracle(cfg, trials, noise_var)
+@pytest.mark.parametrize("cfg, trials", [
+    (_fig2_cfg(2), 60),
+    (_fig2_cfg(32), 12),
+    (_fig2_cfg(8, N=16), 40),
+    (_fig2_cfg(8, N=1024), 20),
+    (_fig2_cfg(4, L=1), 40),
+], ids=["fig2-K2", "fig2-K32", "N16", "N1024", "L1"])
+def test_block_engine_matches_vector_oracle(cfg, trials):
+    _assert_engine_matches_oracle(cfg, trials)
 
 
 def test_block_engine_matches_oracle_on_contamination_floor():
@@ -209,6 +208,23 @@ def test_block_engine_matches_oracle_on_contamination_floor():
     cfg = _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7)
     rep = _assert_engine_matches_oracle(cfg, 80)
     assert rep.pathological > 0
+
+
+def test_semi_block_endfire_pair_matches_oracle():
+    # BS 0 sees user (0, 0) at theta = 0 and user (1, 0) at theta = pi, so
+    # h^H h' = (-1)^(N-1) N; pilot contamination makes the sign matter
+    for N in (63, 64):
+        cfg = _cfg(L=2, K=1, N=N, adc_bits=3, seed=3)
+        real = sample_channel(cfg, substream(cfg.seed, 0, STAGE_CHANNEL))
+        real.theta[0, :, 0] = (0.0, np.pi)
+        real.h_B[0] = steering_vector(real.theta[0], N)
+        training = train_beams(real, cfg)
+        _, mu, _ = pilot_statistics(real, training, cfg)
+        expect = _conditional_powers(real, training, mu[0],
+                                     _sigma_q2(cfg, real, training), cfg, 0)
+        got = rate._semi_block(cfg, real.theta[0][None], training.c[0][None])
+        for g, e in zip(got, expect):
+            np.testing.assert_allclose(g[0], e, rtol=1e-9)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,13 +1,14 @@
+import csv
 import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mmwsim import sweep
-from mmwsim.errors import FormatError, ParameterError
-from mmwsim.sweep import (CSV_COLUMNS, emit_plot_script, list_presets, load_preset,
-                          read_csv_rows, rows_to_csv_text, run_sweep,
-                          sweep_spec_from_dict, write_csv)
+from mmwsim.errors import ConfigError, ParameterError
+from mmwsim.sweep import (CSV_COLUMNS, _point_config, emit_plot_script, list_presets,
+                          load_preset, rows_to_csv_text, run_sweep, sweep_spec_from_dict,
+                          write_csv)
 
 
 def _tiny_spec(**kw):
@@ -62,6 +63,42 @@ def test_unknown_base_key_rejected():
         _tiny_spec(base={"L": 2, "frequency": 28e9})
 
 
+@pytest.mark.parametrize("curves, message", [
+    ([], "non-empty"),
+    ([{}, 5], "must be an object"),
+    ([{"adc_bits": 1}, ["N", 8]], "must be an object"),
+    ([{"adc_bits": 1}, {"frequency": 28e9}], "unknown curve config keys"),
+], ids=["empty", "number", "list", "unknown-key"])
+def test_bad_curves_rejected_at_load(curves, message):
+    with pytest.raises(ParameterError, match=message):
+        _tiny_spec(curves=curves)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("base", "K", 2.7), ("base", "L", True), ("base", "adc_bits", 1.9),
+    ("axis", "K", 2.7), ("axis", "adc_bits", 1.9),
+])
+def test_wrongly_typed_values_fail_before_any_point(monkeypatch, where, key, value):
+    # JSON values keep their types, so validate_config rejects them as it
+    # does in a --config file, and every point resolves before one runs
+    monkeypatch.setattr(sweep, "lower_bound_rate", pytest.fail)
+    base = {"L": 2, "N": 16, "M": 2, "adc_bits": 2, "K": 2}
+    if where == "base":
+        spec = _tiny_spec(base={**base, key: value}, axis="N", values=[16, 32])
+    else:
+        spec = _tiny_spec(base=base, axis=key, values=[1, value])
+    with pytest.raises(ConfigError, match=key):
+        run_sweep(spec)
+
+
+def test_curve_sigma_n2_keeps_base_snr():
+    # snr_db translates against the sigma_n2 of the resolved point
+    spec = _tiny_spec(base={"L": 2, "N": 16, "M": 2, "adc_bits": 2, "snr_db": 0})
+    cfg = _point_config(spec, {"sigma_n2": 4.0}, 2, {})
+    assert (cfg.sigma_n2, cfg.p_t) == (4.0, 4.0)
+    assert cfg.snr_db == 0.0
+
+
 def test_unknown_mode_rejected_before_any_point(monkeypatch):
     # at load, or at the run_sweep override before the first point's bound
     monkeypatch.setattr(sweep, "lower_bound_rate", pytest.fail)
@@ -113,12 +150,19 @@ def test_curves_and_seed_override():
     assert all(r["seed"] == 42 for r in rows)
 
 
+def _read_csv(path):
+    """Rows of a sweep CSV, below its units comment line."""
+    with open(path, newline="") as fh:
+        assert fh.readline() == sweep.CSV_UNITS_COMMENT + "\n"
+        return list(csv.DictReader(fh))
+
+
 def test_csv_round_trip(tmp_path):
     rows = run_sweep(_tiny_spec(outputs=["rate_lb"]))
     path = tmp_path / "out.csv"
     with open(path, "w") as fh:
         write_csv(rows, fh)
-    back = read_csv_rows(path)
+    back = _read_csv(path)
     assert len(back) == len(rows)
     assert back[0]["scenario_id"] == "tiny"
     assert path.read_text().startswith("#")  # units comment
@@ -141,16 +185,12 @@ def test_csv_round_trip_keeps_every_cell_property(rows, csv_dir):
     path = csv_dir / "rows.csv"
     with open(path, "w", newline="") as fh:
         write_csv(rows, fh)
-    assert read_csv_rows(path) == rows
+    assert _read_csv(path) == rows
 
 
 def test_plot_script_two_series(tmp_path):
     spec = _tiny_spec()
-    rows = run_sweep(spec)
-    path = tmp_path / "fig.csv"
-    with open(path, "w") as fh:
-        write_csv(rows, fh)
-    script = emit_plot_script(path, spec)
+    script = emit_plot_script(tmp_path / "fig.csv", spec, run_sweep(spec))
     assert script.count("yerrorlines") == 1  # one simulated series
     assert script.count("dashtype 2") == 1   # one bound series
     assert 'set ylabel "rate (bits/s/Hz)"' in script
@@ -159,23 +199,8 @@ def test_plot_script_two_series(tmp_path):
 def test_plot_script_groups_curves(tmp_path):
     spec = _tiny_spec(curves=[{"adc_bits": 1}, {"adc_bits": 3}],
                       outputs=["rate_lb"])
-    rows = run_sweep(spec)
-    path = tmp_path / "fig.csv"
-    with open(path, "w") as fh:
-        write_csv(rows, fh)
-    script = emit_plot_script(path, spec)
+    script = emit_plot_script(tmp_path / "fig.csv", spec, run_sweep(spec))
     assert "bits=1" in script and "bits=3" in script
-
-
-def test_plot_script_rejects_malformed_csv(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("foo,bar\n1,2\n")
-    with pytest.raises(FormatError):
-        emit_plot_script(path, _tiny_spec())
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(FormatError):
-        emit_plot_script(empty, _tiny_spec())
 
 
 def test_spec_json_round_trip(tmp_path):
