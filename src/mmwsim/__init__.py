@@ -4,7 +4,8 @@ matching closed-form lower bound, large-N limit, and low-SNR scaling laws."""
 
 __version__ = "0.1.0"
 
-from .config import SystemConfig, distortion_factor, load_config, validate_config
+from .config import SystemConfig, distortion_factor, load_config
+from .config import validate_config  # noqa: F401  importable, not public
 from .channel import steering_vector
 from .training import build_codebook
 from .estimation import build_pilot_matrix
@@ -16,7 +17,7 @@ from .bounds import (BoundInputs, BoundReport, asymptotic_limit, bessel_j0,
 from .sweep import SweepSpec, load_preset, run_sweep
 
 __all__ = [
-    "SystemConfig", "distortion_factor", "load_config", "validate_config",
+    "SystemConfig", "distortion_factor", "load_config",
     "steering_vector", "build_codebook", "build_pilot_matrix",
     "bussgang_decompose", "lloyd_max_quantize",
     "RateReport", "ergodic_rate",

@@ -8,7 +8,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.special
 
-from .config import validate_config
 from .errors import ParameterError
 from .training import gain_lower_bound
 
@@ -121,7 +120,6 @@ class BoundInputs:
 
 
 def bound_inputs(cfg):
-    cfg = cfg if cfg.validated else validate_config(cfg)
     c = gain_floor(cfg)
     L, K, M = cfg.L, cfg.K, cfg.M
     beta = cfg.beta_inter
@@ -152,7 +150,6 @@ class BoundReport:
 
 def lower_bound_rate(cfg):
     """Closed-form ergodic-rate lower bound and its term decomposition."""
-    cfg = cfg if cfg.validated else validate_config(cfg)
     iv = bound_inputs(cfg)
     c, lam, mu = iv.c, iv.lam, iv.mu
     e1, e2, e3 = iv.eta1, iv.eta2, iv.eta3
@@ -206,7 +203,6 @@ def asymptotic_limit(cfg):
 
     Diverges for a single cell (no pilot contamination); reported as +inf.
     """
-    cfg = cfg if cfg.validated else validate_config(cfg)
     if cfg.L == 1:
         return math.inf
     c = gain_floor(cfg)
@@ -219,7 +215,6 @@ def single_cell_bound(cfg):
     Algebraically identical to lower_bound_rate at L = 1; kept as a separate
     expression so the identity is testable.
     """
-    cfg = cfg if cfg.validated else validate_config(cfg)
     if cfg.L != 1:
         raise ParameterError(f"single_cell_bound needs L == 1, got L={cfg.L}")
     rho = cfg.rho
@@ -240,7 +235,6 @@ def single_cell_bound(cfg):
 
 def low_snr_approx(cfg):
     """(xi1, rate) for the low data & pilot SNR regime: xi1 = (1-rho)^2 N M^2 g_p."""
-    cfg = cfg if cfg.validated else validate_config(cfg)
     one = 1.0 - cfg.rho
     g_t = cfg.p_t / cfg.sigma_n2
     g_p = cfg.p_p / cfg.sigma_n2
@@ -250,7 +244,6 @@ def low_snr_approx(cfg):
 
 def high_pilot_approx(cfg):
     """(xi2, rate) for low data / high pilot SNR: xi2 = (1-rho)^2 N M / (1-rho+rho K/tau)."""
-    cfg = cfg if cfg.validated else validate_config(cfg)
     rho = cfg.rho
     one = 1.0 - rho
     g_t = cfg.p_t / cfg.sigma_n2

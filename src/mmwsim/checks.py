@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bounds, quantize
 from .channel import dirichlet
-from .config import SystemConfig, distortion_factor, validate_config
+from .config import SystemConfig, distortion_factor
 from .rate import ergodic_rate
 from .rng import complex_normal, substream
 from .training import build_codebook, gain_lower_bound, _candidate_gains
@@ -126,11 +126,11 @@ def xi_ordering_violations(rng, count=1000):
     for _ in range(count):
         K = int(rng.integers(1, 17))
         M = int(2 ** rng.integers(0, 4))
-        cfg = validate_config(SystemConfig(
+        cfg = SystemConfig(
             L=1, K=K, tau=int(rng.integers(K, 2 * K + 8)), M=M,
             N=int(2 ** rng.integers(4, 10)), adc_bits=int(rng.integers(1, 13)),
             p_t=float(rng.uniform(1e-3, 0.1)),
-            p_p=float(rng.uniform(1e-3, 1.0 / M)), sigma_n2=1.0))
+            p_p=float(rng.uniform(1e-3, 1.0 / M)), sigma_n2=1.0)
         violations += int(bounds.high_pilot_approx(cfg)[0] < bounds.low_snr_approx(cfg)[0])
     return violations
 
@@ -140,7 +140,7 @@ def bounds_suite(seed=99):
     out = []
     base = dict(K=4, N=64, M=2, adc_bits=3, p_t=0.1, p_p=1.0, sigma_n2=1.0)
 
-    cfg1 = validate_config(SystemConfig(L=1, **base))
+    cfg1 = SystemConfig(L=1, **base)
     full = bounds.lower_bound_rate(cfg1)
     out.append(CheckResult(
         "bounds", "single_cell_identity",
@@ -149,7 +149,7 @@ def bounds_suite(seed=99):
     def rlb(**kw):
         d = dict(L=3, **base)
         d.update(kw)
-        return bounds.lower_bound_rate(validate_config(SystemConfig(**d))).R_LB
+        return bounds.lower_bound_rate(SystemConfig(**d)).R_LB
 
     mono = [
         ("K", [1, 2, 4, 8], -1, {}),
@@ -166,10 +166,9 @@ def bounds_suite(seed=99):
             float(np.min(diffs)), 0.0, f"values={np.round(seq, 4).tolist()}"))
 
     # singling out the asymptotic limit
-    cfg_inf = validate_config(SystemConfig(L=3, K=4, N=64, M=2, adc_bits=1,
-                                           p_t=1.0, p_p=4.0, sigma_n2=1.0))
-    ladder = [bounds.lower_bound_rate(validate_config(SystemConfig(
-        L=3, K=4, N=int(n), M=2, adc_bits=1, p_t=1.0, p_p=4.0, sigma_n2=1.0))).R_LB
+    cfg_inf = SystemConfig(L=3, K=4, N=64, M=2, adc_bits=1, p_t=1.0, p_p=4.0, sigma_n2=1.0)
+    ladder = [bounds.lower_bound_rate(SystemConfig(
+        L=3, K=4, N=int(n), M=2, adc_bits=1, p_t=1.0, p_p=4.0, sigma_n2=1.0)).R_LB
         for n in np.logspace(2, 7, 8)]
     r_inf = bounds.asymptotic_limit(cfg_inf)
     out.append(CheckResult(
@@ -180,8 +179,7 @@ def bounds_suite(seed=99):
         abs(r_inf - ladder[-1]), 0.2, f"R_inf={r_inf:.4f}"))
 
     # low-SNR convergence of the single-cell approximation
-    cfg_lo = validate_config(SystemConfig(L=1, K=4, N=64, M=2, adc_bits=3,
-                                          p_t=1e-3, p_p=1e-3, sigma_n2=1.0))
+    cfg_lo = SystemConfig(L=1, K=4, N=64, M=2, adc_bits=3, p_t=1e-3, p_p=1e-3, sigma_n2=1.0)
     rep = bounds.lower_bound_rate(cfg_lo)
     g_t = cfg_lo.p_t / cfg_lo.sigma_n2
     rel = abs((2 ** rep.R_LB_s - 1) - rep.xi1 * g_t) / (2 ** rep.R_LB_s - 1)
@@ -213,8 +211,8 @@ def rate_suite(seed=11, trials=400):
     """Bound validity, gain-bound sweep, and mode agreement at reduced scale."""
     out = []
     for K in (2, 8):
-        cfg = validate_config(SystemConfig(
-            L=3, K=K, N=64, M=2, adc_bits=1, p_t=1.0, p_p=float(K), sigma_n2=1.0, seed=seed))
+        cfg = SystemConfig(
+            L=3, K=K, N=64, M=2, adc_bits=1, p_t=1.0, p_p=float(K), sigma_n2=1.0, seed=seed)
         rep = ergodic_rate(cfg, trials)
         lb = bounds.lower_bound_rate(cfg).R_LB
         out.append(CheckResult(
@@ -223,8 +221,8 @@ def rate_suite(seed=11, trials=400):
 
     out.extend(gain_bound_checks())
 
-    cfg = validate_config(SystemConfig(L=3, K=4, N=64, M=2, adc_bits=3,
-                                       p_t=1.0, p_p=4.0, sigma_n2=1.0, seed=seed))
+    cfg = SystemConfig(L=3, K=4, N=64, M=2, adc_bits=3, p_t=1.0, p_p=4.0, sigma_n2=1.0,
+                       seed=seed)
     semi = ergodic_rate(cfg, trials)
     symb = ergodic_rate(cfg, trials, mode="symbol")
     rel = abs(semi.rate_mc - symb.rate_mc) / semi.rate_mc

@@ -1,8 +1,8 @@
-"""Scenario configuration, validation, and the ADC distortion-factor table."""
+"""Scenario configuration, its checks, and the ADC distortion-factor table."""
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParameterError, ConfigError
 
@@ -54,26 +54,47 @@ class SystemConfig:
     """All scenario parameters for one simulation or bound evaluation.
 
     Powers are linear.  `tau` and `p_p` default to K and tau*p_t when left
-    unset.  Instances are immutable once validated.  Both arrays are
-    half-wavelength ULAs, as the closed-form bound assumes, and rates are in
-    bits.
+    unset.  Every instance is checked when it is built, and
+    `dataclasses.replace` builds a new one, so a SystemConfig that exists is
+    valid; the checks collect every violation into one ConfigError.  Both
+    arrays are half-wavelength ULAs, as the closed-form bound assumes, and
+    rates are in bits.
     """
 
     L: int = 1                      # cells
     K: int = 1                      # users per cell
     N: int = 64                     # BS antennas
     M: int = 2                      # user antennas
-    B: int = None                   # phase-shifter bits, default 6
+    B: int = 6                      # phase-shifter bits
     tau: int = None                 # pilot length, default K
     adc_bits: int = None            # ADC depth; ignored when rho_ad given
     rho_ad: float = None            # explicit distortion-factor override
     p_t: float = 1.0                # data transmit power
     p_p: float = None               # pilot power (total per user over tau)
     sigma_n2: float = 1.0           # noise power
-    beta_inter: float = None        # inter-cell large-scale factor, default 0.1
+    beta_inter: float = 0.1         # inter-cell large-scale factor
     seed: int = 0
-    warnings: tuple = ()            # attached by validate_config
-    validated: bool = False
+
+    def __post_init__(self):
+        # tau and p_p derive only from a K, tau and p_t that pass their type
+        # checks; otherwise they stay unset and only the field at fault is reported
+        if self.tau is None and _is_int(self.K):
+            object.__setattr__(self, "tau", self.K)
+        if self.p_p is None and _is_int(self.tau) and _is_finite_number(self.p_t):
+            object.__setattr__(self, "p_p", self.tau * self.p_t)
+        errors = _violations(self)
+        if errors:
+            raise ConfigError(errors)
+
+    @property
+    def warnings(self):
+        """Non-fatal notes.  The analytic lower gain bound only holds for
+        zeta <= 2/M; wider codebook intervals are allowed but flagged."""
+        zeta = codebook_zeta(self.B)
+        if zeta <= 2.0 / self.M:
+            return ()
+        return (f"zeta = pi/2^(B+1) = {zeta:.4g} exceeds 2/M = {2.0 / self.M:.4g}; "
+                "the analog-gain lower bound is not asserted",)
 
     @property
     def rho(self):
@@ -99,32 +120,10 @@ def _is_finite_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def validate_config(cfg):
-    """Normalize and check a SystemConfig.
-
-    Fills defaults (beta_inter=0.1, B=6, tau=K, p_p=tau*p_t), collects every
-    violation instead of stopping at the first, and attaches non-fatal
-    warnings to the returned config.  Idempotent.
-    """
+def _violations(cfg):
+    """Every violation in a config whose defaults are filled, as messages."""
     errors = []
-    warnings = []
-
-    updates = {}
-    if cfg.beta_inter is None:
-        updates["beta_inter"] = 0.1
-    if cfg.B is None:
-        updates["B"] = 6
-    # tau and p_p derive only from a K, tau and p_t that pass their type
-    # checks; otherwise they stay unset and only the field at fault is reported
-    if cfg.tau is None and _is_int(cfg.K):
-        updates["tau"] = cfg.K
-    tau = updates.get("tau", cfg.tau)
-    if cfg.p_p is None and _is_int(tau) and _is_finite_number(cfg.p_t):
-        updates["p_p"] = tau * cfg.p_t
-    cfg = replace(cfg, **updates)
-    underived = {name for name in ("tau", "p_p") if getattr(cfg, name) is None}
-
-    bad = set(underived)
+    bad = {name for name in ("tau", "p_p") if getattr(cfg, name) is None}
     for name, low in (("L", 1), ("K", 1), ("N", 1), ("M", 1), ("B", 0), ("tau", 1),
                       ("seed", 0)):
         v = getattr(cfg, name)
@@ -158,20 +157,13 @@ def validate_config(cfg):
 
     if "beta_inter" not in bad and not 0.0 < cfg.beta_inter < 1.0:
         errors.append(f"beta_inter must be in (0, 1), got {cfg.beta_inter}")
+    return errors
 
-    if errors:
-        raise ConfigError(errors)
 
-    # The analytic lower gain bound only holds for zeta <= 2/M; wider
-    # codebook intervals are allowed but flagged.
-    zeta = codebook_zeta(cfg.B)
-    if zeta > 2.0 / cfg.M:
-        warnings.append(
-            f"zeta = pi/2^(B+1) = {zeta:.4g} exceeds 2/M = {2.0 / cfg.M:.4g}; "
-            "the analog-gain lower bound is not asserted"
-        )
-
-    return replace(cfg, warnings=tuple(warnings), validated=True)
+def validate_config(cfg):
+    """`cfg` itself: a SystemConfig is checked when it is built.  Kept for
+    callers written when configs were checked in a separate step."""
+    return cfg
 
 
 # Keys of settings dicts (`--set`, config documents, sweeps): the SystemConfig
@@ -204,7 +196,7 @@ def config_from_dict(doc):
 
     Keys apply in order, as set_param sets them; then snr_db and pilot_snr_db
     translate against the final sigma_n2.  Values keep their types, for
-    validate_config to check.
+    SystemConfig to check.
     """
     unknown = sorted(set(doc) - SETTABLE_KEYS)
     if unknown:
@@ -217,8 +209,11 @@ def config_from_dict(doc):
         value = fields_doc.pop(db)
         if not _is_finite_number(value):
             raise ConfigError(f"{db} must be a finite number, got {value!r}")
-        if _is_finite_number(sigma_n2):   # otherwise validate_config reports it
-            fields_doc[_DB_POWER[db]] = sigma_n2 * 10.0 ** (value / 10.0)
+        if _is_finite_number(sigma_n2):   # otherwise SystemConfig reports it
+            try:
+                fields_doc[_DB_POWER[db]] = sigma_n2 * 10.0 ** (value / 10.0)
+            except OverflowError:
+                raise ConfigError(f"{db} = {value!r} dB overflows a float power") from None
     return SystemConfig(**fields_doc)
 
 

@@ -21,7 +21,5 @@ def build_pilot_matrix(tau, K):
 
 def noise_equivalent_mu(cfg, sigma_pq2):
     """Equivalent estimation-noise power: sigma_n^2/P_p + sigma_pq^2/((1-rho)^2 P_p)."""
-    if cfg.p_p <= 0:
-        raise ParameterError("p_p must be > 0")
     rho = cfg.rho
     return cfg.sigma_n2 / cfg.p_p + sigma_pq2 / ((1.0 - rho) ** 2 * cfg.p_p)

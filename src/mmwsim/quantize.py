@@ -1,7 +1,7 @@
 """Scalar MMSE quantization and its linearized (gain + uncorrelated noise) model.
 
 The analysis path only ever needs the distortion factor and the two noise
-powers; the actual quantizer exists so the linearized model can be validated
+powers; the actual quantizer exists so the linearized model can be checked
 empirically and so the rate engine has a fully-sampled mode.
 """
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .channel import draw_angles, large_scale_gains, steering_vector
-from .config import validate_config
 from .errors import InternalConsistencyError, ParameterError
 from .estimation import build_pilot_matrix, noise_equivalent_mu
 from .quantize import lloyd_max_quantize, quant_noise_power
@@ -76,8 +75,7 @@ def _draw_block(cfg, trials):
         phi[i], theta[i] = draw_angles(
             cfg, rngmod.substream(cfg.seed, t, rngmod.STAGE_CHANNEL))
     cells = np.arange(L)
-    amp = np.sqrt(large_scale_gains(cfg)[cells, cells])[..., None]
-    phi_hat = select_beams(phi[:, cells, cells], amp, build_codebook(cfg.B), M)   # (T, L, K)
+    phi_hat = select_beams(phi[:, cells, cells], build_codebook(cfg.B), M)   # (T, L, K)
     w = beamformer_from_angle(phi_hat, M)
     c0 = np.einsum("tlkm,tlkm->tlk", steering_vector(phi[:, 0], M).conj(), w)
     return theta[:, 0], c0
@@ -214,7 +212,6 @@ def ergodic_rate(cfg, trials, mode="semi"):
     BLOCK_BYTES, and every trial draws from its own (seed, trial, stage)
     substreams, so the result does not depend on the block size.
     """
-    cfg = cfg if cfg.validated else validate_config(cfg)
     if trials < 10:
         raise ParameterError(f"trials must be >= 10, got {trials}")
     if mode not in MODES:

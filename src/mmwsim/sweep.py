@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 from .bounds import lower_bound_rate
-from .config import SETTABLE_KEYS, config_from_dict, set_param, validate_config
+from .config import SETTABLE_KEYS, config_from_dict, set_param
 from .errors import ParameterError
 from .rate import MODES, ergodic_rate
 
@@ -93,7 +93,7 @@ def list_presets():
 
 
 def _point_config(spec, curve, value, overrides):
-    """Resolve one (curve, axis value) pair into a validated SystemConfig.
+    """Resolve one (curve, axis value) pair into a SystemConfig.
 
     Settings apply in order: base, curve, axis value, then `overrides`.
     """
@@ -101,7 +101,7 @@ def _point_config(spec, curve, value, overrides):
     for layer in (spec.base, curve, {spec.axis: value}, overrides):
         for k, v in layer.items():
             set_param(doc, k, v)
-    return validate_config(config_from_dict(doc))
+    return config_from_dict(doc)
 
 
 def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
@@ -130,7 +130,7 @@ def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
 
 
 def sweep_row(scenario_id, cfg, trials, report, mc=None, outputs=OUTPUT_COLUMNS):
-    """One CSV row for a validated config: its identity columns, then the
+    """One CSV row for a config: its identity columns, then the
     selected outputs, formatted; the rest of OUTPUT_COLUMNS stay empty.
 
     `report` is the config's lower_bound_rate, `mc` its ergodic_rate report or

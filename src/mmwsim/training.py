@@ -39,12 +39,12 @@ def _candidate_gains(cos_phi, cos_codebook, M):
     return np.abs(dirichlet(M, 0.5 * x)) / math.sqrt(M)
 
 
-def select_beams(own_phi, amp, codebook, M):
+def select_beams(own_phi, codebook, M):
     """Codebook phase maximizing each user's noiseless received tone magnitude.
 
-    own_phi holds own-cell angles phi[l, l, k] with any leading shape; amp is
-    the tone amplitude beta_llk^(1/2), broadcastable against the candidate
-    scores (..., 2^B).  Ties break toward the smallest codebook index.
+    own_phi holds own-cell angles phi[l, l, k] with any leading shape.  The
+    tone amplitude beta_llk^(1/2) is 1 for every own-cell user, so it does not
+    scale the scores.  Ties break toward the smallest codebook index.
     """
-    scores = amp * _candidate_gains(np.cos(own_phi), np.cos(codebook), M)
+    scores = _candidate_gains(np.cos(own_phi), np.cos(codebook), M)
     return codebook[np.argmax(scores, axis=-1)]

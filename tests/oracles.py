@@ -59,7 +59,7 @@ class ChannelRealization:
 
 
 def sample_channel(cfg, rng):
-    """Draw one ChannelRealization for a validated config.
+    """Draw one ChannelRealization for a config.
 
     Angles are i.i.d. uniform on [0, pi] for every (j, l, k) triple; the
     large-scale gain is 1 intra-cell and cfg.beta_inter across cells.
@@ -117,8 +117,7 @@ def train_beams(realization, cfg):
     L, M = realization.L, realization.M
     codebook = build_codebook(cfg.B)
     cells = np.arange(L)
-    amp = np.sqrt(realization.beta[cells, cells])[..., None]      # (L, K, 1)
-    phi_hat = select_beams(realization.phi[cells, cells], amp, codebook, M)  # (L, K)
+    phi_hat = select_beams(realization.phi[cells, cells], codebook, M)  # (L, K)
     w = beamformer_from_angle(phi_hat, M)
 
     # c[j, l, k] = h_U[j, l, k]^H w[l, k]

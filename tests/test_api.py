@@ -4,7 +4,7 @@ import inspect
 import mmwsim
 
 PUBLIC = [
-    "SystemConfig", "distortion_factor", "load_config", "validate_config",
+    "SystemConfig", "distortion_factor", "load_config",
     "steering_vector", "build_codebook", "build_pilot_matrix",
     "bussgang_decompose", "lloyd_max_quantize",
     "RateReport", "ergodic_rate",
@@ -33,12 +33,12 @@ RETIRED = {
     "sweep": ["read_csv_rows"],
     "bounds": ["sinc"],
     "bounds.BoundInputs": ["euler_a"],
-    "config.SystemConfig": ["zeta", "log_rate"],
+    "config.SystemConfig": ["zeta", "log_rate", "validated"],
 }
 
 SIGNATURES = {
     "rate.ergodic_rate": "(cfg, trials, mode='semi')",
-    "training.select_beams": "(own_phi, amp, codebook, M)",
+    "training.select_beams": "(own_phi, codebook, M)",
     "quantize.lloyd_max_design": "(bits)",
     "quantize.lloyd_max_distortion": "(bits)",
     "sweep.emit_plot_script": "(csv_path, spec, rows)",
@@ -63,5 +63,5 @@ def test_retired_names_are_gone():
 
 
 def test_signatures():
-    # beam training is noiseless and the quantizer design has one budget
+    # beam training is noiseless and unweighted; the quantizer design has one budget
     assert {name: str(inspect.signature(_lookup(name))) for name in SIGNATURES} == SIGNATURES

@@ -3,7 +3,7 @@ import pytest
 
 from mmwsim.bounds import eta1
 from mmwsim.channel import dirichlet, steering_vector
-from mmwsim.config import SystemConfig, validate_config
+from mmwsim.config import SystemConfig
 from mmwsim.errors import ParameterError
 from mmwsim.rng import substream
 from oracles import effective_channel, sample_channel, train_beams
@@ -12,7 +12,7 @@ from oracles import effective_channel, sample_channel, train_beams
 def _cfg(**kw):
     base = dict(L=2, K=3, N=16, M=4, adc_bits=3, p_t=1.0, seed=1)
     base.update(kw)
-    return validate_config(SystemConfig(**base))
+    return SystemConfig(**base)
 
 
 def test_steering_vector_broadside():

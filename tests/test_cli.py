@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mmwsim.cli import main
-from mmwsim.config import SystemConfig, validate_config
+from mmwsim.config import SystemConfig
 from mmwsim.rng import STAGE_CHANNEL, STAGE_PILOT, substream
 from oracles import estimate_all, sample_channel, train_beams
 
@@ -76,6 +76,19 @@ def test_bound_command_rejects_bad_config(capsys, tmp_path):
     assert "tau < K" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, settings, key", [
+    ({}, ["adc_bits=3", "snr_db=4000"], "snr_db = 4000.0"),
+    ({"adc_bits": 3, "pilot_snr_db": 1e5}, [], "pilot_snr_db = 100000.0"),
+], ids=["set", "config"])
+def test_overflowing_db_setting_exits_2(capsys, tmp_path, doc, settings, key):
+    # 10^(dB/10) overflows a float: a config error naming the key, not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["bound", "--config", str(cfg)] + [a for item in settings for a in ("--set", item)]
+    assert main(argv) == 2
+    assert f"error: {key} dB overflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["null", "[]", "0", '""'])
 @pytest.mark.parametrize("extra", [[], ["--set", "K=2"]], ids=["plain", "with-set"])
 def test_config_file_must_hold_an_object(capsys, tmp_path, text, extra):
@@ -88,7 +101,7 @@ def test_config_file_must_hold_an_object(capsys, tmp_path, text, extra):
 def test_simulate_command(capsys):
     rc = main(["simulate", "--set", "L=2", "--set", "K=2", "--set", "N=16",
                "--set", "M=2", "--set", "adc_bits=2", "--set", "p_t=1",
-               "--set", "p_p=2", "--trials", "30", "--seed", "5"])
+               "--set", "p_p=2", "--set", "seed=5", "--trials", "30"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "ergodic rate" in out and "lower bound" in out
@@ -113,7 +126,7 @@ def test_simulate_symbol_mode_and_dump(capsys, tmp_path):
     # the dump holds BS 0's row of trial 0 as the reference pipeline computes
     # it, with the error powers of the pilot phase symbol mode samples: the
     # real quantizer on the first realization
-    cfg = validate_config(SystemConfig(L=2, K=2, N=16, M=2, adc_bits=3, p_t=1.0, p_p=2.0))
+    cfg = SystemConfig(L=2, K=2, N=16, M=2, adc_bits=3, p_t=1.0, p_p=2.0)
     real = sample_channel(cfg, substream(cfg.seed, 0, STAGE_CHANNEL))
     training = train_beams(real, cfg)
     est = estimate_all(real, training, cfg, substream(cfg.seed, 0, STAGE_PILOT),
@@ -209,8 +222,9 @@ def test_sweep_plot_script_needs_a_plotted_output(capsys, tmp_path):
     assert not out.exists() and not gp.exists()
 
 
-def test_validate_suite_exit_codes(capsys):
-    assert main(["validate", "--suite", "bounds"]) == 0
+@pytest.mark.parametrize("suite", ["bounds", "rate"])
+def test_validate_suite_exit_codes(capsys, suite):
+    assert main(["validate", "--suite", suite]) == 0
     out = capsys.readouterr().out
-    assert "PASS bounds/single_cell_identity" in out
+    assert f"PASS {suite}/" in out and "FAIL" not in out
     assert "checks passed" in out

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,47 +36,66 @@ def test_distortion_factor_rejects_bad_bits(bits):
 
 
 def test_defaults_filled():
-    cfg = validate_config(SystemConfig(L=2, K=8, N=32, M=2, adc_bits=2, p_t=0.5))
+    cfg = SystemConfig(L=2, K=8, N=32, M=2, adc_bits=2, p_t=0.5)
     assert cfg.beta_inter == 0.1
     assert cfg.B == 6
     assert cfg.tau == 8
     assert cfg.p_p == 8 * 0.5
-    assert cfg.validated
 
 
 def test_tau_less_than_K_is_hard_error():
     with pytest.raises(ConfigError, match="tau < K"):
-        validate_config(SystemConfig(K=8, tau=4, adc_bits=1))
+        SystemConfig(K=8, tau=4, adc_bits=1)
 
 
 def test_all_violations_collected():
     with pytest.raises(ConfigError) as err:
-        validate_config(SystemConfig(K=8, tau=4, adc_bits=40, p_t=-1.0, sigma_n2=0.0))
+        SystemConfig(K=8, tau=4, adc_bits=40, p_t=-1.0, sigma_n2=0.0)
     assert len(err.value.errors) >= 4
 
 
 def test_rho_override_beats_bits():
-    cfg = validate_config(SystemConfig(adc_bits=1, rho_ad=0.25))
+    cfg = SystemConfig(adc_bits=1, rho_ad=0.25)
     assert cfg.rho == 0.25
 
 
 def test_missing_quantizer_spec_is_error():
     with pytest.raises(ConfigError, match="adc_bits or rho_ad"):
-        validate_config(SystemConfig(adc_bits=None, rho_ad=None))
+        SystemConfig(adc_bits=None, rho_ad=None)
 
 
 def test_wide_codebook_interval_warns_not_fails():
     # zeta = pi/4 > 2/8 for B=1, M=8
-    cfg = validate_config(SystemConfig(M=8, B=1, adc_bits=3))
+    cfg = SystemConfig(M=8, B=1, adc_bits=3)
     assert any("lower bound" in w for w in cfg.warnings)
-    ok = validate_config(SystemConfig(M=8, B=6, adc_bits=3))
+    ok = SystemConfig(M=8, B=6, adc_bits=3)
     assert ok.warnings == ()
 
 
+def test_replace_rechecks_tau_against_K():
+    # tau was filled from K=2 when cfg was built, so K=8 breaks orthogonality
+    cfg = SystemConfig(L=3, K=2, adc_bits=3)
+    with pytest.raises(ConfigError, match="tau < K"):
+        replace(cfg, K=8)
+
+
+@pytest.mark.parametrize("name, value", [("beta_inter", 5.0), ("p_t", -1.0)])
+def test_replace_rechecks_ranges(name, value):
+    cfg = SystemConfig(L=3, K=2, adc_bits=3)
+    with pytest.raises(ConfigError, match=name):
+        replace(cfg, **{name: value})
+
+
+def test_replace_recomputes_warnings():
+    cfg = SystemConfig(L=3, K=2, adc_bits=3)
+    assert cfg.warnings == ()
+    assert any("lower bound" in w for w in replace(cfg, B=1, M=16).warnings)
+
+
 def test_validate_is_idempotent():
-    cfg = validate_config(SystemConfig(L=3, K=4, adc_bits=3, seed=5))
-    again = validate_config(cfg)
-    assert again == cfg
+    # configs are checked when built; the old entry point stays importable
+    cfg = SystemConfig(L=3, K=4, adc_bits=3, seed=5)
+    assert validate_config(cfg) is cfg
 
 
 def test_unknown_json_key_is_hard_error(tmp_path):
@@ -96,13 +115,13 @@ def test_json_round_trip(tmp_path):
            "p_p": 4.0, "sigma_n2": 1.0, "seed": 7}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    cfg = validate_config(load_config(path))
+    cfg = load_config(path)
     assert (cfg.L, cfg.K, cfg.N, cfg.M) == (3, 4, 64, 2)
     assert cfg.seed == 7
 
 
 def test_set_param_snr_translation():
-    doc = {"sigma_n2": 2.0}
+    doc = {"adc_bits": 3, "sigma_n2": 2.0}
     set_param(doc, "snr_db", -10)
     assert config_from_dict(doc).p_t == pytest.approx(0.2)
     set_param(doc, "pilot_snr_db", 10)
@@ -133,8 +152,9 @@ def test_later_of_db_key_and_power_wins_from_any_source(tmp_path):
     assert _resolve("p_p=2", "pilot_snr_db=10").p_p == pytest.approx(10.0)
     assert _resolve("pilot_snr_db=10", "p_p=2").p_p == 2.0
     # one document: its own key order decides
-    assert config_from_dict({"snr_db": 10, "p_t": 2}).p_t == 2
-    assert config_from_dict({"p_t": 2, "snr_db": 10, "sigma_n2": 2}).p_t == pytest.approx(20.0)
+    assert config_from_dict({"adc_bits": 3, "snr_db": 10, "p_t": 2}).p_t == 2
+    assert config_from_dict({"adc_bits": 3, "p_t": 2, "snr_db": 10,
+                             "sigma_n2": 2}).p_t == pytest.approx(20.0)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"adc_bits": 3, "pilot_snr_db": 10, "sigma_n2": 2}))
     assert load_config(path).p_p == pytest.approx(20.0)
@@ -144,17 +164,13 @@ def test_later_of_db_key_and_power_wins_from_any_source(tmp_path):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_numbers_rejected(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
-        validate_config(SystemConfig(adc_bits=2, **{name: value}))
+        SystemConfig(adc_bits=2, **{name: value})
 
 
 def test_infinite_power_fails_before_any_rate():
-    from mmwsim.bounds import lower_bound_rate
-    from mmwsim.rate import ergodic_rate
-    cfg = SystemConfig(L=2, K=2, adc_bits=2, p_t=math.inf)
+    # the config cannot be built, so no rate or bound ever sees it
     with pytest.raises(ConfigError):
-        ergodic_rate(cfg, 10)
-    with pytest.raises(ConfigError):
-        lower_bound_rate(cfg)
+        SystemConfig(L=2, K=2, adc_bits=2, p_t=math.inf)
 
 
 _WRONG_TYPES = [
@@ -179,7 +195,7 @@ _WRONG_TYPES = [
 def test_wrong_types_fail_with_config_error_naming_the_field(kw, message):
     # one error, for the field at fault, not for the defaults derived from it
     with pytest.raises(ConfigError) as err:
-        validate_config(SystemConfig(**{"adc_bits": 2, **kw}))
+        SystemConfig(**{"adc_bits": 2, **kw})
     assert err.value.errors == [message]
 
 
@@ -222,14 +238,13 @@ def test_settable_value_strategies_cover_every_key():
 @given(pairs=_settings())
 def test_config_json_round_trip_property(pairs, json_dir):
     doc = _doc(pairs)
-    cfg = validate_config(config_from_dict(doc))
+    cfg = config_from_dict(doc)
     path = json_dir / "doc.json"
     path.write_text(json.dumps(doc))
-    assert validate_config(load_config(path)) == cfg
-    # the validated config, written out field by field, loads back to itself
-    fields_doc = {k: v for k, v in asdict(cfg).items() if k not in ("warnings", "validated")}
-    path.write_text(json.dumps(fields_doc))
-    assert validate_config(load_config(path)) == cfg
+    assert load_config(path) == cfg
+    # the config, written out field by field, loads back to itself
+    path.write_text(json.dumps(asdict(cfg)))
+    assert load_config(path) == cfg
 
 
 @pytest.mark.parametrize("key", sorted(SETTABLE_KEYS))
@@ -242,4 +257,4 @@ def test_set_overrides_reproduce_json_config(key, data, json_dir):
     argv = ["bound"] + [a for k, v in pairs for a in ("--set", f"{k}={v!r}")]
     from_set = _resolve_config(build_parser().parse_args(argv))
     from_json = _resolve_config(build_parser().parse_args(["bound", "--config", str(path)]))
-    assert from_set == from_json == validate_config(load_config(path))
+    assert from_set == from_json == load_config(path)

@@ -3,7 +3,7 @@ import pytest
 
 from mmwsim import rate
 from mmwsim.channel import large_scale_gains
-from mmwsim.config import SystemConfig, validate_config
+from mmwsim.config import SystemConfig
 from mmwsim.errors import ParameterError
 from mmwsim.estimation import build_pilot_matrix, noise_equivalent_mu
 from mmwsim.quantize import quant_noise_power
@@ -32,20 +32,20 @@ def test_pilot_matrix_rejects_short():
 
 
 def test_mu_vanishing_quantization():
-    cfg = validate_config(SystemConfig(rho_ad=0.0, p_p=5.0, sigma_n2=2.0))
+    cfg = SystemConfig(rho_ad=0.0, p_p=5.0, sigma_n2=2.0)
     assert noise_equivalent_mu(cfg, 0.0) == pytest.approx(0.4)
 
 
 def test_mu_hand_value():
-    cfg = validate_config(SystemConfig(rho_ad=0.1175, p_p=10.0, sigma_n2=1.0))
+    cfg = SystemConfig(rho_ad=0.1175, p_p=10.0, sigma_n2=1.0)
     want = 0.1 + 0.5 / (0.8825 ** 2 * 10.0)
     assert noise_equivalent_mu(cfg, 0.5) == pytest.approx(want, rel=1e-9)
     assert want == pytest.approx(0.16420, abs=5e-6)
 
 
 def test_mu_scales_inversely_with_pilot_power_in_noise_regime():
-    lo = validate_config(SystemConfig(rho_ad=0.0, p_p=5.0, sigma_n2=1.0))
-    hi = validate_config(SystemConfig(rho_ad=0.0, p_p=50.0, sigma_n2=1.0))
+    lo = SystemConfig(rho_ad=0.0, p_p=5.0, sigma_n2=1.0)
+    hi = SystemConfig(rho_ad=0.0, p_p=50.0, sigma_n2=1.0)
     assert noise_equivalent_mu(hi, 0.0) == pytest.approx(noise_equivalent_mu(lo, 0.0) / 10)
 
 
@@ -54,11 +54,10 @@ def test_mu_saturates_with_quantization():
     total = 2.0             # one user, beta = 1, |c|^2 = 2
     vals = []
     for p_p in (1.0, 10.0, 1e3, 1e6, 1e9):
-        cfg = validate_config(SystemConfig(L=1, K=1, M=2, adc_bits=2, tau=1,
-                                           p_p=p_p, p_t=1.0))
+        cfg = SystemConfig(L=1, K=1, M=2, adc_bits=2, tau=1, p_p=p_p, p_t=1.0)
         vals.append(noise_equivalent_mu(cfg, quant_noise_power(cfg, total, cfg.p_p / cfg.tau)))
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-    rho = validate_config(SystemConfig(adc_bits=2)).rho
+    rho = SystemConfig(adc_bits=2).rho
     floor = rho * 2.0 / ((1 - rho) * 1)
     assert vals[-1] == pytest.approx(floor, rel=1e-3)
 
@@ -100,8 +99,7 @@ def _pipeline(cfg, trial=0, quant_path="bussgang"):
 
 
 def test_estimate_identity_holds_exactly():
-    cfg = validate_config(SystemConfig(L=2, K=3, N=16, M=2, adc_bits=2,
-                                       p_t=1.0, p_p=6.0, tau=3, seed=3))
+    cfg = SystemConfig(L=2, K=3, N=16, M=2, adc_bits=2, p_t=1.0, p_p=6.0, tau=3, seed=3)
     real, training, est = _pipeline(cfg)
     for j in range(2):
         hbar = effective_channel(real, training, j, j)
@@ -110,8 +108,8 @@ def test_estimate_identity_holds_exactly():
 
 
 def test_distortionless_noiseless_pilots_reproduce_signal():
-    cfg = validate_config(SystemConfig(L=2, K=2, N=8, M=2, rho_ad=0.0,
-                                       p_t=1.0, p_p=4.0, sigma_n2=1e-30, seed=1))
+    cfg = SystemConfig(L=2, K=2, N=8, M=2, rho_ad=0.0,
+                       p_t=1.0, p_p=4.0, sigma_n2=1e-30, seed=1)
     real = sample_channel(cfg, substream(0, 0))
     training = train_beams(real, cfg)
     psi = build_pilot_matrix(cfg.tau, cfg.K)
@@ -121,8 +119,7 @@ def test_distortionless_noiseless_pilots_reproduce_signal():
 
 
 def test_bussgang_pilot_noise_power():
-    cfg = validate_config(SystemConfig(L=1, K=2, N=32, M=2, adc_bits=2,
-                                       p_t=1.0, p_p=2.0, seed=2))
+    cfg = SystemConfig(L=1, K=2, N=32, M=2, adc_bits=2, p_t=1.0, p_p=2.0, seed=2)
     real = sample_channel(cfg, substream(cfg.seed, 0, 0))
     training = train_beams(real, cfg)
     sigma_pq2, _, _ = pilot_statistics(real, training, cfg)
@@ -140,8 +137,8 @@ def test_bussgang_pilot_noise_power():
 def test_pilot_signal_power_reconstruction():
     # single cell, single user: time-averaged per-antenna pilot power matches
     # the inversion of the pilot quantization-noise formula
-    cfg = validate_config(SystemConfig(L=1, K=1, N=16, M=2, adc_bits=3,
-                                       p_t=1.0, p_p=3.0, tau=2, sigma_n2=0.5, seed=4))
+    cfg = SystemConfig(L=1, K=1, N=16, M=2, adc_bits=3,
+                       p_t=1.0, p_p=3.0, tau=2, sigma_n2=0.5, seed=4)
     real = sample_channel(cfg, substream(cfg.seed, 0, 0))
     training = train_beams(real, cfg)
     sigma_pq2, _, _ = pilot_statistics(real, training, cfg)
@@ -157,8 +154,8 @@ def test_pilot_signal_power_reconstruction():
 def test_pure_pilot_contamination_error():
     # two cells, distortionless, vanishing noise: the error column is exactly
     # the other cell's effective channel column
-    cfg = validate_config(SystemConfig(L=2, K=2, N=8, M=2, rho_ad=0.0,
-                                       p_t=1.0, p_p=4.0, sigma_n2=1e-30, seed=6))
+    cfg = SystemConfig(L=2, K=2, N=8, M=2, rho_ad=0.0,
+                       p_t=1.0, p_p=4.0, sigma_n2=1e-30, seed=6)
     real, training, est = _pipeline(cfg)
     other = effective_channel(real, training, 0, 1)
     np.testing.assert_allclose(est.e[0], other, atol=1e-8)
@@ -166,8 +163,7 @@ def test_pure_pilot_contamination_error():
 
 def test_error_power_matches_prediction():
     # realized ||e_jk||^2 / N averages to mu + sum of inter-cell beta|c|^2
-    cfg = validate_config(SystemConfig(L=2, K=2, N=32, M=2, adc_bits=3,
-                                       p_t=1.0, p_p=4.0, seed=8))
+    cfg = SystemConfig(L=2, K=2, N=32, M=2, adc_bits=3, p_t=1.0, p_p=4.0, seed=8)
     trials = 1000
     measured = np.zeros(cfg.K)
     predicted = np.zeros(cfg.K)
@@ -179,15 +175,14 @@ def test_error_power_matches_prediction():
 
 
 def test_contamination_floor_never_vanishes():
-    cfg = validate_config(SystemConfig(L=3, K=2, N=16, M=2, rho_ad=0.0,
-                                       p_t=1.0, p_p=1e9, sigma_n2=1e-12, seed=9))
+    cfg = SystemConfig(L=3, K=2, N=16, M=2, rho_ad=0.0,
+                       p_t=1.0, p_p=1e9, sigma_n2=1e-12, seed=9)
     _, _, est = _pipeline(cfg)
     assert np.all(np.sum(np.abs(est.e[0]) ** 2, axis=0) > 1e-3)
 
 
 def test_real_quantizer_path_runs():
-    cfg = validate_config(SystemConfig(L=2, K=2, N=16, M=2, adc_bits=3,
-                                       p_t=1.0, p_p=4.0, seed=10))
+    cfg = SystemConfig(L=2, K=2, N=16, M=2, adc_bits=3, p_t=1.0, p_p=4.0, seed=10)
     real, training, est = _pipeline(cfg, quant_path="real")
     assert est.Y_qp.shape == (2, 16, 2)
     # quantized observation stays within the outermost level magnitude
@@ -209,8 +204,7 @@ def test_pilot_phase_matches_oracle_mmse_form(L, K, tau, bits):
     # the engine's estimate is the oracle's MMSE estimate with its shrinkage
     # G divided out, hbar_00 + e_0, on the same draws
     for seed in (0, 5, 23):
-        cfg = validate_config(SystemConfig(L=L, K=K, N=16, M=2, tau=tau, adc_bits=bits,
-                                           p_t=1.0, seed=seed))
+        cfg = SystemConfig(L=L, K=K, N=16, M=2, tau=tau, adc_bits=bits, p_t=1.0, seed=seed)
         for trial in (0, 3):
             theta0, c0 = rate._draw_block(cfg, range(trial, trial + 1))
             total = float(np.sum(large_scale_gains(cfg)[0] * np.abs(c0[0]) ** 2))

@@ -79,7 +79,7 @@ def test_bad_curves_rejected_at_load(curves, message):
     ("axis", "K", 2.7), ("axis", "adc_bits", 1.9),
 ])
 def test_wrongly_typed_values_fail_before_any_point(monkeypatch, where, key, value):
-    # JSON values keep their types, so validate_config rejects them as it
+    # JSON values keep their types, so SystemConfig rejects them as it
     # does in a --config file, and every point resolves before one runs
     monkeypatch.setattr(sweep, "lower_bound_rate", pytest.fail)
     base = {"L": 2, "N": 16, "M": 2, "adc_bits": 2, "K": 2}
@@ -88,6 +88,13 @@ def test_wrongly_typed_values_fail_before_any_point(monkeypatch, where, key, val
     else:
         spec = _tiny_spec(base=base, axis=key, values=[1, value])
     with pytest.raises(ConfigError, match=key):
+        run_sweep(spec)
+
+
+def test_overflowing_db_axis_value_fails_before_any_point(monkeypatch):
+    monkeypatch.setattr(sweep, "lower_bound_rate", pytest.fail)
+    spec = _tiny_spec(axis="snr_db", values=[0, 4000])
+    with pytest.raises(ConfigError, match="snr_db = 4000 dB overflows"):
         run_sweep(spec)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmwsim.channel import steering_vector
-from mmwsim.config import SystemConfig, validate_config
+from mmwsim.config import SystemConfig
 from mmwsim.rng import substream
 from mmwsim.training import beamformer_from_angle, build_codebook, _candidate_gains
 from oracles import estimate_aoa, sample_channel, train_beams
@@ -49,7 +49,7 @@ def test_two_antenna_exact_cancellation():
 
 
 def test_estimate_aoa_recovers_codebook_angle():
-    cfg = validate_config(SystemConfig(L=1, K=1, M=8, B=4, adc_bits=3, seed=0))
+    cfg = SystemConfig(L=1, K=1, M=8, B=4, adc_bits=3, seed=0)
     cb = build_codebook(4)
     real = sample_channel(cfg, substream(0, 0))
     for idx in (0, 5, 15):
@@ -59,14 +59,14 @@ def test_estimate_aoa_recovers_codebook_angle():
 
 
 def test_estimate_aoa_single_antenna_tie_breaks_low():
-    cfg = validate_config(SystemConfig(L=1, K=1, M=1, B=3, adc_bits=3))
+    cfg = SystemConfig(L=1, K=1, M=1, B=3, adc_bits=3)
     real = sample_channel(cfg, substream(1, 0))
     # with one antenna every candidate scores identically
     assert estimate_aoa(real, cfg, 0, 0) == pytest.approx(build_codebook(3)[0])
 
 
 def test_train_beams_matches_scalar_op():
-    cfg = validate_config(SystemConfig(L=2, K=3, M=4, adc_bits=2, seed=4))
+    cfg = SystemConfig(L=2, K=3, M=4, adc_bits=2, seed=4)
     real = sample_channel(cfg, substream(cfg.seed, 0))
     training = train_beams(real, cfg)
     for l in range(2):
@@ -81,7 +81,7 @@ def test_train_beams_matches_scalar_op():
 
 
 def test_training_result_invariants():
-    cfg = validate_config(SystemConfig(L=3, K=4, M=8, adc_bits=1, seed=8))
+    cfg = SystemConfig(L=3, K=4, M=8, adc_bits=1, seed=8)
     real = sample_channel(cfg, substream(cfg.seed, 0))
     training = train_beams(real, cfg)
     norms = np.linalg.norm(training.w, axis=-1)
