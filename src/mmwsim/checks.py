@@ -34,11 +34,11 @@ class CheckResult:
                 f"tol={self.tolerance:.6g}{extra}")
 
 
-def quantizer_suite(samples=10 ** 6, seed=1234):
+def quantizer_suite(seed=1234):
     """Distortion table, linearized-model gain/noise, and residual decorrelation."""
     out = []
     rng = substream(seed, 0)
-    y = complex_normal(rng, samples, 1.0)
+    y = complex_normal(rng, 10 ** 6, 1.0)
     power = np.mean(np.abs(y) ** 2)
     for b in range(1, 6):
         rho = distortion_factor(b)
@@ -89,9 +89,10 @@ def _mc_inner_products(N, draws, rng):
     return inner, triple
 
 
-def lemmas_suite(draws=10 ** 5, seed=77):
+def lemmas_suite(seed=77):
     """Monte-Carlo vs exact steering sums vs their large-N forms."""
     out = []
+    draws = 10 ** 5
     for N in (16, 64, 256):
         rng = substream(seed, N)
         inner, triple = _mc_inner_products(N, draws, rng)
@@ -120,10 +121,10 @@ def lemmas_suite(draws=10 ** 5, seed=77):
     return out
 
 
-def xi_ordering_violations(rng, count=1000):
-    """Random single-cell configs, with tau >= K and M*gamma_p <= 1, where xi2 < xi1."""
+def xi_ordering_violations(rng):
+    """Count of xi2 < xi1 in 1000 random single-cell configs (tau >= K, M*gamma_p <= 1)."""
     violations = 0
-    for _ in range(count):
+    for _ in range(1000):
         K = int(rng.integers(1, 17))
         M = int(2 ** rng.integers(0, 4))
         cfg = SystemConfig(
@@ -135,7 +136,7 @@ def xi_ordering_violations(rng, count=1000):
     return violations
 
 
-def bounds_suite(seed=99):
+def bounds_suite():
     """Single-cell identity, parameter monotonicity, limits, and xi ordering."""
     out = []
     base = dict(K=4, N=64, M=2, adc_bits=3, p_t=0.1, p_p=1.0, sigma_n2=1.0)
@@ -186,17 +187,18 @@ def bounds_suite(seed=99):
     out.append(CheckResult(
         "bounds", "low_snr_convergence", rel < 0.05, float(rel), 0.05))
 
-    viol = xi_ordering_violations(substream(seed, 1))
+    viol = xi_ordering_violations(substream(99, 1))
     out.append(CheckResult("bounds", "xi_ordering_1000", viol == 0, viol, 0))
     return out
 
 
-def gain_bound_checks(B=6, grid=10 ** 4):
-    """Noiseless beam-selection gain |c| on an angle grid against its analytic
-    bounds gain_lower_bound(M, B) <= |c| <= sqrt(M), for M in 2, 4, 8."""
+def gain_bound_checks():
+    """Noiseless beam-selection gain |c| of the B=6 codebook on an angle grid against
+    its analytic bounds gain_lower_bound(M, B) <= |c| <= sqrt(M), for M in 2, 4, 8."""
     out = []
+    B = 6
     cos_cb = np.cos(build_codebook(B))
-    cos_grid = np.cos(np.linspace(0.0, np.pi, grid))
+    cos_grid = np.cos(np.linspace(0.0, np.pi, 10 ** 4))
     for M in (2, 4, 8):
         sel = _candidate_gains(cos_grid, cos_cb, M).max(axis=-1)
         worst, best = float(sel.min()), float(sel.max())
@@ -207,9 +209,10 @@ def gain_bound_checks(B=6, grid=10 ** 4):
     return out
 
 
-def rate_suite(seed=11, trials=400):
+def rate_suite():
     """Bound validity, gain-bound sweep, and mode agreement at reduced scale."""
     out = []
+    seed, trials = 11, 400
     for K in (2, 8):
         cfg = SystemConfig(
             L=3, K=K, N=64, M=2, adc_bits=1, p_t=1.0, p_p=float(K), sigma_n2=1.0, seed=seed)

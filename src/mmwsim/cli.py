@@ -9,12 +9,12 @@ from . import __version__
 from .bounds import lower_bound_rate
 from .channel import large_scale_gains
 from .checks import SUITES, run_suite
-from .config import codebook_zeta, config_from_dict, load_config_doc, parse_setting, set_param
+from .config import (codebook_zeta, config_from_dict, gain_floor_warnings, load_config_doc,
+                     parse_setting)
 from .errors import ParameterError
 from .rate import MODES, _draw_block, _pilot_phase, ergodic_rate
 from .sweep import (AXIS_COLUMN, emit_plot_script, list_presets, load_preset,
-                    load_sweep_spec, plotted_outputs, rows_to_csv_text, run_sweep,
-                    sweep_row, write_csv)
+                    load_sweep_spec, plotted_outputs, run_sweep, sweep_row, write_csv)
 from .training import build_codebook, gain_lower_bound
 
 
@@ -25,13 +25,13 @@ def _add_config_args(p):
 
 
 def _resolve_config(args):
-    doc = load_config_doc(args.config) if args.config else {}
+    layers = [load_config_doc(args.config)] if args.config else []
     for item in args.overrides:
         if "=" not in item:
             raise ParameterError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
-        set_param(doc, key, parse_setting(key, value))
-    return config_from_dict(doc)
+        layers.append({key: parse_setting(key, value)})
+    return config_from_dict(*layers)
 
 
 def cmd_bound(args):
@@ -122,18 +122,17 @@ def cmd_sweep(args):
                      progress=lambda r: print(
                          f"  {spec.axis}={r[AXIS_COLUMN[spec.axis]]} rate_mc={r['rate_mc'] or '-'} "
                          f"rate_lb={r['rate_lb'] or '-'}", file=sys.stderr))
-    text = rows_to_csv_text(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-        if args.plot_script:
-            script = emit_plot_script(args.out, spec, rows)
-            with open(args.plot_script, "w") as fh:
-                fh.write(script)
-            print(f"wrote {args.plot_script}")
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        write_csv(rows, sys.stdout)
+        return 0
+    with open(args.out, "w") as fh:
+        write_csv(rows, fh)
+    print(f"wrote {args.out}")
+    if args.plot_script:
+        script = emit_plot_script(args.out, spec, rows)
+        with open(args.plot_script, "w") as fh:
+            fh.write(script)
+        print(f"wrote {args.plot_script}")
     return 0
 
 
@@ -155,8 +154,8 @@ def cmd_codebook(args):
         print(f"  [{i:3d}] {p:.6f}")
     lo = gain_lower_bound(args.M, args.B)
     print(f"gain bounds for M={args.M}: {lo:.6f} <= |c| <= {math.sqrt(args.M):.6f}")
-    if zeta > 2.0 / args.M:
-        print(f"warning: zeta={zeta:.4g} > 2/M={2.0 / args.M:.4g}; lower bound not asserted")
+    for w in gain_floor_warnings(args.M, args.B):
+        print(f"warning: {w}")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError, ConfigError
 
@@ -49,6 +50,16 @@ def codebook_zeta(B):
     return math.pi / 2 ** (B + 1)
 
 
+def gain_floor_warnings(M, B):
+    """The analytic lower gain bound only holds for zeta <= 2/M; wider
+    codebook intervals are allowed but flagged.  Returns () or one note."""
+    zeta = codebook_zeta(B)
+    if zeta <= 2.0 / M:
+        return ()
+    return (f"zeta = pi/2^(B+1) = {zeta:.4g} exceeds 2/M = {2.0 / M:.4g}; "
+            "the analog-gain lower bound is not asserted",)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All scenario parameters for one simulation or bound evaluation.
@@ -88,13 +99,8 @@ class SystemConfig:
 
     @property
     def warnings(self):
-        """Non-fatal notes.  The analytic lower gain bound only holds for
-        zeta <= 2/M; wider codebook intervals are allowed but flagged."""
-        zeta = codebook_zeta(self.B)
-        if zeta <= 2.0 / self.M:
-            return ()
-        return (f"zeta = pi/2^(B+1) = {zeta:.4g} exceeds 2/M = {2.0 / self.M:.4g}; "
-                "the analog-gain lower bound is not asserted",)
+        """Non-fatal notes: gain_floor_warnings for this M and B."""
+        return gain_floor_warnings(self.M, self.B)
 
     @property
     def rho(self):
@@ -113,11 +119,18 @@ class SystemConfig:
 
 
 def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An int, not a bool, that a float can hold."""
+    return _is_finite_number(v) and isinstance(v, int)
 
 
 def _is_finite_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """An int or float, not a bool, within float range (compared exactly, so never overflowing)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _shown(v):
+    """repr(v), but an int beyond float range by that fact, not by its digits."""
+    return repr(v) if type(v) is not int or _is_int(v) else "an integer beyond float range"
 
 
 def _violations(cfg):
@@ -129,7 +142,7 @@ def _violations(cfg):
         v = getattr(cfg, name)
         if name not in bad and not (_is_int(v) and v >= low):
             kind = "positive" if low else "non-negative"
-            errors.append(f"{name} must be a {kind} integer, got {v!r}")
+            errors.append(f"{name} must be a {kind} integer, got {_shown(v)}")
             bad.add(name)
     if not bad & {"tau", "K"} and cfg.tau < cfg.K:
         errors.append(f"tau < K: orthogonal pilots need tau >= K (tau={cfg.tau}, K={cfg.K})")
@@ -139,7 +152,7 @@ def _violations(cfg):
         if name == "rho_ad" and v is None:
             continue        # optional: adc_bits then sets the distortion factor
         if name not in bad and not _is_finite_number(v):
-            errors.append(f"{name} must be a finite number, got {v!r}")
+            errors.append(f"{name} must be a finite number, got {_shown(v)}")
             bad.add(name)
 
     if cfg.rho_ad is not None:
@@ -148,7 +161,7 @@ def _violations(cfg):
     elif cfg.adc_bits is None:
         errors.append("one of adc_bits or rho_ad must be set")
     elif not _is_int(cfg.adc_bits) or not MIN_ADC_BITS <= cfg.adc_bits <= MAX_ADC_BITS:
-        errors.append(f"adc_bits must be an integer in [1, 12], got {cfg.adc_bits!r}")
+        errors.append(f"adc_bits must be an integer in [1, 12], got {_shown(cfg.adc_bits)}")
 
     for name in ("p_t", "p_p", "sigma_n2"):
         v = getattr(cfg, name)
@@ -168,20 +181,10 @@ def validate_config(cfg):
 
 # Keys of settings dicts (`--set`, config documents, sweeps): the SystemConfig
 # fields, plus snr_db and pilot_snr_db, p_t and p_p in dB over the final sigma_n2.
-_INT_KEYS = {"L", "K", "N", "M", "B", "tau", "adc_bits", "seed"}
+_INT_KEYS = {f.name for f in fields(SystemConfig) if f.type is int}
 _DB_POWER = {"snr_db": "p_t", "pilot_snr_db": "p_p"}
-SETTABLE_KEYS = _INT_KEYS | {"rho_ad", "p_t", "p_p", "sigma_n2", "beta_inter"} | set(_DB_POWER)
+SETTABLE_KEYS = {f.name for f in fields(SystemConfig)} | set(_DB_POWER)
 _PAIRED = {**_DB_POWER, **{power: db for db, power in _DB_POWER.items()}}
-
-
-def set_param(doc, name, value):
-    """Set one parameter on a settings dict, as given.  A dB key and the
-    power it stands for replace each other: the later one set wins."""
-    if name not in SETTABLE_KEYS:
-        raise ParameterError(f"unknown parameter {name!r}")
-    doc.pop(_PAIRED.get(name), None)
-    doc[name] = value
-    return doc
 
 
 def parse_setting(name, text):
@@ -191,24 +194,28 @@ def parse_setting(name, text):
     return int(text) if name in _INT_KEYS else float(text)
 
 
-def config_from_dict(doc):
-    """Build a SystemConfig from a settings dict with strict key checking.
+def config_from_dict(*layers):
+    """Build a SystemConfig from settings dicts with strict key checking.
 
-    Keys apply in order, as set_param sets them; then snr_db and pilot_snr_db
-    translate against the final sigma_n2.  Values keep their types, for
-    SystemConfig to check.
+    Layers apply in order, and each layer's keys in order: a later value wins,
+    and a dB key and the power it stands for replace each other.  Then
+    snr_db and pilot_snr_db translate against the final sigma_n2, and
+    SystemConfig derives tau and p_p from the merged settings.  Values keep
+    their types, for SystemConfig to check.
     """
-    unknown = sorted(set(doc) - SETTABLE_KEYS)
+    unknown = sorted({k for layer in layers for k in layer} - SETTABLE_KEYS)
     if unknown:
         raise ConfigError([f"unknown config key {k!r}" for k in unknown])
     fields_doc = {}
-    for name, value in doc.items():
-        set_param(fields_doc, name, value)
+    for layer in layers:
+        for name, value in layer.items():
+            fields_doc.pop(_PAIRED.get(name), None)
+            fields_doc[name] = value
     sigma_n2 = fields_doc.get("sigma_n2", SystemConfig.sigma_n2)
     for db in [key for key in _DB_POWER if key in fields_doc]:
         value = fields_doc.pop(db)
         if not _is_finite_number(value):
-            raise ConfigError(f"{db} must be a finite number, got {value!r}")
+            raise ConfigError(f"{db} must be a finite number, got {_shown(value)}")
         if _is_finite_number(sigma_n2):   # otherwise SystemConfig reports it
             try:
                 fields_doc[_DB_POWER[db]] = sigma_n2 * 10.0 ** (value / 10.0)

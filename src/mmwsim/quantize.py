@@ -114,11 +114,16 @@ def bussgang_decompose(pre_quant, post_quant):
     return gain, noise_var, crosscorr
 
 
-def quant_noise_power(cfg, total, power):
-    """rho(1-rho) * (sigma_n^2 + power * total) at a BS.
+def received_power(cfg, total, power):
+    """sigma_n^2 + power * total: a BS antenna's received power, the ADC's input variance.
 
     `total` is the received gain sum_l sum_k beta_jlk |c_jlk|^2 (a scalar or
     an array of them) and `power` the per-symbol transmit power.
     """
+    return cfg.sigma_n2 + power * total
+
+
+def quant_noise_power(cfg, total, power):
+    """rho(1-rho) * received_power(cfg, total, power) at a BS."""
     rho = cfg.rho
-    return rho * (1.0 - rho) * (cfg.sigma_n2 + power * total)
+    return rho * (1.0 - rho) * received_power(cfg, total, power)

@@ -18,7 +18,7 @@ from . import rng as rngmod
 from .channel import draw_angles, large_scale_gains, steering_vector
 from .errors import InternalConsistencyError, ParameterError
 from .estimation import build_pilot_matrix, noise_equivalent_mu
-from .quantize import lloyd_max_quantize, quant_noise_power
+from .quantize import lloyd_max_quantize, quant_noise_power, received_power
 from .training import beamformer_from_angle, build_codebook, select_beams
 
 # Engine modes: semi-analytic and symbol-level.
@@ -37,7 +37,7 @@ BLOCK_BYTES = 1 << 18
 class RateReport:
     """Monte-Carlo ergodic-rate output.
 
-    gamma_samples, S, and I are (trials, K) arrays for the evaluated cell.
+    S and I are (trials, K) arrays for the evaluated cell; S / I is the SIQNR.
     `pathological` counts realizations where the conditional interference
     power went non-positive and the mean-square-error floor was used instead.
     """
@@ -46,7 +46,6 @@ class RateReport:
     ci95: float
     trials: int
     mode: str
-    gamma_samples: np.ndarray
     S: np.ndarray
     I: np.ndarray
     pathological: int
@@ -156,7 +155,6 @@ def _pilot_phase(cfg, trial, theta0, c0, total):
     the real adc_bits quantizer; `total` is sum_lk beta_0lk |c_0lk|^2.  The
     paper's per-user MMSE shrinkage is left out: MRC ignores it.
     """
-    rho = cfg.rho
     b0 = large_scale_gains(cfg)[0]                    # (L, K)
     eff = np.swapaxes(
         steering_vector(theta0, cfg.N) * (np.sqrt(b0) * c0)[..., None], 1, 2)
@@ -164,9 +162,8 @@ def _pilot_phase(cfg, trial, theta0, c0, total):
     Y_p = np.sqrt(cfg.p_p) * eff.sum(axis=0) @ Psi.T
     Y_p = Y_p + rngmod.complex_normal(
         rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT), Y_p.shape, cfg.sigma_n2)
-    sigma_pq2 = quant_noise_power(cfg, total, cfg.p_p / cfg.tau)
-    Y_qp = lloyd_max_quantize(Y_p, cfg.adc_bits, sigma_pq2 / (rho * (1.0 - rho)))
-    return eff, (Y_qp @ Psi.conj()) / ((1.0 - rho) * np.sqrt(cfg.p_p))
+    Y_qp = lloyd_max_quantize(Y_p, cfg.adc_bits, received_power(cfg, total, cfg.p_p / cfg.tau))
+    return eff, (Y_qp @ Psi.conj()) / ((1.0 - cfg.rho) * np.sqrt(cfg.p_p))
 
 
 def _symbol_trial(cfg, trial, theta0, c0):
@@ -179,19 +176,12 @@ def _symbol_trial(cfg, trial, theta0, c0):
     eff, combiner = _pilot_phase(cfg, trial, theta0, c0, total)   # hbar + realized error
 
     eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
-    agc_var = cfg.sigma_n2 + cfg.p_t * total
 
     data_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_DATA)
-    X = (
-        data_rng.standard_normal((L * K, SYMBOLS_PER_TRIAL))
-        + 1j * data_rng.standard_normal((L * K, SYMBOLS_PER_TRIAL))
-    ) / np.sqrt(2.0)
-    noise = (
-        data_rng.standard_normal((N, SYMBOLS_PER_TRIAL))
-        + 1j * data_rng.standard_normal((N, SYMBOLS_PER_TRIAL))
-    ) * np.sqrt(cfg.sigma_n2 / 2.0)
+    X = rngmod.complex_normal(data_rng, (L * K, SYMBOLS_PER_TRIAL), 1.0)
+    noise = rngmod.complex_normal(data_rng, (N, SYMBOLS_PER_TRIAL), cfg.sigma_n2)
     R = np.sqrt(cfg.p_t) * eff_all @ X + noise
-    Q = lloyd_max_quantize(R, cfg.adc_bits, agc_var)
+    Q = lloyd_max_quantize(R, cfg.adc_bits, received_power(cfg, total, cfg.p_t))
 
     Y = combiner.conj().T @ Q                         # (K, SYMBOLS_PER_TRIAL)
     a = (1.0 - rho) * np.sqrt(cfg.p_t) * b0[0] * gains2[0] * N
@@ -248,5 +238,5 @@ def ergodic_rate(cfg, trials, mode="semi"):
     ci95 = float(1.96 * np.std(per_trial, ddof=1) / np.sqrt(trials))
     return RateReport(
         rate_mc=rate, ci95=ci95, trials=trials, mode=mode,
-        gamma_samples=gamma, S=S, I=I, pathological=npath, seed=cfg.seed,
+        S=S, I=I, pathological=npath, seed=cfg.seed,
     )

@@ -1,13 +1,12 @@
 """Scenario sweeps: preset loading, CSV emission, and gnuplot script generation."""
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 from .bounds import lower_bound_rate
-from .config import SETTABLE_KEYS, config_from_dict, set_param
+from .config import SETTABLE_KEYS, config_from_dict
 from .errors import ParameterError
 from .rate import MODES, ergodic_rate
 
@@ -93,15 +92,8 @@ def list_presets():
 
 
 def _point_config(spec, curve, value, overrides):
-    """Resolve one (curve, axis value) pair into a SystemConfig.
-
-    Settings apply in order: base, curve, axis value, then `overrides`.
-    """
-    doc = {}
-    for layer in (spec.base, curve, {spec.axis: value}, overrides):
-        for k, v in layer.items():
-            set_param(doc, k, v)
-    return config_from_dict(doc)
+    """SystemConfig of one (curve, axis value) point: base, curve, value, then `overrides`."""
+    return config_from_dict(spec.base, curve, {spec.axis: value}, overrides)
 
 
 def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
@@ -164,12 +156,6 @@ def write_csv(rows, fh):
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-
-
-def rows_to_csv_text(rows):
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    return buf.getvalue()
 
 
 def plotted_outputs(spec):

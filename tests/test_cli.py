@@ -18,8 +18,10 @@ def test_codebook_command(capsys):
 
 
 def test_codebook_warns_on_coarse_phases(capsys):
+    # the same note a config with this M and B carries
     main(["codebook", "--M", "8", "--B", "1"])
-    assert "lower bound not asserted" in capsys.readouterr().out
+    [note] = SystemConfig(M=8, B=1, adc_bits=3).warnings
+    assert f"warning: {note}\n" in capsys.readouterr().out
 
 
 def test_bound_command_with_overrides(capsys, tmp_path):
@@ -33,6 +35,28 @@ def test_bound_command_with_overrides(capsys, tmp_path):
     assert out_csv.exists()
     text = out_csv.read_text()
     assert "1.88003" in text
+
+
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("settings, doc, field", [
+    (["adc_bits=3", f"K={_HUGE}"], None, "K"),
+    (["adc_bits=3", f"K={_HUGE}", "p_p=1"], None, "K"),
+    (["adc_bits=3", f"N={_HUGE}"], None, "N"),
+    ([], {"adc_bits": 3, "p_t": _HUGE}, "p_t"),
+], ids=["K", "K-with-p_p", "N", "config-p_t"])
+def test_integer_beyond_float_range_is_config_error(capsys, tmp_path, settings, doc, field):
+    argv = ["bound"]
+    if doc is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--config", str(path)]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be a " in err and "got an integer beyond float range" in err
 
 
 _CSV_HEAD = (

@@ -1,14 +1,15 @@
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmwsim.cli import _resolve_config, build_parser
 from mmwsim.config import (SETTABLE_KEYS, SystemConfig, config_from_dict,
-                           distortion_factor, load_config, set_param, validate_config)
+                           distortion_factor, load_config, validate_config)
 from mmwsim.errors import ConfigError, ParameterError
+from mmwsim.sweep import _point_config, sweep_spec_from_dict
 
 
 def test_distortion_factor_one_bit_is_analytic():
@@ -120,14 +121,12 @@ def test_json_round_trip(tmp_path):
     assert cfg.seed == 7
 
 
-def test_set_param_snr_translation():
-    doc = {"adc_bits": 3, "sigma_n2": 2.0}
-    set_param(doc, "snr_db", -10)
-    assert config_from_dict(doc).p_t == pytest.approx(0.2)
-    set_param(doc, "pilot_snr_db", 10)
-    assert config_from_dict(doc).p_p == pytest.approx(20.0)
-    with pytest.raises(ParameterError):
-        set_param(doc, "bogus", 1)
+def test_layer_snr_translation():
+    base = {"adc_bits": 3, "sigma_n2": 2.0}
+    assert config_from_dict(base, {"snr_db": -10}).p_t == pytest.approx(0.2)
+    assert config_from_dict(base, {"snr_db": -10}, {"pilot_snr_db": 10}).p_p == pytest.approx(20.0)
+    with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+        config_from_dict(base, {"bogus": 1})
     with pytest.raises(ParameterError, match="antenna_spacing_ratio"):
         _resolve_config(build_parser().parse_args(
             ["bound", "--set", "antenna_spacing_ratio=0.5"]))
@@ -158,6 +157,44 @@ def test_later_of_db_key_and_power_wins_from_any_source(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"adc_bits": 3, "pilot_snr_db": 10, "sigma_n2": 2}))
     assert load_config(path).p_p == pytest.approx(20.0)
+
+
+def _via_layers(first, second, tmp_path):
+    return config_from_dict(first, second)
+
+
+def _via_config_and_set(first, second, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(first))
+    [(key, value)] = second.items()
+    return _resolve_config(build_parser().parse_args(
+        ["bound", "--config", str(path), "--set", f"{key}={value}"]))
+
+
+def _via_sweep_curve(first, second, tmp_path):
+    spec = sweep_spec_from_dict({"scenario_id": "s", "base": first, "axis": "K", "values": [1]})
+    return _point_config(spec, second, 1, {})
+
+
+@pytest.mark.parametrize("resolve", [_via_layers, _via_config_and_set, _via_sweep_curve],
+                         ids=["layers", "config-then-set", "sweep-curve-over-base"])
+@pytest.mark.parametrize("db, power", [("snr_db", "p_t"), ("pilot_snr_db", "p_p")])
+def test_later_layer_wins_between_db_key_and_power(resolve, db, power, tmp_path):
+    assert getattr(resolve({"adc_bits": 3, db: 10}, {power: 2}, tmp_path), power) == 2
+    later_db = resolve({"adc_bits": 3, power: 2}, {db: 10}, tmp_path)
+    assert getattr(later_db, power) == pytest.approx(10.0)
+
+
+def test_layers_rederive_what_replace_keeps():
+    # tau = K and p_p = tau * p_t follow the merged settings; replace() keeps
+    # the tau and p_p the config was built with
+    base = {"L": 3, "K": 4, "adc_bits": 3}
+    cfg = config_from_dict(base)
+    assert (cfg.tau, cfg.p_p) == (4, 4.0)
+    assert config_from_dict(base, {"p_t": 2.0}).p_p == 8.0
+    wider = config_from_dict(base, {"K": 8})
+    assert (wider.tau, wider.p_p) == (8, 8.0)
+    assert replace(cfg, p_t=2.0).p_p == 4.0
 
 
 @pytest.mark.parametrize("name", ["p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad"])
@@ -218,13 +255,6 @@ def _settings(draw, required=()):
     return [(k, draw(_SETTABLE_VALUES[k])) for k in sorted(keys)]
 
 
-def _doc(pairs):
-    doc = {}
-    for k, v in pairs:
-        set_param(doc, k, v)
-    return doc
-
-
 @pytest.fixture(scope="module")
 def json_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("configs")
@@ -232,12 +262,13 @@ def json_dir(tmp_path_factory):
 
 def test_settable_value_strategies_cover_every_key():
     assert set(_SETTABLE_VALUES) == SETTABLE_KEYS
+    assert SETTABLE_KEYS == {f.name for f in fields(SystemConfig)} | {"snr_db", "pilot_snr_db"}
 
 
 @settings(max_examples=60, deadline=None)
 @given(pairs=_settings())
 def test_config_json_round_trip_property(pairs, json_dir):
-    doc = _doc(pairs)
+    doc = dict(pairs)
     cfg = config_from_dict(doc)
     path = json_dir / "doc.json"
     path.write_text(json.dumps(doc))
@@ -253,7 +284,7 @@ def test_config_json_round_trip_property(pairs, json_dir):
 def test_set_overrides_reproduce_json_config(key, data, json_dir):
     pairs = data.draw(_settings(required=(key,)))
     path = json_dir / "doc.json"
-    path.write_text(json.dumps(_doc(pairs)))
+    path.write_text(json.dumps(dict(pairs)))
     argv = ["bound"] + [a for k, v in pairs for a in ("--set", f"{k}={v!r}")]
     from_set = _resolve_config(build_parser().parse_args(argv))
     from_json = _resolve_config(build_parser().parse_args(["bound", "--config", str(path)]))

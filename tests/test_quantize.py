@@ -4,7 +4,7 @@ import pytest
 from mmwsim.config import SystemConfig
 from mmwsim.errors import ParameterError
 from mmwsim.quantize import (bussgang_decompose, lloyd_max_design, lloyd_max_quantize,
-                             quant_noise_power)
+                             quant_noise_power, received_power)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,14 @@ def test_pilot_equals_data_when_tau_matches_power_ratio():
     g2, b = _tables(2, 4, 1.3, cfg.beta_inter)
     assert quant_noise_power(cfg, _total(g2, b, 1), cfg.p_p / cfg.tau) == pytest.approx(
         quant_noise_power(cfg, _total(g2, b, 1), cfg.p_t))
+
+
+def test_noise_power_is_rho_share_of_received_power():
+    cfg = SystemConfig(L=3, K=4, adc_bits=2, sigma_n2=0.7)
+    totals = np.random.default_rng(5).uniform(0.0, 10.0, 257)
+    rho = cfg.rho
+    assert np.array_equal(quant_noise_power(cfg, totals, 0.3),
+                          rho * (1.0 - rho) * received_power(cfg, totals, 0.3))
 
 
 def test_noise_power_symmetric_under_relabeling():

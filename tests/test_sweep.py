@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from mmwsim import sweep
 from mmwsim.errors import ConfigError, ParameterError
 from mmwsim.sweep import (CSV_COLUMNS, _point_config, emit_plot_script, list_presets,
-                          load_preset, rows_to_csv_text, run_sweep, sweep_spec_from_dict,
-                          write_csv)
+                          load_preset, run_sweep, sweep_spec_from_dict, write_csv)
 
 
 def _tiny_spec(**kw):
@@ -77,6 +77,7 @@ def test_bad_curves_rejected_at_load(curves, message):
 @pytest.mark.parametrize("where, key, value", [
     ("base", "K", 2.7), ("base", "L", True), ("base", "adc_bits", 1.9),
     ("axis", "K", 2.7), ("axis", "adc_bits", 1.9),
+    pytest.param("axis", "N", 10 ** 400, id="axis-N-beyond-float-range"),
 ])
 def test_wrongly_typed_values_fail_before_any_point(monkeypatch, where, key, value):
     # JSON values keep their types, so SystemConfig rejects them as it
@@ -137,9 +138,10 @@ def test_bound_only_outputs_skip_simulation():
 
 def test_reruns_are_byte_identical():
     spec = _tiny_spec()
-    a = rows_to_csv_text(run_sweep(spec))
-    b = rows_to_csv_text(run_sweep(spec))
-    assert a == b
+    a, b = io.StringIO(), io.StringIO()
+    write_csv(run_sweep(spec), a)
+    write_csv(run_sweep(spec), b)
+    assert a.getvalue() == b.getvalue()
 
 
 def test_bound_validity_with_statistical_slack():
