@@ -11,9 +11,8 @@ from .training import build_codebook
 from .estimation import build_pilot_matrix
 from .quantize import bussgang_decompose, lloyd_max_quantize
 from .rate import RateReport, ergodic_rate
-from .bounds import (BoundInputs, BoundReport, asymptotic_limit, bessel_j0,
-                     eta1, eta2, eta3, high_pilot_approx, low_snr_approx,
-                     lower_bound_rate, single_cell_bound)
+from .bounds import (BoundInputs, BoundReport, asymptotic_limit, eta1, eta2, eta3,
+                     high_pilot_approx, low_snr_approx, lower_bound_rate)
 from .sweep import SweepSpec, load_preset, run_sweep
 
 __all__ = [
@@ -21,8 +20,8 @@ __all__ = [
     "steering_vector", "build_codebook", "build_pilot_matrix",
     "bussgang_decompose", "lloyd_max_quantize",
     "RateReport", "ergodic_rate",
-    "BoundInputs", "BoundReport", "asymptotic_limit", "bessel_j0",
+    "BoundInputs", "BoundReport", "asymptotic_limit",
     "eta1", "eta2", "eta3", "high_pilot_approx", "low_snr_approx",
-    "lower_bound_rate", "single_cell_bound",
+    "lower_bound_rate",
     "SweepSpec", "load_preset", "run_sweep",
 ]

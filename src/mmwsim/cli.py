@@ -9,8 +9,8 @@ from . import __version__
 from .bounds import lower_bound_rate
 from .channel import large_scale_gains
 from .checks import SUITES, run_suite
-from .config import (codebook_zeta, config_from_dict, gain_floor_warnings, load_config_doc,
-                     parse_setting)
+from .config import (beam_warnings, check_beam_settings, codebook_zeta, config_from_dict,
+                     load_config_doc, parse_setting)
 from .errors import ParameterError
 from .rate import MODES, _draw_block, _pilot_phase, ergodic_rate
 from .sweep import (AXIS_COLUMN, emit_plot_script, list_presets, load_preset,
@@ -48,8 +48,8 @@ def cmd_bound(args):
     print(f"terms:  P_u={rep.P_u:.6g} P_c={rep.P_c:.6g} P_n={rep.P_n:.6g} "
           f"P_q={rep.P_q:.6g} P_e={rep.P_e:.6g}")
     print(f"rate lower bound R_LB   = {rep.R_LB:.6f} bits/s/Hz")
-    if rep.R_LB_s is not None:
-        print(f"single-cell form R_LB_s = {rep.R_LB_s:.6f} bits/s/Hz")
+    if cfg.L == 1:
+        print(f"single-cell form R_LB_s = {rep.R_LB:.6f} bits/s/Hz")
     if math.isfinite(rep.R_inf):
         print(f"large-N limit R_inf     = {rep.R_inf:.6f} bits/s/Hz")
     else:
@@ -147,6 +147,7 @@ def cmd_validate(args):
 
 
 def cmd_codebook(args):
+    check_beam_settings(args.M, args.B)
     phases = build_codebook(args.B)
     zeta = codebook_zeta(args.B)
     print(f"B={args.B} -> {len(phases)} phases, interval zeta={zeta:.6f} rad")
@@ -154,7 +155,7 @@ def cmd_codebook(args):
         print(f"  [{i:3d}] {p:.6f}")
     lo = gain_lower_bound(args.M, args.B)
     print(f"gain bounds for M={args.M}: {lo:.6f} <= |c| <= {math.sqrt(args.M):.6f}")
-    for w in gain_floor_warnings(args.M, args.B):
+    for w in beam_warnings(args.M, args.B):
         print(f"warning: {w}")
     return 0
 

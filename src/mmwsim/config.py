@@ -50,7 +50,7 @@ def codebook_zeta(B):
     return math.pi / 2 ** (B + 1)
 
 
-def gain_floor_warnings(M, B):
+def beam_warnings(M, B):
     """The analytic lower gain bound only holds for zeta <= 2/M; wider
     codebook intervals are allowed but flagged.  Returns () or one note."""
     zeta = codebook_zeta(B)
@@ -99,8 +99,8 @@ class SystemConfig:
 
     @property
     def warnings(self):
-        """Non-fatal notes: gain_floor_warnings for this M and B."""
-        return gain_floor_warnings(self.M, self.B)
+        """Non-fatal notes: beam_warnings for this M and B."""
+        return beam_warnings(self.M, self.B)
 
     @property
     def rho(self):
@@ -133,16 +133,41 @@ def _shown(v):
     return repr(v) if type(v) is not int or _is_int(v) else "an integer beyond float range"
 
 
+# (least, greatest or None) of each integer field.  B's ceiling bounds the
+# 2^B codebook phases that training._candidate_gains scores for every user of
+# every trial and that rate._block_trials sizes its blocks by; 12 bits (4096
+# phases) is far finer than any phase shifter the model is meant for.
+MAX_B = 12
+_INT_RANGES = {"L": (1, None), "K": (1, None), "N": (1, None), "M": (1, None),
+               "B": (0, MAX_B), "tau": (1, None), "seed": (0, None)}
+
+
+def _int_violation(name, v):
+    """The message if integer field `name` cannot hold `v`, else None."""
+    low, high = _INT_RANGES[name]
+    if not (_is_int(v) and v >= low):
+        kind = "positive" if low else "non-negative"
+        return f"{name} must be a {kind} integer, got {_shown(v)}"
+    if high is not None and v > high:
+        return f"{name} must be at most {high}, got {v}"
+    return None
+
+
+def check_beam_settings(M, B):
+    """Raise ConfigError unless M and B pass the checks a SystemConfig makes of them."""
+    errors = [e for e in (_int_violation("M", M), _int_violation("B", B)) if e]
+    if errors:
+        raise ConfigError(errors)
+
+
 def _violations(cfg):
     """Every violation in a config whose defaults are filled, as messages."""
     errors = []
     bad = {name for name in ("tau", "p_p") if getattr(cfg, name) is None}
-    for name, low in (("L", 1), ("K", 1), ("N", 1), ("M", 1), ("B", 0), ("tau", 1),
-                      ("seed", 0)):
-        v = getattr(cfg, name)
-        if name not in bad and not (_is_int(v) and v >= low):
-            kind = "positive" if low else "non-negative"
-            errors.append(f"{name} must be a {kind} integer, got {_shown(v)}")
+    for name in _INT_RANGES:
+        error = None if name in bad else _int_violation(name, getattr(cfg, name))
+        if error:
+            errors.append(error)
             bad.add(name)
     if not bad & {"tau", "K"} and cfg.tau < cfg.K:
         errors.append(f"tau < K: orthogonal pilots need tau >= K (tau={cfg.tau}, K={cfg.K})")

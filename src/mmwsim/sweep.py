@@ -140,7 +140,7 @@ def sweep_row(scenario_id, cfg, trials, report, mc=None, outputs=OUTPUT_COLUMNS)
         "rate_mc": None if mc is None else mc.rate_mc,
         "ci95": None if mc is None else mc.ci95,
         "rate_lb": report.R_LB,
-        "rate_lb_s": report.R_LB_s,
+        "rate_lb_s": report.R_LB if cfg.L == 1 else None,  # the single-cell bound
         "xi1": report.xi1,
         "xi2": report.xi2,
         "r_inf": report.R_inf if cfg.L > 1 else None,   # +inf for a single cell

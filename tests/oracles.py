@@ -1,6 +1,10 @@
-"""Per-realization reference pipeline for the trial-blocked rate engine.
+"""Reference implementations that the tests compare the library against.
 
-One block-fading draw of every (BS j, cell l, user k) link, beam training
+single_cell_bound is the paper's single-cell bound in SNR form;
+lower_bound_rate must equal it at L = 1.
+
+The rest is a per-realization reference pipeline for the trial-blocked rate
+engine: one block-fading draw of every (BS j, cell l, user k) link, beam training
 for every user, the paper's MMSE pilot phase at every BS (with its per-user
 shrinkage G), and the conditional signal and interference powers at one BS,
 all with length-N vectors.  The engine in mmwsim.rate evaluates BS 0 only,
@@ -12,13 +16,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mmwsim.bounds import eta2, log_rate
 from mmwsim.channel import draw_angles, large_scale_gains, steering_vector
 from mmwsim.errors import ParameterError
 from mmwsim.estimation import build_pilot_matrix, noise_equivalent_mu
 from mmwsim.quantize import lloyd_max_quantize, quant_noise_power
 from mmwsim.rng import complex_normal
 from mmwsim.training import (_candidate_gains, beamformer_from_angle, build_codebook,
-                             select_beams)
+                             gain_lower_bound, select_beams)
+
+
+def single_cell_bound(cfg):
+    """Single-cell closed-form bound, written in SNR form.
+
+    Algebraically identical to lower_bound_rate at L = 1; kept as a separate
+    expression so the identity is testable.
+    """
+    if cfg.L != 1:
+        raise ParameterError(f"single_cell_bound needs L == 1, got L={cfg.L}")
+    rho = cfg.rho
+    one = 1.0 - rho
+    c = gain_lower_bound(cfg.M, cfg.B)
+    K, N, M = cfg.K, cfg.N, cfg.M
+    lam = c ** 2 + (K - 1) * M
+    g_t = cfg.p_t / cfg.sigma_n2
+    g_p = cfg.p_p / cfg.sigma_n2
+    denom = (
+        c ** -4 * N / (g_t * g_p)
+        + c ** -2 * N * ((one + rho * c ** -2 * lam / cfg.tau) / g_t + c ** -2 * lam / g_p)
+        + (one + c ** -2 * lam / cfg.tau) * rho * N * c ** -2 * lam
+        + one ** 2 * M * (K - 1) * c ** -2 * eta2(N)
+    )
+    return log_rate(1.0 + one ** 2 * N ** 2 / denom)
 
 
 @dataclass

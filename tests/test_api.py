@@ -8,14 +8,15 @@ PUBLIC = [
     "steering_vector", "build_codebook", "build_pilot_matrix",
     "bussgang_decompose", "lloyd_max_quantize",
     "RateReport", "ergodic_rate",
-    "BoundInputs", "BoundReport", "asymptotic_limit", "bessel_j0",
+    "BoundInputs", "BoundReport", "asymptotic_limit",
     "eta1", "eta2", "eta3", "high_pilot_approx", "low_snr_approx",
-    "lower_bound_rate", "single_cell_bound",
+    "lower_bound_rate",
     "SweepSpec", "load_preset", "run_sweep",
 ]
 
-# the per-realization reference pipeline and the paper's MMSE estimator live
-# in tests/oracles.py; the rest had no caller outside the tests.  Keys name a
+# the per-realization reference pipeline, the paper's MMSE estimator and the
+# single-cell bound's SNR form live in tests/oracles.py; the rest had no
+# caller outside the tests or wrapped what its callers now call directly.  Keys name a
 # module or a class in it.
 RETIRED = {
     "channel": ["ChannelRealization", "sample_channel", "effective_channel",
@@ -31,9 +32,10 @@ RETIRED = {
     "errors": ["DegenerateInputError", "FormatError"],
     "rng": ["STAGE_TRAINING"],
     "sweep": ["read_csv_rows", "rows_to_csv_text"],
-    "bounds": ["sinc"],
+    "bounds": ["sinc", "single_cell_bound", "bessel_j0", "gain_floor"],
     "bounds.BoundInputs": ["euler_a"],
-    "config": ["set_param"],
+    "bounds.BoundReport": ["R_LB_s"],
+    "config": ["set_param", "gain_floor_warnings"],
     "config.SystemConfig": ["zeta", "log_rate", "validated"],
     "rate.RateReport": ["gamma_samples"],
 }

@@ -24,6 +24,19 @@ def test_codebook_warns_on_coarse_phases(capsys):
     assert f"warning: {note}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--set", "adc_bits=3", "--set", "B=1100"], "B must be at most 12, got 1100"),
+    (["codebook", "--M", "0", "--B", "6"], "M must be a positive integer, got 0"),
+    (["codebook", "--M", "-1", "--B", "6"], "M must be a positive integer, got -1"),
+    (["codebook", "--M", "2", "--B", "1100"], "B must be at most 12, got 1100"),
+], ids=["bound-B", "codebook-M0", "codebook-M-1", "codebook-B"])
+def test_beam_settings_checked_before_any_output(capsys, argv, message):
+    # the codebook command applies the rule a config's M and B must pass
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_bound_command_with_overrides(capsys, tmp_path):
     out_csv = tmp_path / "row.csv"
     rc = main(["bound", "--set", "L=3", "--set", "K=4", "--set", "N=64",
@@ -245,10 +258,3 @@ def test_sweep_plot_script_needs_a_plotted_output(capsys, tmp_path):
     assert "rate_mc=" not in captured.err and captured.out == ""
     assert not out.exists() and not gp.exists()
 
-
-@pytest.mark.parametrize("suite", ["bounds", "rate"])
-def test_validate_suite_exit_codes(capsys, suite):
-    assert main(["validate", "--suite", suite]) == 0
-    out = capsys.readouterr().out
-    assert f"PASS {suite}/" in out and "FAIL" not in out
-    assert "checks passed" in out

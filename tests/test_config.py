@@ -221,6 +221,7 @@ _WRONG_TYPES = [
     ({"K": True}, "K must be a positive integer, got True"),
     ({"tau": True}, "tau must be a positive integer, got True"),
     ({"B": False}, "B must be a non-negative integer, got False"),
+    ({"B": 13}, "B must be at most 12, got 13"),
     ({"adc_bits": True}, "adc_bits must be an integer in [1, 12], got True"),
     ({"seed": True}, "seed must be a non-negative integer, got True"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),

@@ -136,6 +136,15 @@ def test_bound_only_outputs_skip_simulation():
     assert all(r["rate_lb"] != "" and r["r_inf"] != "" for r in rows)
 
 
+def test_single_cell_bound_column():
+    # rate_lb_s is the bound at L = 1 and stays empty for a multi-cell point
+    spec = _tiny_spec(curves=[{"L": 1}, {"L": 3}], outputs=["rate_lb", "rate_lb_s"])
+    rows = run_sweep(spec)
+    assert [r["L"] for r in rows] == [1, 1, 3, 3]
+    assert all(r["rate_lb_s"] == r["rate_lb"] != "" for r in rows[:2])
+    assert all(r["rate_lb_s"] == "" and r["rate_lb"] != "" for r in rows[2:])
+
+
 def test_reruns_are_byte_identical():
     spec = _tiny_spec()
     a, b = io.StringIO(), io.StringIO()
