@@ -258,3 +258,11 @@ def test_sweep_plot_script_needs_a_plotted_output(capsys, tmp_path):
     assert "rate_mc=" not in captured.err and captured.out == ""
     assert not out.exists() and not gp.exists()
 
+
+
+@pytest.mark.parametrize("suite", ["bounds", "rate"])
+def test_validate_suite_exit_codes(capsys, suite):
+    assert main(["validate", "--suite", suite]) == 0
+    out = capsys.readouterr().out
+    assert f"PASS {suite}/" in out and "FAIL" not in out
+    assert "checks passed" in out
