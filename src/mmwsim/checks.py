@@ -34,10 +34,10 @@ class CheckResult:
                 f"tol={self.tolerance:.6g}{extra}")
 
 
-def quantizer_suite(seed=1234):
+def quantizer_suite():
     """Distortion table, linearized-model gain/noise, and residual decorrelation."""
     out = []
-    rng = substream(seed, 0)
+    rng = substream(1234, 0)
     y = complex_normal(rng, 10 ** 6, 1.0)
     power = np.mean(np.abs(y) ** 2)
     for b in range(1, 6):
@@ -89,12 +89,12 @@ def _mc_inner_products(N, draws, rng):
     return inner, triple
 
 
-def lemmas_suite(seed=77):
+def lemmas_suite():
     """Monte-Carlo vs exact steering sums vs their large-N forms."""
     out = []
     draws = 10 ** 5
     for N in (16, 64, 256):
-        rng = substream(seed, N)
+        rng = substream(77, N)
         inner, triple = _mc_inner_products(N, draws, rng)
         checks = [
             ("mean_inner", inner.real, bounds.exact_mean_inner(N)),
@@ -121,21 +121,6 @@ def lemmas_suite(seed=77):
     return out
 
 
-def xi_ordering_violations(rng):
-    """Count of xi2 < xi1 in 1000 random single-cell configs (tau >= K, M*gamma_p <= 1)."""
-    violations = 0
-    for _ in range(1000):
-        K = int(rng.integers(1, 17))
-        M = int(2 ** rng.integers(0, 4))
-        cfg = SystemConfig(
-            L=1, K=K, tau=int(rng.integers(K, 2 * K + 8)), M=M,
-            N=int(2 ** rng.integers(4, 10)), adc_bits=int(rng.integers(1, 13)),
-            p_t=float(rng.uniform(1e-3, 0.1)),
-            p_p=float(rng.uniform(1e-3, 1.0 / M)), sigma_n2=1.0)
-        violations += int(bounds.high_pilot_approx(cfg)[0] < bounds.low_snr_approx(cfg)[0])
-    return violations
-
-
 def bounds_suite():
     """Parameter monotonicity, limits, low-SNR convergence, and xi ordering."""
     out = []
@@ -147,14 +132,14 @@ def bounds_suite():
         return bounds.lower_bound_rate(SystemConfig(**d)).R_LB
 
     mono = [
-        ("K", [1, 2, 4, 8], -1, {}),
-        ("beta_inter", [0.05, 0.1, 0.2, 0.4], -1, {}),
-        ("N", [16, 32, 64, 128], +1, {}),
-        ("p_p", [0.5, 1.0, 2.0, 4.0], +1, {}),
-        ("adc_bits", [1, 2, 3, 4], +1, {}),
+        ("K", [1, 2, 4, 8], -1),
+        ("beta_inter", [0.05, 0.1, 0.2, 0.4], -1),
+        ("N", [16, 32, 64, 128], +1),
+        ("p_p", [0.5, 1.0, 2.0, 4.0], +1),
+        ("adc_bits", [1, 2, 3, 4], +1),
     ]
-    for name, vals, sign, extra in mono:
-        seq = [rlb(**{name: v}, **extra) for v in vals]
+    for name, vals, sign in mono:
+        seq = [rlb(**{name: v}) for v in vals]
         diffs = np.diff(seq) * sign
         out.append(CheckResult(
             "bounds", f"monotone_{name}", bool(np.all(diffs >= 0)),
@@ -181,25 +166,19 @@ def bounds_suite():
     out.append(CheckResult(
         "bounds", "low_snr_convergence", rel < 0.05, float(rel), 0.05))
 
-    viol = xi_ordering_violations(substream(99, 1))
+    # xi2 >= xi1 in 1000 random single-cell configs with tau >= K and M*gamma_p <= 1
+    rng = substream(99, 1)
+    viol = 0
+    for _ in range(1000):
+        K = int(rng.integers(1, 17))
+        M = int(2 ** rng.integers(0, 4))
+        cfg = SystemConfig(
+            L=1, K=K, tau=int(rng.integers(K, 2 * K + 8)), M=M,
+            N=int(2 ** rng.integers(4, 10)), adc_bits=int(rng.integers(1, 13)),
+            p_t=float(rng.uniform(1e-3, 0.1)),
+            p_p=float(rng.uniform(1e-3, 1.0 / M)), sigma_n2=1.0)
+        viol += int(bounds.high_pilot_approx(cfg)[0] < bounds.low_snr_approx(cfg)[0])
     out.append(CheckResult("bounds", "xi_ordering_1000", viol == 0, viol, 0))
-    return out
-
-
-def gain_bound_checks():
-    """Noiseless beam-selection gain |c| of the B=6 codebook on an angle grid against
-    its analytic bounds gain_lower_bound(M, B) <= |c| <= sqrt(M), for M in 2, 4, 8."""
-    out = []
-    B = 6
-    cos_cb = np.cos(build_codebook(B))
-    cos_grid = np.cos(np.linspace(0.0, np.pi, 10 ** 4))
-    for M in (2, 4, 8):
-        sel = _candidate_gains(cos_grid, cos_cb, M).max(axis=-1)
-        worst, best = float(sel.min()), float(sel.max())
-        lo = gain_lower_bound(M, B)
-        ok = worst >= lo - 1e-12 and best <= math.sqrt(M) + 1e-12
-        out.append(CheckResult(
-            "rate", f"gain_bounds_M{M}", ok, worst, lo, f"max={best:.6f}"))
     return out
 
 
@@ -216,7 +195,18 @@ def rate_suite():
             "rate", f"bound_validity_K{K}", rep.rate_mc + rep.ci95 >= lb,
             rep.rate_mc - lb, -rep.ci95, f"rate={rep.rate_mc:.4f} lb={lb:.4f}"))
 
-    out.extend(gain_bound_checks())
+    # noiseless beam-selection gain |c| of the B=6 codebook on an angle grid
+    # against its analytic bounds gain_lower_bound(M, B) <= |c| <= sqrt(M)
+    B = 6
+    cos_cb = np.cos(build_codebook(B))
+    cos_grid = np.cos(np.linspace(0.0, np.pi, 10 ** 4))
+    for M in (2, 4, 8):
+        sel = _candidate_gains(cos_grid, cos_cb, M).max(axis=-1)
+        worst, best = float(sel.min()), float(sel.max())
+        lo = gain_lower_bound(M, B)
+        ok = worst >= lo - 1e-12 and best <= math.sqrt(M) + 1e-12
+        out.append(CheckResult(
+            "rate", f"gain_bounds_M{M}", ok, worst, lo, f"max={best:.6f}"))
 
     cfg = SystemConfig(L=3, K=4, N=64, M=2, adc_bits=3, p_t=1.0, p_p=4.0, sigma_n2=1.0,
                        seed=seed)
@@ -236,14 +226,3 @@ SUITES = {
     "rate": rate_suite,
 }
 
-
-def run_suite(name):
-    """Run one suite (or 'all'); returns the list of CheckResults."""
-    if name == "all":
-        results = []
-        for fn in SUITES.values():
-            results.extend(fn())
-        return results
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri  # standard normal CDF and its inverse
 
-from .config import MIN_ADC_BITS, MAX_ADC_BITS
+from .config import adc_bits_violation
 from .errors import ParameterError
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -20,7 +20,8 @@ def _norm_pdf(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-@lru_cache(maxsize=None)
+# typed: True and 3.0 must reach the check, not the cached designs for 1 and 3
+@lru_cache(maxsize=None, typed=True)
 def lloyd_max_design(bits):
     """Levels and thresholds of the MMSE quantizer for a unit-variance Gaussian.
 
@@ -29,8 +30,8 @@ def lloyd_max_design(bits):
     is again Gaussian with variance 3.  Returns (levels, thresholds) with
     len(thresholds) == len(levels) - 1.
     """
-    if not MIN_ADC_BITS <= bits <= MAX_ADC_BITS:
-        raise ParameterError(f"adc bits must be in [1, 12], got {bits}")
+    if error := adc_bits_violation(bits):
+        raise ParameterError(error)
     n = 2 ** bits
     # low depths converge fully; high depths start close enough that a
     # bounded budget leaves the levels within noise of optimal
@@ -55,14 +56,20 @@ def lloyd_max_design(bits):
 def lloyd_max_distortion(bits):
     """MSE of the designed quantizer on a unit-variance Gaussian.
 
-    Regenerates the value behind distortion_factor's frozen table.
+    Regenerates the value behind distortion_factor's frozen table.  Summed
+    per cell from the Gaussian partial moments, so it is the MSE of the levels
+    and thresholds as designed, also where the design stopped short of
+    convergence.
     """
     levels, thresholds = lloyd_max_design(bits)
-    tl = np.concatenate(([-np.inf], thresholds))
-    tu = np.concatenate((thresholds, [np.inf]))
-    prob = ndtr(tu) - ndtr(tl)
-    # centroid condition makes E[(x - Q(x))^2] = E[x^2] - E[Q(x)^2]
-    return 1.0 - float(np.sum(prob * levels ** 2))
+    # over cell (a, b]: P = Phi(b) - Phi(a), and the partial moments
+    # E[x; a < x <= b] = phi(a) - phi(b) and E[x^2; a < x <= b] =
+    # P + a phi(a) - b phi(b), with their limits at the +-inf edges
+    pdf = _norm_pdf(thresholds)
+    prob = np.diff(np.concatenate(([0.0], ndtr(thresholds), [1.0])))
+    m1 = -np.diff(np.concatenate(([0.0], pdf, [0.0])))
+    m2 = prob - np.diff(np.concatenate(([0.0], thresholds * pdf, [0.0])))
+    return float(np.sum(m2 - 2.0 * levels * m1 + levels ** 2 * prob))
 
 
 def lloyd_max_quantize(samples, bits, input_variance):

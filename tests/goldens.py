@@ -2,8 +2,15 @@
 
 OUTPUTS maps each file to the function that produces its text: the stdout
 of one `mmwsim` command run through `mmwsim.cli.main`, or engine values
-printed with repr.  test_golden.py compares every file byte for byte.  After
-a change that is meant to move an output, rewrite the files it moves with
+printed with repr.  test_golden.py compares every file byte for byte.
+validate.txt is the one tier-1 run of the `validate` suites, which hold
+acceptance criteria 3-7 (xi ordering, the large-N limit, the steering-sum
+lemmas, the quantizer model, the analog-gain bounds); cli_output raises when
+a command exits nonzero, so one FAIL line fails that test and cannot be
+recorded.
+
+After a change that is meant to move an output, rewrite the files it moves
+with
 
     PYTHONPATH=src python tests/goldens.py FILE [FILE ...]
 

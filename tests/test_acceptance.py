@@ -1,11 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1 and 8 check the paper's claims where the paper makes them: the
-bound tightens in K in the absolute gap and in the SIQNR-denominator ratio
-(the relative gap widens through Jensen's inequality on the simulated side),
-and the K-free xi1 law is checked at a data SNR whose regime condition the
-test itself asserts.  Criteria 5, 6 and 7 run the same checks as
-`mmwsim validate`, at their own seeds.
+These are criteria 1, 2, 8 and 9, the full-size claims.  Criteria 1 and 8
+check the paper's claims where the paper makes them: the bound tightens in
+K in the absolute gap and in the SIQNR-denominator ratio (the relative gap
+widens through Jensen's inequality on the simulated side), and the K-free
+xi1 law is checked at a data SNR whose regime condition the test itself
+asserts.  Criteria 3-7 (xi ordering, the large-N limit, the steering-sum
+lemmas, the quantizer model and the analog-gain bounds) are the `bounds`,
+`lemmas`, `quantizer` and `rate` checks of `mmwsim validate`, which
+tests/golden/validate.txt runs in tier-1.
 """
 
 import dataclasses
@@ -13,13 +16,9 @@ import time
 
 import numpy as np
 
-from mmwsim.bounds import (asymptotic_limit, bound_inputs, log_rate, low_snr_approx,
-                           lower_bound_rate)
-from mmwsim.checks import (gain_bound_checks, lemmas_suite, quantizer_suite,
-                           xi_ordering_violations)
+from mmwsim.bounds import bound_inputs, log_rate, low_snr_approx, lower_bound_rate
 from mmwsim.config import SystemConfig
 from mmwsim.rate import ergodic_rate
-from mmwsim.rng import substream
 from mmwsim.sweep import _point_config, load_preset
 
 
@@ -99,65 +98,6 @@ def test_criterion_2_adc_antenna_tradeoff():
     _report(2, ok, f"xi1 ratios={np.round(ratios, 6).tolist()} "
                    f"rate diffs={np.round(diffs, 4).tolist()} bits")
     assert ok
-
-
-def test_criterion_3_xi_ordering():
-    violations = xi_ordering_violations(substream(2024, 0))
-    ok = violations == 0
-    _report(3, ok, f"{violations} violations in 1000 random configs "
-                   "with tau >= K and M*pilot_snr <= 1")
-    assert ok
-
-
-def test_criterion_4_asymptotic_limit():
-    t0 = time.time()
-    def cfg_n(n):
-        return SystemConfig(L=3, K=4, N=int(n), M=2, B=6, adc_bits=1, p_t=1.0, p_p=4.0,
-                            sigma_n2=1.0)
-    ns = np.unique(np.round(np.logspace(2, 7, 11)).astype(int))
-    ladder = [lower_bound_rate(cfg_n(n)).R_LB for n in ns]
-    r_inf = asymptotic_limit(cfg_n(10 ** 7))
-    monotone = all(b > a for a, b in zip(ladder, ladder[1:]))
-    gap = abs(ladder[-1] - r_inf)
-    elapsed = time.time() - t0
-    ok = monotone and gap < 0.2 and abs(r_inf - 5.667) < 5e-4 and elapsed < 60
-    _report(4, ok, f"R_inf={r_inf:.4f} (expect ~5.667), final gap={gap:.4f} "
-                   f"bits, monotone={monotone}, {elapsed:.1f}s")
-    assert ok
-
-
-def _report_checks(num, results, elapsed, limit):
-    """Report a criterion that runs one of the `mmwsim validate` check sets."""
-    failed = [r.name for r in results if not r.passed]
-    ok = not failed and elapsed < limit
-    values = "; ".join(f"{r.name}={r.value:.4g} (tol {r.tolerance:.4g})" for r in results)
-    _report(num, ok, f"{len(results) - len(failed)}/{len(results)} checks passed: "
-                     f"{values}; {elapsed:.1f}s")
-    assert not failed, f"failed checks: {failed}"
-    assert elapsed < limit, f"{elapsed:.1f}s exceeds {limit}s"
-
-
-def test_criterion_5_lemma_validation():
-    # MC steering sums within 3 SE of the exact sums at N in (16, 64, 256),
-    # 1e5 draws; closed forms at N=256 within 0.02 / 0.02 / 0.10 relative
-    t0 = time.time()
-    results = lemmas_suite(seed=55)
-    _report_checks(5, results, time.time() - t0, 120)
-
-
-def test_criterion_6_quantization_model():
-    # 1e6 samples, b = 1..5: distortion within 1%, Bussgang gain within 1%,
-    # cross-correlation < 0.01, noise variance within 2%; table regeneration
-    t0 = time.time()
-    results = quantizer_suite(seed=66)
-    _report_checks(6, results, time.time() - t0, 60)
-
-
-def test_criterion_7_gain_bounds_exhaustive():
-    # B=6, M in (2, 4, 8), on a 1e4-point angle grid
-    t0 = time.time()
-    results = gain_bound_checks()
-    _report_checks(7, results, time.time() - t0, 60)
 
 
 def _pilot_curves(spec):

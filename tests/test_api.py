@@ -16,8 +16,9 @@ PUBLIC = [
 
 # the per-realization reference pipeline, the paper's MMSE estimator and the
 # single-cell bound's SNR form live in tests/oracles.py; the rest had no
-# caller outside the tests or wrapped what its callers now call directly.  Keys name a
-# module or a class in it.
+# caller outside the tests or wrapped what its callers now call directly (the
+# check helpers are inlined in the `validate` suites).  Keys name a module or a
+# class in it.
 RETIRED = {
     "channel": ["ChannelRealization", "sample_channel", "effective_channel",
                 "dump_realization_csv"],
@@ -38,6 +39,7 @@ RETIRED = {
     "config": ["set_param", "gain_floor_warnings"],
     "config.SystemConfig": ["zeta", "log_rate", "validated"],
     "rate.RateReport": ["gamma_samples"],
+    "checks": ["xi_ordering_violations", "gain_bound_checks", "run_suite"],
 }
 
 SIGNATURES = {
@@ -47,11 +49,9 @@ SIGNATURES = {
     "quantize.lloyd_max_distortion": "(bits)",
     "sweep.emit_plot_script": "(csv_path, spec, rows)",
     "config.config_from_dict": "(*layers)",
-    "checks.quantizer_suite": "(seed=1234)",
-    "checks.lemmas_suite": "(seed=77)",
-    "checks.xi_ordering_violations": "(rng)",
+    "checks.quantizer_suite": "()",
+    "checks.lemmas_suite": "()",
     "checks.bounds_suite": "()",
-    "checks.gain_bound_checks": "()",
     "checks.rate_suite": "()",
 }
 

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from goldens import cli_output
+from mmwsim.checks import SUITES, CheckResult
 from mmwsim.cli import main
 from mmwsim.config import SystemConfig
 from mmwsim.rng import STAGE_CHANNEL, STAGE_PILOT, substream
@@ -260,9 +262,26 @@ def test_sweep_plot_script_needs_a_plotted_output(capsys, tmp_path):
 
 
 
-@pytest.mark.parametrize("suite", ["bounds", "rate"])
+@pytest.mark.parametrize("suite", ["bounds"])
 def test_validate_suite_exit_codes(capsys, suite):
     assert main(["validate", "--suite", suite]) == 0
-    out = capsys.readouterr().out
-    assert f"PASS {suite}/" in out and "FAIL" not in out
-    assert "checks passed" in out
+    *checks, summary = capsys.readouterr().out.splitlines()
+    assert checks and all(line.startswith(f"PASS {suite}/") for line in checks)
+    assert summary == f"{len(checks)}/{len(checks)} checks passed"
+
+
+def test_validate_fails_loudly(monkeypatch, capsys):
+    # the validate golden is the one tier-1 run of these checks: a FAIL line
+    # must fail it, and must stop it from being recorded
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda name=name: [
+            CheckResult(name, "holds", True, 1.0, 2.0)])
+    monkeypatch.setitem(SUITES, "rate", lambda: [
+        CheckResult("rate", "holds", True, 1.0, 2.0),
+        CheckResult("rate", "broken", False, 3.0, 2.0, "stub")])
+    assert main(["validate", "--suite", "rate"]) == 1
+    assert capsys.readouterr().out == ("PASS rate/holds: value=1 tol=2\n"
+                                       "FAIL rate/broken: value=3 tol=2  (stub)\n"
+                                       "1/2 checks passed\n")
+    with pytest.raises(RuntimeError, match="exited 1"):
+        cli_output("validate")

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from mmwsim.config import SystemConfig
-from mmwsim.errors import ParameterError
-from mmwsim.quantize import (bussgang_decompose, lloyd_max_design, lloyd_max_quantize,
-                             quant_noise_power, received_power)
+from mmwsim.config import SystemConfig, distortion_factor
+from mmwsim.errors import ConfigError, ParameterError
+from mmwsim.quantize import (bussgang_decompose, lloyd_max_design, lloyd_max_distortion,
+                             lloyd_max_quantize, quant_noise_power, received_power)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,28 @@ def test_quantize_rejects_bad_args():
         lloyd_max_quantize(np.ones(4, dtype=complex), 0, 1.0)
     with pytest.raises(ParameterError):
         lloyd_max_quantize(np.ones(4, dtype=complex), 3, 0.0)
+
+
+@pytest.mark.parametrize("bits", [1.5, 3.0, True, 0, 13])
+def test_adc_bits_rule_is_the_same_everywhere(bits):
+    # cache the designs whose keys equal True and 3.0
+    lloyd_max_design(1), lloyd_max_design(3)
+    message = f"adc_bits must be an integer in [1, 12], got {bits!r}"
+    with pytest.raises(ConfigError) as err:
+        SystemConfig(adc_bits=bits)
+    assert err.value.errors == [message]
+    for call in (distortion_factor, lloyd_max_design,
+                 lambda b: lloyd_max_quantize(np.ones(4, dtype=complex), b, 1.0)):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            call(bits)
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_distortion_of_the_design_matches_the_table(bits):
+    # from 7 bits the design stops at its iteration budget; from 10 bits that
+    # leaves it 6e-4 to 3e-3 off the converged table value
+    assert lloyd_max_distortion(bits) == pytest.approx(
+        distortion_factor(bits), rel=1e-4 if bits <= 9 else 3e-3)
 
 
 def _searchsorted_quantize(samples, bits, input_variance):
