@@ -9,6 +9,8 @@ import numpy as np
 import scipy.special
 
 from .errors import ParameterError
+from .estimation import noise_equivalent_mu
+from .quantize import quant_noise_power
 from .training import gain_lower_bound
 
 EULER_GAMMA = 0.577215664901533  # Euler-Mascheroni constant
@@ -109,10 +111,9 @@ class BoundInputs:
 def bound_inputs(cfg):
     c = gain_lower_bound(cfg.M, cfg.B)
     L, K, M = cfg.L, cfg.K, cfg.M
-    beta = cfg.beta_inter
-    rho = cfg.rho
-    lam = c ** 2 + (K - 1) * M + beta * (L - 1) * K * M
-    mu = cfg.sigma_n2 / ((1.0 - rho) * cfg.p_p) + rho * lam / ((1.0 - rho) * cfg.tau)
+    lam = c ** 2 + (K - 1) * M + cfg.beta_inter * (L - 1) * K * M
+    # the engine's estimation noise at received gain lambda
+    mu = noise_equivalent_mu(cfg, quant_noise_power(cfg, lam, cfg.p_p / cfg.tau))
     return BoundInputs(c=c, lam=lam, mu=mu, eta1=eta1(cfg.N), eta2=eta2(cfg.N), eta3=eta3(cfg.N))
 
 
@@ -141,9 +142,8 @@ def lower_bound_rate(cfg):
     e1, e2, e3 = iv.eta1, iv.eta2, iv.eta3
     L, K, N, M = cfg.L, cfg.K, cfg.N, cfg.M
     beta = cfg.beta_inter
-    rho = cfg.rho
-    pt, sn2 = cfg.p_t, cfg.sigma_n2
-    one = 1.0 - rho
+    pt = cfg.p_t
+    one = 1.0 - cfg.rho
 
     P_u = one ** 2 * pt * (K - 1) * M * c ** -2 * e2
     P_c = one ** 2 * pt * (L - 1) * K * beta * M * c ** -2 * e2
@@ -154,8 +154,8 @@ def lower_bound_rate(cfg):
         + (L - 1) * (L - 2) * beta * M * e1
         + 2.0 * (L - 1) * math.sqrt(beta) * c * math.sqrt(M) * e1
     )
-    P_n = one ** 2 * sn2 * c ** -4 * bracket
-    P_q = rho * one * (sn2 + lam * pt) * c ** -4 * bracket
+    P_n = one ** 2 * c ** -4 * bracket
+    P_q = quant_noise_power(cfg, lam, pt) * c ** -4 * bracket
     P_e = one ** 2 * pt * c ** -4 * (
         N * lam * mu
         + (L - 1) * N ** 2 * beta ** 2 * M ** 2
@@ -195,18 +195,15 @@ def asymptotic_limit(cfg):
 
 
 def low_snr_approx(cfg):
-    """(xi1, rate) for the low data & pilot SNR regime: xi1 = (1-rho)^2 N M^2 g_p."""
+    """(xi1, rate) for the low data & pilot SNR regime: xi1 = (1-rho)^2 N M^2 p_p."""
     one = 1.0 - cfg.rho
-    g_t = cfg.p_t / cfg.sigma_n2
-    g_p = cfg.p_p / cfg.sigma_n2
-    xi1 = one ** 2 * cfg.N * cfg.M ** 2 * g_p
-    return xi1, log_rate(1.0 + xi1 * g_t)
+    xi1 = one ** 2 * cfg.N * cfg.M ** 2 * cfg.p_p
+    return xi1, log_rate(1.0 + xi1 * cfg.p_t)
 
 
 def high_pilot_approx(cfg):
     """(xi2, rate) for low data / high pilot SNR: xi2 = (1-rho)^2 N M / (1-rho+rho K/tau)."""
     rho = cfg.rho
     one = 1.0 - rho
-    g_t = cfg.p_t / cfg.sigma_n2
     xi2 = one ** 2 * cfg.N * cfg.M / (one + rho * cfg.K / cfg.tau)
-    return xi2, log_rate(1.0 + xi2 * g_t)
+    return xi2, log_rate(1.0 + xi2 * cfg.p_t)

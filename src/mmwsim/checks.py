@@ -124,7 +124,7 @@ def lemmas_suite():
 def bounds_suite():
     """Parameter monotonicity, limits, low-SNR convergence, and xi ordering."""
     out = []
-    base = dict(K=4, N=64, M=2, adc_bits=3, p_t=0.1, p_p=1.0, sigma_n2=1.0)
+    base = dict(K=4, N=64, M=2, adc_bits=3, p_t=0.1, p_p=1.0)
 
     def rlb(**kw):
         d = dict(L=3, **base)
@@ -146,9 +146,9 @@ def bounds_suite():
             float(np.min(diffs)), 0.0, f"values={np.round(seq, 4).tolist()}"))
 
     # singling out the asymptotic limit
-    cfg_inf = SystemConfig(L=3, K=4, N=64, M=2, adc_bits=1, p_t=1.0, p_p=4.0, sigma_n2=1.0)
+    cfg_inf = SystemConfig(L=3, K=4, N=64, M=2, adc_bits=1, p_t=1.0, p_p=4.0)
     ladder = [bounds.lower_bound_rate(SystemConfig(
-        L=3, K=4, N=int(n), M=2, adc_bits=1, p_t=1.0, p_p=4.0, sigma_n2=1.0)).R_LB
+        L=3, K=4, N=int(n), M=2, adc_bits=1, p_t=1.0, p_p=4.0)).R_LB
         for n in np.logspace(2, 7, 8)]
     r_inf = bounds.asymptotic_limit(cfg_inf)
     out.append(CheckResult(
@@ -159,10 +159,9 @@ def bounds_suite():
         abs(r_inf - ladder[-1]), 0.2, f"R_inf={r_inf:.4f}"))
 
     # low-SNR convergence of the single-cell bound to its xi1 approximation
-    cfg_lo = SystemConfig(L=1, K=4, N=64, M=2, adc_bits=3, p_t=1e-3, p_p=1e-3, sigma_n2=1.0)
+    cfg_lo = SystemConfig(L=1, K=4, N=64, M=2, adc_bits=3, p_t=1e-3, p_p=1e-3)
     rep = bounds.lower_bound_rate(cfg_lo)
-    g_t = cfg_lo.p_t / cfg_lo.sigma_n2
-    rel = abs((2 ** rep.R_LB - 1) - rep.xi1 * g_t) / (2 ** rep.R_LB - 1)
+    rel = abs((2 ** rep.R_LB - 1) - rep.xi1 * cfg_lo.p_t) / (2 ** rep.R_LB - 1)
     out.append(CheckResult(
         "bounds", "low_snr_convergence", rel < 0.05, float(rel), 0.05))
 
@@ -176,7 +175,7 @@ def bounds_suite():
             L=1, K=K, tau=int(rng.integers(K, 2 * K + 8)), M=M,
             N=int(2 ** rng.integers(4, 10)), adc_bits=int(rng.integers(1, 13)),
             p_t=float(rng.uniform(1e-3, 0.1)),
-            p_p=float(rng.uniform(1e-3, 1.0 / M)), sigma_n2=1.0)
+            p_p=float(rng.uniform(1e-3, 1.0 / M)))
         viol += int(bounds.high_pilot_approx(cfg)[0] < bounds.low_snr_approx(cfg)[0])
     out.append(CheckResult("bounds", "xi_ordering_1000", viol == 0, viol, 0))
     return out
@@ -188,7 +187,7 @@ def rate_suite():
     seed, trials = 11, 400
     for K in (2, 8):
         cfg = SystemConfig(
-            L=3, K=K, N=64, M=2, adc_bits=1, p_t=1.0, p_p=float(K), sigma_n2=1.0, seed=seed)
+            L=3, K=K, N=64, M=2, adc_bits=1, p_t=1.0, p_p=float(K), seed=seed)
         rep = ergodic_rate(cfg, trials)
         lb = bounds.lower_bound_rate(cfg).R_LB
         out.append(CheckResult(
@@ -208,8 +207,7 @@ def rate_suite():
         out.append(CheckResult(
             "rate", f"gain_bounds_M{M}", ok, worst, lo, f"max={best:.6f}"))
 
-    cfg = SystemConfig(L=3, K=4, N=64, M=2, adc_bits=3, p_t=1.0, p_p=4.0, sigma_n2=1.0,
-                       seed=seed)
+    cfg = SystemConfig(L=3, K=4, N=64, M=2, adc_bits=3, p_t=1.0, p_p=4.0, seed=seed)
     semi = ergodic_rate(cfg, trials)
     symb = ergodic_rate(cfg, trials, mode="symbol")
     rel = abs(semi.rate_mc - symb.rate_mc) / semi.rate_mc

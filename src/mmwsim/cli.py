@@ -210,7 +210,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParameterError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,7 +70,8 @@ def beam_warnings(M, B):
 class SystemConfig:
     """All scenario parameters for one simulation or bound evaluation.
 
-    Powers are linear.  `tau` and `p_p` default to K and tau*p_t when left
+    Powers are linear and in units of the noise power, so p_t and p_p are
+    the data and pilot SNRs.  `tau` and `p_p` default to K and tau*p_t when left
     unset.  Every instance is checked when it is built, and
     `dataclasses.replace` builds a new one, so a SystemConfig that exists is
     valid; the checks collect every violation into one ConfigError.  Both
@@ -88,7 +89,6 @@ class SystemConfig:
     rho_ad: float = None            # explicit distortion-factor override
     p_t: float = 1.0                # data transmit power
     p_p: float = None               # pilot power (total per user over tau)
-    sigma_n2: float = 1.0           # noise power
     beta_inter: float = 0.1         # inter-cell large-scale factor
     seed: int = 0
 
@@ -117,11 +117,11 @@ class SystemConfig:
 
     @property
     def snr_db(self):
-        return 10.0 * math.log10(self.p_t / self.sigma_n2)
+        return 10.0 * math.log10(self.p_t)
 
     @property
     def pilot_snr_db(self):
-        return 10.0 * math.log10(self.p_p / self.sigma_n2)
+        return 10.0 * math.log10(self.p_p)
 
 
 def _is_int(v):
@@ -178,7 +178,7 @@ def _violations(cfg):
     if not bad & {"tau", "K"} and cfg.tau < cfg.K:
         errors.append(f"tau < K: orthogonal pilots need tau >= K (tau={cfg.tau}, K={cfg.K})")
 
-    for name in ("p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad"):
+    for name in ("p_t", "p_p", "beta_inter", "rho_ad"):
         v = getattr(cfg, name)
         if name == "rho_ad" and v is None:
             continue        # optional: adc_bits then sets the distortion factor
@@ -194,7 +194,7 @@ def _violations(cfg):
     elif error := adc_bits_violation(cfg.adc_bits):
         errors.append(error)
 
-    for name in ("p_t", "p_p", "sigma_n2"):
+    for name in ("p_t", "p_p"):
         v = getattr(cfg, name)
         if name not in bad and not v > 0:
             errors.append(f"{name} must be > 0, got {v!r}")
@@ -211,11 +211,10 @@ def validate_config(cfg):
 
 
 # Keys of settings dicts (`--set`, config documents, sweeps): the SystemConfig
-# fields, plus snr_db and pilot_snr_db, p_t and p_p in dB over the final sigma_n2.
+# fields, plus snr_db and pilot_snr_db, p_t and p_p in dB.
 _INT_KEYS = {f.name for f in fields(SystemConfig) if f.type is int}
 _DB_POWER = {"snr_db": "p_t", "pilot_snr_db": "p_p"}
 SETTABLE_KEYS = {f.name for f in fields(SystemConfig)} | set(_DB_POWER)
-_PAIRED = {**_DB_POWER, **{power: db for db, power in _DB_POWER.items()}}
 
 
 def parse_setting(name, text):
@@ -228,11 +227,11 @@ def parse_setting(name, text):
 def config_from_dict(*layers):
     """Build a SystemConfig from settings dicts with strict key checking.
 
-    Layers apply in order, and each layer's keys in order: a later value wins,
-    and a dB key and the power it stands for replace each other.  Then
-    snr_db and pilot_snr_db translate against the final sigma_n2, and
-    SystemConfig derives tau and p_p from the merged settings.  Values keep
-    their types, for SystemConfig to check.
+    Layers apply in order, and each layer's keys in order: a later value
+    wins.  snr_db and pilot_snr_db translate to p_t and p_p as they merge, so
+    a dB key and the power it stands for replace each other.  SystemConfig
+    derives tau and p_p from the merged settings.  Other values keep their
+    types, for SystemConfig to check.
     """
     unknown = sorted({k for layer in layers for k in layer} - SETTABLE_KEYS)
     if unknown:
@@ -240,18 +239,14 @@ def config_from_dict(*layers):
     fields_doc = {}
     for layer in layers:
         for name, value in layer.items():
-            fields_doc.pop(_PAIRED.get(name), None)
+            if name in _DB_POWER:       # to p_t or p_p, in noise units
+                if not _is_finite_number(value):
+                    raise ConfigError(f"{name} must be a finite number, got {_shown(value)}")
+                try:
+                    name, value = _DB_POWER[name], 10.0 ** (value / 10.0)
+                except OverflowError:
+                    raise ConfigError(f"{name} = {value!r} dB overflows a float power") from None
             fields_doc[name] = value
-    sigma_n2 = fields_doc.get("sigma_n2", SystemConfig.sigma_n2)
-    for db in [key for key in _DB_POWER if key in fields_doc]:
-        value = fields_doc.pop(db)
-        if not _is_finite_number(value):
-            raise ConfigError(f"{db} must be a finite number, got {_shown(value)}")
-        if _is_finite_number(sigma_n2):   # otherwise SystemConfig reports it
-            try:
-                fields_doc[_DB_POWER[db]] = sigma_n2 * 10.0 ** (value / 10.0)
-            except OverflowError:
-                raise ConfigError(f"{db} = {value!r} dB overflows a float power") from None
     return SystemConfig(**fields_doc)
 
 

@@ -20,6 +20,5 @@ def build_pilot_matrix(tau, K):
 
 
 def noise_equivalent_mu(cfg, sigma_pq2):
-    """Equivalent estimation-noise power: sigma_n^2/P_p + sigma_pq^2/((1-rho)^2 P_p)."""
-    rho = cfg.rho
-    return cfg.sigma_n2 / cfg.p_p + sigma_pq2 / ((1.0 - rho) ** 2 * cfg.p_p)
+    """Equivalent estimation-noise power: 1/P_p + sigma_pq^2/((1-rho)^2 P_p)."""
+    return 1.0 / cfg.p_p + sigma_pq2 / ((1.0 - cfg.rho) ** 2 * cfg.p_p)

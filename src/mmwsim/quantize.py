@@ -121,16 +121,16 @@ def bussgang_decompose(pre_quant, post_quant):
     return gain, noise_var, crosscorr
 
 
-def received_power(cfg, total, power):
-    """sigma_n^2 + power * total: a BS antenna's received power, the ADC's input variance.
+def received_power(total, power):
+    """1 + power * total: a BS antenna's received power in noise units, the ADC's input variance.
 
     `total` is the received gain sum_l sum_k beta_jlk |c_jlk|^2 (a scalar or
     an array of them) and `power` the per-symbol transmit power.
     """
-    return cfg.sigma_n2 + power * total
+    return 1.0 + power * total
 
 
 def quant_noise_power(cfg, total, power):
-    """rho(1-rho) * received_power(cfg, total, power) at a BS."""
+    """rho(1-rho) * received_power(total, power) at a BS."""
     rho = cfg.rho
-    return rho * (1.0 - rho) * received_power(cfg, total, power)
+    return rho * (1.0 - rho) * received_power(total, power)

@@ -52,6 +52,12 @@ class RateReport:
     seed: int
 
 
+def check_trials(trials):
+    """Raise ParameterError unless `trials` is an integer >= 10 (a bool is not)."""
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 10:
+        raise ParameterError(f"trials must be an integer >= 10, got {trials!r}")
+
+
 def _block_trials(cfg):
     """Trials per block under BLOCK_BYTES (at least one)."""
     LK = cfg.L * cfg.K
@@ -135,7 +141,7 @@ def _semi_block(cfg, theta0, c0):
     bracket = N * mu + u_norm2
     quad = np.einsum("tb,tkb->tk", bg.reshape(T, L * K), y.real ** 2 + y.imag ** 2)
 
-    e_in = (1.0 - rho) ** 2 * cfg.sigma_n2 * bracket
+    e_in = (1.0 - rho) ** 2 * bracket
     e_iq = sigma_q2 * bracket
     e_sr = (1.0 - rho) ** 2 * cfg.p_t * (mu * N * total[:, None] + quad)
 
@@ -161,8 +167,8 @@ def _pilot_phase(cfg, trial, theta0, c0, total):
     Psi = build_pilot_matrix(cfg.tau, cfg.K)
     Y_p = np.sqrt(cfg.p_p) * eff.sum(axis=0) @ Psi.T
     Y_p = Y_p + rngmod.complex_normal(
-        rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT), Y_p.shape, cfg.sigma_n2)
-    Y_qp = lloyd_max_quantize(Y_p, cfg.adc_bits, received_power(cfg, total, cfg.p_p / cfg.tau))
+        rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT), Y_p.shape, 1.0)
+    Y_qp = lloyd_max_quantize(Y_p, cfg.adc_bits, received_power(total, cfg.p_p / cfg.tau))
     return eff, (Y_qp @ Psi.conj()) / ((1.0 - cfg.rho) * np.sqrt(cfg.p_p))
 
 
@@ -179,9 +185,9 @@ def _symbol_trial(cfg, trial, theta0, c0):
 
     data_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_DATA)
     X = rngmod.complex_normal(data_rng, (L * K, SYMBOLS_PER_TRIAL), 1.0)
-    noise = rngmod.complex_normal(data_rng, (N, SYMBOLS_PER_TRIAL), cfg.sigma_n2)
+    noise = rngmod.complex_normal(data_rng, (N, SYMBOLS_PER_TRIAL), 1.0)
     R = np.sqrt(cfg.p_t) * eff_all @ X + noise
-    Q = lloyd_max_quantize(R, cfg.adc_bits, received_power(cfg, total, cfg.p_t))
+    Q = lloyd_max_quantize(R, cfg.adc_bits, received_power(total, cfg.p_t))
 
     Y = combiner.conj().T @ Q                         # (K, SYMBOLS_PER_TRIAL)
     a = (1.0 - rho) * np.sqrt(cfg.p_t) * b0[0] * gains2[0] * N
@@ -202,8 +208,7 @@ def ergodic_rate(cfg, trials, mode="semi"):
     BLOCK_BYTES, and every trial draws from its own (seed, trial, stage)
     substreams, so the result does not depend on the block size.
     """
-    if trials < 10:
-        raise ParameterError(f"trials must be >= 10, got {trials}")
+    check_trials(trials)
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}; choose from {MODES}")
     if mode == "symbol" and cfg.rho_ad is not None:

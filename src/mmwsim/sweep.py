@@ -8,7 +8,7 @@ from importlib import resources
 from .bounds import lower_bound_rate
 from .config import SETTABLE_KEYS, config_from_dict
 from .errors import ParameterError
-from .rate import MODES, ergodic_rate
+from .rate import MODES, check_trials, ergodic_rate
 
 # sweep axis -> the CSV column that holds its value
 AXIS_COLUMN = {"K": "K", "N": "N", "M": "M", "adc_bits": "bits",
@@ -44,8 +44,12 @@ class SweepSpec:
                 f"scenario_id must be printable text without '\"', got {self.scenario_id!r}")
         if self.axis not in AXES:
             raise ParameterError(f"unknown sweep axis {self.axis!r}; choose from {AXES}")
-        if not self.values:
-            raise ParameterError("sweep values must be non-empty")
+        if not (isinstance(self.values, list) and self.values):
+            raise ParameterError(f"sweep values must be a non-empty list, got {self.values!r}")
+        check_trials(self.trials)
+        if not isinstance(self.outputs, (list, tuple)):
+            raise ParameterError(f"sweep outputs must be a list of names, got {self.outputs!r}")
+        self.outputs = tuple(self.outputs)
         bad = [o for o in self.outputs if o not in OUTPUT_COLUMNS]
         if bad:
             raise ParameterError(f"unknown output columns {bad}")
@@ -63,17 +67,19 @@ class SweepSpec:
 
 def load_sweep_spec(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    return sweep_spec_from_dict(doc)
+        return sweep_spec_from_dict(json.load(fh))
 
 
 def sweep_spec_from_dict(doc):
+    """The SweepSpec a JSON document describes; unknown or missing keys are errors."""
+    if not isinstance(doc, dict):
+        raise ParameterError("sweep spec must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(SweepSpec)}
     if unknown:
         raise ParameterError(f"unknown sweep spec keys {sorted(unknown)}")
-    doc = dict(doc)
-    if "outputs" in doc:
-        doc["outputs"] = tuple(doc["outputs"])
+    missing = [key for key in ("scenario_id", "base", "axis", "values") if key not in doc]
+    if missing:
+        raise ParameterError(f"sweep spec is missing required keys {missing}")
     return SweepSpec(**doc)
 
 
@@ -102,19 +108,18 @@ def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
     Deterministic for fixed seed and flags; rows appear in curve-major,
     axis-order.  Every point's config resolves before the first one runs.
     """
-    trials = spec.trials if trials is None else trials
-    # replace() re-runs the spec's checks, so a bad mode fails before any point
-    mode = spec.mode if mode is None else replace(spec, mode=mode).mode
+    # replace() re-runs the spec's checks, so a bad flag fails before any point
+    flags = {"trials": trials, "mode": mode}
+    spec = replace(spec, **{name: v for name, v in flags.items() if v is not None})
     overrides = {} if seed is None else {"seed": seed}
     cfgs = [_point_config(spec, curve, value, overrides)
             for curve in spec.curves for value in spec.values]
     rows = []
     for cfg in cfgs:
         report = lower_bound_rate(cfg)
-        mc = None
-        if "rate_mc" in spec.outputs or "ci95" in spec.outputs:
-            mc = ergodic_rate(cfg, trials, mode=mode)
-        row = sweep_row(spec.scenario_id, cfg, trials, report, mc, spec.outputs)
+        simulate = "rate_mc" in spec.outputs or "ci95" in spec.outputs
+        mc = ergodic_rate(cfg, spec.trials, mode=spec.mode) if simulate else None
+        row = sweep_row(spec.scenario_id, cfg, spec.trials, report, mc, spec.outputs)
         rows.append(row)
         if progress is not None:
             progress(row)

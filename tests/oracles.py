@@ -39,8 +39,7 @@ def single_cell_bound(cfg):
     c = gain_lower_bound(cfg.M, cfg.B)
     K, N, M = cfg.K, cfg.N, cfg.M
     lam = c ** 2 + (K - 1) * M
-    g_t = cfg.p_t / cfg.sigma_n2
-    g_p = cfg.p_p / cfg.sigma_n2
+    g_t, g_p = cfg.p_t, cfg.p_p
     denom = (
         c ** -4 * N / (g_t * g_p)
         + c ** -2 * N * ((one + rho * c ** -2 * lam / cfg.tau) / g_t + c ** -2 * lam / g_p)
@@ -201,7 +200,7 @@ def receive_pilots(eff, Psi, cfg, sigma_pq2, quant_path, rng):
     gain control matched to the statistical receive variance.
     """
     Y_p = np.sqrt(cfg.p_p) * eff.sum(axis=0) @ Psi.T
-    Y_p = Y_p + complex_normal(rng, Y_p.shape, cfg.sigma_n2)
+    Y_p = Y_p + complex_normal(rng, Y_p.shape, 1.0)
     rho = cfg.rho
     if quant_path == "bussgang":
         return (1.0 - rho) * Y_p + complex_normal(rng, Y_p.shape, sigma_pq2), Y_p
@@ -255,7 +254,7 @@ def _conditional_powers(realization, training, mu_j, sigma_q2, cfg, j):
     uh = np.einsum("kn,lin->kli", u.conj(), h_j)
     quad = np.einsum("li,kli->k", b_j * gains2, np.abs(uh) ** 2)
 
-    e_in = (1.0 - rho) ** 2 * cfg.sigma_n2 * bracket
+    e_in = (1.0 - rho) ** 2 * bracket
     e_iq = sigma_q2 * bracket
     e_sr = (1.0 - rho) ** 2 * cfg.p_t * (mu_j * N * total + quad)
 

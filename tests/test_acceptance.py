@@ -105,7 +105,7 @@ def _pilot_curves(spec):
     low, high, lam_gt = [], [], {}
     for cfg, mc in _sweep_points(spec):
         (low if cfg.pilot_snr_db < 0 else high).append(mc.rate_mc)
-        lam_gt[cfg.K] = bound_inputs(cfg).lam * cfg.p_t / cfg.sigma_n2
+        lam_gt[cfg.K] = bound_inputs(cfg).lam * cfg.p_t
     return low, high, lam_gt
 
 
@@ -152,8 +152,7 @@ def test_criterion_9_model_consistency():
     base = dict(spec.base)
     cfg = SystemConfig(
         L=base["L"], K=8, N=base["N"], M=base["M"], adc_bits=3,
-        p_t=base["p_t"], p_p=8 * base["p_t"], sigma_n2=base["sigma_n2"],
-        seed=base["seed"])
+        p_t=base["p_t"], p_p=8 * base["p_t"], seed=base["seed"])
     semi = ergodic_rate(cfg, spec.trials)
     symb = ergodic_rate(cfg, spec.trials, mode="symbol")
     rel = abs(semi.rate_mc - symb.rate_mc) / semi.rate_mc

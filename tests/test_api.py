@@ -36,8 +36,8 @@ RETIRED = {
     "bounds": ["sinc", "single_cell_bound", "bessel_j0", "gain_floor"],
     "bounds.BoundInputs": ["euler_a"],
     "bounds.BoundReport": ["R_LB_s"],
-    "config": ["set_param", "gain_floor_warnings"],
-    "config.SystemConfig": ["zeta", "log_rate", "validated"],
+    "config": ["set_param", "gain_floor_warnings", "_PAIRED"],
+    "config.SystemConfig": ["zeta", "log_rate", "validated", "sigma_n2"],
     "rate.RateReport": ["gamma_samples"],
     "checks": ["xi_ordering_violations", "gain_bound_checks", "run_suite"],
 }
@@ -47,6 +47,7 @@ SIGNATURES = {
     "training.select_beams": "(own_phi, codebook, M)",
     "quantize.lloyd_max_design": "(bits)",
     "quantize.lloyd_max_distortion": "(bits)",
+    "quantize.received_power": "(total, power)",
     "sweep.emit_plot_script": "(csv_path, spec, rows)",
     "config.config_from_dict": "(*layers)",
     "checks.quantizer_suite": "()",

@@ -20,7 +20,7 @@ from oracles import single_cell_bound
 
 
 def _cfg(**kw):
-    base = dict(L=3, K=4, N=64, M=2, adc_bits=1, p_t=1.0, p_p=4.0, sigma_n2=1.0)
+    base = dict(L=3, K=4, N=64, M=2, adc_bits=1, p_t=1.0, p_p=4.0)
     base.update(kw)
     return SystemConfig(**base)
 

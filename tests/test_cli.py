@@ -98,6 +98,19 @@ def test_bound_out_csv_bytes(capsys, tmp_path, overrides, row):
     assert out_csv.read_bytes() == (_CSV_HEAD + row).encode()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--config", "{missing}"],
+    ["sweep", "--spec", "{missing}"],
+    ["bound", "--set", "adc_bits=3", "--out", "{missing_dir}/x.csv"],
+], ids=["config", "spec", "out"])
+def test_file_errors_exit_2(capsys, tmp_path, argv):
+    paths = {"missing": tmp_path / "missing.json", "missing_dir": tmp_path / "no_dir"}
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
 def test_bound_command_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"L": 1, "K": 2, "N": 32, "M": 2,

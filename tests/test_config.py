@@ -51,7 +51,7 @@ def test_tau_less_than_K_is_hard_error():
 
 def test_all_violations_collected():
     with pytest.raises(ConfigError) as err:
-        SystemConfig(K=8, tau=4, adc_bits=40, p_t=-1.0, sigma_n2=0.0)
+        SystemConfig(K=8, tau=4, adc_bits=40, p_t=-1.0, beta_inter=0.0)
     assert len(err.value.errors) >= 4
 
 
@@ -104,8 +104,10 @@ def test_unknown_json_key_is_hard_error(tmp_path):
     path.write_text(json.dumps({"L": 2, "K": 2, "adc_bits": 3, "pt": 1.0}))
     with pytest.raises(ConfigError, match="unknown config key 'pt'"):
         load_config(path)
-    # half-wavelength arrays and base-2 rates are fixed, not settings
-    for key, value in (("antenna_spacing_ratio", 1.0), ("rate_log_base", 2.0)):
+    # half-wavelength arrays, base-2 rates and the unit noise power are
+    # fixed, not settings
+    for key, value in (("antenna_spacing_ratio", 1.0), ("rate_log_base", 2.0),
+                       ("sigma_n2", 1.0)):
         path.write_text(json.dumps({"L": 2, "K": 2, "adc_bits": 3, key: value}))
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             load_config(path)
@@ -113,7 +115,7 @@ def test_unknown_json_key_is_hard_error(tmp_path):
 
 def test_json_round_trip(tmp_path):
     doc = {"L": 3, "K": 4, "N": 64, "M": 2, "adc_bits": 1, "p_t": 1.0,
-           "p_p": 4.0, "sigma_n2": 1.0, "seed": 7}
+           "p_p": 4.0, "seed": 7}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     cfg = load_config(path)
@@ -122,9 +124,10 @@ def test_json_round_trip(tmp_path):
 
 
 def test_layer_snr_translation():
-    base = {"adc_bits": 3, "sigma_n2": 2.0}
-    assert config_from_dict(base, {"snr_db": -10}).p_t == pytest.approx(0.2)
-    assert config_from_dict(base, {"snr_db": -10}, {"pilot_snr_db": 10}).p_p == pytest.approx(20.0)
+    # powers are in noise units: snr_db = 10 log10(p_t)
+    base = {"adc_bits": 3}
+    assert config_from_dict(base, {"snr_db": -10}).p_t == pytest.approx(0.1)
+    assert config_from_dict(base, {"snr_db": -10}, {"pilot_snr_db": 10}).p_p == pytest.approx(10.0)
     with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
         config_from_dict(base, {"bogus": 1})
     with pytest.raises(ParameterError, match="antenna_spacing_ratio"):
@@ -137,14 +140,6 @@ def _resolve(*settings):
     return _resolve_config(build_parser().parse_args(argv))
 
 
-@pytest.mark.parametrize("key", ["snr_db", "pilot_snr_db"])
-def test_db_key_translates_against_final_sigma_n2_in_any_order(key):
-    cfg = _resolve(f"{key}=10", "sigma_n2=2")
-    assert cfg == _resolve("sigma_n2=2", f"{key}=10")
-    assert cfg.sigma_n2 == 2.0
-    assert getattr(cfg, key) == pytest.approx(10.0, abs=1e-12)
-
-
 def test_later_of_db_key_and_power_wins_from_any_source(tmp_path):
     assert _resolve("p_t=2", "snr_db=10").p_t == pytest.approx(10.0)
     assert _resolve("snr_db=10", "p_t=2").p_t == 2.0
@@ -152,11 +147,17 @@ def test_later_of_db_key_and_power_wins_from_any_source(tmp_path):
     assert _resolve("pilot_snr_db=10", "p_p=2").p_p == 2.0
     # one document: its own key order decides
     assert config_from_dict({"adc_bits": 3, "snr_db": 10, "p_t": 2}).p_t == 2
-    assert config_from_dict({"adc_bits": 3, "p_t": 2, "snr_db": 10,
-                             "sigma_n2": 2}).p_t == pytest.approx(20.0)
+    assert config_from_dict({"adc_bits": 3, "p_t": 2, "snr_db": 10}).p_t == pytest.approx(10.0)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"adc_bits": 3, "pilot_snr_db": 10, "sigma_n2": 2}))
-    assert load_config(path).p_p == pytest.approx(20.0)
+    path.write_text(json.dumps({"adc_bits": 3, "pilot_snr_db": 10}))
+    assert load_config(path).p_p == pytest.approx(10.0)
+
+
+def test_bad_db_value_fails_even_where_a_later_layer_sets_the_power():
+    # a dB key translates as its layer merges, so a bad value is reported
+    # though a later layer replaces the power it stands for
+    with pytest.raises(ConfigError, match="snr_db must be a finite number, got 'x'"):
+        config_from_dict({"adc_bits": 3, "snr_db": "x"}, {"p_t": 1.0})
 
 
 def _via_layers(first, second, tmp_path):
@@ -197,7 +198,7 @@ def test_layers_rederive_what_replace_keeps():
     assert replace(cfg, p_t=2.0).p_p == 4.0
 
 
-@pytest.mark.parametrize("name", ["p_t", "p_p", "sigma_n2", "beta_inter", "rho_ad"])
+@pytest.mark.parametrize("name", ["p_t", "p_p", "beta_inter", "rho_ad"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_numbers_rejected(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
@@ -216,7 +217,6 @@ _WRONG_TYPES = [
     ({"K": 3, "p_t": "1"}, "p_t must be a finite number, got '1'"),
     ({"K": 3, "tau": "4"}, "tau must be a positive integer, got '4'"),
     ({"p_t": True}, "p_t must be a finite number, got True"),
-    ({"sigma_n2": False}, "sigma_n2 must be a finite number, got False"),
     ({"rho_ad": True}, "rho_ad must be a finite number, got True"),
     ({"K": True}, "K must be a positive integer, got True"),
     ({"tau": True}, "tau must be a positive integer, got True"),
@@ -243,7 +243,7 @@ _SETTABLE_VALUES = {
     "M": st.integers(1, 8), "B": st.integers(0, 8), "tau": st.integers(16, 24),
     "adc_bits": st.integers(1, 12), "seed": st.integers(0, 2 ** 63),
     "rho_ad": st.floats(0.0, 0.99), "p_t": _POSITIVE, "p_p": _POSITIVE,
-    "sigma_n2": _POSITIVE, "beta_inter": st.floats(0.001, 0.999),
+    "beta_inter": st.floats(0.001, 0.999),
     "snr_db": st.floats(-40.0, 40.0), "pilot_snr_db": st.floats(-40.0, 40.0),
 }
 

@@ -32,20 +32,20 @@ def test_pilot_matrix_rejects_short():
 
 
 def test_mu_vanishing_quantization():
-    cfg = SystemConfig(rho_ad=0.0, p_p=5.0, sigma_n2=2.0)
+    cfg = SystemConfig(rho_ad=0.0, p_p=2.5)
     assert noise_equivalent_mu(cfg, 0.0) == pytest.approx(0.4)
 
 
 def test_mu_hand_value():
-    cfg = SystemConfig(rho_ad=0.1175, p_p=10.0, sigma_n2=1.0)
+    cfg = SystemConfig(rho_ad=0.1175, p_p=10.0)
     want = 0.1 + 0.5 / (0.8825 ** 2 * 10.0)
     assert noise_equivalent_mu(cfg, 0.5) == pytest.approx(want, rel=1e-9)
     assert want == pytest.approx(0.16420, abs=5e-6)
 
 
 def test_mu_scales_inversely_with_pilot_power_in_noise_regime():
-    lo = SystemConfig(rho_ad=0.0, p_p=5.0, sigma_n2=1.0)
-    hi = SystemConfig(rho_ad=0.0, p_p=50.0, sigma_n2=1.0)
+    lo = SystemConfig(rho_ad=0.0, p_p=5.0)
+    hi = SystemConfig(rho_ad=0.0, p_p=50.0)
     assert noise_equivalent_mu(hi, 0.0) == pytest.approx(noise_equivalent_mu(lo, 0.0) / 10)
 
 
@@ -108,8 +108,7 @@ def test_estimate_identity_holds_exactly():
 
 
 def test_distortionless_noiseless_pilots_reproduce_signal():
-    cfg = SystemConfig(L=2, K=2, N=8, M=2, rho_ad=0.0,
-                       p_t=1.0, p_p=4.0, sigma_n2=1e-30, seed=1)
+    cfg = SystemConfig(L=2, K=2, N=8, M=2, rho_ad=0.0, p_t=1e30, p_p=4e30, seed=1)
     real = sample_channel(cfg, substream(0, 0))
     training = train_beams(real, cfg)
     psi = build_pilot_matrix(cfg.tau, cfg.K)
@@ -137,8 +136,7 @@ def test_bussgang_pilot_noise_power():
 def test_pilot_signal_power_reconstruction():
     # single cell, single user: time-averaged per-antenna pilot power matches
     # the inversion of the pilot quantization-noise formula
-    cfg = SystemConfig(L=1, K=1, N=16, M=2, adc_bits=3,
-                       p_t=1.0, p_p=3.0, tau=2, sigma_n2=0.5, seed=4)
+    cfg = SystemConfig(L=1, K=1, N=16, M=2, adc_bits=3, p_t=2.0, p_p=6.0, tau=2, seed=4)
     real = sample_channel(cfg, substream(cfg.seed, 0, 0))
     training = train_beams(real, cfg)
     sigma_pq2, _, _ = pilot_statistics(real, training, cfg)
@@ -148,14 +146,13 @@ def test_pilot_signal_power_reconstruction():
     mean_power = np.mean(np.abs(signal) ** 2)
     rho = cfg.rho
     assert mean_power == pytest.approx(
-        sigma_pq2[0] / (rho * (1 - rho)) - cfg.sigma_n2, rel=1e-9)
+        sigma_pq2[0] / (rho * (1 - rho)) - 1.0, rel=1e-9)
 
 
 def test_pure_pilot_contamination_error():
     # two cells, distortionless, vanishing noise: the error column is exactly
     # the other cell's effective channel column
-    cfg = SystemConfig(L=2, K=2, N=8, M=2, rho_ad=0.0,
-                       p_t=1.0, p_p=4.0, sigma_n2=1e-30, seed=6)
+    cfg = SystemConfig(L=2, K=2, N=8, M=2, rho_ad=0.0, p_t=1e30, p_p=4e30, seed=6)
     real, training, est = _pipeline(cfg)
     other = effective_channel(real, training, 0, 1)
     np.testing.assert_allclose(est.e[0], other, atol=1e-8)
@@ -175,8 +172,7 @@ def test_error_power_matches_prediction():
 
 
 def test_contamination_floor_never_vanishes():
-    cfg = SystemConfig(L=3, K=2, N=16, M=2, rho_ad=0.0,
-                       p_t=1.0, p_p=1e9, sigma_n2=1e-12, seed=9)
+    cfg = SystemConfig(L=3, K=2, N=16, M=2, rho_ad=0.0, p_t=1e12, p_p=1e21, seed=9)
     _, _, est = _pipeline(cfg)
     assert np.all(np.sum(np.abs(est.e[0]) ** 2, axis=0) > 1e-3)
 

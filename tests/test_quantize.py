@@ -149,18 +149,19 @@ def test_noise_power_zero_when_distortionless():
 
 def test_noise_power_single_user_hand_value():
     M = 4
-    cfg = SystemConfig(L=1, K=1, M=M, adc_bits=2, p_t=3.0, p_p=6.0, tau=2, sigma_n2=0.7)
+    # noise power 0.7, in noise units
+    cfg = SystemConfig(L=1, K=1, M=M, adc_bits=2, p_t=3.0 / 0.7, p_p=6.0 / 0.7, tau=2)
     g2, b = _tables(1, 1, float(M), cfg.beta_inter)
     rho = cfg.rho
     assert quant_noise_power(cfg, _total(g2, b, 0), cfg.p_t) == pytest.approx(
-        rho * (1 - rho) * (0.7 + 3.0 * M))
+        rho * (1 - rho) * (0.7 + 3.0 * M) / 0.7)
     assert quant_noise_power(cfg, _total(g2, b, 0), cfg.p_p / cfg.tau) == pytest.approx(
-        rho * (1 - rho) * (0.7 + 6.0 / 2 * M))
+        rho * (1 - rho) * (0.7 + 6.0 / 2 * M) / 0.7)
 
 
 def test_noise_power_linear_in_signal_power():
-    cfg1 = SystemConfig(L=2, K=4, adc_bits=3, p_t=1.0, sigma_n2=1e-12)
-    cfg2 = SystemConfig(L=2, K=4, adc_bits=3, p_t=2.0, sigma_n2=1e-12)
+    cfg1 = SystemConfig(L=2, K=4, adc_bits=3, p_t=1e12)
+    cfg2 = SystemConfig(L=2, K=4, adc_bits=3, p_t=2e12)
     g2, b = _tables(2, 4, 2.0, 0.1)
     total = _total(g2, b, 0)
     assert quant_noise_power(cfg2, total, cfg2.p_t) == pytest.approx(
@@ -176,11 +177,11 @@ def test_pilot_equals_data_when_tau_matches_power_ratio():
 
 
 def test_noise_power_is_rho_share_of_received_power():
-    cfg = SystemConfig(L=3, K=4, adc_bits=2, sigma_n2=0.7)
+    cfg = SystemConfig(L=3, K=4, adc_bits=2)
     totals = np.random.default_rng(5).uniform(0.0, 10.0, 257)
     rho = cfg.rho
-    assert np.array_equal(quant_noise_power(cfg, totals, 0.3),
-                          rho * (1.0 - rho) * received_power(cfg, totals, 0.3))
+    assert np.array_equal(quant_noise_power(cfg, totals, 0.3 / 0.7),
+                          rho * (1.0 - rho) * received_power(totals, 0.3 / 0.7))
 
 
 def test_noise_power_symmetric_under_relabeling():

@@ -17,8 +17,7 @@ from oracles import _conditional_powers, pilot_statistics, sample_channel, train
 
 
 def _cfg(**kw):
-    base = dict(L=1, K=1, N=16, M=2, adc_bits=3, p_t=1.0, p_p=4.0,
-                sigma_n2=1.0, seed=0)
+    base = dict(L=1, K=1, N=16, M=2, adc_bits=3, p_t=1.0, p_p=4.0, seed=0)
     base.update(kw)
     return SystemConfig(**base)
 
@@ -74,10 +73,9 @@ def test_interference_degenerate_single_user():
     cfg = _cfg(rho_ad=0.0, N=16, M=2)
     real, training, _ = _pipeline(cfg)
     S, I = _powers(cfg, real, training, 0.0)
-    expect = cfg.sigma_n2 * cfg.N * abs(training.c[0, 0, 0]) ** 2
+    expect = cfg.N * abs(training.c[0, 0, 0]) ** 2
     assert I[0] == pytest.approx(expect, rel=1e-10)
-    assert S[0] / I[0] == pytest.approx(
-        cfg.p_t * cfg.N * abs(training.c[0, 0, 0]) ** 2 / cfg.sigma_n2, rel=1e-10)
+    assert S[0] / I[0] == pytest.approx(cfg.p_t * expect, rel=1e-10)
 
 
 def test_interference_positive_and_raises_when_not():
@@ -108,7 +106,7 @@ def test_interference_matches_brute_force():
         x = (rng.standard_normal((nb, cfg.L * cfg.K))
              + 1j * rng.standard_normal((nb, cfg.L * cfg.K))) / np.sqrt(2)
         n = (rng.standard_normal((nb, cfg.N))
-             + 1j * rng.standard_normal((nb, cfg.N))) * np.sqrt(cfg.sigma_n2 / 2)
+             + 1j * rng.standard_normal((nb, cfg.N))) / np.sqrt(2)
         nq = (rng.standard_normal((nb, cfg.N))
               + 1j * rng.standard_normal((nb, cfg.N))) * np.sqrt(sq2 / 2)
         nt = (rng.standard_normal((nb, cfg.N))
@@ -131,7 +129,7 @@ def test_ergodic_rate_matched_filter_oracle():
     rng = substream(123, 0)
     phis = rng.uniform(0, np.pi, 10 ** 5)
     g2 = _candidate_gains(np.cos(phis), cos_cb, cfg.M).max(axis=-1) ** 2
-    oracle = np.mean(np.log2(1 + cfg.p_t * cfg.N * g2 / cfg.sigma_n2))
+    oracle = np.mean(np.log2(1 + cfg.p_t * cfg.N * g2))
     assert rep.rate_mc == pytest.approx(oracle, abs=3 * rep.ci95 + 1e-3)
 
 
@@ -246,6 +244,13 @@ def test_ergodic_rate_rejects_non_finite_siqnr():
 def test_ergodic_rate_trials_precondition():
     with pytest.raises(ParameterError):
         ergodic_rate(_cfg(), 5)
+
+
+@pytest.mark.parametrize("trials", [20.5, True], ids=["float", "bool"])
+def test_ergodic_rate_trials_must_be_an_integer(trials):
+    # the rule a sweep spec's trials pass, with the same message
+    with pytest.raises(ParameterError, match=f"trials must be an integer >= 10, got {trials!r}"):
+        ergodic_rate(_cfg(), trials)
 
 
 def test_ci_shrinks_with_trials():

@@ -1,21 +1,21 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mmwsim import sweep
 from mmwsim.errors import ConfigError, ParameterError
-from mmwsim.sweep import (CSV_COLUMNS, _point_config, emit_plot_script, list_presets,
-                          load_preset, run_sweep, sweep_spec_from_dict, write_csv)
+from mmwsim.sweep import (CSV_COLUMNS, emit_plot_script, list_presets, load_preset,
+                          run_sweep, sweep_spec_from_dict, write_csv)
 
 
 def _tiny_spec(**kw):
     doc = dict(
         scenario_id="tiny",
-        base={"L": 2, "N": 16, "M": 2, "adc_bits": 2, "p_t": 1.0,
-              "sigma_n2": 1.0, "seed": 1},
+        base={"L": 2, "N": 16, "M": 2, "adc_bits": 2, "p_t": 1.0, "seed": 1},
         axis="K",
         values=[1, 2],
         trials=20,
@@ -41,6 +41,40 @@ def test_unknown_axis_rejected():
 def test_empty_values_rejected():
     with pytest.raises(ParameterError):
         _tiny_spec(values=[])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "sweep spec must be a JSON object"),
+    (None, "sweep spec must be a JSON object"),
+    ("x", "sweep spec must be a JSON object"),
+    ({}, "sweep spec is missing required keys ['scenario_id', 'base', 'axis', 'values']"),
+    ({"scenario_id": "s", "base": {}, "axis": "K"}, "sweep spec is missing required keys ['values']"),
+], ids=["list", "null", "string", "empty", "no-values"])
+def test_spec_document_shape_checked_at_load(doc, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        sweep_spec_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("values", 5, "sweep values must be a non-empty list, got 5"),
+    ("values", "12", "sweep values must be a non-empty list, got '12'"),
+    ("outputs", "rate_lb", "sweep outputs must be a list of names, got 'rate_lb'"),
+], ids=["values-number", "values-string", "outputs-string"])
+def test_values_and_outputs_must_be_lists(key, value, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        _tiny_spec(**{key: value})
+
+
+@pytest.mark.parametrize("trials", [20.5, "20", True, 5],
+                         ids=["float", "string", "bool", "too-few"])
+def test_bad_trials_fail_before_any_point(monkeypatch, trials):
+    # in the spec, or in the run_sweep override, as `sweep --trials` passes it
+    monkeypatch.setattr(sweep, "lower_bound_rate", pytest.fail)
+    message = re.escape(f"trials must be an integer >= 10, got {trials!r}")
+    with pytest.raises(ParameterError, match=message):
+        run_sweep(_tiny_spec(trials=trials))
+    with pytest.raises(ParameterError, match=message):
+        run_sweep(_tiny_spec(), trials=trials)
 
 
 def test_unknown_spec_key_rejected():
@@ -97,14 +131,6 @@ def test_overflowing_db_axis_value_fails_before_any_point(monkeypatch):
     spec = _tiny_spec(axis="snr_db", values=[0, 4000])
     with pytest.raises(ConfigError, match="snr_db = 4000 dB overflows"):
         run_sweep(spec)
-
-
-def test_curve_sigma_n2_keeps_base_snr():
-    # snr_db translates against the sigma_n2 of the resolved point
-    spec = _tiny_spec(base={"L": 2, "N": 16, "M": 2, "adc_bits": 2, "snr_db": 0})
-    cfg = _point_config(spec, {"sigma_n2": 4.0}, 2, {})
-    assert (cfg.sigma_n2, cfg.p_t) == (4.0, 4.0)
-    assert cfg.snr_db == 0.0
 
 
 def test_unknown_mode_rejected_before_any_point(monkeypatch):
