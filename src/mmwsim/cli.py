@@ -4,6 +4,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import ExitStack
 
 from . import __version__
 from .bounds import lower_bound_rate
@@ -36,7 +37,19 @@ def _resolve_config(args):
 
 def cmd_bound(args):
     cfg = _resolve_config(args)
-    rep = lower_bound_rate(cfg)
+    with ExitStack() as stack:
+        # a path that cannot be written fails before the report prints
+        out = stack.enter_context(open(args.out, "w")) if args.out else None
+        rep = lower_bound_rate(cfg)
+        _print_bound(cfg, rep)
+        if out:
+            write_csv([sweep_row("bound", cfg, 0, rep)], out)
+    if args.out:
+        print(f"wrote {args.out}")
+    return 0
+
+
+def _print_bound(cfg, rep):
     iv = rep.inputs
     print(f"config: L={cfg.L} K={cfg.K} N={cfg.N} M={cfg.M} B={cfg.B} tau={cfg.tau} "
           f"bits={cfg.adc_bits} rho={cfg.rho:.6g} beta={cfg.beta_inter} "
@@ -56,12 +69,6 @@ def cmd_bound(args):
         print("large-N limit R_inf     = +inf (single cell: no pilot contamination)")
     print(f"low-SNR scaling   xi1={rep.xi1:.6g}  R_LB_1={rep.R_LB_1:.6f}")
     print(f"high-pilot scaling xi2={rep.xi2:.6g}  R_LB_2={rep.R_LB_2:.6f}")
-    if args.out:
-        row = sweep_row("bound", cfg, 0, rep)
-        with open(args.out, "w") as fh:
-            write_csv([row], fh)
-        print(f"wrote {args.out}")
-    return 0
 
 
 def cmd_simulate(args):
@@ -118,21 +125,21 @@ def cmd_sweep(args):
     spec = load_preset(args.preset) if args.preset else load_sweep_spec(args.spec)
     if args.plot_script:
         plotted_outputs(spec)
-    rows = run_sweep(spec, trials=args.trials, seed=args.seed, mode=args.mode,
-                     progress=lambda r: print(
-                         f"  {spec.axis}={r[AXIS_COLUMN[spec.axis]]} rate_mc={r['rate_mc'] or '-'} "
-                         f"rate_lb={r['rate_lb'] or '-'}", file=sys.stderr))
-    if not args.out:
-        write_csv(rows, sys.stdout)
-        return 0
-    with open(args.out, "w") as fh:
-        write_csv(rows, fh)
-    print(f"wrote {args.out}")
-    if args.plot_script:
-        script = emit_plot_script(args.out, spec, rows)
-        with open(args.plot_script, "w") as fh:
-            fh.write(script)
-        print(f"wrote {args.plot_script}")
+    with ExitStack() as stack:
+        # paths that cannot be written fail before any point runs
+        out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        script = stack.enter_context(open(args.plot_script, "w")) if args.plot_script else None
+        rows = run_sweep(spec, trials=args.trials, seed=args.seed, mode=args.mode,
+                         progress=lambda r: print(
+                             f"  {spec.axis}={r[AXIS_COLUMN[spec.axis]]} "
+                             f"rate_mc={r['rate_mc'] or '-'} rate_lb={r['rate_lb'] or '-'}",
+                             file=sys.stderr))
+        write_csv(rows, out)
+        if script:
+            script.write(emit_plot_script(args.out, spec, rows))
+    for path in (args.out, args.plot_script):
+        if path:
+            print(f"wrote {path}")
     return 0
 
 

@@ -51,6 +51,15 @@ def distortion_factor(bits):
     return RHO_AD_TABLE[bits]
 
 
+# Memory budget of one trial block (rate._block_trials) and of one chunk of
+# training._full_scan, counted at 16 bytes per entry.  A trial's share is its
+# (LK, LK) Gram kernel, or 32 entries per user when LK < 32; a scanned user's
+# share is its 2^B scores.  A block's measured peak stays within about 2.2x
+# the budget.  On the fig2 sweep 1 MiB and 2 MiB timed alike and beat
+# 256 KiB, 512 KiB and 4 MiB; the smaller holds less memory.
+BLOCK_BYTES = 1 << 20
+
+
 def codebook_zeta(B):
     """Half-interval pi / 2^(B+1) of the B-bit phase codebook."""
     return math.pi / 2 ** (B + 1)
@@ -140,9 +149,10 @@ def _shown(v):
 
 
 # (least, greatest or None) of each integer field.  B's ceiling bounds the
-# 2^B codebook phases that training._candidate_gains scores for every user of
-# every trial and that rate._block_trials sizes its blocks by; 12 bits (4096
-# phases) is far finer than any phase shifter the model is meant for.
+# 2^B codebook phases that training._full_scan scores for a user whose beam
+# the nearest-entry certificate leaves open, and that `checks` scans on its
+# angle grid; 12 bits (4096 phases) is far finer than any phase shifter the
+# model is meant for.
 MAX_B = 12
 _INT_RANGES = {"L": (1, None), "K": (1, None), "N": (1, None), "M": (1, None),
                "B": (0, MAX_B), "tau": (1, None), "seed": (0, None)}

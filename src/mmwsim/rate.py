@@ -16,6 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .channel import draw_angles, large_scale_gains, steering_vector
+from .config import BLOCK_BYTES
 from .errors import InternalConsistencyError, ParameterError
 from .estimation import build_pilot_matrix, noise_equivalent_mu
 from .quantize import lloyd_max_quantize, quant_noise_power, received_power
@@ -26,11 +27,6 @@ MODES = ("semi", "symbol")
 
 # Data symbols sampled per trial in symbol mode.
 SYMBOLS_PER_TRIAL = 256
-
-# Memory budget of one trial block.  A trial's share is its largest
-# intermediate, the (LK, LK) Gram kernel or the (L, K, 2^B) beam scores,
-# counted at 16 bytes per entry.
-BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -59,9 +55,14 @@ def check_trials(trials):
 
 
 def _block_trials(cfg):
-    """Trials per block under BLOCK_BYTES (at least one)."""
+    """Trials per block under BLOCK_BYTES (at least one).
+
+    A trial's share is its (LK, LK) Gram kernel, or 32 entries per user where
+    that is more: a user's draws, six beam candidates and their scores and
+    the temporaries around them.
+    """
     LK = cfg.L * cfg.K
-    return max(1, BLOCK_BYTES // (16 * LK * max(LK, 2 ** cfg.B)))
+    return max(1, BLOCK_BYTES // (16 * LK * max(LK, 32)))
 
 
 def _draw_block(cfg, trials):

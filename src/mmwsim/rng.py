@@ -25,5 +25,9 @@ def complex_normal(rng, shape, variance):
     """
     if variance == 0.0:
         return np.zeros(shape, dtype=complex)
-    s = np.sqrt(variance / 2.0)
-    return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    parts = out.reshape(-1).view(float)      # re, im interleaved
+    parts *= np.sqrt(variance / 2.0)
+    return out

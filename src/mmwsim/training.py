@@ -1,11 +1,12 @@
 """Downlink tone-based AoA selection over a quantized phase codebook."""
 
+import functools
 import math
 
 import numpy as np
 
 from .channel import dirichlet, steering_vector
-from .config import codebook_zeta
+from .config import BLOCK_BYTES, codebook_zeta
 from .errors import ParameterError
 
 
@@ -39,12 +40,84 @@ def _candidate_gains(cos_phi, cos_codebook, M):
     return np.abs(dirichlet(M, 0.5 * x)) / math.sqrt(M)
 
 
+def _full_scan(cos_phi, cos_codebook, M):
+    """Index of each user's best codebook entry, scoring every entry.
+
+    cos_phi is flat.  Users are scored in chunks of at most BLOCK_BYTES / 16
+    scores, so memory stays bounded whatever the user count and codebook size.
+    """
+    rows = max(1, BLOCK_BYTES // (16 * len(cos_codebook)))
+    idx = np.empty(len(cos_phi), dtype=np.intp)
+    for start in range(0, len(cos_phi), rows):
+        part = slice(start, start + rows)
+        idx[part] = np.argmax(_candidate_gains(cos_phi[part], cos_codebook, M), axis=-1)
+    return idx
+
+
+@functools.lru_cache(maxsize=64)
+def _sidelobe_bound(M):
+    """s_M, a proven upper bound on |D_M(y)| / sqrt(M) off the main lobe.
+
+    D_M(y) = sin(M y) / sin(y) is even with period pi and its main lobe is
+    |y| < pi/M, so the rest is y in [pi/M, pi/2].  On each of 2^16 equal
+    cells [a, b] there, |D_M'| <= L = M/sin(a) + 1/sin(a)^2, so
+    |D_M| <= (|D_M(a)| + |D_M(b)| + L (b - a)) / 2; also |D_M| <= 1/sin(a).
+    s_M is the largest cell bound.  For M <= 2 the region holds at most the
+    null y = pi/2, so s_M = 0.
+    """
+    if M <= 2:
+        return 0.0
+    y = np.linspace(np.pi / M, np.pi / 2, (1 << 16) + 1)
+    f = np.abs(np.sin(M * y) / np.sin(y))
+    s = np.sin(y[:-1])
+    lip = M / s + 1.0 / s ** 2
+    cells = np.minimum(0.5 * (f[:-1] + f[1:] + lip * (y[1] - y[0])), 1.0 / s)
+    return float(cells.max()) / math.sqrt(M)
+
+
 def select_beams(own_phi, codebook, M):
     """Codebook phase maximizing each user's noiseless received tone magnitude.
 
     own_phi holds own-cell angles phi[l, l, k] with any leading shape.  The
     tone amplitude beta_llk^(1/2) is 1 for every own-cell user, so it does not
-    scale the scores.  Ties break toward the smallest codebook index.
+    scale the scores.  The result is the argmax of _candidate_gains over the
+    whole codebook, ties broken toward the smallest index; M = 1 scores every
+    entry alike and returns index 0.
+
+    Most users are certified from six scores.  Entry j scores
+    |D_M(x_j/2)|/sqrt(M), x_j = pi (cos phi - cos psi_j), a function of the
+    circular distance d_j = min(|x_j|, 2 pi - |x_j|) alone (|D_M| has period
+    pi) that falls with d_j on the main lobe d_j < 2 pi/M and is at most
+    s_M = _sidelobe_bound(M) off it.  cos psi_j descends with j, so
+    searchsorted finds where cos phi falls, and |x_j| grows away from it on
+    either side.  The scored entries are the two nearest on each side and
+    both ends.  Take an unscored j.  If d_j = |x_j|, both scored entries on
+    its side have d <= d_j, and at most one of them is the best.  If x_j
+    wraps (d_j = 2 pi - |x_j|), the end on its side has |x| >= |x_j|, so
+    d <= d_j; that end is never the best, because the other end's d is no
+    larger (cos psi_{n-1} = -cos psi_0, up to rounding).  Either way a scored
+    entry that lost is at least as close as j, or j is off the main lobe, so
+    j scores at most max(runner-up, s_M).  A user is accepted when the best
+    score exceeds that by a factor 1 + 1e-9, far above the rounding of the
+    scores; every other user falls back to the full scan (_full_scan).
     """
-    scores = _candidate_gains(np.cos(own_phi), np.cos(codebook), M)
-    return codebook[np.argmax(scores, axis=-1)]
+    own_phi = np.asarray(own_phi, dtype=float)
+    if M == 1:
+        return np.full(own_phi.shape, codebook[0])
+    cos_phi = np.cos(own_phi).ravel()
+    cos_cb = np.cos(codebook)
+    n = len(cos_cb)
+    below = n - np.searchsorted(cos_cb[::-1], cos_phi)    # first entry below cos phi
+    cand = np.empty((len(cos_phi), 6), dtype=np.intp)
+    np.clip(below[:, None] + np.arange(-2, 2), 0, n - 1, out=cand[:, :4])
+    cand[:, 4], cand[:, 5] = 0, n - 1
+    scores = _candidate_gains(cos_phi, cos_cb[cand], M)
+    rows = np.arange(len(cos_phi))
+    arg = np.argmax(scores, axis=1)
+    idx, best = cand[rows, arg], scores[rows, arg]
+    runner = np.where(cand == idx[:, None], -np.inf, scores).max(axis=1)
+    rival = np.maximum(runner, _sidelobe_bound(M))
+    fallback = ~(best > rival * (1.0 + 1e-9))
+    if np.any(fallback):
+        idx[fallback] = _full_scan(cos_phi[fallback], cos_cb, M)
+    return codebook[idx].reshape(own_phi.shape)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from goldens import cli_output
+from mmwsim import cli
 from mmwsim.checks import SUITES, CheckResult
 from mmwsim.cli import main
 from mmwsim.config import SystemConfig
@@ -109,6 +110,24 @@ def test_file_errors_exit_2(capsys, tmp_path, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "fig2", "--out", "{missing_dir}/x.csv"],
+    ["sweep", "--preset", "fig2", "--out", "{tmp}/x.csv", "--plot-script", "{missing_dir}/x.gp"],
+    ["bound", "--set", "adc_bits=3", "--out", "{missing_dir}/x.csv"],
+], ids=["sweep-out", "sweep-plot-script", "bound-out"])
+def test_unwritable_output_fails_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    # the whole sweep, or the printed report, would be thrown away
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(cli, "lower_bound_rate", no_work)
+    paths = {"missing_dir": tmp_path / "no_dir", "tmp": tmp_path}
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
 
 
 def test_bound_command_config_file(capsys, tmp_path):

@@ -1,16 +1,17 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmwsim import rate
+from mmwsim import rate, training
 from mmwsim.channel import steering_vector
-from mmwsim.config import SystemConfig
+from mmwsim.config import BLOCK_BYTES, SystemConfig
 from mmwsim.errors import InternalConsistencyError, ParameterError
 from mmwsim.quantize import quant_noise_power
 from mmwsim.rate import ergodic_rate
-from mmwsim.rng import STAGE_CHANNEL, substream
+from mmwsim.rng import STAGE_CHANNEL, complex_normal, substream
 from mmwsim.sweep import _point_config, load_preset
 from mmwsim.training import build_codebook, _candidate_gains
 from oracles import _conditional_powers, pilot_statistics, sample_channel, train_beams
@@ -292,6 +293,39 @@ def test_symbol_mode_rejects_rho_ad_override():
     assert ergodic_rate(cfg, 10).rate_mc > 0.0
     with pytest.raises(ParameterError, match="rho_ad"):
         ergodic_rate(cfg, 10, mode="symbol")
+
+
+def test_block_memory_stays_bounded_when_every_user_falls_back(monkeypatch):
+    # one cell of one user makes the largest blocks; at B = 12 an unchunked
+    # full scan of a 1000-trial block would hold 1000 x 4096 scores (33 MB)
+    cfg = _cfg(L=1, K=1, B=12, adc_bits=1, seed=5)
+    certified = ergodic_rate(cfg, 1000)
+    monkeypatch.setattr(training, "_sidelobe_bound", lambda M: np.inf)
+    tracemalloc.start()
+    try:
+        scanned = ergodic_rate(cfg, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * BLOCK_BYTES
+    np.testing.assert_array_equal(scanned.S, certified.S)
+    np.testing.assert_array_equal(scanned.I, certified.I)
+
+
+@pytest.mark.parametrize("shape", [(64, 256), (24, 3), 1000])
+@pytest.mark.parametrize("variance", [1.0, 0.37, 0.0])
+def test_complex_normal_is_the_pinned_draw(shape, variance):
+    # the draws of symbol mode: s (re + 1j im), real block first, bit for bit
+    got_rng, ref_rng = substream(11, 4), substream(11, 4)
+    got = complex_normal(got_rng, shape, variance)
+    if variance == 0.0:
+        ref = np.zeros(shape, dtype=complex)
+    else:
+        ref = np.sqrt(variance / 2.0) * (
+            ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape))
+    assert got.shape == ref.shape and got.dtype == complex
+    assert got.tobytes() == ref.tobytes()
+    assert got_rng.random() == ref_rng.random()   # the same draws were consumed
 
 
 def test_unknown_mode():

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mmwsim import training
 from mmwsim.channel import steering_vector
-from mmwsim.config import SystemConfig
+from mmwsim.config import MAX_B, SystemConfig
 from mmwsim.rng import substream
-from mmwsim.training import beamformer_from_angle, build_codebook, _candidate_gains
+from mmwsim.training import beamformer_from_angle, build_codebook, select_beams, _candidate_gains
 from oracles import estimate_aoa, sample_channel, train_beams
 
 
@@ -103,3 +105,75 @@ def test_selected_candidate_alignment(M):
     chosen = cb[np.argmax(gains, axis=-1)]
     assert np.max(np.abs(np.cos(grid) - np.cos(chosen))) <= zeta + 1e-12
 
+
+def _full_scan_argmax(phi, codebook, M):
+    return np.argmax(_candidate_gains(np.cos(phi), np.cos(codebook), M), axis=-1)
+
+
+def _near_codebook(codebook, index, kind):
+    """An angle on, next to or midway between codebook entries, or at an end."""
+    psi = codebook[index % len(codebook)]
+    nxt = codebook[(index + 1) % len(codebook)]
+    return {"on": psi, "below": np.nextafter(psi, 0.0), "above": np.nextafter(psi, 4.0),
+            "mid": 0.5 * (psi + nxt), "cos_mid": np.arccos(0.5 * (np.cos(psi) + np.cos(nxt))),
+            "zero": 0.0, "pi": np.pi, "near_zero": 1e-9, "near_pi": np.pi - 1e-9}[kind]
+
+
+_KINDS = ("on", "below", "above", "mid", "cos_mid", "zero", "pi", "near_zero", "near_pi")
+
+
+@given(M=st.integers(1, 64), B=st.integers(0, MAX_B),
+       picks=st.lists(st.tuples(st.integers(0, 4095), st.sampled_from(_KINDS)), max_size=12),
+       uniform=st.lists(st.floats(0.0, np.pi), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_select_beams_equals_full_scan(M, B, picks, uniform):
+    cb = build_codebook(B)
+    phi = np.array([_near_codebook(cb, i, kind) for i, kind in picks] + uniform + [0.0, np.pi])
+    np.testing.assert_array_equal(select_beams(phi, cb, M), cb[_full_scan_argmax(phi, cb, M)])
+
+
+@pytest.mark.parametrize("M,B", [(2, 0), (2, 1), (3, 3), (4, 6), (16, 3), (32, 4), (64, 6), (2, 8), (5, 8)])
+def test_select_beams_equals_full_scan_on_a_dense_grid(M, B):
+    cb = build_codebook(B)
+    rng = np.random.default_rng(M * 100 + B)
+    edges = np.concatenate([cb, np.nextafter(cb, 0.0), np.nextafter(cb, 4.0),
+                            0.5 * (cb[1:] + cb[:-1]), [0.0, np.pi, 1e-9, np.pi - 1e-9]])
+    phi = np.concatenate([rng.uniform(0.0, np.pi, 20_000 + len(edges) % 2), edges]).reshape(-1, 2)
+    got = select_beams(phi, cb, M)
+    assert got.shape == phi.shape
+    np.testing.assert_array_equal(got, cb[_full_scan_argmax(phi, cb, M)])
+
+
+def test_forced_fallback_scans_in_chunks(monkeypatch):
+    # with no certificate every user is scanned in full, 3 users per chunk
+    calls = []
+    gains = training._candidate_gains
+    monkeypatch.setattr(training, "_sidelobe_bound", lambda M: np.inf)
+    monkeypatch.setattr(training, "BLOCK_BYTES", 3 * 16 * 64)
+    monkeypatch.setattr(training, "_candidate_gains",
+                        lambda c, cb, M: calls.append(np.shape(c)) or gains(c, cb, M))
+    cb = build_codebook(6)
+    phi = np.random.default_rng(3).uniform(0.0, np.pi, (4, 5))
+    got = select_beams(phi, cb, 4)
+    np.testing.assert_array_equal(got, cb[_full_scan_argmax(phi, cb, 4)])
+    assert calls[1:] == [(3,)] * 6 + [(2,)]     # after the six-candidate pass
+
+
+@pytest.mark.parametrize("M", [2, 4, 8])
+def test_certificate_settles_nearly_every_user(monkeypatch, M):
+    # a certificate that always fell back would still be exact, only slow
+    scanned = []
+    scan = training._full_scan
+    monkeypatch.setattr(training, "_full_scan",
+                        lambda c, cb, M: scanned.append(len(c)) or scan(c, cb, M))
+    phi = np.random.default_rng(M).uniform(0.0, np.pi, 100_000)
+    select_beams(phi, build_codebook(6), M)
+    assert sum(scanned) <= 0.01 * len(phi)
+
+
+def test_sidelobe_bound_covers_the_sidelobes_tightly():
+    assert training._sidelobe_bound(1) == training._sidelobe_bound(2) == 0.0
+    for M in (3, 4, 5, 8, 16, 20, 64):
+        y = np.linspace(np.pi / M, np.pi / 2, 10 ** 6)
+        peak = np.max(np.abs(np.sin(M * y) / np.sin(y))) / math.sqrt(M)
+        assert peak <= training._sidelobe_bound(M) <= peak * 1.001
