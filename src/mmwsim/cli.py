@@ -73,31 +73,36 @@ def _print_bound(cfg, rep):
 
 def cmd_simulate(args):
     cfg = _resolve_config(args)
-    for w in cfg.warnings:
-        print(f"warning: {w}")
-    rep = ergodic_rate(cfg, args.trials, mode=args.mode)
-    lb = lower_bound_rate(cfg)
-    print(f"mode={rep.mode} trials={rep.trials} seed={cfg.seed}")
-    print(f"ergodic rate = {rep.rate_mc:.6f} +- {rep.ci95:.6f} bits/s/Hz (95% CI)")
-    print(f"lower bound  = {lb.R_LB:.6f} bits/s/Hz")
-    if rep.pathological:
-        print(f"note: {rep.pathological} of {rep.trials * cfg.K} user-realizations "
-              "hit the destructive-contamination floor")
-    if args.debug_dump:
-        for path in _debug_dump(cfg, args.mode, args.debug_dump):
-            print(f"wrote {path}")
+    suffixes = ["_realization.csv"] + (["_error_power.csv"] if args.mode == "symbol" else [])
+    dumps = [args.debug_dump + suffix for suffix in suffixes] if args.debug_dump else []
+    with ExitStack() as stack:
+        # dump paths that cannot be written fail before any trial runs
+        files = [stack.enter_context(open(path, "w", newline="")) for path in dumps]
+        for w in cfg.warnings:
+            print(f"warning: {w}")
+        rep = ergodic_rate(cfg, args.trials, mode=args.mode)
+        lb = lower_bound_rate(cfg)
+        print(f"mode={rep.mode} trials={rep.trials} seed={cfg.seed}")
+        print(f"ergodic rate = {rep.rate_mc:.6f} +- {rep.ci95:.6f} bits/s/Hz (95% CI)")
+        print(f"lower bound  = {lb.R_LB:.6f} bits/s/Hz")
+        if rep.pathological:
+            print(f"note: {rep.pathological} of {rep.trials * cfg.K} user-realizations "
+                  "hit the destructive-contamination floor")
+        if files:
+            _debug_dump(cfg, args.mode, *files)
+    for path in dumps:
+        print(f"wrote {path}")
     return 0
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _write_rows(fh, header, rows):
+    w = csv.writer(fh)
+    w.writerow(header)
+    w.writerows(rows)
 
 
-def _debug_dump(cfg, mode, prefix):
-    """Write trial 0's draws at BS 0, as the run computed them; returns the paths.
+def _debug_dump(cfg, mode, realization, error_power=None):
+    """Write trial 0's draws at BS 0, as the run computed them, to open files.
 
     The realization CSV holds theta_0lk, beta_0lk and |c_0lk|.  Symbol mode
     also writes ||e_0k||^2 from its sampled pilot phase; semi mode samples no
@@ -105,23 +110,23 @@ def _debug_dump(cfg, mode, prefix):
     """
     theta0, c0 = _draw_block(cfg, range(1))
     beta0 = large_scale_gains(cfg)[0]
-    paths = [prefix + "_realization.csv"]
-    _write_rows(paths[0], ["l", "k", "theta", "beta", "abs_c"], [
+    _write_rows(realization, ["l", "k", "theta", "beta", "abs_c"], [
         [l, k, f"{theta0[0, l, k]:.10g}", f"{beta0[l, k]:.10g}", f"{abs(c0[0, l, k]):.10g}"]
         for l in range(cfg.L) for k in range(cfg.K)])
     if mode == "symbol":
         total = float((beta0 * abs(c0[0]) ** 2).sum())
         eff, est = _pilot_phase(cfg, 0, theta0[0], c0[0], total)
         err = (abs(est - eff[0]) ** 2).sum(axis=0)
-        paths.append(prefix + "_error_power.csv")
-        _write_rows(paths[1], ["k", "err_power"],
+        _write_rows(error_power, ["k", "err_power"],
                     [[k, f"{err[k]:.10g}"] for k in range(cfg.K)])
-    return paths
 
 
 def cmd_sweep(args):
     if args.plot_script and not args.out:
         raise ParameterError("--plot-script needs --out: the script plots the CSV file")
+    if args.plot_script and "'" in args.out:
+        # the script quotes the CSV path in gnuplot's '...' string
+        raise ParameterError(f"--plot-script needs an --out path without \"'\", got {args.out!r}")
     spec = load_preset(args.preset) if args.preset else load_sweep_spec(args.spec)
     if args.plot_script:
         plotted_outputs(spec)

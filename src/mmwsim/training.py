@@ -1,6 +1,5 @@
 """Downlink tone-based AoA selection over a quantized phase codebook."""
 
-import functools
 import math
 
 import numpy as np
@@ -54,25 +53,21 @@ def _full_scan(cos_phi, cos_codebook, M):
     return idx
 
 
-@functools.lru_cache(maxsize=64)
 def _sidelobe_bound(M):
-    """s_M, a proven upper bound on |D_M(y)| / sqrt(M) off the main lobe.
+    """s_M = 1/(sqrt(M) sin((pi+1)/M)), a bound on |D_M(y)|/sqrt(M) off the main lobe.
 
     D_M(y) = sin(M y) / sin(y) is even with period pi and its main lobe is
-    |y| < pi/M, so the rest is y in [pi/M, pi/2].  On each of 2^16 equal
-    cells [a, b] there, |D_M'| <= L = M/sin(a) + 1/sin(a)^2, so
-    |D_M| <= (|D_M(a)| + |D_M(b)| + L (b - a)) / 2; also |D_M| <= 1/sin(a).
-    s_M is the largest cell bound.  For M <= 2 the region holds at most the
-    null y = pi/2, so s_M = 0.
+    |y| < pi/M, so the rest is y in [pi/M, pi/2], where |sin M y| <=
+    min(1, M y - pi).  From y = (pi + 1)/M on, |D_M| <= 1/sin(y) <=
+    1/sin((pi + 1)/M), as sin rises up to pi/2 and (pi + 1)/M <= pi/2 for
+    M >= 3.  Before it, |D_M| <= (M y - pi)/sin(y), which rises while
+    M tan(y) > M y - pi, that is while tan(y) > y - pi/M, which holds on
+    (0, pi/2); so it too is at most 1/sin((pi + 1)/M).  For M <= 2 the
+    region holds at most the null y = pi/2, so s_M = 0.
     """
     if M <= 2:
         return 0.0
-    y = np.linspace(np.pi / M, np.pi / 2, (1 << 16) + 1)
-    f = np.abs(np.sin(M * y) / np.sin(y))
-    s = np.sin(y[:-1])
-    lip = M / s + 1.0 / s ** 2
-    cells = np.minimum(0.5 * (f[:-1] + f[1:] + lip * (y[1] - y[0])), 1.0 / s)
-    return float(cells.max()) / math.sqrt(M)
+    return 1.0 / (math.sqrt(M) * math.sin((math.pi + 1.0) / M))
 
 
 def select_beams(own_phi, codebook, M):

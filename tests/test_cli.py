@@ -116,13 +116,16 @@ def test_file_errors_exit_2(capsys, tmp_path, argv):
     ["sweep", "--preset", "fig2", "--out", "{missing_dir}/x.csv"],
     ["sweep", "--preset", "fig2", "--out", "{tmp}/x.csv", "--plot-script", "{missing_dir}/x.gp"],
     ["bound", "--set", "adc_bits=3", "--out", "{missing_dir}/x.csv"],
-], ids=["sweep-out", "sweep-plot-script", "bound-out"])
+    ["simulate", "--set", "L=3", "--set", "K=8", "--set", "adc_bits=3", "--trials", "2000",
+     "--mode", "symbol", "--debug-dump", "{missing_dir}/x"],
+], ids=["sweep-out", "sweep-plot-script", "bound-out", "simulate-debug-dump"])
 def test_unwritable_output_fails_before_any_work(capsys, tmp_path, monkeypatch, argv):
-    # the whole sweep, or the printed report, would be thrown away
+    # the whole sweep or simulation, or the printed report, would be thrown away
     def no_work(*args, **kwargs):
         raise AssertionError("ran before the output path was checked")
     monkeypatch.setattr(cli, "run_sweep", no_work)
     monkeypatch.setattr(cli, "lower_bound_rate", no_work)
+    monkeypatch.setattr(cli, "ergodic_rate", no_work)
     paths = {"missing_dir": tmp_path / "no_dir", "tmp": tmp_path}
     assert main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
@@ -276,6 +279,17 @@ def test_sweep_plot_script_needs_out(capsys, tmp_path):
     assert "--plot-script needs --out" in captured.err
     assert "rate_mc=" not in captured.err and captured.out == ""
     assert not gp.exists()
+
+
+def test_sweep_plot_script_rejects_a_quote_in_out(capsys, tmp_path):
+    # the script names the CSV in a '...' string, which a ' would break
+    out, gp = tmp_path / "it's.csv", tmp_path / "fig2.gp"
+    assert main(["sweep", "--preset", "fig2", "--trials", "10", "--out", str(out),
+                 "--plot-script", str(gp)]) == 2
+    captured = capsys.readouterr()
+    assert "--plot-script needs an --out path without" in captured.err
+    assert "rate_mc=" not in captured.err and captured.out == ""
+    assert not out.exists() and not gp.exists()
 
 
 def test_sweep_plot_script_needs_a_plotted_output(capsys, tmp_path):
