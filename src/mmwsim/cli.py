@@ -51,8 +51,9 @@ def cmd_bound(args):
 
 def _print_bound(cfg, rep):
     iv = rep.inputs
+    adc = f"bits={cfg.adc_bits}" if cfg.rho_ad is None else f"rho_ad={cfg.rho_ad:.6g}"
     print(f"config: L={cfg.L} K={cfg.K} N={cfg.N} M={cfg.M} B={cfg.B} tau={cfg.tau} "
-          f"bits={cfg.adc_bits} rho={cfg.rho:.6g} beta={cfg.beta_inter} "
+          f"{adc} rho={cfg.rho:.6g} beta={cfg.beta_inter} "
           f"snr={cfg.snr_db:.4g}dB pilot_snr={cfg.pilot_snr_db:.4g}dB")
     for w in cfg.warnings:
         print(f"warning: {w}")
@@ -108,14 +109,13 @@ def _debug_dump(cfg, mode, realization, error_power=None):
     also writes ||e_0k||^2 from its sampled pilot phase; semi mode samples no
     pilots, so it writes no error powers.
     """
-    theta0, c0 = _draw_block(cfg, range(1))
+    theta0, c0, _, total, _ = _draw_block(cfg, range(1))
     beta0 = large_scale_gains(cfg)[0]
     _write_rows(realization, ["l", "k", "theta", "beta", "abs_c"], [
         [l, k, f"{theta0[0, l, k]:.10g}", f"{beta0[l, k]:.10g}", f"{abs(c0[0, l, k]):.10g}"]
         for l in range(cfg.L) for k in range(cfg.K)])
     if mode == "symbol":
-        total = float((beta0 * abs(c0[0]) ** 2).sum())
-        eff, est = _pilot_phase(cfg, 0, theta0[0], c0[0], total)
+        eff, est = _pilot_phase(cfg, 0, theta0[0], c0[0], total[0])
         err = (abs(est - eff[0]) ** 2).sum(axis=0)
         _write_rows(error_power, ["k", "err_power"],
                     [[k, f"{err[k]:.10g}"] for k in range(cfg.K)])

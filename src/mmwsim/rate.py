@@ -54,6 +54,18 @@ def check_trials(trials):
         raise ParameterError(f"trials must be an integer >= 10, got {trials!r}")
 
 
+def check_mode(mode, cfgs=()):
+    """Raise ParameterError unless `mode` is an engine mode that can run every config in `cfgs`."""
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}; choose from {MODES}")
+    overrides = [cfg.rho_ad for cfg in cfgs if cfg.rho_ad is not None]
+    if mode == "symbol" and overrides:
+        raise ParameterError(
+            "symbol mode runs the real adc_bits quantizer and cannot honor "
+            f"a rho_ad override (rho_ad={overrides[0]}); set adc_bits only"
+        )
+
+
 def _block_trials(cfg):
     """Trials per block under BLOCK_BYTES (at least one).
 
@@ -70,9 +82,10 @@ def _draw_block(cfg, trials):
 
     Each trial draws its angles from its (seed, trial, STAGE_CHANNEL)
     substream, exactly as the per-realization reference in tests/oracles.py
-    does, and training selects beams noiselessly.  Returns theta0, BS 0's
-    (T, L, K) angles of arrival, and c0, the (T, L, K) realized gains
-    c[0, l, k] = h_U[0, l, k]^H w[l, k].
+    does, and training selects beams noiselessly.  Returns BS 0's (T, L, K)
+    angles theta0, gains c0 = h_U[0, l, k]^H w[l, k] and bg = beta_0lk
+    |c_0lk|^2, bg's (T,) sums `total`, and the (T, K) clean-coefficient
+    amplitudes a = (1 - rho) sqrt(p_t) bg_00k N; S = a^2 in both modes.
     """
     L, K, M = cfg.L, cfg.K, cfg.M
     phi = np.empty((len(trials), L, L, K))
@@ -84,11 +97,13 @@ def _draw_block(cfg, trials):
     phi_hat = select_beams(phi[:, cells, cells], build_codebook(cfg.B), M)   # (T, L, K)
     w = beamformer_from_angle(phi_hat, M)
     c0 = np.einsum("tlkm,tlkm->tlk", steering_vector(phi[:, 0], M).conj(), w)
-    return theta[:, 0], c0
+    bg = large_scale_gains(cfg)[0] * np.abs(c0) ** 2
+    a = (1.0 - cfg.rho) * np.sqrt(cfg.p_t) * bg[:, 0] * cfg.N
+    return theta[:, 0], c0, bg, np.sum(bg, axis=(1, 2)), a
 
 
-def _semi_block(cfg, theta0, c0):
-    """(S, I, I_floor) at BS 0 for a block of trials, each (T, K).
+def _semi_block(cfg, theta0, c0, bg, total, a):
+    """(I, pathological) at BS 0 for a block: I is (T, K), from _draw_block's outputs.
 
     The same conditional powers as the per-realization _conditional_powers
     in tests/oracles.py, with every BS-side inner product taken from the
@@ -103,13 +118,13 @@ def _semi_block(cfg, theta0, c0):
     turn the kernel into outer products of per-user sines and cosines, and
     the phase factors are folded into the coefficients, so the per-pair work
     is real arithmetic.
+
+    I is the conditional variance E|y|^2 - S, or, where pilot contamination
+    drives that to zero or below (counted in `pathological`), E|y - a x|^2.
     """
     rho, N = cfg.rho, cfg.N
     T, L, K = c0.shape
     b0 = large_scale_gains(cfg)[0]                    # (L, K)
-    gains2 = np.abs(c0) ** 2
-    bg = b0 * gains2
-    total = np.sum(bg, axis=(1, 2))                   # (T,)
     sigma_q2 = quant_noise_power(cfg, total, cfg.p_t)[:, None]
     mu = noise_equivalent_mu(cfg, quant_noise_power(cfg, total, cfg.p_p / cfg.tau))[:, None]
 
@@ -133,8 +148,8 @@ def _semi_block(cfg, theta0, c0):
 
     # u_k = sum_l beta^(1/2) c_0lk h_lk is the pilot-contaminated estimate
     # mean; y[t, k, b] = e^{j(N-1)x_b} u_k^H h_b
-    a = np.sqrt(b0) * c0
-    v = a.conj() * phase
+    coef = np.sqrt(b0) * c0
+    v = coef.conj() * phase
     kernel = kernel.reshape(T, L, K, L * K)
     y = sum(v[:, l, :, None] * kernel[:, l] for l in range(L))   # (T, K, LK)
     y_own = np.diagonal(y.reshape(T, K, L, K), axis1=1, axis2=3)  # (T, L, K): b = (l, k)
@@ -146,13 +161,10 @@ def _semi_block(cfg, theta0, c0):
     e_iq = sigma_q2 * bracket
     e_sr = (1.0 - rho) ** 2 * cfg.p_t * (mu * N * total[:, None] + quad)
 
-    S = (1.0 - rho) ** 2 * cfg.p_t * (b0[0] ** 2) * gains2[:, 0] ** 2 * N ** 2
-    I = e_in + e_iq + e_sr - S
-
-    a_clean = (1.0 - rho) * np.sqrt(cfg.p_t) * b0[0] * gains2[:, 0] * N
-    ea = (1.0 - rho) * np.sqrt(cfg.p_t) * a[:, 0] * phase[:, 0].conj() * y_own[:, 0]
-    I_floor = I + 2.0 * a_clean * (a_clean - ea.real)
-    return S, I, I_floor
+    I = e_in + e_iq + e_sr - a ** 2
+    bad = I <= 0.0
+    ea = (1.0 - rho) * np.sqrt(cfg.p_t) * coef[:, 0] * phase[:, 0].conj() * y_own[:, 0]
+    return np.where(bad, I + 2.0 * a * (a - ea.real), I), int(np.sum(bad))
 
 
 def _pilot_phase(cfg, trial, theta0, c0, total):
@@ -173,13 +185,9 @@ def _pilot_phase(cfg, trial, theta0, c0, total):
     return eff, (Y_qp @ Psi.conj()) / ((1.0 - cfg.rho) * np.sqrt(cfg.p_p))
 
 
-def _symbol_trial(cfg, trial, theta0, c0):
-    """(S, I) at BS 0 for one trial with sampled pilots, symbols and quantizer."""
-    rho = cfg.rho
+def _symbol_trial(cfg, trial, theta0, c0, total, a):
+    """BS 0's I (K,) for one drawn trial with sampled pilots, symbols and quantizer."""
     L, K, N = cfg.L, cfg.K, cfg.N
-    b0 = large_scale_gains(cfg)[0]                    # (L, K)
-    gains2 = np.abs(c0) ** 2
-    total = float(np.sum(b0 * gains2))
     eff, combiner = _pilot_phase(cfg, trial, theta0, c0, total)   # hbar + realized error
 
     eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
@@ -191,13 +199,10 @@ def _symbol_trial(cfg, trial, theta0, c0):
     Q = lloyd_max_quantize(R, cfg.adc_bits, received_power(total, cfg.p_t))
 
     Y = combiner.conj().T @ Q                         # (K, SYMBOLS_PER_TRIAL)
-    a = (1.0 - rho) * np.sqrt(cfg.p_t) * b0[0] * gains2[0] * N
-    S = a ** 2
     # measured mean-square deviation from the clean-coefficient signal; always
     # positive, and everything the analytic path treats as interference
     # (inter-user, inter-cell, noises, estimation error) lands in it
-    I = np.mean(np.abs(Y - a[:, None] * X[:K, :]) ** 2, axis=1)
-    return S, I
+    return np.mean(np.abs(Y - a[:, None] * X[:K, :]) ** 2, axis=1)
 
 
 def ergodic_rate(cfg, trials, mode="semi"):
@@ -210,13 +215,7 @@ def ergodic_rate(cfg, trials, mode="semi"):
     substreams, so the result does not depend on the block size.
     """
     check_trials(trials)
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}; choose from {MODES}")
-    if mode == "symbol" and cfg.rho_ad is not None:
-        raise ParameterError(
-            "symbol mode runs the real adc_bits quantizer and cannot honor "
-            f"a rho_ad override (rho_ad={cfg.rho_ad}); set adc_bits only"
-        )
+    check_mode(mode, [cfg])
 
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))
@@ -224,15 +223,14 @@ def ergodic_rate(cfg, trials, mode="semi"):
     block = _block_trials(cfg)
     for start in range(0, trials, block):
         ts = range(start, min(start + block, trials))
-        theta0, c0 = _draw_block(cfg, ts)
+        theta0, c0, bg, total, a = _draw_block(cfg, ts)
+        S[start:ts.stop] = a ** 2
         if mode == "semi":
-            S_b, I_b, I_floor = _semi_block(cfg, theta0, c0)
-            bad = I_b <= 0.0
-            S[start:ts.stop], I[start:ts.stop] = S_b, np.where(bad, I_floor, I_b)
-            npath += int(np.sum(bad))
+            I[start:ts.stop], nbad = _semi_block(cfg, theta0, c0, bg, total, a)
+            npath += nbad
         else:
             for i, t in enumerate(ts):
-                S[t], I[t] = _symbol_trial(cfg, t, theta0[i], c0[i])
+                I[t] = _symbol_trial(cfg, t, theta0[i], c0[i], total[i], a[i])
 
     gamma = S / I
     if not np.all(np.isfinite(gamma)):

@@ -8,7 +8,7 @@ from importlib import resources
 from .bounds import lower_bound_rate
 from .config import SETTABLE_KEYS, config_from_dict
 from .errors import ParameterError
-from .rate import MODES, check_trials, ergodic_rate
+from .rate import check_mode, check_trials, ergodic_rate
 
 # sweep axis -> the CSV column that holds its value
 AXIS_COLUMN = {"K": "K", "N": "N", "M": "M", "adc_bits": "bits",
@@ -61,8 +61,7 @@ class SweepSpec:
             unknown = set(layer) - SETTABLE_KEYS
             if unknown:
                 raise ParameterError(f"unknown {name} config keys {sorted(unknown)}")
-        if self.mode not in MODES:
-            raise ParameterError(f"unknown mode {self.mode!r}; choose from {MODES}")
+        check_mode(self.mode)
 
 
 def load_sweep_spec(path):
@@ -106,7 +105,7 @@ def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
     """Run every (curve, value) point and return CSV-ready row dicts.
 
     Deterministic for fixed seed and flags; rows appear in curve-major,
-    axis-order.  Every point's config resolves before the first one runs.
+    axis-order.  Every point's config resolves and is checked before any runs.
     """
     # replace() re-runs the spec's checks, so a bad flag fails before any point
     flags = {"trials": trials, "mode": mode}
@@ -114,6 +113,7 @@ def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
     overrides = {} if seed is None else {"seed": seed}
     cfgs = [_point_config(spec, curve, value, overrides)
             for curve in spec.curves for value in spec.values]
+    check_mode(spec.mode, cfgs)
     rows = []
     for cfg in cfgs:
         report = lower_bound_rate(cfg)

@@ -53,6 +53,13 @@ def test_bound_command_with_overrides(capsys, tmp_path):
     assert "1.88003" in text
 
 
+def test_bound_prints_the_rho_ad_override_in_place_of_bits(capsys):
+    # as the CSV leaves `bits` blank, the printout names the override
+    assert main(["bound", "--set", "rho_ad=0.1", "--set", "K=2"]) == 0
+    [line] = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config:")]
+    assert " tau=2 rho_ad=0.1 rho=0.1 " in line and "bits=" not in line
+
+
 _HUGE = 10 ** 400
 
 

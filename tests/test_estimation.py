@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mmwsim import rate
-from mmwsim.channel import large_scale_gains
 from mmwsim.config import SystemConfig
 from mmwsim.errors import ParameterError
 from mmwsim.estimation import build_pilot_matrix, noise_equivalent_mu
@@ -202,9 +201,8 @@ def test_pilot_phase_matches_oracle_mmse_form(L, K, tau, bits):
     for seed in (0, 5, 23):
         cfg = SystemConfig(L=L, K=K, N=16, M=2, tau=tau, adc_bits=bits, p_t=1.0, seed=seed)
         for trial in (0, 3):
-            theta0, c0 = rate._draw_block(cfg, range(trial, trial + 1))
-            total = float(np.sum(large_scale_gains(cfg)[0] * np.abs(c0[0]) ** 2))
-            eff, est = rate._pilot_phase(cfg, trial, theta0[0], c0[0], total)
+            theta0, c0, _, total, _ = rate._draw_block(cfg, range(trial, trial + 1))
+            eff, est = rate._pilot_phase(cfg, trial, theta0[0], c0[0], total[0])
             real = sample_channel(cfg, substream(seed, trial, STAGE_CHANNEL))
             ref = estimate_all(real, train_beams(real, cfg), cfg,
                                substream(seed, trial, STAGE_PILOT), quant_path="real")

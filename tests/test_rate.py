@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmwsim import rate, training
-from mmwsim.channel import steering_vector
+from mmwsim.channel import draw_angles, steering_vector
 from mmwsim.config import BLOCK_BYTES, SystemConfig
 from mmwsim.errors import InternalConsistencyError, ParameterError
 from mmwsim.quantize import quant_noise_power
@@ -208,9 +208,14 @@ def test_block_engine_matches_oracle_on_contamination_floor():
     assert rep.pathological > 0
 
 
-def test_semi_block_endfire_pair_matches_oracle():
+def test_semi_block_endfire_pair_matches_oracle(monkeypatch):
     # BS 0 sees user (0, 0) at theta = 0 and user (1, 0) at theta = pi, so
     # h^H h' = (-1)^(N-1) N; pilot contamination makes the sign matter
+    def endfire_angles(cfg, rng):
+        phi, theta = draw_angles(cfg, rng)
+        theta[0, :, 0] = (0.0, np.pi)
+        return phi, theta
+    monkeypatch.setattr(rate, "draw_angles", endfire_angles)
     for N in (63, 64):
         cfg = _cfg(L=2, K=1, N=N, adc_bits=3, seed=3)
         real = sample_channel(cfg, substream(cfg.seed, 0, STAGE_CHANNEL))
@@ -218,11 +223,14 @@ def test_semi_block_endfire_pair_matches_oracle():
         real.h_B[0] = steering_vector(real.theta[0], N)
         training = train_beams(real, cfg)
         _, mu, _ = pilot_statistics(real, training, cfg)
-        expect = _conditional_powers(real, training, mu[0],
-                                     _sigma_q2(cfg, real, training), cfg, 0)
-        got = rate._semi_block(cfg, real.theta[0][None], training.c[0][None])
-        for g, e in zip(got, expect):
+        S, I, I_floor = _conditional_powers(real, training, mu[0],
+                                            _sigma_q2(cfg, real, training), cfg, 0)
+        theta0, c0, bg, total, a = rate._draw_block(cfg, range(1))
+        assert np.array_equal(theta0[0, :, 0], (0.0, np.pi))
+        got, bad = rate._semi_block(cfg, theta0, c0, bg, total, a)
+        for g, e in zip((a ** 2, got), (S, np.where(I <= 0.0, I_floor, I))):
             np.testing.assert_allclose(g[0], e, rtol=1e-9)
+        assert bad == np.sum(I <= 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -278,6 +286,13 @@ def test_rate_bound_holds_on_regression_grid():
             cfg = _cfg(L=3, K=K, N=64, adc_bits=bits, p_t=1.0, p_p=float(K), seed=23)
             rep = ergodic_rate(cfg, 400)
             assert rep.rate_mc + rep.ci95 >= lower_bound_rate(cfg).R_LB
+
+
+def test_semi_and_symbol_signal_powers_are_identical():
+    # both modes square the draw stage's clean amplitude a; only I differs
+    cfg = _cfg(L=3, K=4, adc_bits=3, seed=11)
+    semi, symbol = (ergodic_rate(cfg, 50, mode=m) for m in ("semi", "symbol"))
+    assert np.array_equal(semi.S, symbol.S)
 
 
 def test_symbol_mode_needs_bits():

@@ -144,6 +144,19 @@ def test_unknown_mode_rejected_before_any_point(monkeypatch):
     assert [_tiny_spec(mode=m).mode for m in ("semi", "symbol")] == ["semi", "symbol"]
 
 
+def test_symbol_mode_rho_ad_curve_rejected_before_any_point(monkeypatch):
+    # the second curve's override would fail only after the first curve ran
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point ran before every config was checked")
+    monkeypatch.setattr(sweep, "lower_bound_rate", no_point)
+    monkeypatch.setattr(sweep, "ergodic_rate", no_point)
+    spec = _tiny_spec(base={"L": 1, "K": 2, "N": 16, "adc_bits": 2}, axis="snr_db",
+                      values=[-10, 0], trials=200, mode="symbol",
+                      curves=[{}, {"rho_ad": 0.1}])
+    with pytest.raises(ParameterError, match="cannot honor a rho_ad override"):
+        run_sweep(spec)
+
+
 def test_rows_follow_axis_and_default_pilot_power():
     rows = run_sweep(_tiny_spec())
     assert [r["K"] for r in rows] == [1, 2]
