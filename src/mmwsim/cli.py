@@ -13,8 +13,8 @@ from .checks import SUITES
 from .config import (beam_warnings, check_beam_settings, codebook_zeta, config_from_dict,
                      load_config_doc, parse_setting)
 from .errors import ParameterError
-from .rate import MODES, _draw_block, _pilot_phase, ergodic_rate
-from .sweep import (AXIS_COLUMN, emit_plot_script, list_presets, load_preset,
+from .rate import MODES, _draw_block, _pilot_phase, check_mode, check_trials, ergodic_rate
+from .sweep import (AXIS_COLUMN, _resolve, emit_plot_script, list_presets, load_preset,
                     load_sweep_spec, plotted_outputs, run_sweep, sweep_row, write_csv)
 from .training import build_codebook, gain_lower_bound
 
@@ -74,6 +74,9 @@ def _print_bound(cfg, rep):
 
 def cmd_simulate(args):
     cfg = _resolve_config(args)
+    # a run the engine rejects fails before any dump file is created
+    check_trials(args.trials)
+    check_mode(args.mode, [cfg])
     suffixes = ["_realization.csv"] + (["_error_power.csv"] if args.mode == "symbol" else [])
     dumps = [args.debug_dump + suffix for suffix in suffixes] if args.debug_dump else []
     with ExitStack() as stack:
@@ -130,6 +133,8 @@ def cmd_sweep(args):
     spec = load_preset(args.preset) if args.preset else load_sweep_spec(args.spec)
     if args.plot_script:
         plotted_outputs(spec)
+    # a sweep the flags or the engine reject fails before any file is created
+    _resolve(spec, args.trials, args.seed, args.mode)
     with ExitStack() as stack:
         # paths that cannot be written fail before any point runs
         out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout

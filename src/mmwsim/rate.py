@@ -6,10 +6,15 @@ equivalent estimation noise analytically.  The symbol-level mode samples all
 of those and runs the real quantizer, providing a model-error cross-check.
 
 Both modes run trials in blocks and evaluate BS 0 only, the BS the rate is
-reported for.  Every trial still draws from its own (seed, trial, stage)
-substreams, so results do not depend on the block size.
+reported for.  Semi mode runs its blocks on up to WORKERS threads; symbol
+mode runs them in the calling thread.  Every trial still draws from its own
+(seed, trial, stage) substreams, so results do not depend on the block size
+or the thread count.
 """
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +32,12 @@ MODES = ("semi", "symbol")
 
 # Data symbols sampled per trial in symbol mode.
 SYMBOLS_PER_TRIAL = 256
+
+# Usable cores: semi mode runs up to this many trial blocks at once, each
+# holding its own BLOCK_BYTES.  Symbol mode stays on one: its matrix products
+# already keep the BLAS pool busy on the other cores.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 @dataclass
@@ -132,9 +143,11 @@ def _semi_block(cfg, theta0, c0, bg, total, a):
     s, c = np.sin(x), np.cos(x)
     sN, cN = np.sin(N * x), np.cos(N * x)
     den = s[:, :, None] * c[:, None, :]
-    den -= c[:, :, None] * s[:, None, :]
+    outer = c[:, :, None] * s[:, None, :]             # reused for kernel's second product
+    den -= outer
     kernel = sN[:, :, None] * cN[:, None, :]
-    kernel -= cN[:, :, None] * sN[:, None, :]
+    kernel -= np.multiply(cN[:, :, None], sN[:, None, :], out=outer)
+    del outer
     small = np.abs(den) < 1e-12
     den[small] = 1.0
     kernel[small] = N
@@ -151,7 +164,9 @@ def _semi_block(cfg, theta0, c0, bg, total, a):
     coef = np.sqrt(b0) * c0
     v = coef.conj() * phase
     kernel = kernel.reshape(T, L, K, L * K)
-    y = sum(v[:, l, :, None] * kernel[:, l] for l in range(L))   # (T, K, LK)
+    y = v[:, 0, :, None] * kernel[:, 0]               # (T, K, LK)
+    for l in range(1, L):
+        y += v[:, l, :, None] * kernel[:, l]
     y_own = np.diagonal(y.reshape(T, K, L, K), axis1=1, axis2=3)  # (T, L, K): b = (l, k)
     u_norm2 = np.einsum("tlk,tlk->tk", v.conj(), y_own).real
     bracket = N * mu + u_norm2
@@ -212,25 +227,39 @@ def ergodic_rate(cfg, trials, mode="semi"):
     mean log2(1 + gamma) with a 95% confidence half-width over per-trial
     averages.  Deterministic for a given cfg.seed; trials run in blocks of
     BLOCK_BYTES, and every trial draws from its own (seed, trial, stage)
-    substreams, so the result does not depend on the block size.
+    substreams, so the result does not depend on the block size.  Semi mode
+    runs up to WORKERS blocks at once, each in a copy of the caller's context
+    (so np.errstate holds in every block), and its result is bit-identical at
+    any thread count.
     """
     check_trials(trials)
     check_mode(mode, [cfg])
 
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))
-    npath = 0
     block = _block_trials(cfg)
-    for start in range(0, trials, block):
+
+    def run_block(start):
+        """Fill the block's rows of S and I; return its floor count."""
         ts = range(start, min(start + block, trials))
         theta0, c0, bg, total, a = _draw_block(cfg, ts)
         S[start:ts.stop] = a ** 2
         if mode == "semi":
             I[start:ts.stop], nbad = _semi_block(cfg, theta0, c0, bg, total, a)
-            npath += nbad
-        else:
-            for i, t in enumerate(ts):
-                I[t] = _symbol_trial(cfg, t, theta0[i], c0[i], total[i], a[i])
+            return nbad
+        for i, t in enumerate(ts):
+            I[t] = _symbol_trial(cfg, t, theta0[i], c0[i], total[i], a[i])
+        return 0
+
+    starts = range(0, trials, block)
+    workers = min(WORKERS, len(starts)) if mode == "semi" else 1
+    if workers == 1:
+        npath = sum(map(run_block, starts))
+    else:
+        context = contextvars.copy_context()
+        with ThreadPoolExecutor(workers) as pool:
+            # map's iterator cancels the blocks not yet started when one raises
+            npath = sum(pool.map(lambda start: context.copy().run(run_block, start), starts))
 
     gamma = S / I
     if not np.all(np.isfinite(gamma)):

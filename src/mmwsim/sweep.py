@@ -101,12 +101,8 @@ def _point_config(spec, curve, value, overrides):
     return config_from_dict(spec.base, curve, {spec.axis: value}, overrides)
 
 
-def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
-    """Run every (curve, value) point and return CSV-ready row dicts.
-
-    Deterministic for fixed seed and flags; rows appear in curve-major,
-    axis-order.  Every point's config resolves and is checked before any runs.
-    """
+def _resolve(spec, trials=None, seed=None, mode=None):
+    """(spec with the flags applied, its point configs in row order), all checked."""
     # replace() re-runs the spec's checks, so a bad flag fails before any point
     flags = {"trials": trials, "mode": mode}
     spec = replace(spec, **{name: v for name, v in flags.items() if v is not None})
@@ -114,6 +110,16 @@ def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
     cfgs = [_point_config(spec, curve, value, overrides)
             for curve in spec.curves for value in spec.values]
     check_mode(spec.mode, cfgs)
+    return spec, cfgs
+
+
+def run_sweep(spec, trials=None, seed=None, mode=None, progress=None):
+    """Run every (curve, value) point and return CSV-ready row dicts.
+
+    Deterministic for fixed seed and flags; rows appear in curve-major,
+    axis-order.  Every point's config resolves and is checked before any runs.
+    """
+    spec, cfgs = _resolve(spec, trials, seed, mode)
     rows = []
     for cfg in cfgs:
         report = lower_bound_rate(cfg)

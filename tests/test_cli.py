@@ -260,6 +260,25 @@ def test_sweep_spec_file_stdout(capsys, tmp_path):
     assert out.splitlines()[2].startswith("t,")
 
 
+def test_rejected_simulate_leaves_no_dump_files(capsys, tmp_path):
+    # symbol mode cannot honor rho_ad; the run fails before a dump file is created
+    argv = ["simulate", "--set", "rho_ad=0.1", "--set", "K=2", "--mode", "symbol",
+            "--trials", "20", "--debug-dump", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "rho_ad" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rejected_sweep_leaves_no_out_file(capsys, tmp_path):
+    spec = {"scenario_id": "t", "base": {"L": 1, "N": 8, "M": 2, "adc_bits": 2, "rho_ad": 0.1},
+            "axis": "K", "values": [1], "trials": 10, "mode": "symbol"}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "rho_ad" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
 def test_sweep_requires_source(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -248,6 +249,75 @@ def test_ergodic_rate_rejects_non_finite_siqnr():
     cfg = _cfg(L=1, K=1, N=16, adc_bits=3, p_t=1e308, p_p=1.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InternalConsistencyError):
         ergodic_rate(cfg, 10)
+
+
+def _pooled(monkeypatch, workers=2, budget=1):
+    """Run semi-mode blocks on `workers` threads, one trial per block by default."""
+    monkeypatch.setattr(rate, "WORKERS", workers)
+    monkeypatch.setattr(rate, "BLOCK_BYTES", budget)
+
+
+def test_pooled_blocks_run_in_the_callers_context(monkeypatch, recwarn):
+    # np.errstate is a context variable; a pool thread starts with an empty context
+    _pooled(monkeypatch)
+    cfg = _cfg(L=1, K=1, N=16, adc_bits=3, p_t=1e308, p_p=1.0)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        ergodic_rate(cfg, 10)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InternalConsistencyError):
+        ergodic_rate(cfg, 10)
+    assert [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("cfg, trials", [
+    (_cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7), 700),
+    (_fig2_cfg(32), 40),
+], ids=["floor-seed7", "fig2-K32"])
+def test_semi_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials):
+    reports = []
+    for workers in (1, 2, 3):
+        for budget in (1, BLOCK_BYTES):
+            _pooled(monkeypatch, workers, budget)
+            reports.append(ergodic_rate(cfg, trials))
+    assert rate._block_trials(cfg) < trials      # the default budget makes several blocks
+    first = reports[0]
+    for rep in reports[1:]:
+        np.testing.assert_array_equal(rep.S, first.S)
+        np.testing.assert_array_equal(rep.I, first.I)
+        assert (rep.rate_mc, rep.ci95, rep.pathological) == (
+            first.rate_mc, first.ci95, first.pathological)
+    if cfg.seed == 7:
+        assert first.pathological > 0
+
+
+def test_pooled_block_memory_is_bounded_per_worker(monkeypatch):
+    # each worker holds one block of BLOCK_BYTES at a time
+    _pooled(monkeypatch, budget=BLOCK_BYTES)
+    cfg = _fig2_cfg(32)
+    trials = 20 * rate._block_trials(cfg)
+    tracemalloc.start()
+    try:
+        ergodic_rate(cfg, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 3 * BLOCK_BYTES
+
+
+def test_a_failing_block_stops_the_run(monkeypatch):
+    # map's iterator cancels the blocks that have not started
+    _pooled(monkeypatch)
+    calls = itertools.count()
+    semi_block = rate._semi_block
+
+    def fail_first(*args):
+        if next(calls) == 0:
+            raise RuntimeError("first block failed")
+        return semi_block(*args)
+
+    monkeypatch.setattr(rate, "_semi_block", fail_first)
+    with pytest.raises(RuntimeError, match="first block failed"):
+        ergodic_rate(_cfg(), 100)
+    assert next(calls) < 50
 
 
 def test_ergodic_rate_trials_precondition():
