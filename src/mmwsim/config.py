@@ -55,8 +55,8 @@ def distortion_factor(bits):
 # training._full_scan, counted at 16 bytes per entry.  A trial's share is its
 # (LK, LK) Gram kernel, or 32 entries per user when LK < 32; a scanned user's
 # share is its 2^B scores.  A block's measured peak stays within about 2.2x
-# the budget; semi mode runs up to rate.WORKERS blocks at once, each with its
-# own budget.  On the fig2 sweep 1 MiB and 2 MiB timed alike and beat
+# the budget; both engine modes run up to rate.WORKERS blocks at once, each
+# with its own budget.  On the fig2 sweep 1 MiB and 2 MiB timed alike and beat
 # 256 KiB, 512 KiB and 4 MiB; the smaller holds less memory.
 BLOCK_BYTES = 1 << 20
 

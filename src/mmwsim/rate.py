@@ -6,14 +6,20 @@ equivalent estimation noise analytically.  The symbol-level mode samples all
 of those and runs the real quantizer, providing a model-error cross-check.
 
 Both modes run trials in blocks and evaluate BS 0 only, the BS the rate is
-reported for.  Semi mode runs its blocks on up to WORKERS threads; symbol
-mode runs them in the calling thread.  Every trial still draws from its own
-(seed, trial, stage) substreams, so results do not depend on the block size
-or the thread count.
+reported for, and both run their blocks on up to WORKERS threads.  While
+symbol-mode blocks run on more than one thread, numpy's OpenBLAS pool is
+held at one thread, so its idle workers do not spin on the cores the blocks
+need; where that pool cannot be reached, symbol mode runs its blocks in the
+calling thread.  Every trial still draws from its own (seed, trial, stage)
+substreams, so results do not depend on the block size or the thread count.
 """
 
+import contextlib
 import contextvars
+import ctypes
+import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,11 +39,22 @@ MODES = ("semi", "symbol")
 # Data symbols sampled per trial in symbol mode.
 SYMBOLS_PER_TRIAL = 256
 
-# Usable cores: semi mode runs up to this many trial blocks at once, each
-# holding its own BLOCK_BYTES.  Symbol mode stays on one: its matrix products
-# already keep the BLAS pool busy on the other cores.
+# Usable cores: both modes run up to this many trial blocks at once, each
+# holding its own BLOCK_BYTES.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
+
+# Thread-count entry points of numpy's OpenBLAS: numpy 2.x wheels export the
+# scipy_openblas 64-bit names; other OpenBLAS builds use the last two.
+_BLAS_THREAD_NAMES = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+# How many symbol runs hold the BLAS pin, and the count the first one found.
+_pin_lock = threading.Lock()
+_pin = {"runs": 0, "saved": None}
 
 
 @dataclass
@@ -75,6 +92,51 @@ def check_mode(mode, cfgs=()):
             "symbol mode runs the real adc_bits quantizer and cannot honor "
             f"a rho_ad override (rho_ad={overrides[0]}); set adc_bits only"
         )
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    dlsym on an extension module numpy has loaded also searches the libraries
+    it links, so this finds numpy's own OpenBLAS without naming its file.
+    None under MKL, Accelerate or a numpy without these exports.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_NAMES:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(get, set_):
+    """Hold numpy's OpenBLAS pool at one thread inside the block.
+
+    The pool size is process-wide, so concurrent runs share one pin: the
+    first to enter saves the count and the last to leave restores it, also
+    when a run raises.
+    """
+    with _pin_lock:
+        if _pin["runs"] == 0:
+            _pin["saved"] = get()
+            set_(1)
+        _pin["runs"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["runs"] -= 1
+            if _pin["runs"] == 0:
+                set_(_pin["saved"])
 
 
 def _block_trials(cfg):
@@ -227,10 +289,17 @@ def ergodic_rate(cfg, trials, mode="semi"):
     mean log2(1 + gamma) with a 95% confidence half-width over per-trial
     averages.  Deterministic for a given cfg.seed; trials run in blocks of
     BLOCK_BYTES, and every trial draws from its own (seed, trial, stage)
-    substreams, so the result does not depend on the block size.  Semi mode
-    runs up to WORKERS blocks at once, each in a copy of the caller's context
-    (so np.errstate holds in every block), and its result is bit-identical at
-    any thread count.
+    substreams, so the result does not depend on the block size.  Up to
+    WORKERS blocks run at once, each in a copy of the caller's context (so
+    np.errstate holds in every block), and the result is bit-identical at any
+    thread count.
+
+    Symbol mode runs on more than one thread only where numpy's OpenBLAS
+    pool can be held at one thread meanwhile (elsewhere it runs in the
+    calling thread).  That hold is process-wide: other BLAS work in the
+    process also runs on one thread until the run returns or raises.  Calls
+    from several threads at once share the hold; the last to finish restores
+    the count the first one found.
     """
     check_trials(trials)
     check_mode(mode, [cfg])
@@ -252,12 +321,19 @@ def ergodic_rate(cfg, trials, mode="semi"):
         return 0
 
     starts = range(0, trials, block)
-    workers = min(WORKERS, len(starts)) if mode == "semi" else 1
+    workers = min(WORKERS, len(starts))
+    pin = contextlib.nullcontext()
+    if mode == "symbol" and workers > 1:
+        calls = _blas_thread_calls()
+        if calls is None:
+            workers = 1
+        else:
+            pin = _one_blas_thread(*calls)
     if workers == 1:
         npath = sum(map(run_block, starts))
     else:
         context = contextvars.copy_context()
-        with ThreadPoolExecutor(workers) as pool:
+        with pin, ThreadPoolExecutor(workers) as pool:
             # map's iterator cancels the blocks not yet started when one raises
             npath = sum(pool.map(lambda start: context.copy().run(run_block, start), starts))
 

@@ -1,4 +1,7 @@
 import itertools
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmwsim import rate, training
 from mmwsim.channel import draw_angles, steering_vector
-from mmwsim.config import BLOCK_BYTES, SystemConfig
+from mmwsim.config import BLOCK_BYTES, SystemConfig, config_from_dict
 from mmwsim.errors import InternalConsistencyError, ParameterError
 from mmwsim.quantize import quant_noise_power
 from mmwsim.rate import ergodic_rate
@@ -252,7 +255,7 @@ def test_ergodic_rate_rejects_non_finite_siqnr():
 
 
 def _pooled(monkeypatch, workers=2, budget=1):
-    """Run semi-mode blocks on `workers` threads, one trial per block by default."""
+    """Run trial blocks on `workers` threads, one trial per block by default."""
     monkeypatch.setattr(rate, "WORKERS", workers)
     monkeypatch.setattr(rate, "BLOCK_BYTES", budget)
 
@@ -261,11 +264,31 @@ def test_pooled_blocks_run_in_the_callers_context(monkeypatch, recwarn):
     # np.errstate is a context variable; a pool thread starts with an empty context
     _pooled(monkeypatch)
     cfg = _cfg(L=1, K=1, N=16, adc_bits=3, p_t=1e308, p_p=1.0)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        ergodic_rate(cfg, 10)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InternalConsistencyError):
-        ergodic_rate(cfg, 10)
+    for mode in rate.MODES:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ergodic_rate(cfg, 10, mode=mode)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InternalConsistencyError):
+            ergodic_rate(cfg, 10, mode=mode)
     assert [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+def _reports_by_workers(monkeypatch, cfg, trials, mode, workers_list=(1, 2, 3)):
+    """One report per worker count, at one trial per block and at the default budget."""
+    reports = []
+    for workers in workers_list:
+        for budget in (1, BLOCK_BYTES):
+            _pooled(monkeypatch, workers, budget)
+            reports.append(ergodic_rate(cfg, trials, mode=mode))
+    return reports
+
+
+def _assert_same_outputs(reports):
+    first = reports[0]
+    for rep in reports[1:]:
+        np.testing.assert_array_equal(rep.S, first.S)
+        np.testing.assert_array_equal(rep.I, first.I)
+        assert (rep.rate_mc, rep.ci95, rep.pathological) == (
+            first.rate_mc, first.ci95, first.pathological)
 
 
 @pytest.mark.parametrize("cfg, trials", [
@@ -273,20 +296,11 @@ def test_pooled_blocks_run_in_the_callers_context(monkeypatch, recwarn):
     (_fig2_cfg(32), 40),
 ], ids=["floor-seed7", "fig2-K32"])
 def test_semi_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials):
-    reports = []
-    for workers in (1, 2, 3):
-        for budget in (1, BLOCK_BYTES):
-            _pooled(monkeypatch, workers, budget)
-            reports.append(ergodic_rate(cfg, trials))
+    reports = _reports_by_workers(monkeypatch, cfg, trials, "semi")
     assert rate._block_trials(cfg) < trials      # the default budget makes several blocks
-    first = reports[0]
-    for rep in reports[1:]:
-        np.testing.assert_array_equal(rep.S, first.S)
-        np.testing.assert_array_equal(rep.I, first.I)
-        assert (rep.rate_mc, rep.ci95, rep.pathological) == (
-            first.rate_mc, first.ci95, first.pathological)
+    _assert_same_outputs(reports)
     if cfg.seed == 7:
-        assert first.pathological > 0
+        assert reports[0].pathological > 0
 
 
 def test_pooled_block_memory_is_bounded_per_worker(monkeypatch):
@@ -318,6 +332,99 @@ def test_a_failing_block_stops_the_run(monkeypatch):
     with pytest.raises(RuntimeError, match="first block failed"):
         ergodic_rate(_cfg(), 100)
     assert next(calls) < 50
+
+
+# the benchmark's symbol_k8 config: the fig2 base with K=8, 3-bit ADCs, p_p=8
+SYMBOL_K8 = config_from_dict(dict(load_preset("fig2").base, K=8, adc_bits=3, p_p=8.0))
+
+needs_blas_pin = pytest.mark.skipif(
+    rate._blas_thread_calls() is None, reason="numpy's BLAS exposes no OpenBLAS thread count")
+
+
+def _blas_threads():
+    return rate._blas_thread_calls()[0]()
+
+
+@pytest.mark.parametrize("cfg, trials", [
+    (SYMBOL_K8, 100),
+    (_cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 200),
+], ids=["symbol_k8", "L1"])
+def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials):
+    # one worker runs inline on the full BLAS pool; more hold that pool at one thread
+    reports = _reports_by_workers(monkeypatch, cfg, trials, "symbol")
+    assert rate._block_trials(cfg) < trials      # the default budget makes several blocks
+    _assert_same_outputs(reports)
+
+
+@needs_blas_pin
+def test_symbol_run_restores_the_blas_thread_count(monkeypatch):
+    _pooled(monkeypatch)
+    symbol_trial = rate._symbol_trial
+    inside = []
+
+    def record(*args):
+        inside.append(_blas_threads())
+        return symbol_trial(*args)
+
+    monkeypatch.setattr(rate, "_symbol_trial", record)
+    before = _blas_threads()
+    ergodic_rate(_cfg(L=2, K=2), 20, mode="symbol")
+    assert set(inside) == {1}
+    assert _blas_threads() == before
+
+    def fail(*args):
+        raise RuntimeError("block failed")
+
+    monkeypatch.setattr(rate, "_symbol_trial", fail)
+    with pytest.raises(RuntimeError, match="block failed"):
+        ergodic_rate(_cfg(L=2, K=2), 20, mode="symbol")
+    assert _blas_threads() == before
+
+
+@needs_blas_pin
+def test_concurrent_symbol_runs_share_one_blas_pin(monkeypatch):
+    # more callers than cores, switching often: the last to leave restores the
+    # count the first found, and every run gives the lone run's outputs
+    _pooled(monkeypatch)
+    cfg = _cfg(L=2, K=2, seed=9)
+    alone = ergodic_rate(cfg, 40, mode="symbol")
+    before = _blas_threads()
+    reports, errors = [], []
+
+    def run():
+        try:
+            reports.append(ergodic_rate(cfg, 40, mode="symbol"))
+        except Exception as exc:     # a thread cannot fail the test; report it below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(2 * os.cpu_count() + 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(reports) == len(threads)
+    _assert_same_outputs([alone] + reports)
+    assert _blas_threads() == before
+
+
+def test_symbol_mode_without_a_blas_pin_runs_inline(monkeypatch):
+    cfg = _cfg(L=3, K=2, N=32, adc_bits=2, seed=5)
+    pooled = _reports_by_workers(monkeypatch, cfg, 30, "symbol", workers_list=(1, 2))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("symbol mode started a thread pool without a BLAS pin")
+
+    monkeypatch.setattr(rate, "_blas_thread_calls", lambda: None)
+    monkeypatch.setattr(rate, "ThreadPoolExecutor", no_pool)
+    inline = _reports_by_workers(monkeypatch, cfg, 30, "symbol", workers_list=(2,))
+    _assert_same_outputs(pooled + inline)
 
 
 def test_ergodic_rate_trials_precondition():
