@@ -6,12 +6,12 @@ equivalent estimation noise analytically.  The symbol-level mode samples all
 of those and runs the real quantizer, providing a model-error cross-check.
 
 Both modes run trials in blocks and evaluate BS 0 only, the BS the rate is
-reported for, and both run their blocks on up to WORKERS threads.  While
-symbol-mode blocks run on more than one thread, numpy's OpenBLAS pool is
-held at one thread, so its idle workers do not spin on the cores the blocks
-need; where that pool cannot be reached, symbol mode runs its blocks in the
-calling thread.  Every trial still draws from its own (seed, trial, stage)
-substreams, so results do not depend on the block size or the thread count.
+reported for, and both map their blocks over a pool of up to WORKERS
+threads.  A symbol run holds numpy's OpenBLAS pool at one thread, so its
+idle workers do not spin on the cores the blocks need; where that pool
+cannot be reached, symbol mode maps its blocks over one worker.  Every trial
+still draws from its own (seed, trial, stage) substreams, so results do not
+depend on the block size or the thread count.
 """
 
 import contextlib
@@ -52,9 +52,8 @@ _BLAS_THREAD_NAMES = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
-# How many symbol runs hold the BLAS pin, and the count the first one found.
+# Symbol runs take turns holding numpy's OpenBLAS pool at one thread.
 _pin_lock = threading.Lock()
-_pin = {"runs": 0, "saved": None}
 
 
 @dataclass
@@ -121,22 +120,16 @@ def _blas_thread_calls():
 def _one_blas_thread(get, set_):
     """Hold numpy's OpenBLAS pool at one thread inside the block.
 
-    The pool size is process-wide, so concurrent runs share one pin: the
-    first to enter saves the count and the last to leave restores it, also
-    when a run raises.
+    The pool size is process-wide, so runs take turns: each holds _pin_lock
+    throughout and restores the count it found, also when it raises.
     """
     with _pin_lock:
-        if _pin["runs"] == 0:
-            _pin["saved"] = get()
-            set_(1)
-        _pin["runs"] += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin["runs"] -= 1
-            if _pin["runs"] == 0:
-                set_(_pin["saved"])
+        saved = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(saved)
 
 
 def _block_trials(cfg):
@@ -290,16 +283,15 @@ def ergodic_rate(cfg, trials, mode="semi"):
     averages.  Deterministic for a given cfg.seed; trials run in blocks of
     BLOCK_BYTES, and every trial draws from its own (seed, trial, stage)
     substreams, so the result does not depend on the block size.  Up to
-    WORKERS blocks run at once, each in a copy of the caller's context (so
-    np.errstate holds in every block), and the result is bit-identical at any
-    thread count.
+    WORKERS blocks run at once on a thread pool, each in a copy of the
+    caller's context (so np.errstate holds in every block), and the result is
+    bit-identical at any thread count.
 
-    Symbol mode runs on more than one thread only where numpy's OpenBLAS
-    pool can be held at one thread meanwhile (elsewhere it runs in the
-    calling thread).  That hold is process-wide: other BLAS work in the
-    process also runs on one thread until the run returns or raises.  Calls
-    from several threads at once share the hold; the last to finish restores
-    the count the first one found.
+    A symbol run holds numpy's OpenBLAS pool at one thread until it returns
+    or raises, then restores the count it found; where that pool cannot be
+    reached, it runs on one worker.  The hold is process-wide: other BLAS
+    work in the process also runs on one thread meanwhile, and symbol runs
+    called from several threads at once take turns.
     """
     check_trials(trials)
     check_mode(mode, [cfg])
@@ -322,20 +314,17 @@ def ergodic_rate(cfg, trials, mode="semi"):
 
     starts = range(0, trials, block)
     workers = min(WORKERS, len(starts))
-    pin = contextlib.nullcontext()
-    if mode == "symbol" and workers > 1:
+    hold = contextlib.nullcontext()
+    if mode == "symbol":
         calls = _blas_thread_calls()
         if calls is None:
             workers = 1
         else:
-            pin = _one_blas_thread(*calls)
-    if workers == 1:
-        npath = sum(map(run_block, starts))
-    else:
-        context = contextvars.copy_context()
-        with pin, ThreadPoolExecutor(workers) as pool:
-            # map's iterator cancels the blocks not yet started when one raises
-            npath = sum(pool.map(lambda start: context.copy().run(run_block, start), starts))
+            hold = _one_blas_thread(*calls)
+    context = contextvars.copy_context()
+    with hold, ThreadPoolExecutor(workers) as pool:
+        # map's iterator cancels the blocks not yet started when one raises
+        npath = sum(pool.map(lambda start: context.copy().run(run_block, start), starts))
 
     gamma = S / I
     if not np.all(np.isfinite(gamma)):

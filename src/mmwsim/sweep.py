@@ -229,6 +229,6 @@ def emit_plot_script(csv_path, spec, rows):
 
 
 def _fmt(v):
-    if v == "" or v is None:
+    if v is None:
         return ""
     return f"{v:.6g}"

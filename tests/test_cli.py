@@ -40,6 +40,20 @@ def test_beam_settings_checked_before_any_output(capsys, argv, message):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+def test_set_without_a_value_exits_2(capsys):
+    assert main(["bound", "--set", "adc_bits=3", "--set", "K"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --set expects KEY=VALUE, got 'K'\n"
+
+
+@pytest.mark.parametrize("argv", [["bound"], ["simulate", "--trials", "10"]], ids=["bound", "simulate"])
+def test_run_commands_print_the_coarse_phase_warning(capsys, argv):
+    # the same note the codebook command prints for this M and B
+    assert main(argv + ["--set", "adc_bits=3", "--set", "M=16", "--set", "B=1"]) == 0
+    [note] = SystemConfig(M=16, B=1, adc_bits=3).warnings
+    assert f"warning: {note}" in capsys.readouterr().out.splitlines()
+
+
 def test_bound_command_with_overrides(capsys, tmp_path):
     out_csv = tmp_path / "row.csv"
     rc = main(["bound", "--set", "L=3", "--set", "K=4", "--set", "N=64",
@@ -186,6 +200,13 @@ def test_simulate_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "ergodic rate" in out and "lower bound" in out
+
+
+def test_simulate_notes_the_contamination_floor(capsys):
+    assert main(["simulate", "--set", "L=3", "--set", "K=2", "--set", "adc_bits=1",
+                 "--set", "seed=7", "--trials", "700"]) == 0
+    assert ("note: 13 of 1400 user-realizations hit the destructive-contamination floor\n"
+            in capsys.readouterr().out)
 
 
 _DUMP_ARGS = ["simulate", "--set", "L=2", "--set", "K=2", "--set", "N=16",

@@ -225,6 +225,7 @@ _WRONG_TYPES = [
     ({"adc_bits": True}, "adc_bits must be an integer in [1, 12], got True"),
     ({"seed": True}, "seed must be a non-negative integer, got True"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"rho_ad": 1.0}, "rho_ad must be in [0, 1), got 1.0"),
 ]
 
 

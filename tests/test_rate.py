@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import os
 import sys
@@ -350,7 +351,7 @@ def _blas_threads():
     (_cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 200),
 ], ids=["symbol_k8", "L1"])
 def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials):
-    # one worker runs inline on the full BLAS pool; more hold that pool at one thread
+    # every worker count maps its blocks over the pool with OpenBLAS held at one thread
     reports = _reports_by_workers(monkeypatch, cfg, trials, "symbol")
     assert rate._block_trials(cfg) < trials      # the default budget makes several blocks
     _assert_same_outputs(reports)
@@ -382,14 +383,30 @@ def test_symbol_run_restores_the_blas_thread_count(monkeypatch):
 
 
 @needs_blas_pin
-def test_concurrent_symbol_runs_share_one_blas_pin(monkeypatch):
-    # more callers than cores, switching often: the last to leave restores the
-    # count the first found, and every run gives the lone run's outputs
+def test_concurrent_symbol_runs_take_turns_holding_the_blas_pool(monkeypatch):
+    # more callers than cores, switching often: no two runs hold the pool at
+    # once, the count comes back as found, and every run gives the lone run's outputs
     _pooled(monkeypatch)
     cfg = _cfg(L=2, K=2, seed=9)
     alone = ergodic_rate(cfg, 40, mode="symbol")
     before = _blas_threads()
     reports, errors = [], []
+    lock, holders, most = threading.Lock(), [0], [0]
+    one_blas_thread = rate._one_blas_thread
+
+    @contextlib.contextmanager
+    def counted(*calls):
+        with one_blas_thread(*calls):
+            with lock:
+                holders[0] += 1
+                most[0] = max(most[0], holders[0])
+            try:
+                yield
+            finally:
+                with lock:
+                    holders[0] -= 1
+
+    monkeypatch.setattr(rate, "_one_blas_thread", counted)
 
     def run():
         try:
@@ -410,21 +427,26 @@ def test_concurrent_symbol_runs_share_one_blas_pin(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(reports) == len(threads)
+    assert most[0] == 1
     _assert_same_outputs([alone] + reports)
     assert _blas_threads() == before
 
 
-def test_symbol_mode_without_a_blas_pin_runs_inline(monkeypatch):
+def test_symbol_mode_without_a_blas_pin_runs_on_one_worker(monkeypatch):
     cfg = _cfg(L=3, K=2, N=32, adc_bits=2, seed=5)
     pooled = _reports_by_workers(monkeypatch, cfg, 30, "symbol", workers_list=(1, 2))
+    sizes = []
+    pool_type = rate.ThreadPoolExecutor
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("symbol mode started a thread pool without a BLAS pin")
+    def recording_pool(workers):
+        sizes.append(workers)
+        return pool_type(workers)
 
     monkeypatch.setattr(rate, "_blas_thread_calls", lambda: None)
-    monkeypatch.setattr(rate, "ThreadPoolExecutor", no_pool)
-    inline = _reports_by_workers(monkeypatch, cfg, 30, "symbol", workers_list=(2,))
-    _assert_same_outputs(pooled + inline)
+    monkeypatch.setattr(rate, "ThreadPoolExecutor", recording_pool)
+    unheld = _reports_by_workers(monkeypatch, cfg, 30, "symbol", workers_list=(2,))
+    assert sizes == [1, 1]
+    _assert_same_outputs(pooled + unheld)
 
 
 def test_ergodic_rate_trials_precondition():

@@ -38,6 +38,16 @@ def test_unknown_axis_rejected():
         _tiny_spec(axis="q_factor")
 
 
+def test_unknown_output_column_rejected():
+    with pytest.raises(ParameterError, match=re.escape("unknown output columns ['snr']")):
+        _tiny_spec(outputs=["rate_lb", "snr"])
+
+
+def test_unknown_preset_rejected():
+    with pytest.raises(ParameterError, match="no preset named 'nope'"):
+        load_preset("nope")
+
+
 def test_empty_values_rejected():
     with pytest.raises(ParameterError):
         _tiny_spec(values=[])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mmwsim import training
 from mmwsim.channel import steering_vector
 from mmwsim.config import MAX_B, SystemConfig
+from mmwsim.errors import ParameterError
 from mmwsim.rng import substream
 from mmwsim.training import beamformer_from_angle, build_codebook, select_beams, _candidate_gains
 from oracles import estimate_aoa, sample_channel, train_beams
@@ -18,6 +19,11 @@ def test_codebook_b0():
 
 def test_codebook_b1():
     np.testing.assert_allclose(build_codebook(1), [np.pi / 4, 3 * np.pi / 4])
+
+
+def test_codebook_rejects_negative_B():
+    with pytest.raises(ParameterError, match="B must be >= 0, got -1"):
+        build_codebook(-1)
 
 
 def test_codebook_b6():
