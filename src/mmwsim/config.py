@@ -51,13 +51,15 @@ def distortion_factor(bits):
     return RHO_AD_TABLE[bits]
 
 
-# Memory budget of one trial block (rate._block_trials) and of one chunk of
-# training._full_scan, counted at 16 bytes per entry.  A trial's share is its
-# (LK, LK) Gram kernel, or 32 entries per user when LK < 32; a scanned user's
-# share is its 2^B scores.  A block's measured peak stays within about 2.2x
-# the budget; both engine modes run up to rate.WORKERS blocks at once, each
-# with its own budget.  On the fig2 sweep 1 MiB and 2 MiB timed alike and beat
-# 256 KiB, 512 KiB and 4 MiB; the smaller holds less memory.
+# Memory budget, counted at 16 bytes per entry, of three things: a drawn trial
+# block (rate._block_trials), where a trial's share is 32 entries per user; a
+# sub-block of it in semi mode's Gram kernel, where a trial's share is its
+# (LK, LK) kernel when LK > 32; and one chunk of training._full_scan, where a
+# scanned user's share is its 2^B scores.  A block's measured peak stays
+# within about 2.2x the budget; both engine modes run up to rate.WORKERS
+# blocks at once, each with its own budget.  On the fig2 sweep 1 MiB and
+# 2 MiB timed alike and beat 256 KiB, 512 KiB and 4 MiB; the smaller holds
+# less memory.
 BLOCK_BYTES = 1 << 20
 
 

@@ -7,11 +7,13 @@ of those and runs the real quantizer, providing a model-error cross-check.
 
 Both modes run trials in blocks and evaluate BS 0 only, the BS the rate is
 reported for, and both map their blocks over a pool of up to WORKERS
-threads.  A symbol run holds numpy's OpenBLAS pool at one thread, so its
-idle workers do not spin on the cores the blocks need; where that pool
-cannot be reached, symbol mode maps its blocks over one worker.  Every trial
-still draws from its own (seed, trial, stage) substreams, so results do not
-depend on the block size or the thread count.
+threads.  A block is sized for its draw stage, which seeds the block's
+streams in one vectorized pass; semi mode then runs its Gram kernel over
+sub-blocks sized for that kernel.  A symbol run holds numpy's OpenBLAS pool
+at one thread, so its idle workers do not spin on the cores the blocks
+need; where that pool cannot be reached, symbol mode maps its blocks over
+one worker.  Every trial still draws from its own (seed, trial, stage)
+substreams, so results do not depend on the block sizes or the thread count.
 """
 
 import contextlib
@@ -132,15 +134,17 @@ def _one_blas_thread(get, set_):
             set_(saved)
 
 
-def _block_trials(cfg):
+def _block_trials(cfg, kernel=False):
     """Trials per block under BLOCK_BYTES (at least one).
 
-    A trial's share is its (LK, LK) Gram kernel, or 32 entries per user where
-    that is more: a user's draws, six beam candidates and their scores and
-    the temporaries around them.
+    A drawn block's share per trial is 32 entries per (cell, user): a user's
+    draws, six beam candidates and their scores and the temporaries around
+    them (about 416 B measured against the 512 B counted).  With `kernel`,
+    the count is for _semi_block's sub-blocks of a drawn block, where a
+    trial's share is its (LK, LK) Gram kernel if that is more.
     """
     LK = cfg.L * cfg.K
-    return max(1, BLOCK_BYTES // (16 * LK * max(LK, 32)))
+    return max(1, BLOCK_BYTES // (16 * LK * (max(LK, 32) if kernel else 32)))
 
 
 def _draw_block(cfg, trials):
@@ -148,17 +152,17 @@ def _draw_block(cfg, trials):
 
     Each trial draws its angles from its (seed, trial, STAGE_CHANNEL)
     substream, exactly as the per-realization reference in tests/oracles.py
-    does, and training selects beams noiselessly.  Returns BS 0's (T, L, K)
-    angles theta0, gains c0 = h_U[0, l, k]^H w[l, k] and bg = beta_0lk
-    |c_0lk|^2, bg's (T,) sums `total`, and the (T, K) clean-coefficient
-    amplitudes a = (1 - rho) sqrt(p_t) bg_00k N; S = a^2 in both modes.
+    does; rng.streams seeds the block's substreams in one pass, and training
+    selects beams noiselessly.  Returns BS 0's (T, L, K) angles theta0, gains
+    c0 = h_U[0, l, k]^H w[l, k] and bg = beta_0lk |c_0lk|^2, bg's (T,) sums
+    `total`, and the (T, K) clean-coefficient amplitudes
+    a = (1 - rho) sqrt(p_t) bg_00k N; S = a^2 in both modes.
     """
     L, K, M = cfg.L, cfg.K, cfg.M
     phi = np.empty((len(trials), L, L, K))
     theta = np.empty_like(phi)
-    for i, t in enumerate(trials):
-        phi[i], theta[i] = draw_angles(
-            cfg, rngmod.substream(cfg.seed, t, rngmod.STAGE_CHANNEL))
+    for i, rng in enumerate(rngmod.streams(cfg.seed, trials, rngmod.STAGE_CHANNEL)):
+        phi[i], theta[i] = draw_angles(cfg, rng)
     cells = np.arange(L)
     phi_hat = select_beams(phi[:, cells, cells], build_codebook(cfg.B), M)   # (T, L, K)
     w = beamformer_from_angle(phi_hat, M)
@@ -237,32 +241,38 @@ def _semi_block(cfg, theta0, c0, bg, total, a):
     return np.where(bad, I + 2.0 * a * (a - ea.real), I), int(np.sum(bad))
 
 
-def _pilot_phase(cfg, trial, theta0, c0, total):
+def _symbol_constants(cfg):
+    """Symbol mode's per-run constants: sqrt(beta_0lk) (L, K) and the pilot matrix (tau, K)."""
+    return np.sqrt(large_scale_gains(cfg)[0]), build_pilot_matrix(cfg.tau, cfg.K)
+
+
+def _pilot_phase(cfg, consts, rng, theta0, c0, total):
     """BS 0's effective channels (L, N, K) and pilot estimate hbar + e (N, K).
 
-    The pilots come from the trial's STAGE_PILOT substream and pass through
-    the real adc_bits quantizer; `total` is sum_lk beta_0lk |c_0lk|^2.  The
-    paper's per-user MMSE shrinkage is left out: MRC ignores it.
+    `consts` is _symbol_constants(cfg).  The pilots come from `rng`, the
+    trial's STAGE_PILOT substream, and pass through the real adc_bits
+    quantizer; `total` is sum_lk beta_0lk |c_0lk|^2.  The paper's per-user
+    MMSE shrinkage is left out: MRC ignores it.
     """
-    b0 = large_scale_gains(cfg)[0]                    # (L, K)
-    eff = np.swapaxes(
-        steering_vector(theta0, cfg.N) * (np.sqrt(b0) * c0)[..., None], 1, 2)
-    Psi = build_pilot_matrix(cfg.tau, cfg.K)
+    root_b0, Psi = consts
+    eff = np.swapaxes(steering_vector(theta0, cfg.N) * (root_b0 * c0)[..., None], 1, 2)
     Y_p = np.sqrt(cfg.p_p) * eff.sum(axis=0) @ Psi.T
-    Y_p = Y_p + rngmod.complex_normal(
-        rngmod.substream(cfg.seed, trial, rngmod.STAGE_PILOT), Y_p.shape, 1.0)
+    Y_p = Y_p + rngmod.complex_normal(rng, Y_p.shape, 1.0)
     Y_qp = lloyd_max_quantize(Y_p, cfg.adc_bits, received_power(total, cfg.p_p / cfg.tau))
     return eff, (Y_qp @ Psi.conj()) / ((1.0 - cfg.rho) * np.sqrt(cfg.p_p))
 
 
-def _symbol_trial(cfg, trial, theta0, c0, total, a):
-    """BS 0's I (K,) for one drawn trial with sampled pilots, symbols and quantizer."""
+def _symbol_trial(cfg, consts, pilot_rng, data_rng, theta0, c0, total, a):
+    """BS 0's I (K,) for one drawn trial with sampled pilots, symbols and quantizer.
+
+    The pilots come from `pilot_rng` and the symbols and noise from
+    `data_rng`, the trial's STAGE_PILOT and STAGE_DATA substreams.
+    """
     L, K, N = cfg.L, cfg.K, cfg.N
-    eff, combiner = _pilot_phase(cfg, trial, theta0, c0, total)   # hbar + realized error
+    eff, combiner = _pilot_phase(cfg, consts, pilot_rng, theta0, c0, total)   # hbar + e
 
     eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
 
-    data_rng = rngmod.substream(cfg.seed, trial, rngmod.STAGE_DATA)
     X = rngmod.complex_normal(data_rng, (L * K, SYMBOLS_PER_TRIAL), 1.0)
     noise = rngmod.complex_normal(data_rng, (N, SYMBOLS_PER_TRIAL), 1.0)
     R = np.sqrt(cfg.p_t) * eff_all @ X + noise
@@ -281,8 +291,9 @@ def ergodic_rate(cfg, trials, mode="semi"):
     `mode` is "semi" (semi-analytic) or "symbol" (symbol-level).  Returns
     mean log2(1 + gamma) with a 95% confidence half-width over per-trial
     averages.  Deterministic for a given cfg.seed; trials run in blocks of
-    BLOCK_BYTES, and every trial draws from its own (seed, trial, stage)
-    substreams, so the result does not depend on the block size.  Up to
+    BLOCK_BYTES (semi mode's Gram kernel in sub-blocks of its own), and every
+    trial draws from its own (seed, trial, stage) substreams, so the result
+    does not depend on the block sizes.  Up to
     WORKERS blocks run at once on a thread pool, each in a copy of the
     caller's context (so np.errstate holds in every block), and the result is
     bit-identical at any thread count.
@@ -298,18 +309,27 @@ def ergodic_rate(cfg, trials, mode="semi"):
 
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))
-    block = _block_trials(cfg)
+    block, sub = _block_trials(cfg), _block_trials(cfg, kernel=True)
+    consts = _symbol_constants(cfg) if mode == "symbol" else None
 
     def run_block(start):
         """Fill the block's rows of S and I; return its floor count."""
         ts = range(start, min(start + block, trials))
         theta0, c0, bg, total, a = _draw_block(cfg, ts)
         S[start:ts.stop] = a ** 2
+        rows = I[start:ts.stop]
         if mode == "semi":
-            I[start:ts.stop], nbad = _semi_block(cfg, theta0, c0, bg, total, a)
+            nbad = 0
+            for i in range(0, len(ts), sub):              # Gram-kernel sub-blocks
+                j = slice(i, i + sub)
+                rows[j], n = _semi_block(cfg, theta0[j], c0[j], bg[j], total[j], a[j])
+                nbad += n
             return nbad
-        for i, t in enumerate(ts):
-            I[t] = _symbol_trial(cfg, t, theta0[i], c0[i], total[i], a[i])
+        pilots = rngmod.streams(cfg.seed, ts, rngmod.STAGE_PILOT)
+        data = rngmod.streams(cfg.seed, ts, rngmod.STAGE_DATA)
+        for i, (pilot_rng, data_rng) in enumerate(zip(pilots, data)):
+            rows[i] = _symbol_trial(cfg, consts, pilot_rng, data_rng,
+                                    theta0[i], c0[i], total[i], a[i])
         return 0
 
     starts = range(0, trials, block)

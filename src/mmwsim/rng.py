@@ -1,8 +1,12 @@
 """Deterministic RNG substreams.
 
 Every stochastic stage draws from a stream keyed by (seed, trial, stage), so
-results do not depend on how trials are grouped into blocks.
+results do not depend on how trials are grouped into blocks.  The engine
+seeds a block's streams in one vectorized pass (`streams`); `substream` is
+the reference it matches bit for bit.
 """
+
+import itertools
 
 import numpy as np
 
@@ -11,11 +15,67 @@ STAGE_CHANNEL = 0
 STAGE_PILOT = 2
 STAGE_DATA = 3
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+
 
 def substream(seed, *key):
     """Generator for the substream identified by `key` under `seed`."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
+
+
+def _keys(const, mult):
+    """SeedSequence's hash keys from `const`: (xor, multiplier) pairs."""
+    while True:
+        yield const, (const := const * mult & _M32)
+
+
+def _columns(keys, count):
+    """The next `count` keys as (count, 1) uint32 columns of xors and multipliers."""
+    return np.array(list(itertools.islice(keys, count)), dtype=np.uint32).T[..., None]
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix; ints stay masked ints, uint32 arrays wrap."""
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    return r ^ r >> 16
+
+
+def streams(seed, trials, stage):
+    """Yield, per trial in `trials`, a Generator bit-identical to substream(seed, trial, stage).
+
+    Of SeedSequence's input words only the trial's differs between trials, so
+    it is hashed as one uint32 array and the seed's pool as masked ints.  One
+    reused Generator is set to each trial's PCG64 state in turn: use it before
+    taking the next.  Trials and the stage lie in [0, 2^32).
+    """
+    trials, seed, stage = list(trials), int(seed), int(stage)
+    if seed < 0 or not 0 <= min(trials + [stage]) <= max(trials + [stage]) <= _M32:
+        raise ValueError("streams takes a seed >= 0, and trials and a stage in [0, 2^32)")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 128), 32)]
+    keys = _keys(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, *next(keys)) for w in words[:4]]
+    for s, d in itertools.permutations(range(4), 2):
+        pool[d] = _mix(pool[d], _hashmix(pool[s], *next(keys)))
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    for w in words[4:] + [np.array(trials, dtype=np.uint32), stage]:   # mixed into each pool word
+        pool = _mix(pool, _hashmix(w, *_columns(keys, 4)))
+    generated = _hashmix(np.tile(pool, (2, 1)), *_columns(_keys(_INIT_B, _MULT_B), 8))
+    gen = np.random.default_rng(0)
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(generated.T, "<u4").view("<u8").tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128     # PCG64's seeding: two LCG steps
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 def complex_normal(rng, shape, variance):

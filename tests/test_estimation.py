@@ -202,7 +202,9 @@ def test_pilot_phase_matches_oracle_mmse_form(L, K, tau, bits):
         cfg = SystemConfig(L=L, K=K, N=16, M=2, tau=tau, adc_bits=bits, p_t=1.0, seed=seed)
         for trial in (0, 3):
             theta0, c0, _, total, _ = rate._draw_block(cfg, range(trial, trial + 1))
-            eff, est = rate._pilot_phase(cfg, trial, theta0[0], c0[0], total[0])
+            eff, est = rate._pilot_phase(cfg, rate._symbol_constants(cfg),
+                                         substream(seed, trial, STAGE_PILOT),
+                                         theta0[0], c0[0], total[0])
             real = sample_channel(cfg, substream(seed, trial, STAGE_CHANNEL))
             ref = estimate_all(real, train_beams(real, cfg), cfg,
                                substream(seed, trial, STAGE_PILOT), quant_path="real")

@@ -273,11 +273,17 @@ def test_pooled_blocks_run_in_the_callers_context(monkeypatch, recwarn):
     assert [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
+# at fig2's K=32 point a drawn block then holds 7 trials and a Gram sub-block
+# 2, so every drawn block ends in a partial sub-block
+SEAM_BYTES = BLOCK_BYTES // 3
+
+
 def _reports_by_workers(monkeypatch, cfg, trials, mode, workers_list=(1, 2, 3)):
-    """One report per worker count, at one trial per block and at the default budget."""
+    """One report per worker count, at one trial per block, at the default budget
+    and at SEAM_BYTES."""
     reports = []
     for workers in workers_list:
-        for budget in (1, BLOCK_BYTES):
+        for budget in (1, BLOCK_BYTES, SEAM_BYTES):
             _pooled(monkeypatch, workers, budget)
             reports.append(ergodic_rate(cfg, trials, mode=mode))
     return reports
@@ -302,6 +308,28 @@ def test_semi_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials
     _assert_same_outputs(reports)
     if cfg.seed == 7:
         assert reports[0].pathological > 0
+    if cfg.K == 32:
+        # each drawn block, the last one too, runs several Gram sub-blocks, the last partial
+        monkeypatch.setattr(rate, "BLOCK_BYTES", SEAM_BYTES)
+        drawn, sub = rate._block_trials(cfg), rate._block_trials(cfg, kernel=True)
+        for size in {drawn, trials % drawn or drawn}:
+            assert size >= 2 * sub and size % sub
+
+
+def test_blocks_are_sized_for_the_draws(monkeypatch):
+    # fig2's K=32 point draws 21 trials per block, three Gram sub-blocks of 7
+    sizes = []
+    draw_block = rate._draw_block
+
+    def record(cfg, trials):
+        sizes.append(len(trials))
+        return draw_block(cfg, trials)
+
+    monkeypatch.setattr(rate, "_draw_block", record)
+    ergodic_rate(_fig2_cfg(32), 2000)
+    assert len(sizes) == 96
+    assert sorted(sizes)[:2] == [5, 21]
+    assert rate._block_trials(_fig2_cfg(32), kernel=True) == 7
 
 
 def test_pooled_block_memory_is_bounded_per_worker(monkeypatch):
@@ -355,6 +383,21 @@ def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, tria
     reports = _reports_by_workers(monkeypatch, cfg, trials, "symbol")
     assert rate._block_trials(cfg) < trials      # the default budget makes several blocks
     _assert_same_outputs(reports)
+
+
+def test_symbol_run_builds_its_pilot_matrix_once(monkeypatch):
+    # one run of 20 one-trial blocks on 2 workers
+    _pooled(monkeypatch)
+    built = []
+    build = rate.build_pilot_matrix
+
+    def record(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(rate, "build_pilot_matrix", record)
+    ergodic_rate(_cfg(L=2, K=2), 20, mode="symbol")
+    assert built == [(2, 2)]
 
 
 @needs_blas_pin
@@ -445,7 +488,7 @@ def test_symbol_mode_without_a_blas_pin_runs_on_one_worker(monkeypatch):
     monkeypatch.setattr(rate, "_blas_thread_calls", lambda: None)
     monkeypatch.setattr(rate, "ThreadPoolExecutor", recording_pool)
     unheld = _reports_by_workers(monkeypatch, cfg, 30, "symbol", workers_list=(2,))
-    assert sizes == [1, 1]
+    assert sizes == [1] * len(unheld)         # one pool per budget, each of one worker
     _assert_same_outputs(pooled + unheld)
 
 
