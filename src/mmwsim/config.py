@@ -55,11 +55,14 @@ def distortion_factor(bits):
 # block (rate._block_trials), where a trial's share is 32 entries per user; a
 # sub-block of it in semi mode's Gram kernel, where a trial's share is its
 # (LK, LK) kernel when LK > 32; and one chunk of training._full_scan, where a
-# scanned user's share is its 2^B scores.  A block's measured peak stays
-# within about 2.2x the budget; both engine modes run up to rate.WORKERS
-# blocks at once, each with its own budget.  On the fig2 sweep 1 MiB and
-# 2 MiB timed alike and beat 256 KiB, 512 KiB and 4 MiB; the smaller holds
-# less memory.
+# scanned user's share is its 2^B scores.  Both engine modes run up to
+# rate.WORKERS blocks at once, each with its own budget.  A worker's
+# workspace (rate._semi_workspace, about one Gram sub-block's arrays, or
+# rate._symbol_workspace) lives for the whole run, so it counts against that
+# worker's budget also while the worker draws its next block: on fig2's
+# K = 8, 16 and 32 points a worker's measured peak is 2.0-2.4x the budget.
+# On the fig2 sweep 1 MiB and 2 MiB timed alike and beat 256 KiB, 512 KiB
+# and 4 MiB; the smaller holds less memory.
 BLOCK_BYTES = 1 << 20
 
 

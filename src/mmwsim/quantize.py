@@ -72,32 +72,50 @@ def lloyd_max_distortion(bits):
     return float(np.sum(m2 - 2.0 * levels * m1 + levels ** 2 * prob))
 
 
-def lloyd_max_quantize(samples, bits, input_variance):
+def quantizer_work(size):
+    """Buffers lloyd_max_quantize can reuse for up to `size` complex samples.
+
+    Per real component: the scaled input, the level index, a comparison mask
+    and a gathered threshold, whose storage also holds the index increment.
+    """
+    n = 2 * size
+    return np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool), np.empty(n)
+
+
+def lloyd_max_quantize(samples, bits, input_variance, work=None, out=None):
     """Quantize complex samples with per-component Gaussian MMSE codebooks.
 
     Real and imaginary parts are quantized independently with the codebook
     matched to a Gaussian of variance input_variance / 2 per component, i.e.
     ideal automatic gain control.  Returns a complex128 array of the input's
-    shape.
+    shape: `out` if given, a contiguous one that may be `samples` itself.
+    `work` is a quantizer_work for at least samples.size samples (fresh if
+    None); the output does not depend on what it held.
     """
     if input_variance <= 0:
         raise ParameterError(f"input_variance must be > 0, got {input_variance}")
     levels, thresholds = lloyd_max_design(bits)
     scale = np.sqrt(input_variance / 2.0)
     samples = np.asarray(samples)
+    n = 2 * samples.size
+    x, idx, above, gathered = (w[:n] for w in work or quantizer_work(samples.size))
     # both components at once, as the interleaved float64 view of the samples
-    x = np.ascontiguousarray(samples, dtype=complex).reshape(-1).view(np.float64) / scale
+    components = np.ascontiguousarray(samples, dtype=complex).reshape(-1).view(np.float64)
+    np.divide(components, scale, out=x)
     # branch-free binary search over the 2^bits - 1 sorted thresholds: idx ends
     # as the count of thresholds strictly below x, i.e. searchsorted(side="left")
     step = 1 << (bits - 1)
-    idx = (x > thresholds[step - 1]) * step
+    np.multiply(np.greater(x, thresholds[step - 1], out=above), step, out=idx)
     step >>= 1
     while step:
-        idx += step * (x > thresholds[step - 1:][idx])
+        np.greater(x, np.take(thresholds[step - 1:], idx, out=gathered, mode="clip"), out=above)
+        idx += np.multiply(above, step, out=gathered.view(np.int64))
         step >>= 1
-    out = levels[idx]
-    out *= scale
-    return out.view(complex).reshape(samples.shape)
+    if out is None:
+        out = np.empty(samples.shape, dtype=complex)
+    parts = np.take(levels, idx, out=out.reshape(-1).view(np.float64), mode="clip")
+    parts *= scale
+    return out
 
 
 def bussgang_decompose(pre_quant, post_quant):

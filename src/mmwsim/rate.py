@@ -8,12 +8,15 @@ of those and runs the real quantizer, providing a model-error cross-check.
 Both modes run trials in blocks and evaluate BS 0 only, the BS the rate is
 reported for, and both map their blocks over a pool of up to WORKERS
 threads.  A block is sized for its draw stage, which seeds the block's
-streams in one vectorized pass; semi mode then runs its Gram kernel over
-sub-blocks sized for that kernel.  A symbol run holds numpy's OpenBLAS pool
-at one thread, so its idle workers do not spin on the cores the blocks
-need; where that pool cannot be reached, symbol mode maps its blocks over
-one worker.  Every trial still draws from its own (seed, trial, stage)
-substreams, so results do not depend on the block sizes or the thread count.
+streams in one vectorized pass from seeders built once per run; semi mode
+then runs its Gram kernel over sub-blocks sized for that kernel.  Each mode
+writes its large arrays into one workspace per pool thread that lives for
+the run, so blocks and trials reuse memory instead of faulting in fresh
+pages.  A symbol run holds numpy's OpenBLAS pool at one thread, so its idle
+workers do not spin on the cores the blocks need; where that pool cannot be
+reached, symbol mode maps its blocks over one worker.  Every trial still
+draws from its own (seed, trial, stage) substreams, so results do not
+depend on the block sizes or the thread count.
 """
 
 import contextlib
@@ -32,7 +35,7 @@ from .channel import draw_angles, large_scale_gains, steering_vector
 from .config import BLOCK_BYTES
 from .errors import InternalConsistencyError, ParameterError
 from .estimation import build_pilot_matrix, noise_equivalent_mu
-from .quantize import lloyd_max_quantize, quant_noise_power, received_power
+from .quantize import lloyd_max_quantize, quant_noise_power, quantizer_work, received_power
 from .training import beamformer_from_angle, build_codebook, select_beams
 
 # Engine modes: semi-analytic and symbol-level.
@@ -147,13 +150,14 @@ def _block_trials(cfg, kernel=False):
     return max(1, BLOCK_BYTES // (16 * LK * (max(LK, 32) if kernel else 32)))
 
 
-def _draw_block(cfg, trials):
+def _draw_block(cfg, trials, channel=None):
     """Draws and beam training for a block of trials, reduced to BS 0.
 
     Each trial draws its angles from its (seed, trial, STAGE_CHANNEL)
     substream, exactly as the per-realization reference in tests/oracles.py
-    does; rng.streams seeds the block's substreams in one pass, and training
-    selects beams noiselessly.  Returns BS 0's (T, L, K) angles theta0, gains
+    does; `channel`, the run's rng.streams for that stage (built here if
+    None), seeds the block's substreams in one pass, and training selects
+    beams noiselessly.  Returns BS 0's (T, L, K) angles theta0, gains
     c0 = h_U[0, l, k]^H w[l, k] and bg = beta_0lk |c_0lk|^2, bg's (T,) sums
     `total`, and the (T, K) clean-coefficient amplitudes
     a = (1 - rho) sqrt(p_t) bg_00k N; S = a^2 in both modes.
@@ -161,7 +165,9 @@ def _draw_block(cfg, trials):
     L, K, M = cfg.L, cfg.K, cfg.M
     phi = np.empty((len(trials), L, L, K))
     theta = np.empty_like(phi)
-    for i, rng in enumerate(rngmod.streams(cfg.seed, trials, rngmod.STAGE_CHANNEL)):
+    if channel is None:
+        channel = rngmod.streams(cfg.seed, rngmod.STAGE_CHANNEL)
+    for i, rng in enumerate(channel(trials)):
         phi[i], theta[i] = draw_angles(cfg, rng)
     cells = np.arange(L)
     phi_hat = select_beams(phi[:, cells, cells], build_codebook(cfg.B), M)   # (T, L, K)
@@ -172,7 +178,21 @@ def _draw_block(cfg, trials):
     return theta[:, 0], c0, bg, np.sum(bg, axis=(1, 2)), a
 
 
-def _semi_block(cfg, theta0, c0, bg, total, a):
+def _semi_workspace(trials, L, K):
+    """_semi_block's large arrays, for sub-blocks of up to `trials` trials.
+
+    Returns (kernel, small, scratch): the (T, LK, LK) Gram kernel, its mask of
+    vanishing denominators, and complex scratch rows that hold in turn the
+    kernel's denominator and outer-product temporary, then y and its per-cell
+    term, then |y|^2.  A row holds two (LK, LK) float arrays or two (K, LK)
+    complex ones, whichever is more: the latter at L = 1.
+    """
+    LK = L * K
+    return (np.empty((trials, LK, LK)), np.empty((trials, LK, LK), dtype=bool),
+            np.empty((trials, max(LK * LK, 2 * K * LK)), dtype=complex))
+
+
+def _semi_block(cfg, theta0, c0, bg, total, a, workspace=None):
     """(I, pathological) at BS 0 for a block: I is (T, K), from _draw_block's outputs.
 
     The same conditional powers as the per-realization _conditional_powers
@@ -191,25 +211,32 @@ def _semi_block(cfg, theta0, c0, bg, total, a):
 
     I is the conditional variance E|y|^2 - S, or, where pilot contamination
     drives that to zero or below (counted in `pathological`), E|y - a x|^2.
+
+    The (T, LK, LK) and (T, K, LK) arrays are written into `workspace`, a
+    _semi_workspace for at least T trials (a fresh one if None); the outputs
+    do not depend on what it held before.
     """
     rho, N = cfg.rho, cfg.N
     T, L, K = c0.shape
+    LK = L * K
     b0 = large_scale_gains(cfg)[0]                    # (L, K)
     sigma_q2 = quant_noise_power(cfg, total, cfg.p_t)[:, None]
     mu = noise_equivalent_mu(cfg, quant_noise_power(cfg, total, cfg.p_p / cfg.tau))[:, None]
+    kernel, small, scratch = (w[:T] for w in workspace or _semi_workspace(T, L, K))
+    scratch = scratch.reshape(-1)                     # the first T rows: contiguous
+    floats, n = scratch.view(float), T * LK * LK
+    den, outer = floats[:n].reshape(T, LK, LK), floats[n:2 * n].reshape(T, LK, LK)
 
-    x = (np.pi / 2) * np.cos(theta0).reshape(T, L * K)
+    x = (np.pi / 2) * np.cos(theta0).reshape(T, LK)
     s, c = np.sin(x), np.cos(x)
     sN, cN = np.sin(N * x), np.cos(N * x)
-    den = s[:, :, None] * c[:, None, :]
-    outer = c[:, :, None] * s[:, None, :]             # reused for kernel's second product
-    den -= outer
-    kernel = sN[:, :, None] * cN[:, None, :]
+    np.multiply(s[:, :, None], c[:, None, :], out=den)
+    den -= np.multiply(c[:, :, None], s[:, None, :], out=outer)
+    np.multiply(sN[:, :, None], cN[:, None, :], out=kernel)
     kernel -= np.multiply(cN[:, :, None], sN[:, None, :], out=outer)
-    del outer
-    small = np.abs(den) < 1e-12
-    den[small] = 1.0
-    kernel[small] = N
+    np.less(np.abs(den, out=outer), 1e-12, out=small)
+    np.copyto(den, 1.0, where=small)
+    np.copyto(kernel, N, where=small)
     # an endfire pair needs users with |sin x| = 1, at theta = 0 and pi
     if N % 2 == 0 and np.any(np.abs(s) == 1.0):
         ti, ai, bi = np.nonzero(small)
@@ -219,17 +246,23 @@ def _semi_block(cfg, theta0, c0, bg, total, a):
     phase = np.exp(1j * (N - 1) * x).reshape(T, L, K)
 
     # u_k = sum_l beta^(1/2) c_0lk h_lk is the pilot-contaminated estimate
-    # mean; y[t, k, b] = e^{j(N-1)x_b} u_k^H h_b
+    # mean; y[t, k, b] = e^{j(N-1)x_b} u_k^H h_b.  y and its per-cell term
+    # overwrite den and outer, both spent.
     coef = np.sqrt(b0) * c0
     v = coef.conj() * phase
-    kernel = kernel.reshape(T, L, K, L * K)
-    y = v[:, 0, :, None] * kernel[:, 0]               # (T, K, LK)
+    kernel = kernel.reshape(T, L, K, LK)
+    m = T * K * LK
+    y, term = scratch[:m].reshape(T, K, LK), scratch[m:2 * m].reshape(T, K, LK)
+    np.multiply(v[:, 0, :, None], kernel[:, 0], out=y)
     for l in range(1, L):
-        y += v[:, l, :, None] * kernel[:, l]
+        y += np.multiply(v[:, l, :, None], kernel[:, l], out=term)
     y_own = np.diagonal(y.reshape(T, K, L, K), axis1=1, axis2=3)  # (T, L, K): b = (l, k)
     u_norm2 = np.einsum("tlk,tlk->tk", v.conj(), y_own).real
     bracket = N * mu + u_norm2
-    quad = np.einsum("tb,tkb->tk", bg.reshape(T, L * K), y.real ** 2 + y.imag ** 2)
+    y2, imag2 = term.view(float).reshape(2, T, K, LK)   # |y|^2 over the spent term
+    np.square(y.real, out=y2)
+    y2 += np.square(y.imag, out=imag2)
+    quad = np.einsum("tb,tkb->tk", bg.reshape(T, LK), y2)
 
     e_in = (1.0 - rho) ** 2 * bracket
     e_iq = sigma_q2 * bracket
@@ -262,21 +295,37 @@ def _pilot_phase(cfg, consts, rng, theta0, c0, total):
     return eff, (Y_qp @ Psi.conj()) / ((1.0 - cfg.rho) * np.sqrt(cfg.p_p))
 
 
-def _symbol_trial(cfg, consts, pilot_rng, data_rng, theta0, c0, total, a):
+def _symbol_workspace(cfg):
+    """_symbol_trial's large per-trial arrays, for one worker's trials in turn.
+
+    Returns (X, noise, R, scratch, work): the (LK, S) symbols, the (N, S)
+    noise and received signal (whose storage the quantized signal reuses),
+    float scratch for the normal draws and a quantize.quantizer_work.
+    """
+    LK, N, S = cfg.L * cfg.K, cfg.N, SYMBOLS_PER_TRIAL
+    return (np.empty((LK, S), dtype=complex), np.empty((N, S), dtype=complex),
+            np.empty((N, S), dtype=complex), np.empty(max(LK, N) * S), quantizer_work(N * S))
+
+
+def _symbol_trial(cfg, consts, pilot_rng, data_rng, theta0, c0, total, a, workspace=None):
     """BS 0's I (K,) for one drawn trial with sampled pilots, symbols and quantizer.
 
     The pilots come from `pilot_rng` and the symbols and noise from
-    `data_rng`, the trial's STAGE_PILOT and STAGE_DATA substreams.
+    `data_rng`, the trial's STAGE_PILOT and STAGE_DATA substreams.  The
+    per-symbol arrays are written into `workspace`, a _symbol_workspace (a
+    fresh one if None); the output does not depend on what it held.
     """
-    L, K, N = cfg.L, cfg.K, cfg.N
+    K = cfg.K
+    X, noise, R, scratch, work = workspace or _symbol_workspace(cfg)
     eff, combiner = _pilot_phase(cfg, consts, pilot_rng, theta0, c0, total)   # hbar + e
 
     eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
 
-    X = rngmod.complex_normal(data_rng, (L * K, SYMBOLS_PER_TRIAL), 1.0)
-    noise = rngmod.complex_normal(data_rng, (N, SYMBOLS_PER_TRIAL), 1.0)
-    R = np.sqrt(cfg.p_t) * eff_all @ X + noise
-    Q = lloyd_max_quantize(R, cfg.adc_bits, received_power(total, cfg.p_t))
+    rngmod.complex_normal(data_rng, X.shape, 1.0, X, scratch)
+    rngmod.complex_normal(data_rng, noise.shape, 1.0, noise, scratch)
+    np.matmul(np.sqrt(cfg.p_t) * eff_all, X, out=R)
+    R += noise
+    Q = lloyd_max_quantize(R, cfg.adc_bits, received_power(total, cfg.p_t), work, out=R)
 
     Y = combiner.conj().T @ Q                         # (K, SYMBOLS_PER_TRIAL)
     # measured mean-square deviation from the clean-coefficient signal; always
@@ -293,10 +342,13 @@ def ergodic_rate(cfg, trials, mode="semi"):
     averages.  Deterministic for a given cfg.seed; trials run in blocks of
     BLOCK_BYTES (semi mode's Gram kernel in sub-blocks of its own), and every
     trial draws from its own (seed, trial, stage) substreams, so the result
-    does not depend on the block sizes.  Up to
-    WORKERS blocks run at once on a thread pool, each in a copy of the
-    caller's context (so np.errstate holds in every block), and the result is
-    bit-identical at any thread count.
+    does not depend on the block sizes.  Up to WORKERS blocks run at once on
+    a thread pool, each in a copy of the caller's context (so np.errstate
+    holds in every block), and the result is bit-identical at any thread
+    count.  Each pool thread builds one workspace on its first block (a
+    _semi_workspace sized for a sub-block, or a _symbol_workspace) and
+    reuses it for the rest of the run; the workspaces are dropped when the
+    run returns.
 
     A symbol run holds numpy's OpenBLAS pool at one thread until it returns
     or raises, then restores the count it found; where that pool cannot be
@@ -309,27 +361,35 @@ def ergodic_rate(cfg, trials, mode="semi"):
 
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))
-    block, sub = _block_trials(cfg), _block_trials(cfg, kernel=True)
+    block = min(_block_trials(cfg), trials)
+    sub = min(_block_trials(cfg, kernel=True), block)
     consts = _symbol_constants(cfg) if mode == "symbol" else None
+    channel, pilots, data = (rngmod.streams(cfg.seed, stage) for stage in (
+        rngmod.STAGE_CHANNEL, rngmod.STAGE_PILOT, rngmod.STAGE_DATA))
+    workspaces = {}                  # one per pool thread, which alone sets its key
 
     def run_block(start):
         """Fill the block's rows of S and I; return its floor count."""
         ts = range(start, min(start + block, trials))
-        theta0, c0, bg, total, a = _draw_block(cfg, ts)
+        theta0, c0, bg, total, a = _draw_block(cfg, ts, channel)
         S[start:ts.stop] = a ** 2
         rows = I[start:ts.stop]
+        ident = threading.get_ident()
+        if ident not in workspaces:
+            workspaces[ident] = (_semi_workspace(sub, cfg.L, cfg.K) if mode == "semi"
+                                 else _symbol_workspace(cfg))
+        workspace = workspaces[ident]
         if mode == "semi":
             nbad = 0
             for i in range(0, len(ts), sub):              # Gram-kernel sub-blocks
                 j = slice(i, i + sub)
-                rows[j], n = _semi_block(cfg, theta0[j], c0[j], bg[j], total[j], a[j])
+                rows[j], n = _semi_block(cfg, theta0[j], c0[j], bg[j], total[j], a[j],
+                                         workspace)
                 nbad += n
             return nbad
-        pilots = rngmod.streams(cfg.seed, ts, rngmod.STAGE_PILOT)
-        data = rngmod.streams(cfg.seed, ts, rngmod.STAGE_DATA)
-        for i, (pilot_rng, data_rng) in enumerate(zip(pilots, data)):
+        for i, (pilot_rng, data_rng) in enumerate(zip(pilots(ts), data(ts))):
             rows[i] = _symbol_trial(cfg, consts, pilot_rng, data_rng,
-                                    theta0[i], c0[i], total[i], a[i])
+                                    theta0[i], c0[i], total[i], a[i], workspace)
         return 0
 
     starts = range(0, trials, block)

@@ -2,8 +2,9 @@
 
 Every stochastic stage draws from a stream keyed by (seed, trial, stage), so
 results do not depend on how trials are grouped into blocks.  The engine
-seeds a block's streams in one vectorized pass (`streams`); `substream` is
-the reference it matches bit for bit.
+builds one seeder per (seed, stage) and run (`streams`), which seeds a
+block's streams in one vectorized pass; `substream` is the reference it
+matches bit for bit.
 """
 
 import itertools
@@ -49,45 +50,68 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def streams(seed, trials, stage):
-    """Yield, per trial in `trials`, a Generator bit-identical to substream(seed, trial, stage).
+def streams(seed, stage):
+    """Return a function that yields, per trial in its argument, a Generator
+    bit-identical to substream(seed, trial, stage).
 
     Of SeedSequence's input words only the trial's differs between trials, so
-    it is hashed as one uint32 array and the seed's pool as masked ints.  One
-    reused Generator is set to each trial's PCG64 state in turn: use it before
-    taking the next.  Trials and the stage lie in [0, 2^32).
+    the seed's pool is hashed here once, as masked ints, with the stage's word
+    and every hash-key column; each call hashes its trials as one uint32
+    array.  One reused Generator per call is set to each trial's PCG64 state
+    in turn: use it before taking the next.  Trials and the stage lie in
+    [0, 2^32).
     """
-    trials, seed, stage = list(trials), int(seed), int(stage)
-    if seed < 0 or not 0 <= min(trials + [stage]) <= max(trials + [stage]) <= _M32:
-        raise ValueError("streams takes a seed >= 0, and trials and a stage in [0, 2^32)")
+    seed, stage = int(seed), int(stage)
+    message = "streams takes a seed >= 0, and trials and a stage in [0, 2^32)"
+    if seed < 0 or not 0 <= stage <= _M32:
+        raise ValueError(message)
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 128), 32)]
     keys = _keys(_INIT_A, _MULT_A)
     pool = [_hashmix(w, *next(keys)) for w in words[:4]]
     for s, d in itertools.permutations(range(4), 2):
         pool[d] = _mix(pool[d], _hashmix(pool[s], *next(keys)))
     pool = np.array(pool, dtype=np.uint32)[:, None]
-    for w in words[4:] + [np.array(trials, dtype=np.uint32), stage]:   # mixed into each pool word
+    for w in words[4:]:                               # mixed into each pool word
         pool = _mix(pool, _hashmix(w, *_columns(keys, 4)))
-    generated = _hashmix(np.tile(pool, (2, 1)), *_columns(_keys(_INIT_B, _MULT_B), 8))
-    gen = np.random.default_rng(0)
-    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(generated.T, "<u4").view("<u8").tolist():
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128     # PCG64's seeding: two LCG steps
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        yield gen
+    trial_keys = _columns(keys, 4)
+    stage_word = _hashmix(stage, *_columns(keys, 4))
+    generate_keys = _columns(_keys(_INIT_B, _MULT_B), 8)
+
+    def per_trial(trials):
+        trials = list(trials)
+        if not 0 <= min(trials, default=0) <= max(trials, default=0) <= _M32:
+            raise ValueError(message)
+        mixed = _mix(_mix(pool, _hashmix(np.array(trials, dtype=np.uint32), *trial_keys)),
+                     stage_word)
+        generated = np.ascontiguousarray(_hashmix(np.tile(mixed, (2, 1)), *generate_keys).T, "<u4")
+        gen = np.random.default_rng(0)
+        for s_hi, s_lo, i_hi, i_lo in generated.view("<u8").tolist():
+            inc = (i_hi << 65 | i_lo << 1 | 1) & _M128     # PCG64's seeding: two LCG steps
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+            gen.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            yield gen
+
+    return per_trial
 
 
-def complex_normal(rng, shape, variance):
+def complex_normal(rng, shape, variance, out=None, scratch=None):
     """Circularly-symmetric complex Gaussian with the given per-entry variance.
 
-    Real parts are drawn before imaginary parts; a zero variance draws nothing.
+    Real parts are drawn before imaginary parts; a zero variance draws
+    nothing.  `out`, if given, is the contiguous complex128 array of `shape`
+    to fill, and `scratch` a float64 array of at least its size that takes
+    the draws (fresh if None).
     """
+    if out is None:
+        out = np.empty(shape, dtype=complex)
     if variance == 0.0:
-        return np.zeros(shape, dtype=complex)
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
+        out.fill(0.0)
+        return out
+    draws = (np.empty(out.size) if scratch is None else scratch[:out.size]).reshape(out.shape)
+    out.real = rng.standard_normal(out=draws)
+    out.imag = rng.standard_normal(out=draws)
     parts = out.reshape(-1).view(float)      # re, im interleaved
     parts *= np.sqrt(variance / 2.0)
     return out

@@ -50,7 +50,7 @@ SIGNATURES = {
     "quantize.received_power": "(total, power)",
     "sweep.emit_plot_script": "(csv_path, spec, rows)",
     "config.config_from_dict": "(*layers)",
-    "rng.streams": "(seed, trials, stage)",
+    "rng.streams": "(seed, stage)",
     "checks.quantizer_suite": "()",
     "checks.lemmas_suite": "()",
     "checks.bounds_suite": "()",

@@ -6,7 +6,8 @@ import pytest
 from mmwsim.config import SystemConfig, distortion_factor
 from mmwsim.errors import ConfigError, ParameterError
 from mmwsim.quantize import (bussgang_decompose, lloyd_max_design, lloyd_max_distortion,
-                             lloyd_max_quantize, quant_noise_power, received_power)
+                             lloyd_max_quantize, quant_noise_power, quantizer_work,
+                             received_power)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,16 @@ def test_quantizer_matches_searchsorted_oracle(bits):
     # real-valued input: imaginary parts quantize as zeros
     x = rng.standard_normal(257)
     _assert_bit_equal(lloyd_max_quantize(x, bits, 2.0), _searchsorted_quantize(x, bits, 2.0))
+    # one set of reused buffers, every byte set before each use, also for
+    # fewer samples than it holds; the output may overwrite the samples
+    work = quantizer_work(z.size)
+    for samples in (z, z[:5], z[:, ::2]):
+        for buf in work:
+            buf.view(np.uint8).fill(0xFF)
+        inplace = samples.copy(order="C")
+        want = _searchsorted_quantize(inplace, bits, 3.1)
+        assert lloyd_max_quantize(inplace, bits, 3.1, work, out=inplace) is inplace
+        _assert_bit_equal(inplace, want)
 
 
 @pytest.mark.parametrize("bits", range(1, 13))

@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import itertools
 import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ from mmwsim.config import BLOCK_BYTES, SystemConfig, config_from_dict
 from mmwsim.errors import InternalConsistencyError, ParameterError
 from mmwsim.quantize import quant_noise_power
 from mmwsim.rate import ergodic_rate
-from mmwsim.rng import STAGE_CHANNEL, complex_normal, substream
+from mmwsim.rng import STAGE_CHANNEL, STAGE_DATA, STAGE_PILOT, complex_normal, substream
 from mmwsim.sweep import _point_config, load_preset
 from mmwsim.training import build_codebook, _candidate_gains
 from oracles import _conditional_powers, pilot_statistics, sample_channel, train_beams
@@ -238,6 +240,64 @@ def test_semi_block_endfire_pair_matches_oracle(monkeypatch):
         assert bad == np.sum(I <= 0.0)
 
 
+def _buffers(workspace):
+    """The arrays of an engine workspace, also those in nested tuples."""
+    for item in workspace:
+        yield from _buffers(item) if isinstance(item, tuple) else (item,)
+
+
+def _dirty(workspace):
+    """Set every byte of an engine workspace: its floats read NaN."""
+    for buf in _buffers(workspace):
+        buf.reshape(-1).view(np.uint8).fill(0xFF)
+
+
+@pytest.mark.parametrize("cfg", [
+    *(_fig2_cfg(K) for K in (2, 8, 16, 32)),
+    _fig2_cfg(4, L=1),
+    _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7),
+], ids=["fig2-K2", "fig2-K8", "fig2-K16", "fig2-K32", "L1", "floor-seed7"])
+def test_semi_block_in_a_reused_workspace_matches_a_fresh_one(cfg):
+    # one workspace, dirtied before each sub-block, over two full sub-blocks
+    # and a partial last one of one trial; at L = 1, y outgrows an (LK, LK) array
+    sub = rate._block_trials(cfg, kernel=True)
+    theta0, c0, bg, total, a = rate._draw_block(cfg, range(2 * sub + 1))
+    workspace = rate._semi_workspace(sub, cfg.L, cfg.K)
+    nbad = 0
+    for i in range(0, len(a), sub):
+        args = [x[i:i + sub] for x in (theta0, c0, bg, total, a)]
+        _dirty(workspace)
+        (reused, n), (fresh, n_fresh) = (rate._semi_block(cfg, *args, ws)
+                                         for ws in (workspace, None))
+        assert reused.tobytes() == fresh.tobytes() and n == n_fresh
+        nbad += n
+    assert len(a) % sub == 1
+    if cfg.seed == 7:
+        assert nbad > 0
+
+
+@pytest.mark.parametrize("mode", rate.MODES)
+def test_a_run_builds_one_workspace_per_worker(monkeypatch, mode):
+    # 40 one-trial blocks on 2 workers: no block or trial builds its own
+    # workspace, and none outlives the run
+    _pooled(monkeypatch)
+    built, refs = [], []
+    name = f"_{mode}_workspace"
+    build = getattr(rate, name)
+
+    def record(*args):
+        built.append(threading.get_ident())
+        workspace = build(*args)
+        refs.extend(weakref.ref(buf) for buf in _buffers(workspace))
+        return workspace
+
+    monkeypatch.setattr(rate, name, record)
+    ergodic_rate(_fig2_cfg(8) if mode == "semi" else _cfg(L=2, K=2), 40, mode=mode)
+    assert 1 <= len(built) <= 2 and len(set(built)) == len(built)
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
 @settings(max_examples=25, deadline=None)
 @given(L=st.integers(1, 3), K=st.integers(1, 8), N=st.integers(4, 256),
        M=st.integers(1, 8), B=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
@@ -321,9 +381,9 @@ def test_blocks_are_sized_for_the_draws(monkeypatch):
     sizes = []
     draw_block = rate._draw_block
 
-    def record(cfg, trials):
+    def record(cfg, trials, *streams):
         sizes.append(len(trials))
-        return draw_block(cfg, trials)
+        return draw_block(cfg, trials, *streams)
 
     monkeypatch.setattr(rate, "_draw_block", record)
     ergodic_rate(_fig2_cfg(32), 2000)
@@ -383,6 +443,25 @@ def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, tria
     reports = _reports_by_workers(monkeypatch, cfg, trials, "symbol")
     assert rate._block_trials(cfg) < trials      # the default budget makes several blocks
     _assert_same_outputs(reports)
+
+
+@pytest.mark.parametrize("cfg", [
+    SYMBOL_K8,
+    _cfg(L=3, K=16, N=16, adc_bits=2, p_p=16.0, seed=3),
+], ids=["symbol_k8", "LK-over-N"])
+def test_symbol_trial_in_a_reused_workspace_matches_a_fresh_one(cfg):
+    # one workspace, dirtied before each trial; past N users the draws'
+    # scratch is sized by LK
+    theta0, c0, _, total, a = rate._draw_block(cfg, range(3))
+    consts = rate._symbol_constants(cfg)
+    workspace = rate._symbol_workspace(cfg)
+    for t in range(3):
+        _dirty(workspace)
+        reused, fresh = (rate._symbol_trial(cfg, consts, substream(cfg.seed, t, STAGE_PILOT),
+                                            substream(cfg.seed, t, STAGE_DATA),
+                                            theta0[t], c0[t], total[t], a[t], ws)
+                         for ws in (workspace, None))
+        assert reused.tobytes() == fresh.tobytes()
 
 
 def test_symbol_run_builds_its_pilot_matrix_once(monkeypatch):
@@ -569,20 +648,27 @@ def test_block_memory_stays_bounded_when_every_user_falls_back(monkeypatch):
     np.testing.assert_array_equal(scanned.I, certified.I)
 
 
-@pytest.mark.parametrize("shape", [(64, 256), (24, 3), 1000])
+@pytest.mark.parametrize("shape", [(64, 256), (24, 3), 1000, ()])
 @pytest.mark.parametrize("variance", [1.0, 0.37, 0.0])
 def test_complex_normal_is_the_pinned_draw(shape, variance):
-    # the draws of symbol mode: s (re + 1j im), real block first, bit for bit
-    got_rng, ref_rng = substream(11, 4), substream(11, 4)
-    got = complex_normal(got_rng, shape, variance)
+    # the draws of symbol mode: s (re + 1j im), real block first, bit for bit,
+    # into fresh arrays and into given ones whose every byte was set
+    ref_rng = substream(11, 4)
     if variance == 0.0:
         ref = np.zeros(shape, dtype=complex)
     else:
         ref = np.sqrt(variance / 2.0) * (
             ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape))
-    assert got.shape == ref.shape and got.dtype == complex
-    assert got.tobytes() == ref.tobytes()
-    assert got_rng.random() == ref_rng.random()   # the same draws were consumed
+    after = ref_rng.random()
+    given = (np.empty(shape, dtype=complex), np.empty(2 * np.prod(shape, dtype=int) + 3))
+    _dirty(given)
+    for buffers in ((), given):
+        got_rng = substream(11, 4)
+        got = complex_normal(got_rng, shape, variance, *buffers)
+        assert got.shape == ref.shape and got.dtype == complex
+        assert got.tobytes() == ref.tobytes()
+        assert got_rng.random() == after     # the same draws were consumed
+    assert got is given[0]
 
 
 def test_unknown_mode():

@@ -10,7 +10,7 @@ SHAPES = [(), (1,), (7,), (2, 3, 3, 2), (0,), (24, 3)]
 
 
 def _assert_streams_match(seed, trials, stage, shapes):
-    for trial, rng in zip(trials, streams(seed, trials, stage), strict=True):
+    for trial, rng in zip(trials, streams(seed, stage)(trials), strict=True):
         ref = substream(seed, trial, stage)
         for shape in shapes:
             assert rng.uniform(0.0, np.pi, size=shape).tobytes() == \
@@ -40,12 +40,12 @@ def test_streams_match_substream(seed, stage, trials, shapes):
 @pytest.mark.parametrize("trials", [[-1], [0, 2 ** 32], [2 ** 64], [3, -5, 4]])
 def test_streams_take_one_word_trials(trials):
     with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
-        list(streams(1, trials, STAGE_CHANNEL))
+        list(streams(1, STAGE_CHANNEL)(trials))
 
 
 def test_streams_reuse_one_generator():
     # each trial's state is set in turn: a stream is used before the next is taken
-    gens = streams(5, range(3), STAGE_CHANNEL)
+    gens = streams(5, STAGE_CHANNEL)(range(3))
     first = next(gens)
     draw = first.random()
     assert next(gens) is first
