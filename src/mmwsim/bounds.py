@@ -59,14 +59,14 @@ def exact_mean_triple(N):
 
 def eta1(N):
     """Large-N constant for E{h^H h'}: 1 + (ln N + a)/pi^2."""
-    if N < 1:
+    if not N >= 1:
         raise ParameterError(f"N must be >= 1, got {N}")
     return 1.0 + (math.log(N) + EULER_GAMMA) / math.pi ** 2
 
 
 def eta2(N):
     """Large-N constant for E{|h^H h'|^2}."""
-    if N < 1:
+    if not N >= 1:
         raise ParameterError(f"N must be >= 1, got {N}")
     return N - 2.0 / math.pi ** 2 * (N - 1) + 2.0 * N / math.pi ** 2 * (math.log(N) + EULER_GAMMA)
 

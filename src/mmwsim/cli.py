@@ -15,7 +15,7 @@ from .config import (beam_warnings, check_beam_settings, codebook_zeta, config_f
 from .errors import ParameterError
 from .rate import (MODES, _draw_block, _pilot_phase, _symbol_constants, check_mode, check_trials,
                    ergodic_rate)
-from .rng import STAGE_PILOT, substream
+from .rng import STAGE_CHANNEL, STAGE_PILOT, streams
 from .sweep import (AXIS_COLUMN, _resolve, emit_plot_script, list_presets, load_preset,
                     load_sweep_spec, plotted_outputs, run_sweep, sweep_row, write_csv)
 from .training import build_codebook, gain_lower_bound
@@ -114,14 +114,14 @@ def _debug_dump(cfg, mode, realization, error_power=None):
     also writes ||e_0k||^2 from its sampled pilot phase; semi mode samples no
     pilots, so it writes no error powers.
     """
-    theta0, c0, _, total, _ = _draw_block(cfg, range(1))
+    theta0, c0, _, total, _ = _draw_block(cfg, range(1), streams(cfg.seed, STAGE_CHANNEL))
     beta0 = large_scale_gains(cfg)[0]
     _write_rows(realization, ["l", "k", "theta", "beta", "abs_c"], [
         [l, k, f"{theta0[0, l, k]:.10g}", f"{beta0[l, k]:.10g}", f"{abs(c0[0, l, k]):.10g}"]
         for l in range(cfg.L) for k in range(cfg.K)])
     if mode == "symbol":
-        eff, est = _pilot_phase(cfg, _symbol_constants(cfg), substream(cfg.seed, 0, STAGE_PILOT),
-                                theta0[0], c0[0], total[0])
+        pilot_rng = next(streams(cfg.seed, STAGE_PILOT)(range(1)))
+        eff, est = _pilot_phase(cfg, _symbol_constants(cfg), pilot_rng, theta0[0], c0[0], total[0])
         err = (abs(est - eff[0]) ** 2).sum(axis=0)
         _write_rows(error_power, ["k", "err_power"],
                     [[k, f"{err[k]:.10g}"] for k in range(cfg.K)])

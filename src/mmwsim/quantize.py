@@ -92,7 +92,7 @@ def lloyd_max_quantize(samples, bits, input_variance, work=None, out=None):
     `work` is a quantizer_work for at least samples.size samples (fresh if
     None); the output does not depend on what it held.
     """
-    if input_variance <= 0:
+    if not input_variance > 0:                         # NaN too; +inf passes
         raise ParameterError(f"input_variance must be > 0, got {input_variance}")
     levels, thresholds = lloyd_max_design(bits)
     scale = np.sqrt(input_variance / 2.0)

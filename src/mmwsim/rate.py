@@ -15,8 +15,8 @@ the run, so blocks and trials reuse memory instead of faulting in fresh
 pages.  A symbol run holds numpy's OpenBLAS pool at one thread, so its idle
 workers do not spin on the cores the blocks need; where that pool cannot be
 reached, symbol mode maps its blocks over one worker.  Every trial still
-draws from its own (seed, trial, stage) substreams, so results do not
-depend on the block sizes or the thread count.
+draws from its own (seed, trial, stage) streams, so results do not depend
+on the block sizes or the thread count.
 """
 
 import contextlib
@@ -77,7 +77,6 @@ class RateReport:
     S: np.ndarray
     I: np.ndarray
     pathological: int
-    seed: int
 
 
 def check_trials(trials):
@@ -150,23 +149,21 @@ def _block_trials(cfg, kernel=False):
     return max(1, BLOCK_BYTES // (16 * LK * (max(LK, 32) if kernel else 32)))
 
 
-def _draw_block(cfg, trials, channel=None):
+def _draw_block(cfg, trials, channel):
     """Draws and beam training for a block of trials, reduced to BS 0.
 
     Each trial draws its angles from its (seed, trial, STAGE_CHANNEL)
-    substream, exactly as the per-realization reference in tests/oracles.py
-    does; `channel`, the run's rng.streams for that stage (built here if
-    None), seeds the block's substreams in one pass, and training selects
-    beams noiselessly.  Returns BS 0's (T, L, K) angles theta0, gains
-    c0 = h_U[0, l, k]^H w[l, k] and bg = beta_0lk |c_0lk|^2, bg's (T,) sums
-    `total`, and the (T, K) clean-coefficient amplitudes
-    a = (1 - rho) sqrt(p_t) bg_00k N; S = a^2 in both modes.
+    stream, exactly as the per-realization reference in tests/oracles.py
+    does; `channel`, the run's rng.streams for that stage, seeds the block's
+    streams in one pass, and training selects beams noiselessly.  Returns
+    BS 0's (T, L, K) angles theta0, gains c0 = h_U[0, l, k]^H w[l, k] and
+    bg = beta_0lk |c_0lk|^2, bg's (T,) sums `total`, and the (T, K)
+    clean-coefficient amplitudes a = (1 - rho) sqrt(p_t) bg_00k N; S = a^2 in
+    both modes.
     """
     L, K, M = cfg.L, cfg.K, cfg.M
     phi = np.empty((len(trials), L, L, K))
     theta = np.empty_like(phi)
-    if channel is None:
-        channel = rngmod.streams(cfg.seed, rngmod.STAGE_CHANNEL)
     for i, rng in enumerate(channel(trials)):
         phi[i], theta[i] = draw_angles(cfg, rng)
     cells = np.arange(L)
@@ -192,7 +189,7 @@ def _semi_workspace(trials, L, K):
             np.empty((trials, max(LK * LK, 2 * K * LK)), dtype=complex))
 
 
-def _semi_block(cfg, theta0, c0, bg, total, a, workspace=None):
+def _semi_block(cfg, theta0, c0, bg, total, a, workspace):
     """(I, pathological) at BS 0 for a block: I is (T, K), from _draw_block's outputs.
 
     The same conditional powers as the per-realization _conditional_powers
@@ -213,8 +210,8 @@ def _semi_block(cfg, theta0, c0, bg, total, a, workspace=None):
     drives that to zero or below (counted in `pathological`), E|y - a x|^2.
 
     The (T, LK, LK) and (T, K, LK) arrays are written into `workspace`, a
-    _semi_workspace for at least T trials (a fresh one if None); the outputs
-    do not depend on what it held before.
+    _semi_workspace for at least T trials; the outputs do not depend on what
+    it held before.
     """
     rho, N = cfg.rho, cfg.N
     T, L, K = c0.shape
@@ -222,7 +219,7 @@ def _semi_block(cfg, theta0, c0, bg, total, a, workspace=None):
     b0 = large_scale_gains(cfg)[0]                    # (L, K)
     sigma_q2 = quant_noise_power(cfg, total, cfg.p_t)[:, None]
     mu = noise_equivalent_mu(cfg, quant_noise_power(cfg, total, cfg.p_p / cfg.tau))[:, None]
-    kernel, small, scratch = (w[:T] for w in workspace or _semi_workspace(T, L, K))
+    kernel, small, scratch = (w[:T] for w in workspace)
     scratch = scratch.reshape(-1)                     # the first T rows: contiguous
     floats, n = scratch.view(float), T * LK * LK
     den, outer = floats[:n].reshape(T, LK, LK), floats[n:2 * n].reshape(T, LK, LK)
@@ -283,7 +280,7 @@ def _pilot_phase(cfg, consts, rng, theta0, c0, total):
     """BS 0's effective channels (L, N, K) and pilot estimate hbar + e (N, K).
 
     `consts` is _symbol_constants(cfg).  The pilots come from `rng`, the
-    trial's STAGE_PILOT substream, and pass through the real adc_bits
+    trial's STAGE_PILOT stream, and pass through the real adc_bits
     quantizer; `total` is sum_lk beta_0lk |c_0lk|^2.  The paper's per-user
     MMSE shrinkage is left out: MRC ignores it.
     """
@@ -307,16 +304,16 @@ def _symbol_workspace(cfg):
             np.empty((N, S), dtype=complex), np.empty(max(LK, N) * S), quantizer_work(N * S))
 
 
-def _symbol_trial(cfg, consts, pilot_rng, data_rng, theta0, c0, total, a, workspace=None):
+def _symbol_trial(cfg, consts, pilot_rng, data_rng, theta0, c0, total, a, workspace):
     """BS 0's I (K,) for one drawn trial with sampled pilots, symbols and quantizer.
 
     The pilots come from `pilot_rng` and the symbols and noise from
-    `data_rng`, the trial's STAGE_PILOT and STAGE_DATA substreams.  The
-    per-symbol arrays are written into `workspace`, a _symbol_workspace (a
-    fresh one if None); the output does not depend on what it held.
+    `data_rng`, the trial's STAGE_PILOT and STAGE_DATA streams.  The
+    per-symbol arrays are written into `workspace`, a _symbol_workspace; the
+    output does not depend on what it held.
     """
     K = cfg.K
-    X, noise, R, scratch, work = workspace or _symbol_workspace(cfg)
+    X, noise, R, scratch, work = workspace
     eff, combiner = _pilot_phase(cfg, consts, pilot_rng, theta0, c0, total)   # hbar + e
 
     eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
@@ -341,7 +338,7 @@ def ergodic_rate(cfg, trials, mode="semi"):
     mean log2(1 + gamma) with a 95% confidence half-width over per-trial
     averages.  Deterministic for a given cfg.seed; trials run in blocks of
     BLOCK_BYTES (semi mode's Gram kernel in sub-blocks of its own), and every
-    trial draws from its own (seed, trial, stage) substreams, so the result
+    trial draws from its own (seed, trial, stage) streams, so the result
     does not depend on the block sizes.  Up to WORKERS blocks run at once on
     a thread pool, each in a copy of the caller's context (so np.errstate
     holds in every block), and the result is bit-identical at any thread
@@ -416,5 +413,5 @@ def ergodic_rate(cfg, trials, mode="semi"):
     ci95 = float(1.96 * np.std(per_trial, ddof=1) / np.sqrt(trials))
     return RateReport(
         rate_mc=rate, ci95=ci95, trials=trials, mode=mode,
-        S=S, I=I, pathological=npath, seed=cfg.seed,
+        S=S, I=I, pathological=npath,
     )

@@ -2,12 +2,10 @@
 
 Every stochastic stage draws from a stream keyed by (seed, trial, stage), so
 results do not depend on how trials are grouped into blocks.  The engine
-builds one seeder per (seed, stage) and run (`streams`), which seeds a
-block's streams in one vectorized pass; `substream` is the reference it
-matches bit for bit.
+builds one seeder per (seed, stage) and run (`streams`), which takes the
+seed's hash pool from numpy's own SeedSequence and seeds a block's streams
+in one vectorized pass; `substream` is the reference it matches bit for bit.
 """
-
-import itertools
 
 import numpy as np
 
@@ -28,15 +26,12 @@ def substream(seed, *key):
     return np.random.default_rng(ss)
 
 
-def _keys(const, mult):
-    """SeedSequence's hash keys from `const`: (xor, multiplier) pairs."""
-    while True:
-        yield const, (const := const * mult & _M32)
-
-
-def _columns(keys, count):
-    """The next `count` keys as (count, 1) uint32 columns of xors and multipliers."""
-    return np.array(list(itertools.islice(keys, count)), dtype=np.uint32).T[..., None]
+def _keys(init, mult, start, count):
+    """SeedSequence's hash keys start, ..., start + count - 1 as (count, 1) uint32
+    columns of xors and multipliers: key i xors with init * mult^i and
+    multiplies by init * mult^(i+1), mod 2^32."""
+    consts = [init * pow(mult, i, 1 << 32) & _M32 for i in range(start, start + count + 1)]
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)[..., None]
 
 
 def _hashmix(value, xor, mult):
@@ -54,28 +49,23 @@ def streams(seed, stage):
     """Return a function that yields, per trial in its argument, a Generator
     bit-identical to substream(seed, trial, stage).
 
-    Of SeedSequence's input words only the trial's differs between trials, so
-    the seed's pool is hashed here once, as masked ints, with the stage's word
-    and every hash-key column; each call hashes its trials as one uint32
-    array.  One reused Generator per call is set to each trial's PCG64 state
-    in turn: use it before taking the next.  Trials and the stage lie in
-    [0, 2^32).
+    SeedSequence(seed).pool is the seed's part of SeedSequence's hash, which
+    spent 4 * max(4, w) hash keys on the seed's w 32-bit words; the trial's
+    word and the stage's, the only words spawn_key adds, are mixed into that
+    pool with the keys that follow.  The stage's word is hashed here once;
+    each call hashes its trials as one uint32 array.  One reused Generator
+    per call is set to each trial's PCG64 state in turn: use it before
+    taking the next.  Trials and the stage lie in [0, 2^32).
     """
     seed, stage = int(seed), int(stage)
     message = "streams takes a seed >= 0, and trials and a stage in [0, 2^32)"
     if seed < 0 or not 0 <= stage <= _M32:
         raise ValueError(message)
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 128), 32)]
-    keys = _keys(_INIT_A, _MULT_A)
-    pool = [_hashmix(w, *next(keys)) for w in words[:4]]
-    for s, d in itertools.permutations(range(4), 2):
-        pool[d] = _mix(pool[d], _hashmix(pool[s], *next(keys)))
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    for w in words[4:]:                               # mixed into each pool word
-        pool = _mix(pool, _hashmix(w, *_columns(keys, 4)))
-    trial_keys = _columns(keys, 4)
-    stage_word = _hashmix(stage, *_columns(keys, 4))
-    generate_keys = _columns(_keys(_INIT_B, _MULT_B), 8)
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    start = 4 * max(4, -(-seed.bit_length() // 32))
+    trial_keys = _keys(_INIT_A, _MULT_A, start, 4)
+    stage_word = _hashmix(stage, *_keys(_INIT_A, _MULT_A, start + 4, 4))
+    generate_keys = _keys(_INIT_B, _MULT_B, 0, 8)
 
     def per_trial(trials):
         trials = list(trials)

@@ -11,6 +11,8 @@ from .errors import ParameterError
 
 def build_codebook(B):
     """Candidate phases [zeta, 3*zeta, ..., (2^(B+1)-1)*zeta], zeta = pi/2^(B+1)."""
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)):
+        raise ParameterError(f"B must be an integer, got {B!r}")
     if B < 0:
         raise ParameterError(f"B must be >= 0, got {B}")
     return (2 * np.arange(2 ** B) + 1) * codebook_zeta(B)

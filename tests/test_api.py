@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import pathlib
 
 import mmwsim
 
@@ -38,7 +39,7 @@ RETIRED = {
     "bounds.BoundReport": ["R_LB_s"],
     "config": ["set_param", "gain_floor_warnings", "_PAIRED"],
     "config.SystemConfig": ["zeta", "log_rate", "validated", "sigma_n2"],
-    "rate.RateReport": ["gamma_samples"],
+    "rate.RateReport": ["gamma_samples", "seed"],
     "checks": ["xi_ordering_violations", "gain_bound_checks", "run_suite"],
 }
 
@@ -81,3 +82,13 @@ def test_retired_names_are_gone():
 def test_signatures():
     # beam training is noiseless and unweighted; the quantizer design has one budget
     assert {name: str(inspect.signature(_lookup(name))) for name in SIGNATURES} == SIGNATURES
+
+
+def test_rng_is_the_one_seeding_path():
+    # every draw comes from an rng stream: only rng names numpy's seeding,
+    # and substream's only other library caller is checks, whose validate
+    # draws use (seed, n) keys that rng.streams does not take
+    src = pathlib.Path(mmwsim.__file__).parent
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert [name for name, text in texts.items() if "np.random" in text] == ["rng.py"]
+    assert [name for name, text in texts.items() if "substream" in text] == ["checks.py", "rng.py"]

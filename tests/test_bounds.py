@@ -65,6 +65,9 @@ def test_eta_small_N_values():
         eta1(0)
     with pytest.raises(ParameterError, match="N must be >= 1, got 0"):
         eta2(0)
+    for eta in (eta1, eta2):
+        with pytest.raises(ParameterError, match="N must be >= 1, got nan"):
+            eta(math.nan)
 
 
 def test_eta_closed_forms_track_exact_sums():

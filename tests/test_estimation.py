@@ -6,7 +6,7 @@ from mmwsim.config import SystemConfig
 from mmwsim.errors import ParameterError
 from mmwsim.estimation import build_pilot_matrix, noise_equivalent_mu
 from mmwsim.quantize import quant_noise_power
-from mmwsim.rng import STAGE_CHANNEL, STAGE_PILOT, substream
+from mmwsim.rng import STAGE_CHANNEL, STAGE_PILOT, streams, substream
 from oracles import (effective_channel, estimate_all, mmse_gain, pilot_statistics,
                      receive_pilots, sample_channel, train_beams)
 
@@ -201,7 +201,8 @@ def test_pilot_phase_matches_oracle_mmse_form(L, K, tau, bits):
     for seed in (0, 5, 23):
         cfg = SystemConfig(L=L, K=K, N=16, M=2, tau=tau, adc_bits=bits, p_t=1.0, seed=seed)
         for trial in (0, 3):
-            theta0, c0, _, total, _ = rate._draw_block(cfg, range(trial, trial + 1))
+            theta0, c0, _, total, _ = rate._draw_block(cfg, range(trial, trial + 1),
+                                                       streams(seed, STAGE_CHANNEL))
             eff, est = rate._pilot_phase(cfg, rate._symbol_constants(cfg),
                                          substream(seed, trial, STAGE_PILOT),
                                          theta0[0], c0[0], total[0])

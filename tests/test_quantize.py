@@ -52,6 +52,8 @@ def test_quantize_rejects_bad_args():
         lloyd_max_quantize(np.ones(4, dtype=complex), 0, 1.0)
     with pytest.raises(ParameterError):
         lloyd_max_quantize(np.ones(4, dtype=complex), 3, 0.0)
+    with pytest.raises(ParameterError, match="input_variance must be > 0, got nan"):
+        lloyd_max_quantize(np.ones(4, dtype=complex), 2, float("nan"))
 
 
 @pytest.mark.parametrize("bits", [1.5, 3.0, True, 0, 13])

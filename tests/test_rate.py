@@ -18,7 +18,7 @@ from mmwsim.config import BLOCK_BYTES, SystemConfig, config_from_dict
 from mmwsim.errors import InternalConsistencyError, ParameterError
 from mmwsim.quantize import quant_noise_power
 from mmwsim.rate import ergodic_rate
-from mmwsim.rng import STAGE_CHANNEL, STAGE_DATA, STAGE_PILOT, complex_normal, substream
+from mmwsim.rng import STAGE_CHANNEL, STAGE_DATA, STAGE_PILOT, complex_normal, streams, substream
 from mmwsim.sweep import _point_config, load_preset
 from mmwsim.training import build_codebook, _candidate_gains
 from oracles import _conditional_powers, pilot_statistics, sample_channel, train_beams
@@ -232,9 +232,11 @@ def test_semi_block_endfire_pair_matches_oracle(monkeypatch):
         _, mu, _ = pilot_statistics(real, training, cfg)
         S, I, I_floor = _conditional_powers(real, training, mu[0],
                                             _sigma_q2(cfg, real, training), cfg, 0)
-        theta0, c0, bg, total, a = rate._draw_block(cfg, range(1))
+        theta0, c0, bg, total, a = rate._draw_block(cfg, range(1),
+                                                    streams(cfg.seed, STAGE_CHANNEL))
         assert np.array_equal(theta0[0, :, 0], (0.0, np.pi))
-        got, bad = rate._semi_block(cfg, theta0, c0, bg, total, a)
+        got, bad = rate._semi_block(cfg, theta0, c0, bg, total, a,
+                                    rate._semi_workspace(1, cfg.L, cfg.K))
         for g, e in zip((a ** 2, got), (S, np.where(I <= 0.0, I_floor, I))):
             np.testing.assert_allclose(g[0], e, rtol=1e-9)
         assert bad == np.sum(I <= 0.0)
@@ -261,14 +263,16 @@ def test_semi_block_in_a_reused_workspace_matches_a_fresh_one(cfg):
     # one workspace, dirtied before each sub-block, over two full sub-blocks
     # and a partial last one of one trial; at L = 1, y outgrows an (LK, LK) array
     sub = rate._block_trials(cfg, kernel=True)
-    theta0, c0, bg, total, a = rate._draw_block(cfg, range(2 * sub + 1))
+    theta0, c0, bg, total, a = rate._draw_block(cfg, range(2 * sub + 1),
+                                                streams(cfg.seed, STAGE_CHANNEL))
     workspace = rate._semi_workspace(sub, cfg.L, cfg.K)
     nbad = 0
     for i in range(0, len(a), sub):
         args = [x[i:i + sub] for x in (theta0, c0, bg, total, a)]
         _dirty(workspace)
+        fresh_workspace = rate._semi_workspace(len(args[0]), cfg.L, cfg.K)
         (reused, n), (fresh, n_fresh) = (rate._semi_block(cfg, *args, ws)
-                                         for ws in (workspace, None))
+                                         for ws in (workspace, fresh_workspace))
         assert reused.tobytes() == fresh.tobytes() and n == n_fresh
         nbad += n
     assert len(a) % sub == 1
@@ -452,7 +456,7 @@ def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, tria
 def test_symbol_trial_in_a_reused_workspace_matches_a_fresh_one(cfg):
     # one workspace, dirtied before each trial; past N users the draws'
     # scratch is sized by LK
-    theta0, c0, _, total, a = rate._draw_block(cfg, range(3))
+    theta0, c0, _, total, a = rate._draw_block(cfg, range(3), streams(cfg.seed, STAGE_CHANNEL))
     consts = rate._symbol_constants(cfg)
     workspace = rate._symbol_workspace(cfg)
     for t in range(3):
@@ -460,7 +464,7 @@ def test_symbol_trial_in_a_reused_workspace_matches_a_fresh_one(cfg):
         reused, fresh = (rate._symbol_trial(cfg, consts, substream(cfg.seed, t, STAGE_PILOT),
                                             substream(cfg.seed, t, STAGE_DATA),
                                             theta0[t], c0[t], total[t], a[t], ws)
-                         for ws in (workspace, None))
+                         for ws in (workspace, rate._symbol_workspace(cfg)))
         assert reused.tobytes() == fresh.tobytes()
 
 

@@ -18,10 +18,13 @@ def _assert_streams_match(seed, trials, stage, shapes):
             assert rng.standard_normal(shape).tobytes() == ref.standard_normal(shape).tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 5])
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 5,
+                                  2 ** 128 - 1, 2 ** 128, 2 ** 160 - 1, 2 ** 160])
 @pytest.mark.parametrize("stage", STAGES)
 def test_streams_match_substream_at_word_edges(seed, stage):
-    # the seed's words fill numpy's 4-word pool; the trial is one word
+    # the seed's w words fill numpy's 4-word pool, and its hash keys past
+    # 4 * max(4, w) start at w = 4, 5, 5 and 6 for the last four seeds; the
+    # trial is one word
     _assert_streams_match(seed, [0, LAST_TRIAL, 9, 9, 3, 0], stage, SHAPES)
 
 

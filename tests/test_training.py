@@ -24,6 +24,9 @@ def test_codebook_b1():
 def test_codebook_rejects_negative_B():
     with pytest.raises(ParameterError, match="B must be >= 0, got -1"):
         build_codebook(-1)
+    for B in (2.5, 3.0, True):
+        with pytest.raises(ParameterError, match=f"B must be an integer, got {B!r}"):
+            build_codebook(B)
 
 
 def test_codebook_b6():
