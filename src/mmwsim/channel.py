@@ -37,7 +37,18 @@ def large_scale_gains(cfg):
     return beta
 
 
-def draw_angles(cfg, rng):
-    """(phi, theta), each (L, L, K) i.i.d. uniform on [0, pi], drawn in that order."""
-    phi, theta = rng.uniform(0.0, np.pi, size=(2, cfg.L, cfg.L, cfg.K))
-    return phi, theta
+def draw_angles(cfg, rngs, out=None):
+    """Angles of one trial per generator in `rngs`: a (T, 2, L, L, K) array.
+
+    Row t holds trial t's phi and theta, each (L, L, K) i.i.d. uniform on
+    [0, pi], drawn from its generator in that order.  Each angle is pi times
+    a Generator.random draw, the same bits as Generator.uniform(0, pi), and
+    the block is scaled once.  Fills `out`, a C-contiguous (T, 2, L, L, K)
+    float array, when given; otherwise `rngs` is a sequence of T generators.
+    """
+    if out is None:
+        out = np.empty((len(rngs), 2, cfg.L, cfg.L, cfg.K))
+    for rng, angles in zip(rngs, out, strict=True):
+        rng.random(out=angles)
+    out *= np.pi
+    return out

@@ -8,13 +8,12 @@ from contextlib import ExitStack
 
 from . import __version__
 from .bounds import lower_bound_rate
-from .channel import large_scale_gains
 from .checks import SUITES
 from .config import (beam_warnings, check_beam_settings, codebook_zeta, config_from_dict,
                      load_config_doc, parse_setting)
 from .errors import ParameterError
-from .rate import (MODES, _draw_block, _pilot_phase, _symbol_constants, check_mode, check_trials,
-                   ergodic_rate)
+from .rate import (MODES, _draw_block, _draw_tables, _pilot_phase, _symbol_constants, check_mode,
+                   check_trials, ergodic_rate)
 from .rng import STAGE_CHANNEL, STAGE_PILOT, streams
 from .sweep import (AXIS_COLUMN, _resolve, emit_plot_script, list_presets, load_preset,
                     load_sweep_spec, plotted_outputs, run_sweep, sweep_row, write_csv)
@@ -114,8 +113,9 @@ def _debug_dump(cfg, mode, realization, error_power=None):
     also writes ||e_0k||^2 from its sampled pilot phase; semi mode samples no
     pilots, so it writes no error powers.
     """
-    theta0, c0, _, total, _ = _draw_block(cfg, range(1), streams(cfg.seed, STAGE_CHANNEL))
-    beta0 = large_scale_gains(cfg)[0]
+    tables = _draw_tables(cfg)
+    theta0, c0, _, total, _ = _draw_block(cfg, range(1), streams(cfg.seed, STAGE_CHANNEL), tables)
+    beta0 = tables[0]
     _write_rows(realization, ["l", "k", "theta", "beta", "abs_c"], [
         [l, k, f"{theta0[0, l, k]:.10g}", f"{beta0[l, k]:.10g}", f"{abs(c0[0, l, k]):.10g}"]
         for l in range(cfg.L) for k in range(cfg.K)])

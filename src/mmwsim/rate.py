@@ -8,8 +8,13 @@ of those and runs the real quantizer, providing a model-error cross-check.
 Both modes run trials in blocks and evaluate BS 0 only, the BS the rate is
 reported for, and both map their blocks over a pool of up to WORKERS
 threads.  A block is sized for its draw stage, which seeds the block's
-streams in one vectorized pass from seeders built once per run; semi mode
-then runs its Gram kernel over sub-blocks sized for that kernel.  Each mode
+streams in one vectorized pass from seeders built once per run, scales the
+block's uniform draws to angles at once and takes each user's beamformer
+from a per-run codebook table.  Semi mode then computes the block's
+per-trial set-up once and runs its Gram kernel over sub-blocks sized for
+that kernel: outer products by np.einsum, and the vanishing-denominator
+fix-up only on the diagonal and the few trials whose angles can make one
+vanish.  Each mode
 writes its large arrays into one workspace per pool thread that lives for
 the run, so blocks and trials reuse memory instead of faulting in fresh
 pages.  A symbol run holds numpy's OpenBLAS pool at one thread, so its idle
@@ -149,28 +154,34 @@ def _block_trials(cfg, kernel=False):
     return max(1, BLOCK_BYTES // (16 * LK * (max(LK, 32) if kernel else 32)))
 
 
-def _draw_block(cfg, trials, channel):
+def _draw_tables(cfg):
+    """_draw_block's per-run tables: BS 0's gains beta_0lk (L, K), the
+    codebook and its (2^B, M) beamformers."""
+    codebook = build_codebook(cfg.B)
+    return large_scale_gains(cfg)[0], codebook, beamformer_from_angle(codebook, cfg.M)
+
+
+def _draw_block(cfg, trials, channel, tables):
     """Draws and beam training for a block of trials, reduced to BS 0.
 
     Each trial draws its angles from its (seed, trial, STAGE_CHANNEL)
     stream, exactly as the per-realization reference in tests/oracles.py
     does; `channel`, the run's rng.streams for that stage, seeds the block's
-    streams in one pass, and training selects beams noiselessly.  Returns
-    BS 0's (T, L, K) angles theta0, gains c0 = h_U[0, l, k]^H w[l, k] and
-    bg = beta_0lk |c_0lk|^2, bg's (T,) sums `total`, and the (T, K)
-    clean-coefficient amplitudes a = (1 - rho) sqrt(p_t) bg_00k N; S = a^2 in
-    both modes.
+    streams in one pass, and training selects beams noiselessly, each
+    user's beamformer a row of the per-run `tables` (_draw_tables(cfg)).
+    Returns BS 0's (T, L, K) angles theta0, gains c0 = h_U[0, l, k]^H
+    w[l, k] and bg = beta_0lk |c_0lk|^2, bg's (T,) sums `total`, and the
+    (T, K) clean-coefficient amplitudes a = (1 - rho) sqrt(p_t) bg_00k N;
+    S = a^2 in both modes.
     """
     L, K, M = cfg.L, cfg.K, cfg.M
-    phi = np.empty((len(trials), L, L, K))
-    theta = np.empty_like(phi)
-    for i, rng in enumerate(channel(trials)):
-        phi[i], theta[i] = draw_angles(cfg, rng)
+    b0, codebook, beams = tables
+    angles = draw_angles(cfg, channel(trials), np.empty((len(trials), 2, L, L, K)))
+    phi, theta = angles[:, 0], angles[:, 1]
     cells = np.arange(L)
-    phi_hat = select_beams(phi[:, cells, cells], build_codebook(cfg.B), M)   # (T, L, K)
-    w = beamformer_from_angle(phi_hat, M)
+    w = beams[select_beams(phi[:, cells, cells], codebook, M)]      # (T, L, K, M)
     c0 = np.einsum("tlkm,tlkm->tlk", steering_vector(phi[:, 0], M).conj(), w)
-    bg = large_scale_gains(cfg)[0] * np.abs(c0) ** 2
+    bg = b0 * np.abs(c0) ** 2
     a = (1.0 - cfg.rho) * np.sqrt(cfg.p_t) * bg[:, 0] * cfg.N
     return theta[:, 0], c0, bg, np.sum(bg, axis=(1, 2)), a
 
@@ -178,19 +189,74 @@ def _draw_block(cfg, trials, channel):
 def _semi_workspace(trials, L, K):
     """_semi_block's large arrays, for sub-blocks of up to `trials` trials.
 
-    Returns (kernel, small, scratch): the (T, LK, LK) Gram kernel, its mask of
-    vanishing denominators, and complex scratch rows that hold in turn the
-    kernel's denominator and outer-product temporary, then y and its per-cell
-    term, then |y|^2.  A row holds two (LK, LK) float arrays or two (K, LK)
-    complex ones, whichever is more: the latter at L = 1.
+    Returns (kernel, scratch): the (T, LK, LK) Gram kernel and complex
+    scratch rows that hold in turn the kernel's denominator and
+    outer-product temporary, then y and its per-cell term, then |y|^2.  A
+    row holds two (LK, LK) float arrays or two (K, LK) complex ones,
+    whichever is more: the latter at L = 1.
     """
     LK = L * K
-    return (np.empty((trials, LK, LK)), np.empty((trials, LK, LK), dtype=bool),
+    return (np.empty((trials, LK, LK)),
             np.empty((trials, max(LK * LK, 2 * K * LK)), dtype=complex))
 
 
-def _semi_block(cfg, theta0, c0, bg, total, a, workspace):
-    """(I, pathological) at BS 0 for a block: I is (T, K), from _draw_block's outputs.
+def _angle_terms(N, x):
+    """The Gram kernel's per-block set-up from x = (pi/2) cos(theta), (T, LK).
+
+    Returns (trig, near): the sines and cosines (s, c, sN, cN) of x and N x,
+    and a (T,) mask of the trials where an off-diagonal denominator
+    sin(x_a - x_b) can vanish.  The computed denominator is within about
+    1e-15 of sin(x_a - x_b), so |den| < 1e-12 needs |x_a - x_b| < 1.01e-12
+    or > pi - 1.01e-12 (x lies in [-pi/2, pi/2]).  The first makes every
+    step between a and b in the trial's sorted x less than 2e-12, the
+    second its range more than pi - 2e-12: `near` marks both.
+    """
+    xs = np.sort(x, axis=1)
+    near = np.any(np.diff(xs, axis=1) < 2e-12, axis=1)
+    near |= xs[:, -1] - xs[:, 0] > np.pi - 2e-12
+    return (np.sin(x), np.cos(x), np.sin(N * x), np.cos(N * x)), near
+
+
+def _gram_kernel(N, trig, near, kernel, den, outer):
+    """Write a sub-block's (T, LK, LK) Dirichlet Gram kernel into `kernel`.
+
+    kernel[t, a, b] = sin(N(x_a - x_b)) / sin(x_a - x_b) for the sub-block's
+    rows of _angle_terms' `trig` and `near`, from the difference identities
+    as outer products (np.einsum, one product per entry); `den` and `outer`,
+    (T, LK, LK) float arrays, are overwritten.  Where the computed
+    denominator vanishes (|den| < 1e-12) the kernel takes its limit: N for
+    equal angles, and (-1)^(N-1) N for the endfire pair x_a - x_b = +-pi, as
+    channel.dirichlet does.  The diagonal's denominator is exactly 0 and is
+    set through a strided view; the off-diagonal test runs on the `near`
+    trials only.  Bit for bit the full-mask arithmetic of
+    tests/oracles.gram_kernel.
+    """
+    s, c, sN, cN = trig
+    T, LK = s.shape
+    np.einsum("ta,tb->tab", s, c, out=den)
+    den -= np.einsum("ta,tb->tab", c, s, out=outer)
+    np.einsum("ta,tb->tab", sN, cN, out=kernel)
+    kernel -= np.einsum("ta,tb->tab", cN, sN, out=outer)
+    den.reshape(T, -1)[:, ::LK + 1] = 1.0
+    kernel.reshape(T, -1)[:, ::LK + 1] = N
+    rows = np.flatnonzero(near)
+    if rows.size:
+        d, k, s, c = den[rows], kernel[rows], s[rows], c[rows]
+        small = np.abs(d) < 1e-12
+        d[small] = 1.0
+        k[small] = N
+        # an endfire pair needs users with |sin x| = 1, at theta = 0 and pi,
+        # in its own trial
+        if N % 2 == 0 and np.any(np.abs(s) == 1.0):
+            ti, ai, bi = np.nonzero(small)
+            endfire = c[ti, ai] * c[ti, bi] + s[ti, ai] * s[ti, bi] < 0.0   # cos(x_a - x_b)
+            k[ti[endfire], ai[endfire], bi[endfire]] = -N
+        den[rows], kernel[rows] = d, k
+    kernel /= den
+
+
+def _semi_block(cfg, b0, theta0, c0, bg, total, a, workspace):
+    """(I, pathological) at BS 0 for a drawn block: I is (T, K), from _draw_block's outputs.
 
     The same conditional powers as the per-realization _conditional_powers
     in tests/oracles.py, with every BS-side inner product taken from the
@@ -199,75 +265,67 @@ def _semi_block(cfg, theta0, c0, bg, total, a, workspace):
 
         h_a^H h_b = e^{j(N-1)(x_a - x_b)} sin(N(x_a - x_b)) / sin(x_a - x_b),
 
-    x = (pi/2) * cos(theta).  Where the denominator vanishes the kernel takes
-    its limit: N for equal angles and (-1)^(N-1) N for the endfire pair
-    x_a - x_b = +-pi, as channel.dirichlet does.  The difference identities
-    turn the kernel into outer products of per-user sines and cosines, and
-    the phase factors are folded into the coefficients, so the per-pair work
-    is real arithmetic.
+    x = (pi/2) * cos(theta).  _gram_kernel forms the real kernel from
+    outer products of per-user sines and cosines, and the phase factors are
+    folded into the coefficients, so the per-pair work is real arithmetic.
+    `b0` is BS 0's gains beta_0lk (L, K).
 
     I is the conditional variance E|y|^2 - S, or, where pilot contamination
     drives that to zero or below (counted in `pathological`), E|y - a x|^2.
 
-    The (T, LK, LK) and (T, K, LK) arrays are written into `workspace`, a
-    _semi_workspace for at least T trials; the outputs do not depend on what
-    it held before.
+    The per-trial set-up (x and its sines and cosines, the phases, the
+    coefficients, mu and sigma_q^2) is computed once for the block; the
+    Gram kernel and the (T, K, LK) arrays are formed over sub-blocks of as
+    many trials as `workspace`, a _semi_workspace, holds, and written into
+    it.  The outputs do not depend on what it held before.
     """
     rho, N = cfg.rho, cfg.N
     T, L, K = c0.shape
     LK = L * K
-    b0 = large_scale_gains(cfg)[0]                    # (L, K)
     sigma_q2 = quant_noise_power(cfg, total, cfg.p_t)[:, None]
     mu = noise_equivalent_mu(cfg, quant_noise_power(cfg, total, cfg.p_p / cfg.tau))[:, None]
-    kernel, small, scratch = (w[:T] for w in workspace)
-    scratch = scratch.reshape(-1)                     # the first T rows: contiguous
-    floats, n = scratch.view(float), T * LK * LK
-    den, outer = floats[:n].reshape(T, LK, LK), floats[n:2 * n].reshape(T, LK, LK)
-
     x = (np.pi / 2) * np.cos(theta0).reshape(T, LK)
-    s, c = np.sin(x), np.cos(x)
-    sN, cN = np.sin(N * x), np.cos(N * x)
-    np.multiply(s[:, :, None], c[:, None, :], out=den)
-    den -= np.multiply(c[:, :, None], s[:, None, :], out=outer)
-    np.multiply(sN[:, :, None], cN[:, None, :], out=kernel)
-    kernel -= np.multiply(cN[:, :, None], sN[:, None, :], out=outer)
-    np.less(np.abs(den, out=outer), 1e-12, out=small)
-    np.copyto(den, 1.0, where=small)
-    np.copyto(kernel, N, where=small)
-    # an endfire pair needs users with |sin x| = 1, at theta = 0 and pi
-    if N % 2 == 0 and np.any(np.abs(s) == 1.0):
-        ti, ai, bi = np.nonzero(small)
-        endfire = c[ti, ai] * c[ti, bi] + s[ti, ai] * s[ti, bi] < 0.0   # cos(x_a - x_b)
-        kernel[ti[endfire], ai[endfire], bi[endfire]] = -N
-    kernel /= den
+    trig, near = _angle_terms(N, x)
     phase = np.exp(1j * (N - 1) * x).reshape(T, L, K)
-
     # u_k = sum_l beta^(1/2) c_0lk h_lk is the pilot-contaminated estimate
-    # mean; y[t, k, b] = e^{j(N-1)x_b} u_k^H h_b.  y and its per-cell term
-    # overwrite den and outer, both spent.
+    # mean; y[t, k, b] = e^{j(N-1)x_b} u_k^H h_b
     coef = np.sqrt(b0) * c0
     v = coef.conj() * phase
-    kernel = kernel.reshape(T, L, K, LK)
-    m = T * K * LK
-    y, term = scratch[:m].reshape(T, K, LK), scratch[m:2 * m].reshape(T, K, LK)
-    np.multiply(v[:, 0, :, None], kernel[:, 0], out=y)
-    for l in range(1, L):
-        y += np.multiply(v[:, l, :, None], kernel[:, l], out=term)
-    y_own = np.diagonal(y.reshape(T, K, L, K), axis1=1, axis2=3)  # (T, L, K): b = (l, k)
-    u_norm2 = np.einsum("tlk,tlk->tk", v.conj(), y_own).real
-    bracket = N * mu + u_norm2
-    y2, imag2 = term.view(float).reshape(2, T, K, LK)   # |y|^2 over the spent term
-    np.square(y.real, out=y2)
-    y2 += np.square(y.imag, out=imag2)
-    quad = np.einsum("tb,tkb->tk", bg.reshape(T, LK), y2)
+    u_norm2, quad = np.empty((T, K)), np.empty((T, K))
+    y00 = np.empty((T, K), dtype=complex)             # y_own at l = 0
+    kernel_rows, scratch_rows = workspace
+    sub = len(kernel_rows)
+    for i in range(0, T, sub):
+        j, n = slice(i, i + sub), min(sub, T - i)
+        kernel = kernel_rows[:n]
+        scratch = scratch_rows[:n].reshape(-1)        # the first n rows: contiguous
+        floats, m = scratch.view(float), n * LK * LK
+        _gram_kernel(N, [t[j] for t in trig], near[j], kernel,
+                     floats[:m].reshape(n, LK, LK), floats[m:2 * m].reshape(n, LK, LK))
+        # y and its per-cell term overwrite the kernel's spent temporaries
+        kernel = kernel.reshape(n, L, K, LK)
+        vj = v[j]
+        m = n * K * LK
+        y, term = scratch[:m].reshape(n, K, LK), scratch[m:2 * m].reshape(n, K, LK)
+        np.multiply(vj[:, 0, :, None], kernel[:, 0], out=y)
+        for l in range(1, L):
+            y += np.multiply(vj[:, l, :, None], kernel[:, l], out=term)
+        y_own = np.diagonal(y.reshape(n, K, L, K), axis1=1, axis2=3)  # (n, L, K): b = (l, k)
+        u_norm2[j] = np.einsum("tlk,tlk->tk", vj.conj(), y_own).real
+        y00[j] = y_own[:, 0]
+        y2, imag2 = term.view(float).reshape(2, n, K, LK)   # |y|^2 over the spent term
+        np.square(y.real, out=y2)
+        y2 += np.square(y.imag, out=imag2)
+        quad[j] = np.einsum("tb,tkb->tk", bg[j].reshape(n, LK), y2)
 
+    bracket = N * mu + u_norm2
     e_in = (1.0 - rho) ** 2 * bracket
     e_iq = sigma_q2 * bracket
     e_sr = (1.0 - rho) ** 2 * cfg.p_t * (mu * N * total[:, None] + quad)
 
     I = e_in + e_iq + e_sr - a ** 2
     bad = I <= 0.0
-    ea = (1.0 - rho) * np.sqrt(cfg.p_t) * coef[:, 0] * phase[:, 0].conj() * y_own[:, 0]
+    ea = (1.0 - rho) * np.sqrt(cfg.p_t) * coef[:, 0] * phase[:, 0].conj() * y00
     return np.where(bad, I + 2.0 * a * (a - ea.real), I), int(np.sum(bad))
 
 
@@ -360,6 +418,7 @@ def ergodic_rate(cfg, trials, mode="semi"):
     I = np.empty((trials, cfg.K))
     block = min(_block_trials(cfg), trials)
     sub = min(_block_trials(cfg, kernel=True), block)
+    tables = _draw_tables(cfg)
     consts = _symbol_constants(cfg) if mode == "symbol" else None
     channel, pilots, data = (rngmod.streams(cfg.seed, stage) for stage in (
         rngmod.STAGE_CHANNEL, rngmod.STAGE_PILOT, rngmod.STAGE_DATA))
@@ -368,7 +427,7 @@ def ergodic_rate(cfg, trials, mode="semi"):
     def run_block(start):
         """Fill the block's rows of S and I; return its floor count."""
         ts = range(start, min(start + block, trials))
-        theta0, c0, bg, total, a = _draw_block(cfg, ts, channel)
+        theta0, c0, bg, total, a = _draw_block(cfg, ts, channel, tables)
         S[start:ts.stop] = a ** 2
         rows = I[start:ts.stop]
         ident = threading.get_ident()
@@ -377,12 +436,7 @@ def ergodic_rate(cfg, trials, mode="semi"):
                                  else _symbol_workspace(cfg))
         workspace = workspaces[ident]
         if mode == "semi":
-            nbad = 0
-            for i in range(0, len(ts), sub):              # Gram-kernel sub-blocks
-                j = slice(i, i + sub)
-                rows[j], n = _semi_block(cfg, theta0[j], c0[j], bg[j], total[j], a[j],
-                                         workspace)
-                nbad += n
+            rows[:], nbad = _semi_block(cfg, tables[0], theta0, c0, bg, total, a, workspace)
             return nbad
         for i, (pilot_rng, data_rng) in enumerate(zip(pilots(ts), data(ts))):
             rows[i] = _symbol_trial(cfg, consts, pilot_rng, data_rng,

@@ -8,6 +8,10 @@ from .channel import dirichlet, steering_vector
 from .config import BLOCK_BYTES, codebook_zeta
 from .errors import ParameterError
 
+# Certification margin of select_beams, in units of sqrt(M), the peak score:
+# over 300 times twice the rounding bound on computed scores, stated there.
+SCORE_MARGIN = 1e-12
+
 
 def build_codebook(B):
     """Candidate phases [zeta, 3*zeta, ..., (2^(B+1)-1)*zeta], zeta = pi/2^(B+1)."""
@@ -73,13 +77,13 @@ def _sidelobe_bound(M):
 
 
 def select_beams(own_phi, codebook, M):
-    """Codebook phase maximizing each user's noiseless received tone magnitude.
+    """Index into `codebook` of the phase maximizing each user's noiseless tone magnitude.
 
-    own_phi holds own-cell angles phi[l, l, k] with any leading shape.  The
-    tone amplitude beta_llk^(1/2) is 1 for every own-cell user, so it does not
-    scale the scores.  The result is the argmax of _candidate_gains over the
-    whole codebook, ties broken toward the smallest index; M = 1 scores every
-    entry alike and returns index 0.
+    own_phi holds own-cell angles phi[l, l, k] with any leading shape; the
+    result has that shape.  The tone amplitude beta_llk^(1/2) is 1 for every
+    own-cell user, so it does not scale the scores.  The result is the
+    argmax of _candidate_gains over the whole codebook, ties broken toward
+    the smallest index; M = 1 scores every entry alike and returns index 0.
 
     Most users are certified from six scores.  Entry j scores
     |D_M(x_j/2)|/sqrt(M), x_j = pi (cos phi - cos psi_j), a function of the
@@ -87,20 +91,35 @@ def select_beams(own_phi, codebook, M):
     pi) that falls with d_j on the main lobe d_j < 2 pi/M and is at most
     s_M = _sidelobe_bound(M) off it.  cos psi_j descends with j, so
     searchsorted finds where cos phi falls, and |x_j| grows away from it on
-    either side.  The scored entries are the two nearest on each side and
-    both ends.  Take an unscored j.  If d_j = |x_j|, both scored entries on
-    its side have d <= d_j, and at most one of them is the best.  If x_j
-    wraps (d_j = 2 pi - |x_j|), the end on its side has |x| >= |x_j|, so
-    d <= d_j; that end is never the best, because the other end's d is no
-    larger (cos psi_{n-1} = -cos psi_0, up to rounding).  Either way a scored
-    entry that lost is at least as close as j, or j is off the main lobe, so
-    j scores at most max(runner-up, s_M).  A user is accepted when the best
-    score exceeds that by a factor 1 + 1e-9, far above the rounding of the
-    scores; every other user falls back to the full scan (_full_scan).
+    either side (rounding is monotone, so the computed |x_j| do too).  The
+    scored entries are the two nearest on each side and both ends.  Take an
+    unscored j.  If d_j = |x_j|, both scored entries on its side have
+    d <= d_j, and at most one of them is the best.  If x_j wraps (d_j =
+    2 pi - |x_j|), the end on its side has |x| >= |x_j|, so d <= d_j; that
+    end is never the best, because the other end's d is no larger
+    (cos psi_{n-1} = -cos psi_0, up to rounding).  Either way a scored entry
+    that lost is at least as close as j, or j is off the main lobe, so j's
+    exact score at its computed x_j is at most max(runner-up, s_M).
+
+    Computed scores carry rounding.  sin, the division and the scaling add
+    at most ten ulps of |D_M| <= M.  The product M y, y = x_j/2, is exact
+    when M is a power of two and otherwise rounded to a relative 2^-53,
+    which moves sin(M y)/sin(y) by at most M |y| 2^-53 / |sin y|: at most
+    (pi/2) M 2^-53 where |y| <= pi/2, and at most pi M 2^-53 / w where x_j
+    wraps, with w the smaller |sin y| of the ends that wrap (a wrapped
+    entry lies between the middle and its end, so its |sin y| is no
+    smaller).  With w = 1 where M is a power of two or neither end wraps,
+    every score is within E = sqrt(M) 2^-53 (pi/w + 10) of the exact
+    kernel at its computed argument, so an unscored j computes to at most
+    max(runner-up, s_M) + 2E.  A user is accepted when w times the best
+    score's lead over max(runner-up, s_M) exceeds SCORE_MARGIN sqrt(M),
+    over 300 times 2 w E; _full_scan, which computes the same scores, then
+    finds the same strict maximum.  Every other user falls back to the
+    full scan.
     """
     own_phi = np.asarray(own_phi, dtype=float)
     if M == 1:
-        return np.full(own_phi.shape, codebook[0])
+        return np.zeros(own_phi.shape, dtype=np.intp)
     cos_phi = np.cos(own_phi).ravel()
     cos_cb = np.cos(codebook)
     n = len(cos_cb)
@@ -114,7 +133,11 @@ def select_beams(own_phi, codebook, M):
     idx, best = cand[rows, arg], scores[rows, arg]
     runner = np.where(cand == idx[:, None], -np.inf, scores).max(axis=1)
     rival = np.maximum(runner, _sidelobe_bound(M))
-    fallback = ~(best > rival * (1.0 + 1e-9))
+    w = 1.0
+    if M & (M - 1):                                     # M y is rounded
+        y = 0.5 * np.pi * (cos_phi[:, None] - cos_cb[[0, -1]])     # the ends'
+        w = np.where(np.abs(y) > np.pi / 2, np.abs(np.sin(y)), 1.0).min(axis=1)
+    fallback = ~((best - rival) * w > SCORE_MARGIN * math.sqrt(M))
     if np.any(fallback):
         idx[fallback] = _full_scan(cos_phi[fallback], cos_cb, M)
-    return codebook[idx].reshape(own_phi.shape)
+    return idx.reshape(own_phi.shape)

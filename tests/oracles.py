@@ -3,6 +3,10 @@
 single_cell_bound is the paper's single-cell bound in SNR form;
 lower_bound_rate must equal it at L = 1.
 
+gram_kernel is the trial-blocked engine's Dirichlet Gram kernel by
+broadcast outer products and a mask over every entry, the arithmetic
+rate._gram_kernel must equal bit for bit.
+
 The rest is a per-realization reference pipeline for the trial-blocked rate
 engine: one block-fading draw of every (BS j, cell l, user k) link, beam training
 for every user, the paper's MMSE pilot phase at every BS (with its per-user
@@ -49,6 +53,27 @@ def single_cell_bound(cfg):
     return log_rate(1.0 + one ** 2 * N ** 2 / denom)
 
 
+def gram_kernel(N, x):
+    """(T, LK, LK) kernel sin(N(x_a - x_b)) / sin(x_a - x_b) over x (T, LK).
+
+    The difference identities as broadcast outer products; every entry
+    whose denominator is below 1e-12 takes the limit N, or -N for an
+    endfire pair (cos(x_a - x_b) < 0) at even N.
+    """
+    s, c = np.sin(x), np.cos(x)
+    sN, cN = np.sin(N * x), np.cos(N * x)
+    den = s[:, :, None] * c[:, None, :] - c[:, :, None] * s[:, None, :]
+    kernel = sN[:, :, None] * cN[:, None, :] - cN[:, :, None] * sN[:, None, :]
+    small = np.abs(den) < 1e-12
+    den[small] = 1.0
+    kernel[small] = N
+    if N % 2 == 0 and np.any(np.abs(s) == 1.0):
+        ti, ai, bi = np.nonzero(small)
+        endfire = c[ti, ai] * c[ti, bi] + s[ti, ai] * s[ti, bi] < 0.0
+        kernel[ti[endfire], ai[endfire], bi[endfire]] = -N
+    return kernel / den
+
+
 @dataclass
 class ChannelRealization:
     """One block-fading draw of every (BS j, cell l, user k) link.
@@ -92,7 +117,7 @@ def sample_channel(cfg, rng):
     Angles are i.i.d. uniform on [0, pi] for every (j, l, k) triple; the
     large-scale gain is 1 intra-cell and cfg.beta_inter across cells.
     """
-    phi, theta = draw_angles(cfg, rng)
+    phi, theta = draw_angles(cfg, [rng])[0]
     return ChannelRealization(
         phi=phi, theta=theta, beta=large_scale_gains(cfg),
         h_U=steering_vector(phi, cfg.M), h_B=steering_vector(theta, cfg.N),
@@ -145,7 +170,7 @@ def train_beams(realization, cfg):
     L, M = realization.L, realization.M
     codebook = build_codebook(cfg.B)
     cells = np.arange(L)
-    phi_hat = select_beams(realization.phi[cells, cells], codebook, M)  # (L, K)
+    phi_hat = codebook[select_beams(realization.phi[cells, cells], codebook, M)]  # (L, K)
     w = beamformer_from_angle(phi_hat, M)
 
     # c[j, l, k] = h_U[j, l, k]^H w[l, k]

@@ -202,7 +202,8 @@ def test_pilot_phase_matches_oracle_mmse_form(L, K, tau, bits):
         cfg = SystemConfig(L=L, K=K, N=16, M=2, tau=tau, adc_bits=bits, p_t=1.0, seed=seed)
         for trial in (0, 3):
             theta0, c0, _, total, _ = rate._draw_block(cfg, range(trial, trial + 1),
-                                                       streams(seed, STAGE_CHANNEL))
+                                                       streams(seed, STAGE_CHANNEL),
+                                                       rate._draw_tables(cfg))
             eff, est = rate._pilot_phase(cfg, rate._symbol_constants(cfg),
                                          substream(seed, trial, STAGE_PILOT),
                                          theta0[0], c0[0], total[0])

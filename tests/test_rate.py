@@ -21,7 +21,7 @@ from mmwsim.rate import ergodic_rate
 from mmwsim.rng import STAGE_CHANNEL, STAGE_DATA, STAGE_PILOT, complex_normal, streams, substream
 from mmwsim.sweep import _point_config, load_preset
 from mmwsim.training import build_codebook, _candidate_gains
-from oracles import _conditional_powers, pilot_statistics, sample_channel, train_beams
+from oracles import _conditional_powers, gram_kernel, pilot_statistics, sample_channel, train_beams
 
 
 def _cfg(**kw):
@@ -215,13 +215,78 @@ def test_block_engine_matches_oracle_on_contamination_floor():
     assert rep.pathological > 0
 
 
+def _engine_kernel(N, x):
+    """rate._gram_kernel over x (T, LK) in one sub-block, its buffers NaN-filled."""
+    trig, near = rate._angle_terms(N, x)
+    kernel, den, outer = (np.full(x.shape + x.shape[1:], np.nan) for _ in range(3))
+    rate._gram_kernel(N, trig, near, kernel, den, outer)
+    return kernel, near
+
+
+def _crafted_x(rng, K):
+    """(T, 3K) x rows that hold every case of a vanishing or nearly vanishing
+    denominator, one per row, after one plain row; returns (x, crafted rows)."""
+    half = np.pi / 2
+    x = half * np.cos(rng.uniform(0.0, np.pi, (13, 3 * K)))
+    x[1, K:2 * K] = x[1, :K]                      # exact duplicates across cells
+    for row, gap in zip(range(2, 7), (1e-13, 0.9e-12, 1e-12, 1.1e-12, 1.5e-12)):
+        x[row, 1] = x[row, 0] + gap               # |den| straddles 1e-12; 1.5e-12 is not small
+    x[7, :2] = half * np.cos([0.0, np.pi])        # the endfire pair, x = +-pi/2
+    x[8, :2] = half, -half + 0.9e-12              # near it: |den| small, then not
+    x[9, :2] = half, -half + 1.5e-12
+    x[10, :2] = half * np.cos(np.pi), half        # the endfire pair in the other order
+    x[11, :3] = half, half, -half                 # a duplicate at endfire
+    x[12, :] = half * np.cos(np.pi)               # every user at one endfire end
+    return x, list(range(1, 13))
+
+
+@pytest.mark.parametrize("N", [63, 64, 1024])
+def test_gram_kernel_matches_the_full_mask_oracle_on_crafted_angles(N):
+    # the sparse fix-up of vanishing denominators writes exactly the oracle's
+    # full-mask arithmetic, also where the superset trips but |den| is not small
+    for K in (1, 2, 8):
+        x, crafted = _crafted_x(np.random.default_rng(N + K), K)
+        got, near = _engine_kernel(N, x)
+        assert got.tobytes() == gram_kernel(N, x).tobytes()
+        assert list(np.flatnonzero(near)) == crafted
+
+
+@pytest.mark.parametrize("K", [2, 8, 16, 32])
+def test_gram_kernel_matches_the_full_mask_oracle_on_fig2(K):
+    cfg = _fig2_cfg(K)
+    theta0 = rate._draw_block(cfg, range(40), streams(cfg.seed, STAGE_CHANNEL),
+                              rate._draw_tables(cfg))[0]
+    x = (np.pi / 2) * np.cos(theta0).reshape(40, -1)
+    got, _ = _engine_kernel(cfg.N, x)
+    assert got.tobytes() == gram_kernel(cfg.N, x).tobytes()
+
+
+def test_numpy_facts_the_engine_relies_on():
+    # _gram_kernel's einsum outer product is the broadcast product, and
+    # draw_angles' scaled random draws are Generator.uniform(0, pi) on the
+    # same stream, bit for bit; a numpy that broke either fails here by
+    # name, not as a drifted golden
+    a, b = np.random.default_rng(1).standard_normal((2, 7, 96))
+    out = np.empty((7, 96, 96))
+    np.einsum("ta,tb->tab", a, b, out=out)
+    assert out.tobytes() == (a[:, :, None] * b[:, None, :]).tobytes()
+    block = np.empty((4, 2, 3, 3, 8))
+    gen = np.random.default_rng(5)
+    for row in block:
+        gen.random(out=row)
+    block *= np.pi
+    gen = np.random.default_rng(5)
+    uniform = [gen.uniform(0.0, np.pi, size=(2, 3, 3, 8)) for _ in range(4)]
+    assert block.tobytes() == np.array(uniform).tobytes()
+
+
 def test_semi_block_endfire_pair_matches_oracle(monkeypatch):
     # BS 0 sees user (0, 0) at theta = 0 and user (1, 0) at theta = pi, so
     # h^H h' = (-1)^(N-1) N; pilot contamination makes the sign matter
-    def endfire_angles(cfg, rng):
-        phi, theta = draw_angles(cfg, rng)
-        theta[0, :, 0] = (0.0, np.pi)
-        return phi, theta
+    def endfire_angles(cfg, rngs, out=None):
+        angles = draw_angles(cfg, rngs, out)
+        angles[:, 1, 0, :, 0] = (0.0, np.pi)          # theta[0, l, 0] of every trial
+        return angles
     monkeypatch.setattr(rate, "draw_angles", endfire_angles)
     for N in (63, 64):
         cfg = _cfg(L=2, K=1, N=N, adc_bits=3, seed=3)
@@ -232,10 +297,11 @@ def test_semi_block_endfire_pair_matches_oracle(monkeypatch):
         _, mu, _ = pilot_statistics(real, training, cfg)
         S, I, I_floor = _conditional_powers(real, training, mu[0],
                                             _sigma_q2(cfg, real, training), cfg, 0)
+        tables = rate._draw_tables(cfg)
         theta0, c0, bg, total, a = rate._draw_block(cfg, range(1),
-                                                    streams(cfg.seed, STAGE_CHANNEL))
+                                                    streams(cfg.seed, STAGE_CHANNEL), tables)
         assert np.array_equal(theta0[0, :, 0], (0.0, np.pi))
-        got, bad = rate._semi_block(cfg, theta0, c0, bg, total, a,
+        got, bad = rate._semi_block(cfg, tables[0], theta0, c0, bg, total, a,
                                     rate._semi_workspace(1, cfg.L, cfg.K))
         for g, e in zip((a ** 2, got), (S, np.where(I <= 0.0, I_floor, I))):
             np.testing.assert_allclose(g[0], e, rtol=1e-9)
@@ -260,22 +326,24 @@ def _dirty(workspace):
     _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7),
 ], ids=["fig2-K2", "fig2-K8", "fig2-K16", "fig2-K32", "L1", "floor-seed7"])
 def test_semi_block_in_a_reused_workspace_matches_a_fresh_one(cfg):
-    # one workspace, dirtied before each sub-block, over two full sub-blocks
-    # and a partial last one of one trial; at L = 1, y outgrows an (LK, LK) array
+    # one dirtied workspace over a block of two full sub-blocks and a partial
+    # last one of one trial, against a fresh workspace for each sub-block
+    # alone; at L = 1, y outgrows an (LK, LK) array
     sub = rate._block_trials(cfg, kernel=True)
-    theta0, c0, bg, total, a = rate._draw_block(cfg, range(2 * sub + 1),
-                                                streams(cfg.seed, STAGE_CHANNEL))
+    tables = rate._draw_tables(cfg)
+    drawn = rate._draw_block(cfg, range(2 * sub + 1), streams(cfg.seed, STAGE_CHANNEL), tables)
     workspace = rate._semi_workspace(sub, cfg.L, cfg.K)
-    nbad = 0
-    for i in range(0, len(a), sub):
-        args = [x[i:i + sub] for x in (theta0, c0, bg, total, a)]
-        _dirty(workspace)
-        fresh_workspace = rate._semi_workspace(len(args[0]), cfg.L, cfg.K)
-        (reused, n), (fresh, n_fresh) = (rate._semi_block(cfg, *args, ws)
-                                         for ws in (workspace, fresh_workspace))
-        assert reused.tobytes() == fresh.tobytes() and n == n_fresh
-        nbad += n
-    assert len(a) % sub == 1
+    _dirty(workspace)
+    reused, nbad = rate._semi_block(cfg, tables[0], *drawn, workspace)
+    fresh, n_fresh = [], 0
+    for i in range(0, len(reused), sub):
+        args = [x[i:i + sub] for x in drawn]
+        rows, n = rate._semi_block(cfg, tables[0], *args,
+                                   rate._semi_workspace(len(args[0]), cfg.L, cfg.K))
+        fresh.append(rows)
+        n_fresh += n
+    assert reused.tobytes() == np.concatenate(fresh).tobytes() and nbad == n_fresh
+    assert len(reused) % sub == 1
     if cfg.seed == 7:
         assert nbad > 0
 
@@ -456,7 +524,8 @@ def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, tria
 def test_symbol_trial_in_a_reused_workspace_matches_a_fresh_one(cfg):
     # one workspace, dirtied before each trial; past N users the draws'
     # scratch is sized by LK
-    theta0, c0, _, total, a = rate._draw_block(cfg, range(3), streams(cfg.seed, STAGE_CHANNEL))
+    theta0, c0, _, total, a = rate._draw_block(cfg, range(3), streams(cfg.seed, STAGE_CHANNEL),
+                                               rate._draw_tables(cfg))
     consts = rate._symbol_constants(cfg)
     workspace = rate._symbol_workspace(cfg)
     for t in range(3):
