@@ -38,7 +38,7 @@ def quantizer_suite():
     """Distortion table, linearized-model gain/noise, and residual decorrelation."""
     out = []
     rng = substream(1234, 0)
-    y = complex_normal(rng, 10 ** 6, 1.0)
+    y = complex_normal(rng, 10 ** 6)
     power = np.mean(np.abs(y) ** 2)
     for b in range(1, 6):
         rho = distortion_factor(b)

@@ -12,7 +12,7 @@ from .checks import SUITES
 from .config import (beam_warnings, check_beam_settings, codebook_zeta, config_from_dict,
                      load_config_doc, parse_setting)
 from .errors import ParameterError
-from .rate import (MODES, _draw_block, _draw_tables, _pilot_phase, _symbol_constants, check_mode,
+from .rate import (MODES, _draw_block, _pilot_phase, _run_tables, check_mode,
                    check_trials, ergodic_rate)
 from .rng import STAGE_CHANNEL, STAGE_PILOT, streams
 from .sweep import (AXIS_COLUMN, _resolve, emit_plot_script, list_presets, load_preset,
@@ -113,16 +113,16 @@ def _debug_dump(cfg, mode, realization, error_power=None):
     also writes ||e_0k||^2 from its sampled pilot phase; semi mode samples no
     pilots, so it writes no error powers.
     """
-    tables = _draw_tables(cfg)
-    theta0, c0, _, total, _ = _draw_block(cfg, range(1), streams(cfg.seed, STAGE_CHANNEL), tables)
-    beta0 = tables[0]
+    table = _run_tables(cfg)
+    theta0, c0, _, total, _ = _draw_block(cfg, range(1), streams(cfg.seed, STAGE_CHANNEL), table)
+    beta0 = table.b0
     _write_rows(realization, ["l", "k", "theta", "beta", "abs_c"], [
         [l, k, f"{theta0[0, l, k]:.10g}", f"{beta0[l, k]:.10g}", f"{abs(c0[0, l, k]):.10g}"]
         for l in range(cfg.L) for k in range(cfg.K)])
     if mode == "symbol":
         pilot_rng = next(streams(cfg.seed, STAGE_PILOT)(range(1)))
-        eff, est = _pilot_phase(cfg, _symbol_constants(cfg), pilot_rng, theta0[0], c0[0], total[0])
-        err = (abs(est - eff[0]) ** 2).sum(axis=0)
+        eff, est = _pilot_phase(cfg, table, pilot_rng, theta0[0], c0[0], total[0])
+        err = (abs(est - eff[:, :cfg.K]) ** 2).sum(axis=0)
         _write_rows(error_power, ["k", "err_power"],
                     [[k, f"{err[k]:.10g}"] for k in range(cfg.K)])
 

@@ -28,15 +28,12 @@ RHO_AD_TABLE = {
     12: 1.616356268e-07,
 }
 
-MIN_ADC_BITS = 1
-MAX_ADC_BITS = 12
-
 
 def adc_bits_violation(bits):
     """The message if `bits` is no ADC depth of RHO_AD_TABLE, else None."""
-    if _is_int(bits) and MIN_ADC_BITS <= bits <= MAX_ADC_BITS:
+    if _is_int(bits) and bits in RHO_AD_TABLE:
         return None
-    return (f"adc_bits must be an integer in [{MIN_ADC_BITS}, {MAX_ADC_BITS}], "
+    return (f"adc_bits must be an integer in [{min(RHO_AD_TABLE)}, {max(RHO_AD_TABLE)}], "
             f"got {_shown(bits)}")
 
 

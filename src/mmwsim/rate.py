@@ -10,11 +10,11 @@ reported for, and both map their blocks over a pool of up to WORKERS
 threads.  A block is sized for its draw stage, which seeds the block's
 streams in one vectorized pass from seeders built once per run, scales the
 block's uniform draws to angles at once and takes each user's beamformer
-from a per-run codebook table.  Semi mode then computes the block's
-per-trial set-up once and runs its Gram kernel over sub-blocks sized for
-that kernel: outer products by np.einsum, and the vanishing-denominator
-fix-up only on the diagonal and the few trials whose angles can make one
-vanish.  Each mode
+from the run's one table (_RunTable), which also holds BS 0's gains and the
+pilot matrix.  Semi mode then computes the block's per-trial set-up once
+and runs its Gram kernel over sub-blocks sized for that kernel: outer
+products by np.einsum, and the vanishing-denominator fix-up only on the
+diagonal and the few trials whose angles can make one vanish.  Each mode
 writes its large arrays into one workspace per pool thread that lives for
 the run, so blocks and trials reuse memory instead of faulting in fresh
 pages.  A symbol run holds numpy's OpenBLAS pool at one thread, so its idle
@@ -32,6 +32,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,34 +155,44 @@ def _block_trials(cfg, kernel=False):
     return max(1, BLOCK_BYTES // (16 * LK * (max(LK, 32) if kernel else 32)))
 
 
-def _draw_tables(cfg):
-    """_draw_block's per-run tables: BS 0's gains beta_0lk (L, K), the
-    codebook and its (2^B, M) beamformers."""
+class _RunTable(NamedTuple):
+    """What every block of a run reads, built once per run by _run_tables."""
+
+    b0: np.ndarray          # BS 0's gains beta_0lk (L, K)
+    root_b0: np.ndarray     # their square roots
+    codebook: np.ndarray    # the (2^B,) codebook angles
+    beams: np.ndarray       # its (2^B, M) beamformers
+    pilots: np.ndarray      # the (tau, K) pilot matrix Psi
+
+
+def _run_tables(cfg):
+    """Build the run's _RunTable, which both engine modes read."""
+    b0 = large_scale_gains(cfg)[0]
     codebook = build_codebook(cfg.B)
-    return large_scale_gains(cfg)[0], codebook, beamformer_from_angle(codebook, cfg.M)
+    return _RunTable(b0, np.sqrt(b0), codebook, beamformer_from_angle(codebook, cfg.M),
+                    build_pilot_matrix(cfg.tau, cfg.K))
 
 
-def _draw_block(cfg, trials, channel, tables):
+def _draw_block(cfg, trials, channel, table):
     """Draws and beam training for a block of trials, reduced to BS 0.
 
     Each trial draws its angles from its (seed, trial, STAGE_CHANNEL)
     stream, exactly as the per-realization reference in tests/oracles.py
     does; `channel`, the run's rng.streams for that stage, seeds the block's
     streams in one pass, and training selects beams noiselessly, each
-    user's beamformer a row of the per-run `tables` (_draw_tables(cfg)).
+    user's beamformer a row of the run's `table` (_run_tables(cfg)).
     Returns BS 0's (T, L, K) angles theta0, gains c0 = h_U[0, l, k]^H
     w[l, k] and bg = beta_0lk |c_0lk|^2, bg's (T,) sums `total`, and the
     (T, K) clean-coefficient amplitudes a = (1 - rho) sqrt(p_t) bg_00k N;
     S = a^2 in both modes.
     """
     L, K, M = cfg.L, cfg.K, cfg.M
-    b0, codebook, beams = tables
     angles = draw_angles(cfg, channel(trials), np.empty((len(trials), 2, L, L, K)))
     phi, theta = angles[:, 0], angles[:, 1]
     cells = np.arange(L)
-    w = beams[select_beams(phi[:, cells, cells], codebook, M)]      # (T, L, K, M)
+    w = table.beams[select_beams(phi[:, cells, cells], table.codebook, M)]   # (T, L, K, M)
     c0 = np.einsum("tlkm,tlkm->tlk", steering_vector(phi[:, 0], M).conj(), w)
-    bg = b0 * np.abs(c0) ** 2
+    bg = table.b0 * np.abs(c0) ** 2
     a = (1.0 - cfg.rho) * np.sqrt(cfg.p_t) * bg[:, 0] * cfg.N
     return theta[:, 0], c0, bg, np.sum(bg, axis=(1, 2)), a
 
@@ -255,7 +266,7 @@ def _gram_kernel(N, trig, near, kernel, den, outer):
     kernel /= den
 
 
-def _semi_block(cfg, b0, theta0, c0, bg, total, a, workspace):
+def _semi_block(cfg, table, theta0, c0, bg, total, a, workspace):
     """(I, pathological) at BS 0 for a drawn block: I is (T, K), from _draw_block's outputs.
 
     The same conditional powers as the per-realization _conditional_powers
@@ -268,7 +279,7 @@ def _semi_block(cfg, b0, theta0, c0, bg, total, a, workspace):
     x = (pi/2) * cos(theta).  _gram_kernel forms the real kernel from
     outer products of per-user sines and cosines, and the phase factors are
     folded into the coefficients, so the per-pair work is real arithmetic.
-    `b0` is BS 0's gains beta_0lk (L, K).
+    `table` is the run's _run_tables(cfg).
 
     I is the conditional variance E|y|^2 - S, or, where pilot contamination
     drives that to zero or below (counted in `pathological`), E|y - a x|^2.
@@ -289,7 +300,7 @@ def _semi_block(cfg, b0, theta0, c0, bg, total, a, workspace):
     phase = np.exp(1j * (N - 1) * x).reshape(T, L, K)
     # u_k = sum_l beta^(1/2) c_0lk h_lk is the pilot-contaminated estimate
     # mean; y[t, k, b] = e^{j(N-1)x_b} u_k^H h_b
-    coef = np.sqrt(b0) * c0
+    coef = table.root_b0 * c0
     v = coef.conj() * phase
     u_norm2, quad = np.empty((T, K)), np.empty((T, K))
     y00 = np.empty((T, K), dtype=complex)             # y_own at l = 0
@@ -329,25 +340,21 @@ def _semi_block(cfg, b0, theta0, c0, bg, total, a, workspace):
     return np.where(bad, I + 2.0 * a * (a - ea.real), I), int(np.sum(bad))
 
 
-def _symbol_constants(cfg):
-    """Symbol mode's per-run constants: sqrt(beta_0lk) (L, K) and the pilot matrix (tau, K)."""
-    return np.sqrt(large_scale_gains(cfg)[0]), build_pilot_matrix(cfg.tau, cfg.K)
+def _pilot_phase(cfg, table, rng, theta0, c0, total):
+    """BS 0's effective channel (N, LK) and pilot estimate hbar + e (N, K).
 
-
-def _pilot_phase(cfg, consts, rng, theta0, c0, total):
-    """BS 0's effective channels (L, N, K) and pilot estimate hbar + e (N, K).
-
-    `consts` is _symbol_constants(cfg).  The pilots come from `rng`, the
-    trial's STAGE_PILOT stream, and pass through the real adc_bits
-    quantizer; `total` is sum_lk beta_0lk |c_0lk|^2.  The paper's per-user
-    MMSE shrinkage is left out: MRC ignores it.
+    Column l K + k of the effective channel is cell l's user k, so cell 0's
+    are [:, :K].  `table` is the run's _run_tables(cfg).  The pilots come
+    from `rng`, the trial's STAGE_PILOT stream, and pass through the real
+    adc_bits quantizer; `total` is sum_lk beta_0lk |c_0lk|^2.  The paper's
+    per-user MMSE shrinkage is left out: MRC ignores it.
     """
-    root_b0, Psi = consts
-    eff = np.swapaxes(steering_vector(theta0, cfg.N) * (root_b0 * c0)[..., None], 1, 2)
-    Y_p = np.sqrt(cfg.p_p) * eff.sum(axis=0) @ Psi.T
-    Y_p = Y_p + rngmod.complex_normal(rng, Y_p.shape, 1.0)
+    h = steering_vector(theta0, cfg.N) * (table.root_b0 * c0)[..., None]   # (L, K, N)
+    Psi = table.pilots
+    Y_p = np.sqrt(cfg.p_p) * h.sum(axis=0).T @ Psi.T
+    Y_p = Y_p + rngmod.complex_normal(rng, Y_p.shape)
     Y_qp = lloyd_max_quantize(Y_p, cfg.adc_bits, received_power(total, cfg.p_p / cfg.tau))
-    return eff, (Y_qp @ Psi.conj()) / ((1.0 - cfg.rho) * np.sqrt(cfg.p_p))
+    return h.reshape(-1, cfg.N).T, (Y_qp @ Psi.conj()) / ((1.0 - cfg.rho) * np.sqrt(cfg.p_p))
 
 
 def _symbol_workspace(cfg):
@@ -362,23 +369,21 @@ def _symbol_workspace(cfg):
             np.empty((N, S), dtype=complex), np.empty(max(LK, N) * S), quantizer_work(N * S))
 
 
-def _symbol_trial(cfg, consts, pilot_rng, data_rng, theta0, c0, total, a, workspace):
+def _symbol_trial(cfg, table, pilot_rng, data_rng, theta0, c0, total, a, workspace):
     """BS 0's I (K,) for one drawn trial with sampled pilots, symbols and quantizer.
 
     The pilots come from `pilot_rng` and the symbols and noise from
-    `data_rng`, the trial's STAGE_PILOT and STAGE_DATA streams.  The
-    per-symbol arrays are written into `workspace`, a _symbol_workspace; the
-    output does not depend on what it held.
+    `data_rng`, the trial's STAGE_PILOT and STAGE_DATA streams; `table` is
+    the run's _run_tables(cfg).  The per-symbol arrays are written into
+    `workspace`, a _symbol_workspace; the output does not depend on what it
+    held.
     """
     K = cfg.K
     X, noise, R, scratch, work = workspace
-    eff, combiner = _pilot_phase(cfg, consts, pilot_rng, theta0, c0, total)   # hbar + e
-
-    eff_all = np.concatenate(eff, axis=1)             # (N, L*K)
-
-    rngmod.complex_normal(data_rng, X.shape, 1.0, X, scratch)
-    rngmod.complex_normal(data_rng, noise.shape, 1.0, noise, scratch)
-    np.matmul(np.sqrt(cfg.p_t) * eff_all, X, out=R)
+    eff, combiner = _pilot_phase(cfg, table, pilot_rng, theta0, c0, total)   # hbar + e
+    rngmod.complex_normal(data_rng, X.shape, X, scratch)
+    rngmod.complex_normal(data_rng, noise.shape, noise, scratch)
+    np.matmul(np.sqrt(cfg.p_t) * eff, X, out=R)
     R += noise
     Q = lloyd_max_quantize(R, cfg.adc_bits, received_power(total, cfg.p_t), work, out=R)
 
@@ -418,8 +423,7 @@ def ergodic_rate(cfg, trials, mode="semi"):
     I = np.empty((trials, cfg.K))
     block = min(_block_trials(cfg), trials)
     sub = min(_block_trials(cfg, kernel=True), block)
-    tables = _draw_tables(cfg)
-    consts = _symbol_constants(cfg) if mode == "symbol" else None
+    table = _run_tables(cfg)
     channel, pilots, data = (rngmod.streams(cfg.seed, stage) for stage in (
         rngmod.STAGE_CHANNEL, rngmod.STAGE_PILOT, rngmod.STAGE_DATA))
     workspaces = {}                  # one per pool thread, which alone sets its key
@@ -427,7 +431,7 @@ def ergodic_rate(cfg, trials, mode="semi"):
     def run_block(start):
         """Fill the block's rows of S and I; return its floor count."""
         ts = range(start, min(start + block, trials))
-        theta0, c0, bg, total, a = _draw_block(cfg, ts, channel, tables)
+        theta0, c0, bg, total, a = _draw_block(cfg, ts, channel, table)
         S[start:ts.stop] = a ** 2
         rows = I[start:ts.stop]
         ident = threading.get_ident()
@@ -436,10 +440,10 @@ def ergodic_rate(cfg, trials, mode="semi"):
                                  else _symbol_workspace(cfg))
         workspace = workspaces[ident]
         if mode == "semi":
-            rows[:], nbad = _semi_block(cfg, tables[0], theta0, c0, bg, total, a, workspace)
+            rows[:], nbad = _semi_block(cfg, table, theta0, c0, bg, total, a, workspace)
             return nbad
         for i, (pilot_rng, data_rng) in enumerate(zip(pilots(ts), data(ts))):
-            rows[i] = _symbol_trial(cfg, consts, pilot_rng, data_rng,
+            rows[i] = _symbol_trial(cfg, table, pilot_rng, data_rng,
                                     theta0[i], c0[i], total[i], a[i], workspace)
         return 0
 

@@ -86,22 +86,20 @@ def streams(seed, stage):
     return per_trial
 
 
-def complex_normal(rng, shape, variance, out=None, scratch=None):
-    """Circularly-symmetric complex Gaussian with the given per-entry variance.
+def complex_normal(rng, shape, out=None, scratch=None):
+    """Circularly-symmetric complex Gaussian entries of unit variance.
 
-    Real parts are drawn before imaginary parts; a zero variance draws
-    nothing.  `out`, if given, is the contiguous complex128 array of `shape`
-    to fill, and `scratch` a float64 array of at least its size that takes
-    the draws (fresh if None).
+    Unit variance is the noise power, the library's unit of power, and the
+    data symbols' power.  Real parts are drawn before imaginary parts.
+    `out`, if given, is the contiguous complex128 array of `shape` to fill,
+    and `scratch` a float64 array of at least its size that takes the draws
+    (fresh if None).
     """
     if out is None:
         out = np.empty(shape, dtype=complex)
-    if variance == 0.0:
-        out.fill(0.0)
-        return out
     draws = (np.empty(out.size) if scratch is None else scratch[:out.size]).reshape(out.shape)
     out.real = rng.standard_normal(out=draws)
     out.imag = rng.standard_normal(out=draws)
     parts = out.reshape(-1).view(float)      # re, im interleaved
-    parts *= np.sqrt(variance / 2.0)
+    parts *= np.sqrt(0.5)
     return out

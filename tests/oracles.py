@@ -117,7 +117,7 @@ def sample_channel(cfg, rng):
     Angles are i.i.d. uniform on [0, pi] for every (j, l, k) triple; the
     large-scale gain is 1 intra-cell and cfg.beta_inter across cells.
     """
-    phi, theta = draw_angles(cfg, [rng])[0]
+    phi, theta = draw_angles(cfg, [rng], np.empty((1, 2, cfg.L, cfg.L, cfg.K)))[0]
     return ChannelRealization(
         phi=phi, theta=theta, beta=large_scale_gains(cfg),
         h_U=steering_vector(phi, cfg.M), h_B=steering_vector(theta, cfg.N),
@@ -225,10 +225,10 @@ def receive_pilots(eff, Psi, cfg, sigma_pq2, quant_path, rng):
     gain control matched to the statistical receive variance.
     """
     Y_p = np.sqrt(cfg.p_p) * eff.sum(axis=0) @ Psi.T
-    Y_p = Y_p + complex_normal(rng, Y_p.shape, 1.0)
+    Y_p = Y_p + complex_normal(rng, Y_p.shape)
     rho = cfg.rho
     if quant_path == "bussgang":
-        return (1.0 - rho) * Y_p + complex_normal(rng, Y_p.shape, sigma_pq2), Y_p
+        return (1.0 - rho) * Y_p + np.sqrt(sigma_pq2) * complex_normal(rng, Y_p.shape), Y_p
     return lloyd_max_quantize(Y_p, cfg.adc_bits, sigma_pq2 / (rho * (1.0 - rho))), Y_p
 
 

@@ -52,6 +52,8 @@ SIGNATURES = {
     "sweep.emit_plot_script": "(csv_path, spec, rows)",
     "config.config_from_dict": "(*layers)",
     "rng.streams": "(seed, stage)",
+    "rng.complex_normal": "(rng, shape, out=None, scratch=None)",
+    "channel.draw_angles": "(cfg, rngs, out)",
     "checks.quantizer_suite": "()",
     "checks.lemmas_suite": "()",
     "checks.bounds_suite": "()",

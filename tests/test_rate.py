@@ -255,7 +255,7 @@ def test_gram_kernel_matches_the_full_mask_oracle_on_crafted_angles(N):
 def test_gram_kernel_matches_the_full_mask_oracle_on_fig2(K):
     cfg = _fig2_cfg(K)
     theta0 = rate._draw_block(cfg, range(40), streams(cfg.seed, STAGE_CHANNEL),
-                              rate._draw_tables(cfg))[0]
+                              rate._run_tables(cfg))[0]
     x = (np.pi / 2) * np.cos(theta0).reshape(40, -1)
     got, _ = _engine_kernel(cfg.N, x)
     assert got.tobytes() == gram_kernel(cfg.N, x).tobytes()
@@ -283,7 +283,7 @@ def test_numpy_facts_the_engine_relies_on():
 def test_semi_block_endfire_pair_matches_oracle(monkeypatch):
     # BS 0 sees user (0, 0) at theta = 0 and user (1, 0) at theta = pi, so
     # h^H h' = (-1)^(N-1) N; pilot contamination makes the sign matter
-    def endfire_angles(cfg, rngs, out=None):
+    def endfire_angles(cfg, rngs, out):
         angles = draw_angles(cfg, rngs, out)
         angles[:, 1, 0, :, 0] = (0.0, np.pi)          # theta[0, l, 0] of every trial
         return angles
@@ -297,11 +297,11 @@ def test_semi_block_endfire_pair_matches_oracle(monkeypatch):
         _, mu, _ = pilot_statistics(real, training, cfg)
         S, I, I_floor = _conditional_powers(real, training, mu[0],
                                             _sigma_q2(cfg, real, training), cfg, 0)
-        tables = rate._draw_tables(cfg)
+        table = rate._run_tables(cfg)
         theta0, c0, bg, total, a = rate._draw_block(cfg, range(1),
-                                                    streams(cfg.seed, STAGE_CHANNEL), tables)
+                                                    streams(cfg.seed, STAGE_CHANNEL), table)
         assert np.array_equal(theta0[0, :, 0], (0.0, np.pi))
-        got, bad = rate._semi_block(cfg, tables[0], theta0, c0, bg, total, a,
+        got, bad = rate._semi_block(cfg, table, theta0, c0, bg, total, a,
                                     rate._semi_workspace(1, cfg.L, cfg.K))
         for g, e in zip((a ** 2, got), (S, np.where(I <= 0.0, I_floor, I))):
             np.testing.assert_allclose(g[0], e, rtol=1e-9)
@@ -330,15 +330,15 @@ def test_semi_block_in_a_reused_workspace_matches_a_fresh_one(cfg):
     # last one of one trial, against a fresh workspace for each sub-block
     # alone; at L = 1, y outgrows an (LK, LK) array
     sub = rate._block_trials(cfg, kernel=True)
-    tables = rate._draw_tables(cfg)
-    drawn = rate._draw_block(cfg, range(2 * sub + 1), streams(cfg.seed, STAGE_CHANNEL), tables)
+    table = rate._run_tables(cfg)
+    drawn = rate._draw_block(cfg, range(2 * sub + 1), streams(cfg.seed, STAGE_CHANNEL), table)
     workspace = rate._semi_workspace(sub, cfg.L, cfg.K)
     _dirty(workspace)
-    reused, nbad = rate._semi_block(cfg, tables[0], *drawn, workspace)
+    reused, nbad = rate._semi_block(cfg, table, *drawn, workspace)
     fresh, n_fresh = [], 0
     for i in range(0, len(reused), sub):
         args = [x[i:i + sub] for x in drawn]
-        rows, n = rate._semi_block(cfg, tables[0], *args,
+        rows, n = rate._semi_block(cfg, table, *args,
                                    rate._semi_workspace(len(args[0]), cfg.L, cfg.K))
         fresh.append(rows)
         n_fresh += n
@@ -524,13 +524,13 @@ def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, tria
 def test_symbol_trial_in_a_reused_workspace_matches_a_fresh_one(cfg):
     # one workspace, dirtied before each trial; past N users the draws'
     # scratch is sized by LK
+    table = rate._run_tables(cfg)
     theta0, c0, _, total, a = rate._draw_block(cfg, range(3), streams(cfg.seed, STAGE_CHANNEL),
-                                               rate._draw_tables(cfg))
-    consts = rate._symbol_constants(cfg)
+                                               table)
     workspace = rate._symbol_workspace(cfg)
     for t in range(3):
         _dirty(workspace)
-        reused, fresh = (rate._symbol_trial(cfg, consts, substream(cfg.seed, t, STAGE_PILOT),
+        reused, fresh = (rate._symbol_trial(cfg, table, substream(cfg.seed, t, STAGE_PILOT),
                                             substream(cfg.seed, t, STAGE_DATA),
                                             theta0[t], c0[t], total[t], a[t], ws)
                          for ws in (workspace, rate._symbol_workspace(cfg)))
@@ -722,22 +722,17 @@ def test_block_memory_stays_bounded_when_every_user_falls_back(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(64, 256), (24, 3), 1000, ()])
-@pytest.mark.parametrize("variance", [1.0, 0.37, 0.0])
-def test_complex_normal_is_the_pinned_draw(shape, variance):
-    # the draws of symbol mode: s (re + 1j im), real block first, bit for bit,
-    # into fresh arrays and into given ones whose every byte was set
+def test_complex_normal_is_the_pinned_draw(shape):
+    # the draws of symbol mode: sqrt(1/2) (re + 1j im), real block first, bit
+    # for bit, into fresh arrays and into given ones whose every byte was set
     ref_rng = substream(11, 4)
-    if variance == 0.0:
-        ref = np.zeros(shape, dtype=complex)
-    else:
-        ref = np.sqrt(variance / 2.0) * (
-            ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape))
+    ref = np.sqrt(0.5) * (ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape))
     after = ref_rng.random()
     given = (np.empty(shape, dtype=complex), np.empty(2 * np.prod(shape, dtype=int) + 3))
     _dirty(given)
     for buffers in ((), given):
         got_rng = substream(11, 4)
-        got = complex_normal(got_rng, shape, variance, *buffers)
+        got = complex_normal(got_rng, shape, *buffers)
         assert got.shape == ref.shape and got.dtype == complex
         assert got.tobytes() == ref.tobytes()
         assert got_rng.random() == after     # the same draws were consumed

@@ -46,6 +46,12 @@ def test_streams_take_one_word_trials(trials):
         list(streams(1, STAGE_CHANNEL)(trials))
 
 
+@pytest.mark.parametrize("seed, stage", [(-1, 0), (0, -1), (0, 2 ** 32)])
+def test_streams_take_a_nonnegative_seed_and_a_one_word_stage(seed, stage):
+    with pytest.raises(ValueError, match=r"seed >= 0, .* stage in \[0, 2\^32\)"):
+        streams(seed, stage)
+
+
 def test_streams_reuse_one_generator():
     # each trial's state is set in turn: a stream is used before the next is taken
     gens = streams(5, STAGE_CHANNEL)(range(3))

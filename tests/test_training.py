@@ -141,7 +141,8 @@ def test_select_beams_equals_full_scan(M, B, picks, uniform):
     np.testing.assert_array_equal(select_beams(phi, cb, M), _full_scan_argmax(phi, cb, M))
 
 
-@pytest.mark.parametrize("M,B", [(2, 0), (2, 1), (3, 3), (4, 6), (16, 3), (32, 4), (64, 6), (2, 8), (5, 8)])
+@pytest.mark.parametrize("M,B", [(2, 0), (2, 1), (3, 3), (4, 6), (16, 3), (32, 4), (64, 6), (2, 8), (5, 8),
+                                 (10, 6), (20, 6)])
 def test_select_beams_equals_full_scan_on_a_dense_grid(M, B):
     cb = build_codebook(B)
     rng = np.random.default_rng(M * 100 + B)
