@@ -13,7 +13,8 @@ def steering_vector(angle, count):
     """
     if count < 1:
         raise ParameterError(f"steering vector length must be >= 1, got {count}")
-    return np.exp(-1j * np.pi * np.cos(angle)[..., None] * np.arange(count))
+    z = -1j * np.pi * np.cos(angle)[..., None] * np.arange(count)
+    return np.exp(z, out=z)
 
 
 def dirichlet(n, x):
@@ -37,7 +38,7 @@ def large_scale_gains(cfg):
     return beta
 
 
-def draw_angles(cfg, rngs, out):
+def draw_angles(rngs, out):
     """Fill `out`, a C-contiguous (T, 2, L, L, K) float array, with the
     angles of one trial per generator in `rngs`, and return it.
 

@@ -48,18 +48,20 @@ def distortion_factor(bits):
     return RHO_AD_TABLE[bits]
 
 
-# Memory budget, counted at 16 bytes per entry, of three things: a drawn trial
-# block (rate._block_trials), where a trial's share is 32 entries per user; a
-# sub-block of it in semi mode's Gram kernel, where a trial's share is its
-# (LK, LK) kernel when LK > 32; and one chunk of training._full_scan, where a
-# scanned user's share is its 2^B scores.  Both engine modes run up to
-# rate.WORKERS blocks at once, each with its own budget.  A worker's
-# workspace (rate._semi_workspace, about one Gram sub-block's arrays, or
-# rate._symbol_workspace) lives for the whole run, so it counts against that
-# worker's budget also while the worker draws its next block: on fig2's
-# K = 8, 16 and 32 points a worker's measured peak is 2.0-2.4x the budget.
-# On the fig2 sweep 1 MiB and 2 MiB timed alike and beat 256 KiB, 512 KiB
-# and 4 MiB; the smaller holds less memory.
+# Memory budget of four things: a drawn trial block (rate._block_trials),
+# where a trial's share is traced at 96 + 32 M bytes per user and 256 more;
+# a sub-block of it in semi mode's Gram kernel, where a trial's share is its
+# (LK, LK) kernel at 16 bytes per entry when LK > 32; one chunk of
+# training._full_scan, where a scanned user's share is its 2^B scores at 16
+# bytes each; and one chunk of the sides that training._beam_table bisects.
+# Both engine modes run up to rate.WORKERS blocks at once, each with its own
+# budget.  A worker's workspace (rate._semi_workspace, about one Gram
+# sub-block's arrays, or rate._symbol_workspace) lives for the whole run, so
+# it counts against that worker's budget also while the worker draws its
+# next block: on fig2's K = 8, 16 and 32 points a worker's measured peak is
+# 2.0-2.3x the budget.  On the fig2 sweep (4 x 2000 trials in process, 2
+# cores, medians of 7 interleaved runs) 512 KiB took 0.46 s, 1 MiB 0.32 s,
+# 2 MiB 0.28 s and 4 MiB 0.29 s: 2 MiB is 13% faster, for twice the memory.
 BLOCK_BYTES = 1 << 20
 
 
@@ -152,10 +154,10 @@ def _shown(v):
 
 
 # (least, greatest or None) of each integer field.  B's ceiling bounds the
-# 2^B codebook phases that training._full_scan scores for a user whose beam
-# the nearest-entry certificate leaves open, and that `checks` scans on its
-# angle grid; 12 bits (4096 phases) is far finer than any phase shifter the
-# model is meant for.
+# 2^B codebook phases that training._full_scan scores for a user outside
+# the certified intervals of training._beam_table (2^(B+1) edges), and that
+# `checks` scans on its angle grid; 12 bits (4096 phases) is far finer than
+# any phase shifter the model is meant for.
 MAX_B = 12
 _INT_RANGES = {"L": (1, None), "K": (1, None), "N": (1, None), "M": (1, None),
                "B": (0, MAX_B), "tau": (1, None), "seed": (0, None)}

@@ -7,12 +7,14 @@ of those and runs the real quantizer, providing a model-error cross-check.
 
 Both modes run trials in blocks and evaluate BS 0 only, the BS the rate is
 reported for, and both map their blocks over a pool of up to WORKERS
-threads.  A block is sized for its draw stage, which seeds the block's
-streams in one vectorized pass from seeders built once per run, scales the
-block's uniform draws to angles at once and takes each user's beamformer
-from the run's one table (_RunTable), which also holds BS 0's gains and the
-pilot matrix.  Semi mode then computes the block's per-trial set-up once
-and runs its Gram kernel over sub-blocks sized for that kernel: outer
+threads.  A block is sized for what a trace of its draw stage and of semi
+mode's set-up holds.  The draw stage seeds the block's streams in one
+vectorized pass from seeders built once per run, scales the block's
+uniform draws to angles at once, looks each user's beam up in training's
+per-(M, B) table of certified intervals and takes its beamformer from the
+run's one table (_RunTable), which also holds BS 0's gains and the pilot
+matrix.  Semi mode then computes the block's per-trial set-up once and
+runs its Gram kernel over sub-blocks sized for that kernel: outer
 products by np.einsum, and the vanishing-denominator fix-up only on the
 diagonal and the few trials whose angles can make one vanish.  Each mode
 writes its large arrays into one workspace per pool thread that lives for
@@ -145,14 +147,20 @@ def _one_blas_thread(get, set_):
 def _block_trials(cfg, kernel=False):
     """Trials per block under BLOCK_BYTES (at least one).
 
-    A drawn block's share per trial is 32 entries per (cell, user): a user's
-    draws, six beam candidates and their scores and the temporaries around
-    them (about 416 B measured against the 512 B counted).  With `kernel`,
-    the count is for _semi_block's sub-blocks of a drawn block, where a
-    trial's share is its (LK, LK) Gram kernel if that is more.
+    A drawn block's share per trial is counted from a trace of _draw_block
+    and _semi_block on its outputs: 96 + 32 M bytes per (cell, user), for
+    the larger of the draw stage's peak (a user's beamformer and steering
+    vector take 32 M of it) and _semi_block's set-up, and 256 bytes for
+    the seeding and the per-trial arrays, which outweigh the rest at
+    L = K = 1.  Traced, a block holds 0.73-0.84 of BLOCK_BYTES at fig2's
+    points and at L = K = 1, B = 12; allocations of a fixed size per block
+    take the small blocks of M >= 8 up to 1.2 of it.  With `kernel`, the count
+    is for _semi_block's sub-blocks of a drawn block, where a trial's share
+    is 16 max(LK, 32) bytes per (cell, user), for its (LK, LK) Gram kernel.
     """
     LK = cfg.L * cfg.K
-    return max(1, BLOCK_BYTES // (16 * LK * (max(LK, 32) if kernel else 32)))
+    share = 16 * LK * max(LK, 32) if kernel else LK * (96 + 32 * cfg.M) + 256
+    return max(1, BLOCK_BYTES // share)
 
 
 class _RunTable(NamedTuple):
@@ -187,14 +195,16 @@ def _draw_block(cfg, trials, channel, table):
     S = a^2 in both modes.
     """
     L, K, M = cfg.L, cfg.K, cfg.M
-    angles = draw_angles(cfg, channel(trials), np.empty((len(trials), 2, L, L, K)))
-    phi, theta = angles[:, 0], angles[:, 1]
+    angles = draw_angles(channel(trials), np.empty((len(trials), 2, L, L, K)))
     cells = np.arange(L)
-    w = table.beams[select_beams(phi[:, cells, cells], table.codebook, M)]   # (T, L, K, M)
-    c0 = np.einsum("tlkm,tlkm->tlk", steering_vector(phi[:, 0], M).conj(), w)
+    w = table.beams[select_beams(angles[:, 0, cells, cells], table.codebook, M)]   # (T, L, K, M)
+    phi0, theta0 = angles[:, 0, 0].copy(), angles[:, 1, 0].copy()
+    del angles                                        # BS 0's rows are all that is left to read
+    h = steering_vector(phi0, M)
+    c0 = np.einsum("tlkm,tlkm->tlk", np.conjugate(h, out=h), w)
     bg = table.b0 * np.abs(c0) ** 2
     a = (1.0 - cfg.rho) * np.sqrt(cfg.p_t) * bg[:, 0] * cfg.N
-    return theta[:, 0], c0, bg, np.sum(bg, axis=(1, 2)), a
+    return theta0, c0, bg, np.sum(bg, axis=(1, 2)), a
 
 
 def _semi_workspace(trials, L, K):
@@ -297,13 +307,16 @@ def _semi_block(cfg, table, theta0, c0, bg, total, a, workspace):
     mu = noise_equivalent_mu(cfg, quant_noise_power(cfg, total, cfg.p_p / cfg.tau))[:, None]
     x = (np.pi / 2) * np.cos(theta0).reshape(T, LK)
     trig, near = _angle_terms(N, x)
-    phase = np.exp(1j * (N - 1) * x).reshape(T, L, K)
+    phase = 1j * (N - 1) * x
+    phase = np.exp(phase, out=phase).reshape(T, L, K)
     # u_k = sum_l beta^(1/2) c_0lk h_lk is the pilot-contaminated estimate
     # mean; y[t, k, b] = e^{j(N-1)x_b} u_k^H h_b
     coef = table.root_b0 * c0
-    v = coef.conj() * phase
-    u_norm2, quad = np.empty((T, K)), np.empty((T, K))
-    y00 = np.empty((T, K), dtype=complex)             # y_own at l = 0
+    ea_scale = (1.0 - rho) * np.sqrt(cfg.p_t) * coef[:, 0] * phase[:, 0].conj()
+    v = np.conjugate(coef, out=coef)
+    v *= phase
+    del x, phase                                      # the sub-block loop holds no more
+    u_norm2, quad, ea = np.empty((T, K)), np.empty((T, K)), np.empty((T, K))
     kernel_rows, scratch_rows = workspace
     sub = len(kernel_rows)
     for i in range(0, T, sub):
@@ -323,11 +336,12 @@ def _semi_block(cfg, table, theta0, c0, bg, total, a, workspace):
             y += np.multiply(vj[:, l, :, None], kernel[:, l], out=term)
         y_own = np.diagonal(y.reshape(n, K, L, K), axis1=1, axis2=3)  # (n, L, K): b = (l, k)
         u_norm2[j] = np.einsum("tlk,tlk->tk", vj.conj(), y_own).real
-        y00[j] = y_own[:, 0]
+        ea[j] = (ea_scale[j] * y_own[:, 0]).real        # the cross term of E|y - a x|^2
         y2, imag2 = term.view(float).reshape(2, n, K, LK)   # |y|^2 over the spent term
         np.square(y.real, out=y2)
         y2 += np.square(y.imag, out=imag2)
         quad[j] = np.einsum("tb,tkb->tk", bg[j].reshape(n, LK), y2)
+    del trig, near, v, ea_scale                       # spent: only (T, K) rows are left
 
     bracket = N * mu + u_norm2
     e_in = (1.0 - rho) ** 2 * bracket
@@ -336,8 +350,7 @@ def _semi_block(cfg, table, theta0, c0, bg, total, a, workspace):
 
     I = e_in + e_iq + e_sr - a ** 2
     bad = I <= 0.0
-    ea = (1.0 - rho) * np.sqrt(cfg.p_t) * coef[:, 0] * phase[:, 0].conj() * y00
-    return np.where(bad, I + 2.0 * a * (a - ea.real), I), int(np.sum(bad))
+    return np.where(bad, I + 2.0 * a * (a - ea), I), int(np.sum(bad))
 
 
 def _pilot_phase(cfg, table, rng, theta0, c0, total):

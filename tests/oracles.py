@@ -117,7 +117,7 @@ def sample_channel(cfg, rng):
     Angles are i.i.d. uniform on [0, pi] for every (j, l, k) triple; the
     large-scale gain is 1 intra-cell and cfg.beta_inter across cells.
     """
-    phi, theta = draw_angles(cfg, [rng], np.empty((1, 2, cfg.L, cfg.L, cfg.K)))[0]
+    phi, theta = draw_angles([rng], np.empty((1, 2, cfg.L, cfg.L, cfg.K)))[0]
     return ChannelRealization(
         phi=phi, theta=theta, beta=large_scale_gains(cfg),
         h_U=steering_vector(phi, cfg.M), h_B=steering_vector(theta, cfg.N),

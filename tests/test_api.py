@@ -53,7 +53,7 @@ SIGNATURES = {
     "config.config_from_dict": "(*layers)",
     "rng.streams": "(seed, stage)",
     "rng.complex_normal": "(rng, shape, out=None, scratch=None)",
-    "channel.draw_angles": "(cfg, rngs, out)",
+    "channel.draw_angles": "(rngs, out)",
     "checks.quantizer_suite": "()",
     "checks.lemmas_suite": "()",
     "checks.bounds_suite": "()",

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import itertools
 import os
@@ -283,8 +284,8 @@ def test_numpy_facts_the_engine_relies_on():
 def test_semi_block_endfire_pair_matches_oracle(monkeypatch):
     # BS 0 sees user (0, 0) at theta = 0 and user (1, 0) at theta = pi, so
     # h^H h' = (-1)^(N-1) N; pilot contamination makes the sign matter
-    def endfire_angles(cfg, rngs, out):
-        angles = draw_angles(cfg, rngs, out)
+    def endfire_angles(rngs, out):
+        angles = draw_angles(rngs, out)
         angles[:, 1, 0, :, 0] = (0.0, np.pi)          # theta[0, l, 0] of every trial
         return angles
     monkeypatch.setattr(rate, "draw_angles", endfire_angles)
@@ -405,9 +406,9 @@ def test_pooled_blocks_run_in_the_callers_context(monkeypatch, recwarn):
     assert [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
-# at fig2's K=32 point a drawn block then holds 7 trials and a Gram sub-block
-# 2, so every drawn block ends in a partial sub-block
-SEAM_BYTES = BLOCK_BYTES // 3
+# at fig2's K=32 point a drawn block then holds 19 trials and a Gram
+# sub-block 2, so every drawn block ends in a partial sub-block
+SEAM_BYTES = 2 * BLOCK_BYTES // 7
 
 
 def _reports_by_workers(monkeypatch, cfg, trials, mode, workers_list=(1, 2, 3)):
@@ -431,8 +432,8 @@ def _assert_same_outputs(reports):
 
 
 @pytest.mark.parametrize("cfg, trials", [
-    (_cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7), 700),
-    (_fig2_cfg(32), 40),
+    (_cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7), 900),
+    (_fig2_cfg(32), 81),
 ], ids=["floor-seed7", "fig2-K32"])
 def test_semi_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials):
     reports = _reports_by_workers(monkeypatch, cfg, trials, "semi")
@@ -449,7 +450,7 @@ def test_semi_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials
 
 
 def test_blocks_are_sized_for_the_draws(monkeypatch):
-    # fig2's K=32 point draws 21 trials per block, three Gram sub-blocks of 7
+    # fig2's K=32 point draws 67 trials per block, in Gram sub-blocks of 7
     sizes = []
     draw_block = rate._draw_block
 
@@ -459,9 +460,31 @@ def test_blocks_are_sized_for_the_draws(monkeypatch):
 
     monkeypatch.setattr(rate, "_draw_block", record)
     ergodic_rate(_fig2_cfg(32), 2000)
-    assert len(sizes) == 96
-    assert sorted(sizes)[:2] == [5, 21]
+    assert len(sizes) == 30
+    assert sorted(sizes)[:2] == [57, 67]
     assert rate._block_trials(_fig2_cfg(32), kernel=True) == 7
+
+
+@pytest.mark.parametrize("cfg", [_fig2_cfg(2), _fig2_cfg(8), _fig2_cfg(32),
+                                 _cfg(L=1, K=1, B=12, adc_bits=1, seed=5)],
+                         ids=["fig2-K2", "fig2-K8", "fig2-K32", "L1-K1-B12"])
+def test_a_drawn_block_holds_what_its_count_says(cfg):
+    # _block_trials counts a drawn block's share per trial from a trace of
+    # the draw stage and _semi_block on its outputs; the run's table, beam
+    # table and workspace are built before the trace, as in a run
+    trials = rate._block_trials(cfg)
+    table = rate._run_tables(cfg)
+    workspace = rate._semi_workspace(rate._block_trials(cfg, kernel=True), cfg.L, cfg.K)
+    channel = streams(cfg.seed, STAGE_CHANNEL)
+    rate._draw_block(cfg, range(1), channel, table)
+    tracemalloc.start()
+    try:
+        rate._semi_block(cfg, table, *rate._draw_block(cfg, range(trials), channel, table),
+                         workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK_BYTES
 
 
 def test_pooled_block_memory_is_bounded_per_worker(monkeypatch):
@@ -507,8 +530,8 @@ def _blas_threads():
 
 
 @pytest.mark.parametrize("cfg, trials", [
-    (SYMBOL_K8, 100),
-    (_cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 200),
+    (SYMBOL_K8, 300),
+    (_cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 400),
 ], ids=["symbol_k8", "L1"])
 def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials):
     # every worker count maps its blocks over the pool with OpenBLAS held at one thread
@@ -709,16 +732,23 @@ def test_block_memory_stays_bounded_when_every_user_falls_back(monkeypatch):
     # full scan of a 1000-trial block would hold 1000 x 4096 scores (33 MB)
     cfg = _cfg(L=1, K=1, B=12, adc_bits=1, seed=5)
     certified = ergodic_rate(cfg, 1000)
+    # an infinite sidelobe bound certifies no score, so a fresh table is empty
     monkeypatch.setattr(training, "_sidelobe_bound", lambda M: np.inf)
+    monkeypatch.setattr(training, "_beam_table", functools.cache(training._beam_table.__wrapped__))
+    scanned = []
+    scan = training._full_scan
+    monkeypatch.setattr(training, "_full_scan",
+                        lambda c, cb, M: scanned.append(len(c)) or scan(c, cb, M))
     tracemalloc.start()
     try:
-        scanned = ergodic_rate(cfg, 1000)
+        fallback = ergodic_rate(cfg, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3 * BLOCK_BYTES
-    np.testing.assert_array_equal(scanned.S, certified.S)
-    np.testing.assert_array_equal(scanned.I, certified.I)
+    assert sum(scanned) == 1000                       # one user per trial
+    np.testing.assert_array_equal(fallback.S, certified.S)
+    np.testing.assert_array_equal(fallback.I, certified.I)
 
 
 @pytest.mark.parametrize("shape", [(64, 256), (24, 3), 1000, ()])

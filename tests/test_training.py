@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from mmwsim.channel import steering_vector
 from mmwsim.config import MAX_B, SystemConfig
 from mmwsim.errors import ParameterError
 from mmwsim.rng import substream
+from mmwsim.sweep import _point_config, load_preset
 from mmwsim.training import beamformer_from_angle, build_codebook, select_beams, _candidate_gains
 from oracles import estimate_aoa, sample_channel, train_beams
 
@@ -155,30 +157,36 @@ def test_select_beams_equals_full_scan_on_a_dense_grid(M, B):
 
 
 def test_forced_fallback_scans_in_chunks(monkeypatch):
-    # with no certificate every user is scanned in full, 3 users per chunk
+    # with no certificate every user is scanned in full, 3 users per chunk;
+    # an infinite sidelobe bound certifies no score, so a fresh table is empty
     calls = []
     gains = training._candidate_gains
     monkeypatch.setattr(training, "_sidelobe_bound", lambda M: np.inf)
+    monkeypatch.setattr(training, "_beam_table", functools.cache(training._beam_table.__wrapped__))
     monkeypatch.setattr(training, "BLOCK_BYTES", 3 * 16 * 64)
+    cb = build_codebook(6)
+    edges, _ = training._beam_table(4, 6)
+    np.testing.assert_array_equal(edges, np.repeat(np.cos(cb)[::-1], 2))    # every interval empty
     monkeypatch.setattr(training, "_candidate_gains",
                         lambda c, cb, M: calls.append(np.shape(c)) or gains(c, cb, M))
-    cb = build_codebook(6)
     phi = np.random.default_rng(3).uniform(0.0, np.pi, (4, 5))
     got = select_beams(phi, cb, 4)
     np.testing.assert_array_equal(got, _full_scan_argmax(phi, cb, 4))
-    assert calls[1:] == [(3,)] * 6 + [(2,)]     # after the six-candidate pass
+    assert calls == [(3,)] * 6 + [(2,)]
 
 
-_SETTLE_CASES = [(2, 6), (4, 6), (5, 6), (8, 6), (10, 6), (20, 6),
+_FIG2 = _point_config(load_preset("fig2"), {}, 2, {})
+_SETTLE_CASES = [(_FIG2.M, _FIG2.B), (4, 6), (5, 6), (8, 6), (10, 6), (20, 6),
                  (2, 10), (8, 10), (16, 10), (2, 12), (8, 12), (16, 12)]
 
 
 @pytest.mark.parametrize("M, B", _SETTLE_CASES,
                          ids=[f"{M}" if B == 6 else f"{M}-B{B}" for M, B in _SETTLE_CASES])
 def test_certificate_settles_nearly_every_user(monkeypatch, M, B):
-    # a certificate that always fell back would still be exact, only slow;
-    # at fine codebooks the best and runner-up nearly tie on the flat main
-    # lobe, so the margin must be a rounding bound, not a loose factor
+    # a table that always fell back would still be exact, only slow: its
+    # intervals must place at least 99% of uniform users.  At fine codebooks
+    # the best and runner-up nearly tie on the flat main lobe, so the margin
+    # must be a rounding bound, not a loose factor
     scanned = []
     scan = training._full_scan
     monkeypatch.setattr(training, "_full_scan",
@@ -201,6 +209,22 @@ def test_select_beams_equals_full_scan_at_fine_codebooks(M, B):
     phi = np.concatenate([rng.uniform(0.0, np.pi, 1000), tiny, np.pi - tiny, [0.0, np.pi],
                           *([_near_codebook(cb, i, kind) for i in picks]
                             for kind in ("on", "below", "above", "mid", "cos_mid"))])
+    np.testing.assert_array_equal(select_beams(phi, cb, M), _full_scan_argmax(phi, cb, M))
+
+
+@pytest.mark.parametrize("M, B", [(2, 6), (2, 12), (4, 6), (5, 6), (8, 10), (16, 8), (20, 6)])
+def test_table_lookup_equals_full_scan_at_its_edges(M, B):
+    # certification stops at each interval's edges: at an edge and one double
+    # either side of it, a lookup must pick what the full scan picks
+    cb = build_codebook(B)
+    edges, index = training._beam_table(M, B)
+    cos_phi = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0)])
+    cos_phi = cos_phi[np.abs(cos_phi) <= 1.0]
+    np.testing.assert_array_equal(training._lookup(cos_phi, cb, M),
+                                  training._full_scan(cos_phi, np.cos(cb), M))
+    # lower edges and the doubles above them lie inside: the table answers those
+    assert np.mean(index[np.searchsorted(edges, cos_phi, side="right")] >= 0) > 0.3
+    phi = np.concatenate([cb, [0.0, np.pi]])
     np.testing.assert_array_equal(select_beams(phi, cb, M), _full_scan_argmax(phi, cb, M))
 
 
