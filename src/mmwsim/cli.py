@@ -12,8 +12,8 @@ from .checks import SUITES
 from .config import (beam_warnings, check_beam_settings, codebook_zeta, config_from_dict,
                      load_config_doc, parse_setting)
 from .errors import ParameterError
-from .rate import (MODES, _draw_block, _pilot_phase, _run_tables, check_mode,
-                   check_trials, ergodic_rate)
+from .rate import (MODES, _draw_block, _pilot_phase, _run_tables, _symbol_workspace,
+                   check_mode, check_trials, ergodic_rate)
 from .rng import STAGE_CHANNEL, STAGE_PILOT, streams
 from .sweep import (AXIS_COLUMN, _resolve, emit_plot_script, list_presets, load_preset,
                     load_sweep_spec, plotted_outputs, run_sweep, sweep_row, write_csv)
@@ -120,9 +120,9 @@ def _debug_dump(cfg, mode, realization, error_power=None):
         [l, k, f"{theta0[0, l, k]:.10g}", f"{beta0[l, k]:.10g}", f"{abs(c0[0, l, k]):.10g}"]
         for l in range(cfg.L) for k in range(cfg.K)])
     if mode == "symbol":
-        pilot_rng = next(streams(cfg.seed, STAGE_PILOT)(range(1)))
-        eff, est = _pilot_phase(cfg, table, pilot_rng, theta0[0], c0[0], total[0])
-        err = (abs(est - eff[:, :cfg.K]) ** 2).sum(axis=0)
+        eff, est = _pilot_phase(cfg, table, streams(cfg.seed, STAGE_PILOT)(range(1)),
+                                theta0, c0, total, _symbol_workspace(cfg, 1))
+        err = (abs(est[0] - eff[0, :, :cfg.K]) ** 2).sum(axis=0)
         _write_rows(error_power, ["k", "err_power"],
                     [[k, f"{err[k]:.10g}"] for k in range(cfg.K)])
 

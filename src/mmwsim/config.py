@@ -48,10 +48,12 @@ def distortion_factor(bits):
     return RHO_AD_TABLE[bits]
 
 
-# Memory budget of four things: a drawn trial block (rate._block_trials),
+# Memory budget of five things: a drawn trial block (rate._block_trials),
 # where a trial's share is traced at 96 + 32 M bytes per user and 256 more;
 # a sub-block of it in semi mode's Gram kernel, where a trial's share is its
-# (LK, LK) kernel at 16 bytes per entry when LK > 32; one chunk of
+# (LK, LK) kernel at 16 bytes per entry when LK > 32; a sub-block of it in
+# symbol mode's pilot phase, where a trial's share is its effective channel
+# and its rows of the workspace's pilot arrays; one chunk of
 # training._full_scan, where a scanned user's share is its 2^B scores at 16
 # bytes each; and one chunk of the sides that training._beam_table bisects.
 # Both engine modes run up to rate.WORKERS blocks at once, each with its own

@@ -2,7 +2,8 @@
 
 The paper's MMSE estimate scales each user's pilot correlation by a shrinkage
 G_jk that MRC ignores, so the rate engine never forms it: it works with hbar +
-e, analytically via mu in semi mode and sampled in rate._pilot_phase.
+e, analytically via mu in semi mode and sampled, a block of trials at a
+time, in rate._pilot_phase.
 """
 
 import numpy as np

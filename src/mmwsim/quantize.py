@@ -72,11 +72,17 @@ def lloyd_max_distortion(bits):
     return float(np.sum(m2 - 2.0 * levels * m1 + levels ** 2 * prob))
 
 
+# Depths up to this many bits count the thresholds below each sample; deeper
+# ones search for them (lloyd_max_quantize).
+_COUNT_BITS = 5
+
+
 def quantizer_work(size):
     """Buffers lloyd_max_quantize can reuse for up to `size` complex samples.
 
     Per real component: the scaled input, the level index, a comparison mask
-    and a gathered threshold, whose storage also holds the index increment.
+    and a gathered threshold, whose storage also holds the index increment
+    or, at low depths, the byte count the index is taken from.
     """
     n = 2 * size
     return np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=bool), np.empty(n)
@@ -87,34 +93,59 @@ def lloyd_max_quantize(samples, bits, input_variance, work=None, out=None):
 
     Real and imaginary parts are quantized independently with the codebook
     matched to a Gaussian of variance input_variance / 2 per component, i.e.
-    ideal automatic gain control.  Returns a complex128 array of the input's
-    shape: `out` if given, a contiguous one that may be `samples` itself.
-    `work` is a quantizer_work for at least samples.size samples (fresh if
-    None); the output does not depend on what it held.
+    ideal automatic gain control.  `input_variance` is one variance for all
+    samples or, as a 1-d array, one per row of their leading axis; each row
+    then quantizes bit for bit as a call with its own variance.  Returns a
+    complex128 array of the input's shape: `out` if given, a contiguous one
+    that may be `samples` itself.  `work` is a quantizer_work for at least
+    samples.size samples (fresh if None); the output does not depend on
+    what it held.
+
+    Each component's level index is the count of thresholds strictly below
+    it, i.e. searchsorted(side="left"): up to _COUNT_BITS bits it is counted
+    in bytes, one compare and one add per threshold, and deeper a branch-free
+    binary search finds it, with a gather, compare, multiply and add per
+    bit.  The levels are scaled before the gather, the same product of the
+    same two doubles as scaling after it.
     """
-    if not input_variance > 0:                         # NaN too; +inf passes
-        raise ParameterError(f"input_variance must be > 0, got {input_variance}")
+    variance = np.asarray(input_variance, dtype=float)
+    bad = ~(variance > 0)                              # NaN too; +inf passes
+    if bad.any():
+        raise ParameterError(f"input_variance must be > 0, got {variance[bad][0]}")
     levels, thresholds = lloyd_max_design(bits)
-    scale = np.sqrt(input_variance / 2.0)
     samples = np.asarray(samples)
+    if variance.ndim and variance.shape != samples.shape[:1]:
+        raise ParameterError(f"input_variance of shape {variance.shape} needs one entry "
+                             f"per row of samples of shape {samples.shape}")
+    rows = variance.size
+    scale = np.sqrt(variance / 2.0).reshape(rows, 1)
     n = 2 * samples.size
     x, idx, above, gathered = (w[:n] for w in work or quantizer_work(samples.size))
     # both components at once, as the interleaved float64 view of the samples
-    components = np.ascontiguousarray(samples, dtype=complex).reshape(-1).view(np.float64)
-    np.divide(components, scale, out=x)
-    # branch-free binary search over the 2^bits - 1 sorted thresholds: idx ends
-    # as the count of thresholds strictly below x, i.e. searchsorted(side="left")
-    step = 1 << (bits - 1)
-    np.multiply(np.greater(x, thresholds[step - 1], out=above), step, out=idx)
-    step >>= 1
-    while step:
-        np.greater(x, np.take(thresholds[step - 1:], idx, out=gathered, mode="clip"), out=above)
-        idx += np.multiply(above, step, out=gathered.view(np.int64))
+    components = np.ascontiguousarray(samples, dtype=complex).reshape(rows, -1).view(np.float64)
+    np.divide(components, scale, out=x.reshape(rows, -1))
+    if bits <= _COUNT_BITS:
+        count = gathered.view(np.uint8)[:n]
+        np.greater(x, thresholds[0], out=count.view(bool))
+        for t in thresholds[1:]:
+            count += np.greater(x, t, out=above).view(np.uint8)
+        np.copyto(idx, count)
+    else:
+        step = 1 << (bits - 1)
+        np.multiply(np.greater(x, thresholds[step - 1], out=above), step, out=idx)
         step >>= 1
+        while step:
+            np.greater(x, np.take(thresholds[step - 1:], idx, out=gathered, mode="clip"),
+                       out=above)
+            idx += np.multiply(above, step, out=gathered.view(np.int64))
+            step >>= 1
+    table = levels * scale                              # (rows, 2^bits)
+    if rows > 1:                                        # row r gathers from table[r]
+        row_idx = idx.reshape(rows, -1)
+        row_idx += np.arange(0, table.size, len(levels))[:, None]
     if out is None:
         out = np.empty(samples.shape, dtype=complex)
-    parts = np.take(levels, idx, out=out.reshape(-1).view(np.float64), mode="clip")
-    parts *= scale
+    np.take(table.reshape(-1), idx, out=out.reshape(-1).view(np.float64), mode="clip")
     return out
 
 

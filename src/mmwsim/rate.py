@@ -9,21 +9,23 @@ Both modes run trials in blocks and evaluate BS 0 only, the BS the rate is
 reported for, and both map their blocks over a pool of up to WORKERS
 threads.  A block is sized for what a trace of its draw stage and of semi
 mode's set-up holds.  The draw stage seeds the block's streams in one
-vectorized pass from seeders built once per run, scales the block's
-uniform draws to angles at once, looks each user's beam up in training's
-per-(M, B) table of certified intervals and takes its beamformer from the
-run's one table (_RunTable), which also holds BS 0's gains and the pilot
-matrix.  Semi mode then computes the block's per-trial set-up once and
-runs its Gram kernel over sub-blocks sized for that kernel: outer
-products by np.einsum, and the vanishing-denominator fix-up only on the
-diagonal and the few trials whose angles can make one vanish.  Each mode
-writes its large arrays into one workspace per pool thread that lives for
-the run, so blocks and trials reuse memory instead of faulting in fresh
-pages.  A symbol run holds numpy's OpenBLAS pool at one thread, so its idle
-workers do not spin on the cores the blocks need; where that pool cannot be
-reached, symbol mode maps its blocks over one worker.  Every trial still
-draws from its own (seed, trial, stage) streams, so results do not depend
-on the block sizes or the thread count.
+vectorized pass from seeders built once per run, scales the block's uniform
+draws to angles at once, looks each user's beam up in training's per-(M, B)
+table of certified intervals and takes its beamformer from the run's one
+table (_RunTable), which also holds BS 0's gains and the pilot matrix.
+Semi mode then computes the block's per-trial set-up once and runs its Gram
+kernel over sub-blocks sized for that kernel: outer products by np.einsum,
+and the vanishing-denominator fix-up only on the diagonal and the few
+trials whose angles can make one vanish.  Symbol mode runs its pilot phase,
+with one quantizer call, over sub-blocks sized for that phase, each
+followed by its trials' data phases.  Each mode writes its large arrays
+into one workspace per pool thread that lives for the run, so blocks and
+trials reuse memory instead of faulting in fresh pages.  A symbol run holds
+numpy's OpenBLAS pool at one thread, so its idle workers do not spin on the
+cores the blocks need; where that pool cannot be reached, symbol mode maps
+its blocks over one worker.  Every trial still draws from its own (seed,
+trial, stage) streams, so results do not depend on the block sizes or the
+thread count.
 """
 
 import contextlib
@@ -144,8 +146,9 @@ def _one_blas_thread(get, set_):
             set_(saved)
 
 
-def _block_trials(cfg, kernel=False):
-    """Trials per block under BLOCK_BYTES (at least one).
+def _block_trials(cfg, sub=None):
+    """Trials per block under BLOCK_BYTES (at least one): a drawn block, or
+    with `sub`, "semi" or "symbol", that mode's sub-blocks of a drawn block.
 
     A drawn block's share per trial is counted from a trace of _draw_block
     and _semi_block on its outputs: 96 + 32 M bytes per (cell, user), for
@@ -154,13 +157,32 @@ def _block_trials(cfg, kernel=False):
     the seeding and the per-trial arrays, which outweigh the rest at
     L = K = 1.  Traced, a block holds 0.73-0.84 of BLOCK_BYTES at fig2's
     points and at L = K = 1, B = 12; allocations of a fixed size per block
-    take the small blocks of M >= 8 up to 1.2 of it.  With `kernel`, the count
-    is for _semi_block's sub-blocks of a drawn block, where a trial's share
-    is 16 max(LK, 32) bytes per (cell, user), for its (LK, LK) Gram kernel.
+    take the small blocks of M >= 8 up to 1.2 of it.
+
+    A semi sub-block runs _semi_block's Gram kernel: a trial's share is 16
+    max(LK, 32) bytes per (cell, user), for its (LK, LK) kernel.  A symbol
+    sub-block runs _pilot_phase and its trials' data phases: a trial's
+    share is 16 N (LK + 2 K) + 82 N tau bytes for its (N, LK) effective
+    channel and its rows of the workspace's pilot arrays (sums, pilots,
+    their noise, estimates and quantizer buffers), 8 per ADC level for its
+    scaled levels and 1 KiB for its two seeders' state and its I.  Before
+    those trials, the larger of two fixed amounts is set aside: 256 KiB, for
+    the buffers numpy takes to broadcast the sub-block's angles over N in
+    steering_vector (8192 entries per operand, however many trials), and
+    one trial's data phase, 16 (N LK + 3 K S) bytes.  Traced with its
+    workspace rows, a sub-block holds 0.62-0.98 of BLOCK_BYTES on 16
+    configs, 0.97 at symbol_k8 (9 trials), and a drawn block with its
+    sub-blocks 0.73-0.95 where M < 8.
     """
     LK = cfg.L * cfg.K
-    share = 16 * LK * max(LK, 32) if kernel else LK * (96 + 32 * cfg.M) + 256
-    return max(1, BLOCK_BYTES // share)
+    if sub is None:
+        return max(1, BLOCK_BYTES // (LK * (96 + 32 * cfg.M) + 256))
+    if sub == "semi":
+        return max(1, BLOCK_BYTES // (16 * LK * max(LK, 32)))
+    N, K = cfg.N, cfg.K
+    reserve = max(1 << 18, 16 * (N * LK + 3 * K * SYMBOLS_PER_TRIAL))
+    share = 16 * N * (LK + 2 * K) + 82 * N * cfg.tau + (8 << cfg.adc_bits) + 1024
+    return max(1, (BLOCK_BYTES - reserve) // share)
 
 
 class _RunTable(NamedTuple):
@@ -353,47 +375,70 @@ def _semi_block(cfg, table, theta0, c0, bg, total, a, workspace):
     return np.where(bad, I + 2.0 * a * (a - ea), I), int(np.sum(bad))
 
 
-def _pilot_phase(cfg, table, rng, theta0, c0, total):
-    """BS 0's effective channel (N, LK) and pilot estimate hbar + e (N, K).
+def _pilot_phase(cfg, table, rngs, theta0, c0, total, workspace):
+    """BS 0's effective channels (T, N, LK) and pilot estimates hbar + e (T, N, K).
 
-    Column l K + k of the effective channel is cell l's user k, so cell 0's
-    are [:, :K].  `table` is the run's _run_tables(cfg).  The pilots come
-    from `rng`, the trial's STAGE_PILOT stream, and pass through the real
-    adc_bits quantizer; `total` is sum_lk beta_0lk |c_0lk|^2.  The paper's
-    per-user MMSE shrinkage is left out: MRC ignores it.
+    For a sub-block of a drawn block: theta0, c0 and total are its rows of
+    _draw_block's outputs and `table` is the run's _run_tables(cfg).
+    Column l K + k of a trial's effective channel is cell l's user k, so
+    cell 0's are [..., :K].  Each trial's pilot noise comes from its
+    generator in `rngs`, the sub-block's STAGE_PILOT streams, into its own
+    row; the sub-block's pilots pass through the real adc_bits quantizer in
+    one call, each trial at its own input variance.  The pilot arrays and
+    the estimates are written into `workspace`, a _symbol_workspace for at
+    least T trials.  The paper's per-user MMSE shrinkage is left out: MRC
+    ignores it.
     """
-    h = steering_vector(theta0, cfg.N) * (table.root_b0 * c0)[..., None]   # (L, K, N)
+    T, L, K = c0.shape
+    N = cfg.N
+    (sums, Y_p, noise, est, work), (_, _, _, scratch, _) = workspace
+    sums, Y_p, noise, est = sums[:T], Y_p[:T], noise[:T], est[:T]
+    h = steering_vector(theta0, N)
+    h *= (table.root_b0 * c0)[..., None]              # (T, L, K, N)
+    np.sum(h, axis=1, out=sums)
+    sums *= np.sqrt(cfg.p_p)
     Psi = table.pilots
-    Y_p = np.sqrt(cfg.p_p) * h.sum(axis=0).T @ Psi.T
-    Y_p = Y_p + rngmod.complex_normal(rng, Y_p.shape)
-    Y_qp = lloyd_max_quantize(Y_p, cfg.adc_bits, received_power(total, cfg.p_p / cfg.tau))
-    return h.reshape(-1, cfg.N).T, (Y_qp @ Psi.conj()) / ((1.0 - cfg.rho) * np.sqrt(cfg.p_p))
+    np.matmul(sums.swapaxes(1, 2), Psi.T, out=Y_p)
+    for rng, row in zip(rngs, noise, strict=True):
+        rngmod.complex_normal(rng, row.shape, row, scratch)
+    Y_p += noise
+    lloyd_max_quantize(Y_p, cfg.adc_bits, received_power(total, cfg.p_p / cfg.tau), work, out=Y_p)
+    np.matmul(Y_p, Psi.conj(), out=est)
+    est /= (1.0 - cfg.rho) * np.sqrt(cfg.p_p)
+    return h.reshape(T, L * K, N).swapaxes(1, 2), est
 
 
-def _symbol_workspace(cfg):
-    """_symbol_trial's large per-trial arrays, for one worker's trials in turn.
+def _symbol_workspace(cfg, trials):
+    """Symbol mode's large arrays, for one worker's sub-blocks of up to `trials` trials in turn.
 
-    Returns (X, noise, R, scratch, work): the (LK, S) symbols, the (N, S)
-    noise and received signal (whose storage the quantized signal reuses),
-    float scratch for the normal draws and a quantize.quantizer_work.
+    Returns (pilots, data): _pilot_phase's (T, K, N) pilot sums, (T, N, tau)
+    received pilots (whose storage the quantized pilots reuse) and their
+    noise, (T, N, K) estimates and a quantize.quantizer_work for them; and
+    _symbol_trial's (LK, S) symbols, (N, S) noise and received signal (whose
+    storage the quantized signal reuses), float scratch for both phases'
+    normal draws and a quantizer_work.
     """
-    LK, N, S = cfg.L * cfg.K, cfg.N, SYMBOLS_PER_TRIAL
-    return (np.empty((LK, S), dtype=complex), np.empty((N, S), dtype=complex),
-            np.empty((N, S), dtype=complex), np.empty(max(LK, N) * S), quantizer_work(N * S))
+    L, K, N, tau, S = cfg.L, cfg.K, cfg.N, cfg.tau, SYMBOLS_PER_TRIAL
+    pilots = (np.empty((trials, K, N), dtype=complex), np.empty((trials, N, tau), dtype=complex),
+              np.empty((trials, N, tau), dtype=complex), np.empty((trials, N, K), dtype=complex),
+              quantizer_work(trials * N * tau))
+    data = (np.empty((L * K, S), dtype=complex), np.empty((N, S), dtype=complex),
+            np.empty((N, S), dtype=complex), np.empty(max(L * K * S, N * S, N * tau)),
+            quantizer_work(N * S))
+    return pilots, data
 
 
-def _symbol_trial(cfg, table, pilot_rng, data_rng, theta0, c0, total, a, workspace):
-    """BS 0's I (K,) for one drawn trial with sampled pilots, symbols and quantizer.
+def _symbol_trial(cfg, data_rng, eff, combiner, total, a, workspace):
+    """BS 0's I (K,) for one trial's data phase, with sampled symbols and quantizer.
 
-    The pilots come from `pilot_rng` and the symbols and noise from
-    `data_rng`, the trial's STAGE_PILOT and STAGE_DATA streams; `table` is
-    the run's _run_tables(cfg).  The per-symbol arrays are written into
-    `workspace`, a _symbol_workspace; the output does not depend on what it
-    held.
+    eff (N, LK) and combiner (N, K) are the trial's rows of _pilot_phase's
+    outputs, and total and a its _draw_block outputs.  The symbols and noise
+    come from `data_rng`, the trial's STAGE_DATA stream.  The per-symbol
+    arrays are written into `workspace`, a _symbol_workspace; the output
+    does not depend on what it held.
     """
     K = cfg.K
-    X, noise, R, scratch, work = workspace
-    eff, combiner = _pilot_phase(cfg, table, pilot_rng, theta0, c0, total)   # hbar + e
+    X, noise, R, scratch, work = workspace[1]
     rngmod.complex_normal(data_rng, X.shape, X, scratch)
     rngmod.complex_normal(data_rng, noise.shape, noise, scratch)
     np.matmul(np.sqrt(cfg.p_t) * eff, X, out=R)
@@ -407,21 +452,43 @@ def _symbol_trial(cfg, table, pilot_rng, data_rng, theta0, c0, total, a, workspa
     return np.mean(np.abs(Y - a[:, None] * X[:K, :]) ** 2, axis=1)
 
 
+def _symbol_block(cfg, table, pilots, data, trials, theta0, c0, total, a, workspace):
+    """BS 0's I (T, K) for a drawn block of `trials` in symbol mode, from _draw_block's outputs.
+
+    The pilot phase runs over sub-blocks of as many trials as `workspace`, a
+    _symbol_workspace, holds, each followed by its trials' data phases.
+    `pilots` and `data` are the run's rng.streams seeders for STAGE_PILOT
+    and STAGE_DATA, called per sub-block, and `table` is the run's
+    _run_tables(cfg).  The output does not depend on what the workspace held.
+    """
+    sub = len(workspace[0][0])
+    I = np.empty((len(trials), cfg.K))
+    for i in range(0, len(trials), sub):
+        j = slice(i, i + sub)
+        eff, combiner = _pilot_phase(cfg, table, pilots(trials[j]), theta0[j], c0[j], total[j],
+                                     workspace)
+        for t, data_rng in enumerate(data(trials[j]), i):
+            I[t] = _symbol_trial(cfg, data_rng, eff[t - i], combiner[t - i], total[t], a[t],
+                                 workspace)
+        del eff, combiner                             # not alive beside the next sub-block's
+    return I
+
+
 def ergodic_rate(cfg, trials, mode="semi"):
     """Monte-Carlo ergodic rate over `trials` block-fading realizations.
 
     `mode` is "semi" (semi-analytic) or "symbol" (symbol-level).  Returns
     mean log2(1 + gamma) with a 95% confidence half-width over per-trial
     averages.  Deterministic for a given cfg.seed; trials run in blocks of
-    BLOCK_BYTES (semi mode's Gram kernel in sub-blocks of its own), and every
-    trial draws from its own (seed, trial, stage) streams, so the result
-    does not depend on the block sizes.  Up to WORKERS blocks run at once on
-    a thread pool, each in a copy of the caller's context (so np.errstate
-    holds in every block), and the result is bit-identical at any thread
-    count.  Each pool thread builds one workspace on its first block (a
-    _semi_workspace sized for a sub-block, or a _symbol_workspace) and
-    reuses it for the rest of the run; the workspaces are dropped when the
-    run returns.
+    BLOCK_BYTES (semi mode's Gram kernel and symbol mode's pilot phase in
+    sub-blocks of their own), and every trial draws from its own (seed,
+    trial, stage) streams, so the result does not depend on the block sizes.
+    Up to WORKERS blocks run at once on a thread pool, each in a copy of the
+    caller's context (so np.errstate holds in every block), and the result
+    is bit-identical at any thread count.  Each pool thread builds one
+    workspace on its first block (a _semi_workspace or a _symbol_workspace,
+    sized for a sub-block) and reuses it for the rest of the run; the
+    workspaces are dropped when the run returns.
 
     A symbol run holds numpy's OpenBLAS pool at one thread until it returns
     or raises, then restores the count it found; where that pool cannot be
@@ -435,7 +502,7 @@ def ergodic_rate(cfg, trials, mode="semi"):
     S = np.empty((trials, cfg.K))
     I = np.empty((trials, cfg.K))
     block = min(_block_trials(cfg), trials)
-    sub = min(_block_trials(cfg, kernel=True), block)
+    sub = min(_block_trials(cfg, mode), block)
     table = _run_tables(cfg)
     channel, pilots, data = (rngmod.streams(cfg.seed, stage) for stage in (
         rngmod.STAGE_CHANNEL, rngmod.STAGE_PILOT, rngmod.STAGE_DATA))
@@ -450,14 +517,12 @@ def ergodic_rate(cfg, trials, mode="semi"):
         ident = threading.get_ident()
         if ident not in workspaces:
             workspaces[ident] = (_semi_workspace(sub, cfg.L, cfg.K) if mode == "semi"
-                                 else _symbol_workspace(cfg))
+                                 else _symbol_workspace(cfg, sub))
         workspace = workspaces[ident]
         if mode == "semi":
             rows[:], nbad = _semi_block(cfg, table, theta0, c0, bg, total, a, workspace)
             return nbad
-        for i, (pilot_rng, data_rng) in enumerate(zip(pilots(ts), data(ts))):
-            rows[i] = _symbol_trial(cfg, table, pilot_rng, data_rng,
-                                    theta0[i], c0[i], total[i], a[i], workspace)
+        rows[:] = _symbol_block(cfg, table, pilots, data, ts, theta0, c0, total, a, workspace)
         return 0
 
     starts = range(0, trials, block)

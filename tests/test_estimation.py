@@ -197,18 +197,28 @@ _PILOT_GRID.append((3, 2, 5, 3))
 @pytest.mark.parametrize("L, K, tau, bits", _PILOT_GRID)
 def test_pilot_phase_matches_oracle_mmse_form(L, K, tau, bits):
     # the engine's estimate is the oracle's MMSE estimate with its shrinkage
-    # G divided out, hbar_00 + e_0, on the same draws
+    # G divided out, hbar_00 + e_0, on the same draws: each of a seed's five
+    # trials as a one-trial block, and the five in blocks of two, the last
+    # one partial, through one workspace
+    trials = range(5)
     for seed in (0, 5, 23):
         cfg = SystemConfig(L=L, K=K, N=16, M=2, tau=tau, adc_bits=bits, p_t=1.0, seed=seed)
         table = rate._run_tables(cfg)
-        for trial in (0, 3):
-            theta0, c0, _, total, _ = rate._draw_block(cfg, range(trial, trial + 1),
-                                                       streams(seed, STAGE_CHANNEL), table)
-            eff, est = rate._pilot_phase(cfg, table,
-                                         substream(seed, trial, STAGE_PILOT),
-                                         theta0[0], c0[0], total[0])
+        refs = []
+        for trial in trials:
             real = sample_channel(cfg, substream(seed, trial, STAGE_CHANNEL))
-            ref = estimate_all(real, train_beams(real, cfg), cfg,
-                               substream(seed, trial, STAGE_PILOT), quant_path="real")
-            np.testing.assert_allclose(est, ref.H_hat[0] / ref.G[0], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(est - eff[:, :K], ref.e[0], rtol=1e-12, atol=0)
+            refs.append(estimate_all(real, train_beams(real, cfg), cfg,
+                                     substream(seed, trial, STAGE_PILOT), quant_path="real"))
+        for size in (1, 2):
+            workspace = rate._symbol_workspace(cfg, size)
+            for start in range(0, len(trials), size):
+                block = trials[start:start + size]
+                theta0, c0, _, total, _ = rate._draw_block(cfg, block,
+                                                           streams(seed, STAGE_CHANNEL), table)
+                eff, est = rate._pilot_phase(cfg, table,
+                                             [substream(seed, t, STAGE_PILOT) for t in block],
+                                             theta0, c0, total, workspace)
+                for trial, eff_t, est_t in zip(block, eff, est, strict=True):
+                    ref = refs[trial]
+                    np.testing.assert_allclose(est_t, ref.H_hat[0] / ref.G[0], rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(est_t - eff_t[:, :K], ref.e[0], rtol=1e-12, atol=0)

@@ -127,6 +127,42 @@ def test_quantizer_ties_at_thresholds_match_oracle(bits):
     _assert_bit_equal(lloyd_max_quantize(z, bits, 2.0), _searchsorted_quantize(z, bits, 2.0))
 
 
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_quantizer_takes_one_variance_per_row(bits):
+    # a (T, 2, n) array with T variances quantizes bit for bit as T calls
+    # with one variance each; rows 0 and 3 hold the threshold ties of
+    # test_quantizer_ties_at_thresholds_match_oracle at scale 1
+    rng = np.random.default_rng(200 + bits)
+    _, thresholds = lloyd_max_design(bits)
+    edge = np.concatenate((thresholds, np.nextafter(thresholds, np.inf),
+                           np.nextafter(thresholds, -np.inf), [-50.0, 0.0, 50.0]))
+    shape = (5, 2, edge.size)
+    z = 1.7 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    z[0, 0] = edge + 1j * edge[::-1]
+    z[3, 1] = edge[::-1] + 1j * edge
+    variances = np.array([2.0, 3.1, 0.4, 2.0, 17.0])
+    want = np.stack([lloyd_max_quantize(row, bits, v) for row, v in zip(z, variances)])
+    _assert_bit_equal(lloyd_max_quantize(z, bits, variances), want)
+    _assert_bit_equal(lloyd_max_quantize(z[:1], bits, variances[:1]), want[:1])
+    # the same in one set of dirtied buffers, overwriting the samples
+    work = quantizer_work(z.size)
+    for buf in work:
+        buf.view(np.uint8).fill(0xFF)
+    inplace = z.copy()
+    assert lloyd_max_quantize(inplace, bits, variances, work, out=inplace) is inplace
+    _assert_bit_equal(inplace, want)
+
+
+def test_quantize_rejects_bad_row_variances():
+    z = np.ones((3, 4), dtype=complex)
+    for bad, shown in ((0.0, "0.0"), (float("nan"), "nan"), (-1.0, "-1.0")):
+        with pytest.raises(ParameterError, match=f"input_variance must be > 0, got {shown}$"):
+            lloyd_max_quantize(z, 2, np.array([1.0, bad, 2.0]))
+    for shape in ((4,), (2,), (3, 1)):
+        with pytest.raises(ParameterError, match="one entry per row"):
+            lloyd_max_quantize(z, 2, np.ones(shape))
+
+
 def test_decompose_identity_limit(gaussian_samples):
     z = gaussian_samples[:100000]
     q = lloyd_max_quantize(z, 12, 1.0)

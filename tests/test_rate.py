@@ -330,7 +330,7 @@ def test_semi_block_in_a_reused_workspace_matches_a_fresh_one(cfg):
     # one dirtied workspace over a block of two full sub-blocks and a partial
     # last one of one trial, against a fresh workspace for each sub-block
     # alone; at L = 1, y outgrows an (LK, LK) array
-    sub = rate._block_trials(cfg, kernel=True)
+    sub = rate._block_trials(cfg, "semi")
     table = rate._run_tables(cfg)
     drawn = rate._draw_block(cfg, range(2 * sub + 1), streams(cfg.seed, STAGE_CHANNEL), table)
     workspace = rate._semi_workspace(sub, cfg.L, cfg.K)
@@ -444,7 +444,7 @@ def test_semi_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials
     if cfg.K == 32:
         # each drawn block, the last one too, runs several Gram sub-blocks, the last partial
         monkeypatch.setattr(rate, "BLOCK_BYTES", SEAM_BYTES)
-        drawn, sub = rate._block_trials(cfg), rate._block_trials(cfg, kernel=True)
+        drawn, sub = rate._block_trials(cfg), rate._block_trials(cfg, "semi")
         for size in {drawn, trials % drawn or drawn}:
             assert size >= 2 * sub and size % sub
 
@@ -462,7 +462,7 @@ def test_blocks_are_sized_for_the_draws(monkeypatch):
     ergodic_rate(_fig2_cfg(32), 2000)
     assert len(sizes) == 30
     assert sorted(sizes)[:2] == [57, 67]
-    assert rate._block_trials(_fig2_cfg(32), kernel=True) == 7
+    assert rate._block_trials(_fig2_cfg(32), "semi") == 7
 
 
 @pytest.mark.parametrize("cfg", [_fig2_cfg(2), _fig2_cfg(8), _fig2_cfg(32),
@@ -474,7 +474,7 @@ def test_a_drawn_block_holds_what_its_count_says(cfg):
     # table and workspace are built before the trace, as in a run
     trials = rate._block_trials(cfg)
     table = rate._run_tables(cfg)
-    workspace = rate._semi_workspace(rate._block_trials(cfg, kernel=True), cfg.L, cfg.K)
+    workspace = rate._semi_workspace(rate._block_trials(cfg, "semi"), cfg.L, cfg.K)
     channel = streams(cfg.seed, STAGE_CHANNEL)
     rate._draw_block(cfg, range(1), channel, table)
     tracemalloc.start()
@@ -530,14 +530,28 @@ def _blas_threads():
 
 
 @pytest.mark.parametrize("cfg, trials", [
-    (SYMBOL_K8, 300),
-    (_cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 400),
+    (SYMBOL_K8, 100),
+    (_cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 200),
 ], ids=["symbol_k8", "L1"])
 def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials):
     # every worker count maps its blocks over the pool with OpenBLAS held at one thread
     reports = _reports_by_workers(monkeypatch, cfg, trials, "symbol")
-    assert rate._block_trials(cfg) < trials      # the default budget makes several blocks
     _assert_same_outputs(reports)
+    # SEAM_BYTES makes several drawn blocks, and the default budget's drawn
+    # block several pilot sub-blocks, the last one partial
+    monkeypatch.setattr(rate, "BLOCK_BYTES", SEAM_BYTES)
+    assert rate._block_trials(cfg) < trials
+    monkeypatch.setattr(rate, "BLOCK_BYTES", BLOCK_BYTES)
+    sub = rate._block_trials(cfg, "symbol")
+    assert rate._block_trials(cfg) >= trials > sub and trials % sub
+
+
+def _symbol_args(cfg, table, trials):
+    """rate._symbol_block's arguments after cfg, but the workspace, for a drawn block."""
+    channel, pilots, data = (streams(cfg.seed, stage)
+                             for stage in (STAGE_CHANNEL, STAGE_PILOT, STAGE_DATA))
+    theta0, c0, _, total, a = rate._draw_block(cfg, trials, channel, table)
+    return table, pilots, data, trials, theta0, c0, total, a
 
 
 @pytest.mark.parametrize("cfg", [
@@ -545,19 +559,47 @@ def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, tria
     _cfg(L=3, K=16, N=16, adc_bits=2, p_p=16.0, seed=3),
 ], ids=["symbol_k8", "LK-over-N"])
 def test_symbol_trial_in_a_reused_workspace_matches_a_fresh_one(cfg):
-    # one workspace, dirtied before each trial; past N users the draws'
-    # scratch is sized by LK
+    # one dirtied workspace over a block of two full pilot sub-blocks of 3
+    # trials and a partial one of 1, against a fresh workspace for each
+    # trial alone; past N users the draws' scratch is sized by LK
     table = rate._run_tables(cfg)
-    theta0, c0, _, total, a = rate._draw_block(cfg, range(3), streams(cfg.seed, STAGE_CHANNEL),
-                                               table)
-    workspace = rate._symbol_workspace(cfg)
-    for t in range(3):
-        _dirty(workspace)
-        reused, fresh = (rate._symbol_trial(cfg, table, substream(cfg.seed, t, STAGE_PILOT),
-                                            substream(cfg.seed, t, STAGE_DATA),
-                                            theta0[t], c0[t], total[t], a[t], ws)
-                         for ws in (workspace, rate._symbol_workspace(cfg)))
-        assert reused.tobytes() == fresh.tobytes()
+    workspace = rate._symbol_workspace(cfg, 3)
+    _dirty(workspace)
+    reused = rate._symbol_block(cfg, *_symbol_args(cfg, table, range(7)), workspace)
+    fresh = [rate._symbol_block(cfg, *_symbol_args(cfg, table, range(t, t + 1)),
+                                rate._symbol_workspace(cfg, 1))
+             for t in range(7)]
+    assert reused.tobytes() == np.concatenate(fresh).tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    SYMBOL_K8,
+    _cfg(L=3, K=16, N=16, adc_bits=2, p_p=16.0, seed=3),
+], ids=["symbol_k8", "LK-over-N"])
+def test_a_symbol_block_holds_what_its_count_says(cfg):
+    # a default-sized drawn block, its draws, pilot sub-blocks and data
+    # phases, traces within BLOCK_BYTES; so does one pilot sub-block, past
+    # its draws, with its rows of the workspace's pilot arrays, which
+    # _block_trials(cfg, "symbol") counts.  The run's tables and workspace
+    # are built before the trace, as in a run
+    block, sub = rate._block_trials(cfg), rate._block_trials(cfg, "symbol")
+    table = rate._run_tables(cfg)
+    workspace = rate._symbol_workspace(cfg, sub)
+    rate._symbol_block(cfg, *_symbol_args(cfg, table, range(1)), workspace)
+    tracemalloc.start()
+    try:
+        rate._symbol_block(cfg, *_symbol_args(cfg, table, range(block)), workspace)
+        block_peak = tracemalloc.get_traced_memory()[1]
+        args = _symbol_args(cfg, table, range(sub))
+        drawn = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rate._symbol_block(cfg, *args, workspace)
+        sub_peak = tracemalloc.get_traced_memory()[1] - drawn
+    finally:
+        tracemalloc.stop()
+    assert block > 2 * sub > 2
+    assert block_peak <= BLOCK_BYTES
+    assert sub_peak + sum(buf.nbytes for buf in _buffers(workspace[0])) <= BLOCK_BYTES
 
 
 def test_symbol_run_builds_its_pilot_matrix_once(monkeypatch):
