@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.special
 
 from .errors import ParameterError
 from .estimation import noise_equivalent_mu
@@ -20,10 +19,60 @@ EULER_GAMMA = 0.577215664901533  # Euler-Mascheroni constant
 ETA3_EXACT_MAX_N = 10 ** 5
 
 
+# J0(n*pi) for n < 16, as the cephes library's j0 gives them
+_J0_PI_HEAD = np.array([
+    1.0, -0.30424217764409384, 0.22027690853993448, -0.18121145350892762,
+    0.15750739248213824, -0.14118205211198417, 0.12906351943681874, -0.11960936315586373,
+    0.11196783453388685, -0.1056252447862022, 0.10025099457300612, -0.09562141524003429,
+    0.09157905754765178, -0.08800944874434553, 0.08482710019048086, -0.08196670775562534,
+])
+
+
+def _hankel_coefficients(terms):
+    """(-1)^k c_2k and (-1)^k c_2k+1 for k < terms, c_m = (1^2 3^2 ... (2m-1)^2) / (m! 8^m)."""
+    num, den, c = 1, 1, [1.0]
+    for m in range(1, 2 * terms):
+        num *= (2 * m - 1) ** 2
+        den *= 8 * m
+        c.append(num / den)                             # int / int: correctly rounded
+    signed = [(-1) ** (m // 2) * v for m, v in enumerate(c)]
+    return signed[0::2], signed[1::2]
+
+
+# Hankel's expansion (DLMF 10.17.3) J0(x) ~ sqrt(2/(pi x)) (P cos w + Q sin w)
+# with w = x - pi/4, P = sum_k (-1)^k c_2k x^-2k and Q = sum_k (-1)^k c_2k+1
+# x^-(2k+1).  At x >= 16 pi its first omitted term is below 3e-29.
+_HANKEL_P, _HANKEL_Q = _hankel_coefficients(14)
+
+
 @lru_cache(maxsize=32)
 def _j0_pi_table(N):
-    """J0(n*pi) for n = 0..N-1: the one place the package evaluates Bessel J0."""
-    return scipy.special.j0(math.pi * np.arange(N))
+    """J0(n*pi) for n = 0..N-1, read-only: the one place the package evaluates Bessel J0.
+
+    n < 16 come from _J0_PI_HEAD, the rest from Hankel's expansion, with the
+    phase x - pi/4 and the factor sqrt(2/pi)/sqrt(x) rounded as cephes' j0
+    rounds them.  tests/test_bounds.py pins the table to that j0, within a
+    few ulps, and to mpmath.
+    """
+    x = math.pi * np.arange(len(_J0_PI_HEAD), N)
+    y = 1.0 / (x * x)
+    p = np.full_like(x, _HANKEL_P[-1])
+    q = np.full_like(x, _HANKEL_Q[-1])
+    for a, b in zip(_HANKEL_P[-2::-1], _HANKEL_Q[-2::-1]):  # Horner in 1/x^2
+        p *= y
+        p += a
+        q *= y
+        q += b
+    q /= x
+    w = x - math.pi / 4
+    p *= np.cos(w)
+    q *= np.sin(w)
+    p += q
+    p *= math.sqrt(2.0 / math.pi)
+    p /= np.sqrt(x)
+    table = np.concatenate((_J0_PI_HEAD[:N], p))
+    table.setflags(write=False)
+    return table
 
 
 def exact_mean_inner(N):

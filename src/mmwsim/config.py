@@ -9,10 +9,11 @@ from .errors import ParameterError, ConfigError
 
 # Normalized MSE of the MSE-optimal (Lloyd-Max) scalar quantizer for a
 # unit-variance Gaussian input, by bit depth.  Values come from running the
-# fixed-point design in quantize.lloyd_max_design to convergence; b=1 is the
+# fixed-point design tests/oracles.lloyd_max_design to convergence; b=1 is the
 # analytic 1 - 2/pi.  tests/test_quantize.py regenerates every depth with
-# quantize.lloyd_max_distortion, to 1e-4 up to 9 bits and to 3e-3 beyond,
-# where the design's iteration budget stops short of convergence.
+# quantize.lloyd_max_distortion from the shipped levels (quantize.LEVELS_FILE,
+# that design under its iteration budget), to 1e-4 up to 9 bits and to 3e-3
+# beyond, where the budget stops short of convergence.
 RHO_AD_TABLE = {
     1: 0.363380227632,
     2: 0.117481847829,

@@ -2,22 +2,37 @@
 
 The analysis path only ever needs the distortion factor and the two noise
 powers; the actual quantizer exists so the linearized model can be checked
-empirically and so the rate engine has a fully-sampled mode.
+empirically and so the rate engine has a fully-sampled mode.  The quantizer's
+levels are fixed numbers, shipped as LEVELS_FILE.
 """
 
+import math
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
-from scipy.special import ndtr, ndtri  # standard normal CDF and its inverse
 
 from .config import adc_bits_violation
 from .errors import ParameterError
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
+# The Lloyd-Max levels of depths 1-12, one depth after another (2^b levels
+# from offset 2^b - 2).  tests/oracles.lloyd_max_design is the fixed-point
+# design that made them, and tests/test_quantize.py regenerates every depth.
+LEVELS_FILE = "lloyd_max_levels.npy"
+
 
 def _norm_pdf(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
+
+
+@lru_cache(maxsize=None)
+def _level_table():
+    with resources.files("mmwsim").joinpath(LEVELS_FILE).open("rb") as fh:
+        table = np.load(fh)
+    table.setflags(write=False)
+    return table
 
 
 # typed: True and 3.0 must reach the check, not the cached designs for 1 and 3
@@ -25,32 +40,16 @@ def _norm_pdf(x):
 def lloyd_max_design(bits):
     """Levels and thresholds of the MMSE quantizer for a unit-variance Gaussian.
 
-    Fixed-point iteration (levels -> midpoint thresholds -> conditional means)
-    warm-started from the optimal point density pdf^(1/3), which for a Gaussian
-    is again Gaussian with variance 3.  Returns (levels, thresholds) with
-    len(thresholds) == len(levels) - 1.
+    The levels are the `bits`-deep slice of LEVELS_FILE and the thresholds
+    their midpoints.  Returns (levels, thresholds), both read-only since every
+    caller shares them, with len(thresholds) == len(levels) - 1.
     """
     if error := adc_bits_violation(bits):
         raise ParameterError(error)
-    n = 2 ** bits
-    # low depths converge fully; high depths start close enough that a
-    # bounded budget leaves the levels within noise of optimal
-    max_iters = 20000 if bits <= 6 else 1500
-    p = (np.arange(n) + 0.5) / n
-    # quantile init on the companded density
-    y = np.sqrt(3.0) * ndtri(p)
-    for _ in range(max_iters):
-        t = 0.5 * (y[:-1] + y[1:])
-        tl = np.concatenate(([-np.inf], t))
-        tu = np.concatenate((t, [np.inf]))
-        prob = ndtr(tu) - ndtr(tl)
-        y_new = (_norm_pdf(tl) - _norm_pdf(tu)) / prob
-        delta = np.max(np.abs(y_new - y))
-        y = y_new
-        if delta < 1e-12:
-            break
-    thresholds = 0.5 * (y[:-1] + y[1:])
-    return y, thresholds
+    levels = _level_table()[2 ** bits - 2:2 ** (bits + 1) - 2]
+    thresholds = 0.5 * (levels[:-1] + levels[1:])
+    thresholds.setflags(write=False)
+    return levels, thresholds
 
 
 def lloyd_max_distortion(bits):
@@ -62,11 +61,13 @@ def lloyd_max_distortion(bits):
     convergence.
     """
     levels, thresholds = lloyd_max_design(bits)
-    # over cell (a, b]: P = Phi(b) - Phi(a), and the partial moments
-    # E[x; a < x <= b] = phi(a) - phi(b) and E[x^2; a < x <= b] =
-    # P + a phi(a) - b phi(b), with their limits at the +-inf edges
+    # over cell (a, b]: P = Phi(b) - Phi(a) with Phi(t) = erfc(-t/sqrt(2))/2,
+    # and the partial moments E[x; a < x <= b] = phi(a) - phi(b) and
+    # E[x^2; a < x <= b] = P + a phi(a) - b phi(b), with their limits at the
+    # +-inf edges
     pdf = _norm_pdf(thresholds)
-    prob = np.diff(np.concatenate(([0.0], ndtr(thresholds), [1.0])))
+    cdf = [0.5 * math.erfc(-t / math.sqrt(2.0)) for t in thresholds]
+    prob = np.diff(np.concatenate(([0.0], cdf, [1.0])))
     m1 = -np.diff(np.concatenate(([0.0], pdf, [0.0])))
     m2 = prob - np.diff(np.concatenate(([0.0], thresholds * pdf, [0.0])))
     return float(np.sum(m2 - 2.0 * levels * m1 + levels ** 2 * prob))

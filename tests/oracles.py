@@ -7,6 +7,10 @@ gram_kernel is the trial-blocked engine's Dirichlet Gram kernel by
 broadcast outer products and a mask over every entry, the arithmetic
 rate._gram_kernel must equal bit for bit.
 
+lloyd_max_design is the fixed-point Lloyd-Max design that made the level
+table mmwsim ships (quantize.LEVELS_FILE); lloyd_max_level_table stacks its
+levels at depths 1-12 into that table.
+
 The rest is a per-realization reference pipeline for the trial-blocked rate
 engine: one block-fading draw of every (BS j, cell l, user k) link, beam training
 for every user, the paper's MMSE pilot phase at every BS (with its per-user
@@ -19,12 +23,13 @@ against this code.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri  # standard normal CDF and its inverse
 
 from mmwsim.bounds import eta2, log_rate
 from mmwsim.channel import draw_angles, large_scale_gains, steering_vector
 from mmwsim.errors import ParameterError
 from mmwsim.estimation import build_pilot_matrix, noise_equivalent_mu
-from mmwsim.quantize import lloyd_max_quantize, quant_noise_power
+from mmwsim.quantize import _norm_pdf, lloyd_max_quantize, quant_noise_power
 from mmwsim.rng import complex_normal
 from mmwsim.training import (_candidate_gains, beamformer_from_angle, build_codebook,
                              gain_lower_bound, select_beams)
@@ -72,6 +77,40 @@ def gram_kernel(N, x):
         endfire = c[ti, ai] * c[ti, bi] + s[ti, ai] * s[ti, bi] < 0.0
         kernel[ti[endfire], ai[endfire], bi[endfire]] = -N
     return kernel / den
+
+
+def lloyd_max_design(bits):
+    """Levels and thresholds of the MMSE quantizer for a unit-variance Gaussian.
+
+    Fixed-point iteration (levels -> midpoint thresholds -> conditional means)
+    warm-started from the optimal point density pdf^(1/3), which for a Gaussian
+    is again Gaussian with variance 3.  Returns (levels, thresholds) with
+    len(thresholds) == len(levels) - 1.
+    """
+    n = 2 ** bits
+    # low depths converge fully; high depths start close enough that a
+    # bounded budget leaves the levels within noise of optimal
+    max_iters = 20000 if bits <= 6 else 1500
+    p = (np.arange(n) + 0.5) / n
+    # quantile init on the companded density
+    y = np.sqrt(3.0) * ndtri(p)
+    for _ in range(max_iters):
+        t = 0.5 * (y[:-1] + y[1:])
+        tl = np.concatenate(([-np.inf], t))
+        tu = np.concatenate((t, [np.inf]))
+        prob = ndtr(tu) - ndtr(tl)
+        y_new = (_norm_pdf(tl) - _norm_pdf(tu)) / prob
+        delta = np.max(np.abs(y_new - y))
+        y = y_new
+        if delta < 1e-12:
+            break
+    thresholds = 0.5 * (y[:-1] + y[1:])
+    return y, thresholds
+
+
+def lloyd_max_level_table():
+    """The levels of lloyd_max_design at depths 1-12, one after another (8190 doubles)."""
+    return np.concatenate([lloyd_max_design(bits)[0] for bits in range(1, 13)])
 
 
 @dataclass

@@ -8,12 +8,14 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 import mmwsim
-from mmwsim.bounds import (EULER_GAMMA, _j0_pi_table, _triple_double_sum, asymptotic_limit,
-                           bound_inputs, eta1, eta2, eta3, eta3_upper_bound,
-                           exact_mean_abs2, exact_mean_inner, exact_mean_triple,
-                           high_pilot_approx, low_snr_approx, lower_bound_rate)
+from mmwsim.bounds import (_J0_PI_HEAD, ETA3_EXACT_MAX_N, EULER_GAMMA, _j0_pi_table,
+                           _triple_double_sum, asymptotic_limit, bound_inputs, eta1, eta2,
+                           eta3, eta3_upper_bound, exact_mean_abs2, exact_mean_inner,
+                           exact_mean_triple, high_pilot_approx, low_snr_approx,
+                           lower_bound_rate)
 from mmwsim.config import SystemConfig
 from mmwsim.errors import ParameterError
 from oracles import single_cell_bound
@@ -45,6 +47,49 @@ def test_bessel_j0_asymptotic_form():
     x = 32 * math.pi
     asym = math.sqrt(2.0 / (math.pi * x)) * math.cos(x - math.pi / 4)
     assert abs(_j0_pi_table(33)[32] - asym) < 1e-4
+
+
+def test_j0_table_follows_scipy_to_a_few_ulps():
+    n = np.arange(ETA3_EXACT_MAX_N)
+    want = scipy.special.j0(math.pi * n)
+    got = _j0_pi_table(ETA3_EXACT_MAX_N)
+    assert got.dtype == want.dtype and not got.flags.writeable
+    np.testing.assert_array_equal(_J0_PI_HEAD, want[:len(_J0_PI_HEAD)])
+    np.testing.assert_array_equal(_j0_pi_table(5), want[:5])
+    assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= 8
+
+
+def _j0_at_rounded_phase(x):
+    # J0 at the double x, with its phase x - pi/4 rounded to a double as cephes
+    # and _j0_pi_table round it: J0 = sqrt(2/(pi x)) (P cos w - Q sin w) with
+    # the modulus-phase functions P, Q of x taken exactly from J0 and Y0.
+    # That rounding moves J0(n pi) by up to ~1e5 ulps at n = 10^5, alike for
+    # both, so the exact J0(x) could not tell their arithmetic apart
+    with mpmath.workdps(40):
+        X = mpmath.mpf(x)
+        chi = X - mpmath.pi / 4
+        j, y = mpmath.besselj(0, X), mpmath.bessely(0, X)
+        s = mpmath.sqrt(mpmath.pi * X / 2)
+        p = s * (j * mpmath.cos(chi) + y * mpmath.sin(chi))
+        q = s * (y * mpmath.cos(chi) - j * mpmath.sin(chi))
+        w = mpmath.mpf(x - math.pi / 4)
+        return mpmath.sqrt(2 / (mpmath.pi * X)) * (p * mpmath.cos(w) - q * mpmath.sin(w))
+
+
+def test_j0_expansion_is_no_less_accurate_than_scipy():
+    # errors in units of 2^-52 |J0| on a log grid of n from 16 to 10^5; the
+    # two are within a few tenths of a unit at most points, either side
+    table = _j0_pi_table(ETA3_EXACT_MAX_N)
+    errors = []
+    for n in np.geomspace(len(_J0_PI_HEAD), ETA3_EXACT_MAX_N - 1, 10).astype(int):
+        x = math.pi * n
+        want = _j0_at_rounded_phase(x)
+        unit = float(abs(want)) * 2.0 ** -52
+        errors.append((float(abs(table[n] - want)) / unit,
+                       float(abs(scipy.special.j0(x) - want)) / unit))
+    ours, theirs = np.array(errors).T
+    assert np.all(ours <= 2.0)
+    assert ours.max() <= theirs.max()
 
 
 def test_euler_constant_precision():
@@ -121,17 +166,39 @@ def test_triple_double_sum_at_largest_exact_N():
     assert _triple_double_sum(1) == 0.0
 
 
-def test_package_import_loads_only_scipy_special():
-    # a fresh interpreter, so that no other test's imports count
+def test_package_runs_without_scipy():
+    # a fresh interpreter, so that no other test's imports count: import the
+    # package and its CLI, run the bound at both ends of the exact eta3 sums,
+    # every quantizer design and a short symbol-mode run, and find no scipy
     src = pathlib.Path(mmwsim.__file__).resolve().parents[1]
-    code = ("import json, sys, mmwsim, mmwsim.cli\n"
-            "print(json.dumps(sorted(name for name, mod in list(sys.modules.items())\n"
-            "    if name.count('.') == 1 and name.startswith('scipy.')\n"
-            "    and not name.split('.')[1].startswith('_') and hasattr(mod, '__path__'))))")
+    code = ("import json, sys, dataclasses, mmwsim, mmwsim.cli\n"
+            "from mmwsim.bounds import ETA3_EXACT_MAX_N, lower_bound_rate\n"
+            "from mmwsim.config import SystemConfig\n"
+            "from mmwsim.quantize import lloyd_max_design\n"
+            "cfg = SystemConfig(L=3, K=4, N=64, M=2, adc_bits=3, p_t=1.0, p_p=4.0)\n"
+            "lower_bound_rate(cfg)\n"
+            "lower_bound_rate(dataclasses.replace(cfg, N=ETA3_EXACT_MAX_N))\n"
+            "for bits in range(1, 13):\n"
+            "    lloyd_max_design(bits)\n"
+            "mmwsim.ergodic_rate(cfg, 20, mode='symbol')\n"
+            "print(json.dumps(sorted(name for name in sys.modules\n"
+            "    if name == 'scipy' or name.startswith('scipy.'))))")
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert json.loads(proc.stdout) == ["scipy.special"]
+    assert json.loads(proc.stdout) == []
+
+
+def test_source_names_scipy_only_in_blas_symbols():
+    # what `grep -rn scipy src/mmwsim` finds in a checkout: the two lines of
+    # rate.py that name numpy's scipy_openblas entry points, and nothing else
+    package = pathlib.Path(mmwsim.__file__).resolve().parent
+    hits = [(path.relative_to(package).as_posix(), line)
+            for path in sorted(package.rglob("*"))
+            if path.is_file() and "__pycache__" not in path.parts
+            for line in path.read_bytes().split(b"\n") if b"scipy" in line]
+    assert [name for name, _ in hits] == ["rate.py"] * 2
+    assert all(b"scipy_openblas" in line for _, line in hits)
 
 
 def test_gain_floor_value():

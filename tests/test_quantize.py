@@ -8,6 +8,7 @@ from mmwsim.errors import ConfigError, ParameterError
 from mmwsim.quantize import (bussgang_decompose, lloyd_max_design, lloyd_max_distortion,
                              lloyd_max_quantize, quant_noise_power, quantizer_work,
                              received_power)
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -15,6 +16,27 @@ def gaussian_samples():
     rng = np.random.default_rng(42)
     n = 10 ** 6
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_shipped_levels_are_the_fixed_point_design(bits):
+    """The shipped levels and their midpoints equal the oracle's design bit for bit.
+
+    After a change to the design, rewrite the level file from the repository root with
+    PYTHONPATH=src:tests python -c "import numpy as np, oracles; np.save('src/mmwsim/lloyd_max_levels.npy', oracles.lloyd_max_level_table())"
+    """
+    for got, want in zip(lloyd_max_design(bits), oracles.lloyd_max_design(bits)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_designs_are_read_only():
+    # every caller shares the cached arrays, and the levels of all depths
+    # are slices of one table
+    for bits in (1, 3, 12):
+        for array in lloyd_max_design(bits):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 def test_one_bit_levels_are_sign_times_two_over_pi():
