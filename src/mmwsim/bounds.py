@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .config import check_integers
 from .estimation import noise_equivalent_mu
 from .quantize import quant_noise_power
 from .training import gain_lower_bound
@@ -45,7 +45,7 @@ def _hankel_coefficients(terms):
 _HANKEL_P, _HANKEL_Q = _hankel_coefficients(14)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)     # typed: True and 64.0 must reach the check
 def _j0_pi_table(N):
     """J0(n*pi) for n = 0..N-1, read-only: the one place the package evaluates Bessel J0.
 
@@ -54,6 +54,7 @@ def _j0_pi_table(N):
     rounds them.  tests/test_bounds.py pins the table to that j0, within a
     few ulps, and to mpmath.
     """
+    check_integers(N=N)
     x = math.pi * np.arange(len(_J0_PI_HEAD), N)
     y = 1.0 / (x * x)
     p = np.full_like(x, _HANKEL_P[-1])
@@ -108,15 +109,13 @@ def exact_mean_triple(N):
 
 def eta1(N):
     """Large-N constant for E{h^H h'}: 1 + (ln N + a)/pi^2."""
-    if not N >= 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
+    check_integers(N=N)
     return 1.0 + (math.log(N) + EULER_GAMMA) / math.pi ** 2
 
 
 def eta2(N):
     """Large-N constant for E{|h^H h'|^2}."""
-    if not N >= 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
+    check_integers(N=N)
     return N - 2.0 / math.pi ** 2 * (N - 1) + 2.0 * N / math.pi ** 2 * (math.log(N) + EULER_GAMMA)
 
 
@@ -130,6 +129,7 @@ def eta3(N):
     and R_LB falls from 5.645691 to 5.636181.  At N=10^7 the exact sum is
     1284, 26 000 times below the bound, and takes 3.2 s on a 2-core host.
     """
+    check_integers(N=N)
     if N > ETA3_EXACT_MAX_N:
         return eta3_upper_bound(N)
     return eta1(N) + 2.0 * _triple_double_sum(N)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import ParameterError
+from .config import check_integers
 
 
 def steering_vector(angle, count):
@@ -10,24 +10,29 @@ def steering_vector(angle, count):
 
     `angle` may be an array of any shape; the element axis is appended last.
     The first element is exactly 1+0j and every element has unit modulus.
+    `count` is checked as a SystemConfig's N.
     """
-    if count < 1:
-        raise ParameterError(f"steering vector length must be >= 1, got {count}")
+    check_integers(N=count)
     z = -1j * np.pi * np.cos(angle)[..., None] * np.arange(count)
     return np.exp(z, out=z)
 
 
 def dirichlet(n, x):
-    """sin(n x) / sin(x) over an array x, and its limit where sin(x) vanishes:
-    n at even multiples of pi, (-1)^(n-1) n at odd ones (the endfire pair).
+    """sin(n x) / sin(x) over an array x, and dirichlet_limit where |sin(x)| < 1e-12.
 
     e^{j(n-1)x} dirichlet(n, x) = h(a)^H h(b), x = (pi/2)(cos a - cos b)."""
     den = np.sin(x)
     small = np.abs(den) < 1e-12
     out = np.sin(n * x)
     np.divide(out, den, out=out, where=~small)
-    out[small] = np.where(np.cos(x[small]) > 0.0, n, (-1) ** (n - 1) * n)
+    out[small] = dirichlet_limit(n, np.cos(x[small]))
     return out
+
+
+def dirichlet_limit(n, cos_x):
+    """The limit of sin(n x) / sin(x) where sin(x) vanishes: n where cos(x) > 0,
+    (-1)^(n-1) n where cos(x) < 0 (the endfire pair)."""
+    return np.where(cos_x < 0.0, (-1) ** (n - 1) * n, n)
 
 
 def large_scale_gains(cfg):

@@ -9,7 +9,7 @@ from contextlib import ExitStack
 from . import __version__
 from .bounds import lower_bound_rate
 from .checks import SUITES
-from .config import (beam_warnings, check_beam_settings, codebook_zeta, config_from_dict,
+from .config import (beam_warnings, check_integers, codebook_zeta, config_from_dict,
                      load_config_doc, parse_setting)
 from .errors import ParameterError
 from .rate import (MODES, _draw_block, _pilot_phase, _run_tables, _symbol_workspace,
@@ -168,7 +168,7 @@ def cmd_validate(args):
 
 
 def cmd_codebook(args):
-    check_beam_settings(args.M, args.B)
+    check_integers(M=args.M, B=args.B)
     phases = build_codebook(args.B)
     zeta = codebook_zeta(args.B)
     print(f"B={args.B} -> {len(phases)} phases, interval zeta={zeta:.6f} rad")

@@ -49,22 +49,19 @@ def distortion_factor(bits):
     return RHO_AD_TABLE[bits]
 
 
-# Memory budget of five things: a drawn trial block (rate._block_trials),
-# where a trial's share is traced at 96 + 32 M bytes per user and 256 more;
-# a sub-block of it in semi mode's Gram kernel, where a trial's share is its
-# (LK, LK) kernel at 16 bytes per entry when LK > 32; a sub-block of it in
-# symbol mode's pilot phase, where a trial's share is its effective channel
-# and its rows of the workspace's pilot arrays; one chunk of
-# training._full_scan, where a scanned user's share is its 2^B scores at 16
-# bytes each; and one chunk of the sides that training._beam_table bisects.
-# Both engine modes run up to rate.WORKERS blocks at once, each with its own
-# budget.  A worker's workspace (rate._semi_workspace, about one Gram
-# sub-block's arrays, or rate._symbol_workspace) lives for the whole run, so
-# it counts against that worker's budget also while the worker draws its
-# next block: on fig2's K = 8, 16 and 32 points a worker's measured peak is
-# 2.0-2.3x the budget.  On the fig2 sweep (4 x 2000 trials in process, 2
-# cores, medians of 7 interleaved runs) 512 KiB took 0.46 s, 1 MiB 0.32 s,
-# 2 MiB 0.28 s and 4 MiB 0.29 s: 2 MiB is 13% faster, for twice the memory.
+# Memory budget of five things: a drawn trial block and its sub-blocks in
+# semi mode's Gram kernel and in symbol mode's pilot phase, each counted by
+# rate._block_trials; one chunk of training._full_scan, where a scanned
+# user's share is its 2^B scores at 16 bytes each; and one chunk of the
+# sides that training._beam_table bisects.  Both engine modes run up to
+# rate.WORKERS blocks at once, each with its own budget.  A worker's
+# workspace (rate._semi_workspace, about one Gram sub-block's arrays, or
+# rate._symbol_workspace) lives for the whole run, so it counts against
+# that worker's budget also while the worker draws its next block: on
+# fig2's K = 8, 16 and 32 points a worker's measured peak is 2.0-2.3x the
+# budget.  On the fig2 sweep (4 x 2000 trials in process, 2 cores, medians
+# of 7 interleaved runs) 512 KiB took 0.46 s, 1 MiB 0.32 s, 2 MiB 0.28 s
+# and 4 MiB 0.29 s: 2 MiB is 13% faster, for twice the memory.
 BLOCK_BYTES = 1 << 20
 
 
@@ -166,35 +163,39 @@ _INT_RANGES = {"L": (1, None), "K": (1, None), "N": (1, None), "M": (1, None),
                "B": (0, MAX_B), "tau": (1, None), "seed": (0, None)}
 
 
-def _int_violation(name, v):
-    """The message if integer field `name` cannot hold `v`, else None."""
-    low, high = _INT_RANGES[name]
-    if not (_is_int(v) and v >= low):
-        kind = "positive" if low else "non-negative"
-        return f"{name} must be a {kind} integer, got {_shown(v)}"
-    if high is not None and v > high:
-        return f"{name} must be at most {high}, got {v}"
-    return None
+def _int_violations(values):
+    """The messages for integer fields by name in `values` that cannot hold
+    their value, then for tau < K where both are named and pass."""
+    errors = {}
+    for name, v in values.items():
+        low, high = _INT_RANGES[name]
+        if not (_is_int(v) and v >= low):
+            kind = "positive" if low else "non-negative"
+            errors[name] = f"{name} must be a {kind} integer, got {_shown(v)}"
+        elif high is not None and v > high:
+            errors[name] = f"{name} must be at most {high}, got {v}"
+    if {"tau", "K"} <= values.keys() - errors.keys() and values["tau"] < values["K"]:
+        errors["tau < K"] = ("tau < K: orthogonal pilots need tau >= K "
+                             f"(tau={values['tau']}, K={values['K']})")
+    return list(errors.values())
 
 
-def check_beam_settings(M, B):
-    """Raise ConfigError unless M and B pass the checks a SystemConfig makes of them."""
-    errors = [e for e in (_int_violation("M", M), _int_violation("B", B)) if e]
+def check_integers(**values):
+    """Raise ParameterError, with the message a SystemConfig gives, unless
+    each named integer field (L, K, N, M, B, tau, seed) passes its check."""
+    errors = _int_violations(values)
     if errors:
-        raise ConfigError(errors)
+        raise ParameterError("; ".join(errors))
 
 
 def _violations(cfg):
     """Every violation in a config whose defaults are filled, as messages."""
-    errors = []
-    bad = {name for name in ("tau", "p_p") if getattr(cfg, name) is None}
-    for name in _INT_RANGES:
-        error = None if name in bad else _int_violation(name, getattr(cfg, name))
-        if error:
-            errors.append(error)
-            bad.add(name)
-    if not bad & {"tau", "K"} and cfg.tau < cfg.K:
-        errors.append(f"tau < K: orthogonal pilots need tau >= K (tau={cfg.tau}, K={cfg.K})")
+    # tau stays unset, and is not reported, only when K is at fault
+    ints = {name: getattr(cfg, name) for name in _INT_RANGES}
+    if cfg.tau is None:
+        del ints["tau"]
+    errors = _int_violations(ints)
+    bad = {"p_p"} if cfg.p_p is None else set()
 
     for name in ("p_t", "p_p", "beta_inter", "rho_ad"):
         v = getattr(cfg, name)

@@ -8,13 +8,12 @@ time, in rate._pilot_phase.
 
 import numpy as np
 
-from .errors import ParameterError
+from .config import check_integers
 
 
 def build_pilot_matrix(tau, K):
     """First K columns of the tau-point unitary DFT matrix; Psi^H Psi = I_K."""
-    if tau < K:
-        raise ParameterError(f"pilot length tau={tau} must be >= K={K}")
+    check_integers(K=K, tau=tau)
     m = np.arange(tau)[:, None]
     n = np.arange(K)[None, :]
     return np.exp(-2j * np.pi * m * n / tau) / np.sqrt(tau)

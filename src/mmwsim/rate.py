@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as rngmod
-from .channel import draw_angles, large_scale_gains, steering_vector
+from .channel import dirichlet_limit, draw_angles, large_scale_gains, steering_vector
 from .config import BLOCK_BYTES
 from .errors import InternalConsistencyError, ParameterError
 from .estimation import build_pilot_matrix, noise_equivalent_mu
@@ -53,6 +53,11 @@ MODES = ("semi", "symbol")
 
 # Data symbols sampled per trial in symbol mode.
 SYMBOLS_PER_TRIAL = 256
+
+# Bytes that _block_trials sets aside in a block's budget for the buffers
+# numpy takes per call when an operation must cast or broadcast: 8192
+# entries per operand, whatever the block's size.
+NUMPY_BUFFERS = 1 << 18
 
 # Usable cores: both modes run up to this many trial blocks at once, each
 # holding its own BLOCK_BYTES.
@@ -150,14 +155,15 @@ def _block_trials(cfg, sub=None):
     """Trials per block under BLOCK_BYTES (at least one): a drawn block, or
     with `sub`, "semi" or "symbol", that mode's sub-blocks of a drawn block.
 
-    A drawn block's share per trial is counted from a trace of _draw_block
-    and _semi_block on its outputs: 96 + 32 M bytes per (cell, user), for
+    Drawn blocks and symbol sub-blocks first set NUMPY_BUFFERS aside.  A
+    drawn block's share per trial is counted from a trace of _draw_block
+    and _semi_block on its outputs: 64 + 32 M bytes per (cell, user), for
     the larger of the draw stage's peak (a user's beamformer and steering
     vector take 32 M of it) and _semi_block's set-up, and 256 bytes for
     the seeding and the per-trial arrays, which outweigh the rest at
-    L = K = 1.  Traced, a block holds 0.73-0.84 of BLOCK_BYTES at fig2's
-    points and at L = K = 1, B = 12; allocations of a fixed size per block
-    take the small blocks of M >= 8 up to 1.2 of it.
+    L = K = 1.  Traced, a block holds 0.66-0.97 of BLOCK_BYTES over fig2's
+    K in {2, 8, 16, 32} x M in {2, 3, 5, 8, 10, 20, 64} and at L = K = 1,
+    B = 12.
 
     A semi sub-block runs _semi_block's Gram kernel: a trial's share is 16
     max(LK, 32) bytes per (cell, user), for its (LK, LK) kernel.  A symbol
@@ -165,22 +171,21 @@ def _block_trials(cfg, sub=None):
     share is 16 N (LK + 2 K) + 82 N tau bytes for its (N, LK) effective
     channel and its rows of the workspace's pilot arrays (sums, pilots,
     their noise, estimates and quantizer buffers), 8 per ADC level for its
-    scaled levels and 1 KiB for its two seeders' state and its I.  Before
-    those trials, the larger of two fixed amounts is set aside: 256 KiB, for
-    the buffers numpy takes to broadcast the sub-block's angles over N in
-    steering_vector (8192 entries per operand, however many trials), and
-    one trial's data phase, 16 (N LK + 3 K S) bytes.  Traced with its
-    workspace rows, a sub-block holds 0.62-0.98 of BLOCK_BYTES on 16
-    configs, 0.97 at symbol_k8 (9 trials), and a drawn block with its
-    sub-blocks 0.73-0.95 where M < 8.
+    scaled levels and 1 KiB for its two seeders' state and its I.  Its
+    reserve is the larger of NUMPY_BUFFERS, which steering_vector's
+    broadcast of the sub-block's angles over N takes, and one trial's data
+    phase, 16 (N LK + 3 K S) bytes.  Traced with its workspace rows, a
+    sub-block holds 0.62-0.98 of BLOCK_BYTES on 16 configs, 0.97 at
+    symbol_k8 (9 trials), and a drawn block with its sub-blocks 0.66-0.87
+    on 8 configs with M <= 5.
     """
     LK = cfg.L * cfg.K
     if sub is None:
-        return max(1, BLOCK_BYTES // (LK * (96 + 32 * cfg.M) + 256))
+        return max(1, (BLOCK_BYTES - NUMPY_BUFFERS) // (LK * (64 + 32 * cfg.M) + 256))
     if sub == "semi":
         return max(1, BLOCK_BYTES // (16 * LK * max(LK, 32)))
     N, K = cfg.N, cfg.K
-    reserve = max(1 << 18, 16 * (N * LK + 3 * K * SYMBOLS_PER_TRIAL))
+    reserve = max(NUMPY_BUFFERS, 16 * (N * LK + 3 * K * SYMBOLS_PER_TRIAL))
     share = 16 * N * (LK + 2 * K) + 82 * N * cfg.tau + (8 << cfg.adc_bits) + 1024
     return max(1, (BLOCK_BYTES - reserve) // share)
 
@@ -267,12 +272,11 @@ def _gram_kernel(N, trig, near, kernel, den, outer):
     rows of _angle_terms' `trig` and `near`, from the difference identities
     as outer products (np.einsum, one product per entry); `den` and `outer`,
     (T, LK, LK) float arrays, are overwritten.  Where the computed
-    denominator vanishes (|den| < 1e-12) the kernel takes its limit: N for
-    equal angles, and (-1)^(N-1) N for the endfire pair x_a - x_b = +-pi, as
-    channel.dirichlet does.  The diagonal's denominator is exactly 0 and is
-    set through a strided view; the off-diagonal test runs on the `near`
-    trials only.  Bit for bit the full-mask arithmetic of
-    tests/oracles.gram_kernel.
+    denominator vanishes (|den| < 1e-12) the kernel takes
+    channel.dirichlet_limit at cos(x_a - x_b), also from the identities.  The
+    diagonal's denominator is exactly 0 and is set through a strided view;
+    the off-diagonal test runs on the `near` trials only.  Bit for bit the
+    full-mask arithmetic of tests/oracles.gram_kernel.
     """
     s, c, sN, cN = trig
     T, LK = s.shape
@@ -281,19 +285,13 @@ def _gram_kernel(N, trig, near, kernel, den, outer):
     np.einsum("ta,tb->tab", sN, cN, out=kernel)
     kernel -= np.einsum("ta,tb->tab", cN, sN, out=outer)
     den.reshape(T, -1)[:, ::LK + 1] = 1.0
-    kernel.reshape(T, -1)[:, ::LK + 1] = N
+    kernel.reshape(T, -1)[:, ::LK + 1] = dirichlet_limit(N, 1.0)      # cos(0) = 1
     rows = np.flatnonzero(near)
     if rows.size:
         d, k, s, c = den[rows], kernel[rows], s[rows], c[rows]
-        small = np.abs(d) < 1e-12
-        d[small] = 1.0
-        k[small] = N
-        # an endfire pair needs users with |sin x| = 1, at theta = 0 and pi,
-        # in its own trial
-        if N % 2 == 0 and np.any(np.abs(s) == 1.0):
-            ti, ai, bi = np.nonzero(small)
-            endfire = c[ti, ai] * c[ti, bi] + s[ti, ai] * s[ti, bi] < 0.0   # cos(x_a - x_b)
-            k[ti[endfire], ai[endfire], bi[endfire]] = -N
+        ti, ai, bi = np.nonzero(np.abs(d) < 1e-12)
+        d[ti, ai, bi] = 1.0
+        k[ti, ai, bi] = dirichlet_limit(N, c[ti, ai] * c[ti, bi] + s[ti, ai] * s[ti, bi])
         den[rows], kernel[rows] = d, k
     kernel /= den
 

@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .channel import dirichlet, steering_vector
-from .config import BLOCK_BYTES, codebook_zeta
-from .errors import InternalConsistencyError, ParameterError
+from .config import BLOCK_BYTES, check_integers, codebook_zeta
+from .errors import InternalConsistencyError
 
 # Certification margin of select_beams, in units of sqrt(M), the peak score:
 # over 150 times four times the rounding bound on computed scores, stated there.
@@ -21,10 +21,7 @@ SCORE_MARGIN = 1e-12
 
 def build_codebook(B):
     """Candidate phases [zeta, 3*zeta, ..., (2^(B+1)-1)*zeta], zeta = pi/2^(B+1)."""
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)):
-        raise ParameterError(f"B must be an integer, got {B!r}")
-    if B < 0:
-        raise ParameterError(f"B must be >= 0, got {B}")
+    check_integers(B=B)
     return (2 * np.arange(2 ** B) + 1) * codebook_zeta(B)
 
 

@@ -108,10 +108,10 @@ def test_eta_small_N_values():
     assert eta1(4) == pytest.approx(1.198945, abs=1e-6)
     with pytest.raises(ParameterError):
         eta1(0)
-    with pytest.raises(ParameterError, match="N must be >= 1, got 0"):
+    with pytest.raises(ParameterError, match="N must be a positive integer, got 0"):
         eta2(0)
     for eta in (eta1, eta2):
-        with pytest.raises(ParameterError, match="N must be >= 1, got nan"):
+        with pytest.raises(ParameterError, match="N must be a positive integer, got nan"):
             eta(math.nan)
 
 

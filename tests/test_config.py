@@ -2,11 +2,14 @@ import json
 import math
 from dataclasses import asdict, fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmwsim import build_codebook, build_pilot_matrix, eta1, eta2, eta3, steering_vector
+from mmwsim.bounds import exact_mean_abs2, exact_mean_inner, exact_mean_triple
 from mmwsim.cli import _resolve_config, build_parser
-from mmwsim.config import (SETTABLE_KEYS, SystemConfig, config_from_dict,
+from mmwsim.config import (MAX_B, SETTABLE_KEYS, SystemConfig, config_from_dict,
                            distortion_factor, load_config, validate_config)
 from mmwsim.errors import ConfigError, ParameterError
 from mmwsim.sweep import _point_config, sweep_spec_from_dict
@@ -53,6 +56,38 @@ def test_all_violations_collected():
     with pytest.raises(ConfigError) as err:
         SystemConfig(K=8, tau=4, adc_bits=40, p_t=-1.0, beta_inter=0.0)
     assert len(err.value.errors) >= 4
+
+
+# (a public helper's call, the SystemConfig fields that hold the same values):
+# each helper checks its integers by the config's own rule
+_HELPER_CASES = {
+    "codebook-B13": (lambda: build_codebook(MAX_B + 1), dict(B=MAX_B + 1)),
+    "codebook-B-1": (lambda: build_codebook(-1), dict(B=-1)),
+    "codebook-B2.5": (lambda: build_codebook(2.5), dict(B=2.5)),
+    "codebook-Bint64": (lambda: build_codebook(np.int64(3)), dict(B=np.int64(3))),
+    "pilots-tau2.5": (lambda: build_pilot_matrix(2.5, 2), dict(tau=2.5, K=2)),
+    "pilots-tau<K": (lambda: build_pilot_matrix(3, 4), dict(tau=3, K=4)),
+    "pilots-K0": (lambda: build_pilot_matrix(3, 0), dict(tau=3, K=0)),
+    "steering-2.5": (lambda: steering_vector(0.3, 2.5), dict(N=2.5)),
+    "steering-True": (lambda: steering_vector(0.3, True), dict(N=True)),
+    "steering-0": (lambda: steering_vector(0.3, 0), dict(N=0)),
+    "eta1-True": (lambda: eta1(True), dict(N=True)),
+    "eta2-0": (lambda: eta2(0), dict(N=0)),
+    "eta3-64.0": (lambda: eta3(64.0), dict(N=64.0)),
+    "eta3-nan": (lambda: eta3(math.nan), dict(N=math.nan)),
+    "inner-0": (lambda: exact_mean_inner(0), dict(N=0)),
+    "abs2-True": (lambda: exact_mean_abs2(True), dict(N=True)),
+    "triple-64.0": (lambda: exact_mean_triple(64.0), dict(N=64.0)),
+}
+
+
+@pytest.mark.parametrize("call, values", _HELPER_CASES.values(), ids=_HELPER_CASES)
+def test_helpers_refuse_what_a_config_refuses(call, values):
+    with pytest.raises(ConfigError) as config_error:
+        SystemConfig(adc_bits=3, **values)
+    with pytest.raises(ParameterError) as helper_error:
+        call()
+    assert str(helper_error.value) == str(config_error.value)
 
 
 def test_rho_override_beats_bits():

@@ -149,25 +149,6 @@ def test_ergodic_rate_deterministic():
     assert a.rate_mc == b.rate_mc
 
 
-@pytest.mark.parametrize("mode", ["semi", "symbol"], ids=["semi-None", "symbol-None"])
-def test_ergodic_rate_block_size_invariant(monkeypatch, mode):
-    # seed 7 realizes the destructive-contamination floor at trial 75
-    cfg = _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7)
-    trials = 30 if mode == "symbol" else 100
-    reports = []
-    for budget in (1, 10 ** 9):      # one trial per block; one block for all trials
-        monkeypatch.setattr(rate, "BLOCK_BYTES", budget)
-        reports.append(ergodic_rate(cfg, trials, mode=mode))
-    one, whole = reports
-    assert rate._block_trials(cfg) >= trials
-    assert one.rate_mc == pytest.approx(whole.rate_mc, rel=1e-12)
-    np.testing.assert_allclose(one.S, whole.S, rtol=1e-12)
-    np.testing.assert_allclose(one.I, whole.I, rtol=1e-12)
-    assert one.pathological == whole.pathological
-    if mode == "semi":
-        assert whole.pathological > 0
-
-
 def _oracle_powers(cfg, trials):
     """Per-trial S, I (after the floor) and floor count from the vector path."""
     S = np.empty((trials, cfg.K))
@@ -241,7 +222,7 @@ def _crafted_x(rng, K):
     return x, list(range(1, 13))
 
 
-@pytest.mark.parametrize("N", [63, 64, 1024])
+@pytest.mark.parametrize("N", [2, 3, 63, 64, 1024])
 def test_gram_kernel_matches_the_full_mask_oracle_on_crafted_angles(N):
     # the sparse fix-up of vanishing denominators writes exactly the oracle's
     # full-mask arithmetic, also where the superset trips but |den| is not small
@@ -406,17 +387,17 @@ def test_pooled_blocks_run_in_the_callers_context(monkeypatch, recwarn):
     assert [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
-# at fig2's K=32 point a drawn block then holds 19 trials and a Gram
-# sub-block 2, so every drawn block ends in a partial sub-block
-SEAM_BYTES = 2 * BLOCK_BYTES // 7
+# at fig2's K=32 point a drawn block then holds 14 trials and a Gram
+# sub-block 3, so every drawn block ends in a partial sub-block
+SEAM_BYTES = 3 * BLOCK_BYTES // 7
 
 
 def _reports_by_workers(monkeypatch, cfg, trials, mode, workers_list=(1, 2, 3)):
-    """One report per worker count, at one trial per block, at the default budget
-    and at SEAM_BYTES."""
+    """One report per worker count and budget: one trial per block,
+    SEAM_BYTES, the default budget and one block for all trials."""
     reports = []
     for workers in workers_list:
-        for budget in (1, BLOCK_BYTES, SEAM_BYTES):
+        for budget in (1, SEAM_BYTES, BLOCK_BYTES, 10 ** 9):
             _pooled(monkeypatch, workers, budget)
             reports.append(ergodic_rate(cfg, trials, mode=mode))
     return reports
@@ -431,26 +412,50 @@ def _assert_same_outputs(reports):
             first.rate_mc, first.ci95, first.pathological)
 
 
-@pytest.mark.parametrize("cfg, trials", [
-    (_cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7), 900),
-    (_fig2_cfg(32), 81),
-], ids=["floor-seed7", "fig2-K32"])
-def test_semi_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials):
-    reports = _reports_by_workers(monkeypatch, cfg, trials, "semi")
-    assert rate._block_trials(cfg) < trials      # the default budget makes several blocks
+# seed 7 realizes the destructive-contamination floor at trial 75
+FLOOR_SEED7 = _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7)
+
+# the benchmark's symbol_k8 config: the fig2 base with K=8, 3-bit ADCs, p_p=8
+SYMBOL_K8 = config_from_dict(dict(load_preset("fig2").base, K=8, adc_bits=3, p_p=8.0))
+
+
+@pytest.mark.parametrize("mode, cfg, trials", [
+    ("semi", FLOOR_SEED7, 900),
+    ("semi", _fig2_cfg(32), 81),
+    ("symbol", FLOOR_SEED7, 30),
+    ("symbol", SYMBOL_K8, 100),
+    ("symbol", _cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 200),
+], ids=["semi-floor-seed7", "semi-fig2-K32", "symbol-floor-seed7", "symbol-symbol_k8", "symbol-L1"])
+def test_outputs_do_not_depend_on_block_size_or_worker_count(monkeypatch, mode, cfg, trials):
+    # every budget on one, two and three workers gives the same bits; symbol
+    # runs hold OpenBLAS at one thread on every worker count
+    reports = _reports_by_workers(monkeypatch, cfg, trials, mode)
     _assert_same_outputs(reports)
-    if cfg.seed == 7:
+    assert rate._block_trials(cfg) >= trials                # the last budget: one block
+    if cfg is FLOOR_SEED7 and mode == "semi":
         assert reports[0].pathological > 0
+    monkeypatch.setattr(rate, "BLOCK_BYTES", BLOCK_BYTES)
+    drawn = rate._block_trials(cfg)
+    if mode == "semi":
+        assert drawn < trials                               # the default budget makes several blocks
     if cfg.K == 32:
-        # each drawn block, the last one too, runs several Gram sub-blocks, the last partial
+        # at SEAM_BYTES each drawn block, the last one too, runs several Gram
+        # sub-blocks, the last partial
         monkeypatch.setattr(rate, "BLOCK_BYTES", SEAM_BYTES)
         drawn, sub = rate._block_trials(cfg), rate._block_trials(cfg, "semi")
         for size in {drawn, trials % drawn or drawn}:
             assert size >= 2 * sub and size % sub
+    if mode == "symbol" and cfg is not FLOOR_SEED7:
+        # the default budget's drawn block runs several pilot sub-blocks,
+        # the last one partial, and SEAM_BYTES makes several drawn blocks
+        sub = rate._block_trials(cfg, "symbol")
+        assert drawn >= trials > sub and trials % sub
+        monkeypatch.setattr(rate, "BLOCK_BYTES", SEAM_BYTES)
+        assert rate._block_trials(cfg) < trials
 
 
 def test_blocks_are_sized_for_the_draws(monkeypatch):
-    # fig2's K=32 point draws 67 trials per block, in Gram sub-blocks of 7
+    # fig2's K=32 point draws 62 trials per block, in Gram sub-blocks of 7
     sizes = []
     draw_block = rate._draw_block
 
@@ -460,18 +465,22 @@ def test_blocks_are_sized_for_the_draws(monkeypatch):
 
     monkeypatch.setattr(rate, "_draw_block", record)
     ergodic_rate(_fig2_cfg(32), 2000)
-    assert len(sizes) == 30
-    assert sorted(sizes)[:2] == [57, 67]
+    assert len(sizes) == 33
+    assert sorted(sizes)[:2] == [16, 62]
     assert rate._block_trials(_fig2_cfg(32), "semi") == 7
 
 
 @pytest.mark.parametrize("cfg", [_fig2_cfg(2), _fig2_cfg(8), _fig2_cfg(32),
+                                 *(_fig2_cfg(8, M=M) for M in (8, 20, 64)),
                                  _cfg(L=1, K=1, B=12, adc_bits=1, seed=5)],
-                         ids=["fig2-K2", "fig2-K8", "fig2-K32", "L1-K1-B12"])
+                         ids=["fig2-K2", "fig2-K8", "fig2-K32", "fig2-K8-M8", "fig2-K8-M20",
+                              "fig2-K8-M64", "L1-K1-B12"])
 def test_a_drawn_block_holds_what_its_count_says(cfg):
     # _block_trials counts a drawn block's share per trial from a trace of
-    # the draw stage and _semi_block on its outputs; the run's table, beam
-    # table and workspace are built before the trace, as in a run
+    # the draw stage and _semi_block on its outputs, after numpy's per-call
+    # buffers, which do not shrink with the block and matter most where
+    # large M makes blocks small; the run's table, beam table and workspace
+    # are built before the trace, as in a run
     trials = rate._block_trials(cfg)
     table = rate._run_tables(cfg)
     workspace = rate._semi_workspace(rate._block_trials(cfg, "semi"), cfg.L, cfg.K)
@@ -518,32 +527,12 @@ def test_a_failing_block_stops_the_run(monkeypatch):
     assert next(calls) < 50
 
 
-# the benchmark's symbol_k8 config: the fig2 base with K=8, 3-bit ADCs, p_p=8
-SYMBOL_K8 = config_from_dict(dict(load_preset("fig2").base, K=8, adc_bits=3, p_p=8.0))
-
 needs_blas_pin = pytest.mark.skipif(
     rate._blas_thread_calls() is None, reason="numpy's BLAS exposes no OpenBLAS thread count")
 
 
 def _blas_threads():
     return rate._blas_thread_calls()[0]()
-
-
-@pytest.mark.parametrize("cfg, trials", [
-    (SYMBOL_K8, 100),
-    (_cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 200),
-], ids=["symbol_k8", "L1"])
-def test_symbol_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg, trials):
-    # every worker count maps its blocks over the pool with OpenBLAS held at one thread
-    reports = _reports_by_workers(monkeypatch, cfg, trials, "symbol")
-    _assert_same_outputs(reports)
-    # SEAM_BYTES makes several drawn blocks, and the default budget's drawn
-    # block several pilot sub-blocks, the last one partial
-    monkeypatch.setattr(rate, "BLOCK_BYTES", SEAM_BYTES)
-    assert rate._block_trials(cfg) < trials
-    monkeypatch.setattr(rate, "BLOCK_BYTES", BLOCK_BYTES)
-    sub = rate._block_trials(cfg, "symbol")
-    assert rate._block_trials(cfg) >= trials > sub and trials % sub
 
 
 def _symbol_args(cfg, table, trials):

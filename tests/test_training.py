@@ -24,10 +24,10 @@ def test_codebook_b1():
 
 
 def test_codebook_rejects_negative_B():
-    with pytest.raises(ParameterError, match="B must be >= 0, got -1"):
+    with pytest.raises(ParameterError, match="B must be a non-negative integer, got -1"):
         build_codebook(-1)
     for B in (2.5, 3.0, True):
-        with pytest.raises(ParameterError, match=f"B must be an integer, got {B!r}"):
+        with pytest.raises(ParameterError, match=f"B must be a non-negative integer, got {B!r}"):
             build_codebook(B)
 
 
@@ -117,8 +117,13 @@ def test_selected_candidate_alignment(M):
     assert np.max(np.abs(np.cos(grid) - np.cos(chosen))) <= zeta + 1e-12
 
 
-def _full_scan_argmax(phi, codebook, M):
-    return np.argmax(_candidate_gains(np.cos(phi), np.cos(codebook), M), axis=-1)
+def _assert_picks_the_full_scan(got, cos_phi, codebook, M):
+    """`got` holds each computed cos phi's best codeword by a scan of the
+    whole codebook, scored about 2^16 scores at a time."""
+    flat, rows = np.ravel(cos_phi), max(1, (1 << 16) // len(codebook))
+    best = [np.argmax(_candidate_gains(flat[i:i + rows], np.cos(codebook), M), axis=-1)
+            for i in range(0, len(flat), rows)]
+    np.testing.assert_array_equal(got, np.concatenate(best).reshape(np.shape(cos_phi)))
 
 
 def _near_codebook(codebook, index, kind):
@@ -140,20 +145,57 @@ _KINDS = ("on", "below", "above", "mid", "cos_mid", "zero", "pi", "near_zero", "
 def test_select_beams_equals_full_scan(M, B, picks, uniform):
     cb = build_codebook(B)
     phi = np.array([_near_codebook(cb, i, kind) for i, kind in picks] + uniform + [0.0, np.pi])
-    np.testing.assert_array_equal(select_beams(phi, cb, M), _full_scan_argmax(phi, cb, M))
+    _assert_picks_the_full_scan(select_beams(phi, cb, M), np.cos(phi), cb, M)
 
 
-@pytest.mark.parametrize("M,B", [(2, 0), (2, 1), (3, 3), (4, 6), (16, 3), (32, 4), (64, 6), (2, 8), (5, 8),
-                                 (10, 6), (20, 6)])
-def test_select_beams_equals_full_scan_on_a_dense_grid(M, B):
-    cb = build_codebook(B)
+def _dense_grid(cb, M, B):
+    """20k uniform angles, the codewords, the doubles beside them, the
+    midpoints and the ends, as an (n, 2) array."""
     rng = np.random.default_rng(M * 100 + B)
     edges = np.concatenate([cb, np.nextafter(cb, 0.0), np.nextafter(cb, 4.0),
                             0.5 * (cb[1:] + cb[:-1]), [0.0, np.pi, 1e-9, np.pi - 1e-9]])
-    phi = np.concatenate([rng.uniform(0.0, np.pi, 20_000 + len(edges) % 2), edges]).reshape(-1, 2)
+    return np.concatenate([rng.uniform(0.0, np.pi, 20_000 + len(edges) % 2), edges]).reshape(-1, 2)
+
+
+def _fine_codebook(cb, M, B):
+    """Near-ties on the main lobe, and users near 0 and pi, whose far-end
+    codewords wrap and, unless M is a power of two, carry the largest
+    rounding in their scores."""
+    rng = np.random.default_rng(M * 100 + B)
+    picks = rng.integers(0, len(cb), 100)
+    tiny = 10.0 ** -np.arange(1, 13)
+    return np.concatenate([rng.uniform(0.0, np.pi, 1000), tiny, np.pi - tiny, [0.0, np.pi],
+                           *([_near_codebook(cb, i, kind) for i in picks]
+                             for kind in ("on", "below", "above", "mid", "cos_mid"))])
+
+
+_FAMILIES = {"grid": _dense_grid, "fine": _fine_codebook}
+_FAMILY_CASES = (
+    [("grid", M, B) for M, B in [(2, 0), (2, 1), (3, 3), (4, 6), (16, 3), (32, 4), (64, 6),
+                                 (2, 8), (5, 8), (10, 6), (20, 6)]]
+    + [("fine", M, B) for B in (6, 10, 12) for M in (2, 5, 8, 16)]
+    + [("edges", M, B) for M, B in [(2, 6), (2, 12), (4, 6), (5, 6), (8, 10), (16, 8), (20, 6)]])
+
+
+@pytest.mark.parametrize("family, M, B", _FAMILY_CASES,
+                         ids=[f"{family}-{M}-{B}" for family, M, B in _FAMILY_CASES])
+def test_select_beams_equals_full_scan_on_each_family(family, M, B):
+    cb = build_codebook(B)
+    if family == "edges":
+        # certification stops at each interval's edges: at an edge and one
+        # double either side of it, a lookup must pick what the full scan picks
+        edges, index = training._beam_table(M, B)
+        cos_phi = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0)])
+        cos_phi = cos_phi[np.abs(cos_phi) <= 1.0]
+        _assert_picks_the_full_scan(training._lookup(cos_phi, cb, M), cos_phi, cb, M)
+        # lower edges and the doubles above them lie inside: the table answers those
+        assert np.mean(index[np.searchsorted(edges, cos_phi, side="right")] >= 0) > 0.3
+        phi = np.concatenate([cb, [0.0, np.pi]])       # and the codewords, through select_beams
+    else:
+        phi = _FAMILIES[family](cb, M, B)
     got = select_beams(phi, cb, M)
     assert got.shape == phi.shape
-    np.testing.assert_array_equal(got, _full_scan_argmax(phi, cb, M))
+    _assert_picks_the_full_scan(got, np.cos(phi), cb, M)
 
 
 def test_forced_fallback_scans_in_chunks(monkeypatch):
@@ -170,8 +212,7 @@ def test_forced_fallback_scans_in_chunks(monkeypatch):
     monkeypatch.setattr(training, "_candidate_gains",
                         lambda c, cb, M: calls.append(np.shape(c)) or gains(c, cb, M))
     phi = np.random.default_rng(3).uniform(0.0, np.pi, (4, 5))
-    got = select_beams(phi, cb, 4)
-    np.testing.assert_array_equal(got, _full_scan_argmax(phi, cb, 4))
+    _assert_picks_the_full_scan(select_beams(phi, cb, 4), np.cos(phi), cb, 4)
     assert calls == [(3,)] * 6 + [(2,)]
 
 
@@ -194,38 +235,6 @@ def test_certificate_settles_nearly_every_user(monkeypatch, M, B):
     phi = np.random.default_rng(M).uniform(0.0, np.pi, 100_000)
     select_beams(phi, build_codebook(B), M)
     assert sum(scanned) <= 0.01 * len(phi)
-
-
-@pytest.mark.parametrize("B", [6, 10, 12])
-@pytest.mark.parametrize("M", [2, 5, 8, 16])
-def test_select_beams_equals_full_scan_at_fine_codebooks(M, B):
-    # near-ties on the main lobe, and users near 0 and pi, whose far-end
-    # codewords wrap and, unless M is a power of two, carry the largest
-    # rounding in their scores
-    cb = build_codebook(B)
-    rng = np.random.default_rng(M * 100 + B)
-    picks = rng.integers(0, len(cb), 100)
-    tiny = 10.0 ** -np.arange(1, 13)
-    phi = np.concatenate([rng.uniform(0.0, np.pi, 1000), tiny, np.pi - tiny, [0.0, np.pi],
-                          *([_near_codebook(cb, i, kind) for i in picks]
-                            for kind in ("on", "below", "above", "mid", "cos_mid"))])
-    np.testing.assert_array_equal(select_beams(phi, cb, M), _full_scan_argmax(phi, cb, M))
-
-
-@pytest.mark.parametrize("M, B", [(2, 6), (2, 12), (4, 6), (5, 6), (8, 10), (16, 8), (20, 6)])
-def test_table_lookup_equals_full_scan_at_its_edges(M, B):
-    # certification stops at each interval's edges: at an edge and one double
-    # either side of it, a lookup must pick what the full scan picks
-    cb = build_codebook(B)
-    edges, index = training._beam_table(M, B)
-    cos_phi = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0)])
-    cos_phi = cos_phi[np.abs(cos_phi) <= 1.0]
-    np.testing.assert_array_equal(training._lookup(cos_phi, cb, M),
-                                  training._full_scan(cos_phi, np.cos(cb), M))
-    # lower edges and the doubles above them lie inside: the table answers those
-    assert np.mean(index[np.searchsorted(edges, cos_phi, side="right")] >= 0) > 0.3
-    phi = np.concatenate([cb, [0.0, np.pi]])
-    np.testing.assert_array_equal(select_beams(phi, cb, M), _full_scan_argmax(phi, cb, M))
 
 
 def test_sidelobe_bound_covers_the_sidelobes():
