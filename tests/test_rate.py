@@ -419,14 +419,17 @@ FLOOR_SEED7 = _cfg(L=3, K=2, N=64, adc_bits=1, p_t=1.0, p_p=2.0, seed=7)
 SYMBOL_K8 = config_from_dict(dict(load_preset("fig2").base, K=8, adc_bits=3, p_p=8.0))
 
 
-@pytest.mark.parametrize("mode, cfg, trials", [
-    ("semi", FLOOR_SEED7, 900),
-    ("semi", _fig2_cfg(32), 81),
-    ("symbol", FLOOR_SEED7, 30),
-    ("symbol", SYMBOL_K8, 100),
-    ("symbol", _cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 200),
-], ids=["semi-floor-seed7", "semi-fig2-K32", "symbol-floor-seed7", "symbol-symbol_k8", "symbol-L1"])
-def test_outputs_do_not_depend_on_block_size_or_worker_count(monkeypatch, mode, cfg, trials):
+@pytest.mark.parametrize("mode, cfg, trials, blocks", [
+    ("semi", FLOOR_SEED7, 900, 2),
+    ("semi", FLOOR_SEED7, 100, 1),
+    ("semi", _fig2_cfg(32), 81, 2),
+    ("symbol", FLOOR_SEED7, 30, 1),
+    ("symbol", SYMBOL_K8, 100, 1),
+    ("symbol", _cfg(L=1, K=16, N=16, adc_bits=2, p_p=16.0, seed=3), 200, 1),
+], ids=["semi-floor-seed7", "semi-floor-seed7-100", "semi-fig2-K32", "symbol-floor-seed7",
+        "symbol-symbol_k8", "symbol-L1"])
+def test_outputs_do_not_depend_on_block_size_or_worker_count(monkeypatch, mode, cfg, trials,
+                                                             blocks):
     # every budget on one, two and three workers gives the same bits; symbol
     # runs hold OpenBLAS at one thread on every worker count
     reports = _reports_by_workers(monkeypatch, cfg, trials, mode)
@@ -436,8 +439,7 @@ def test_outputs_do_not_depend_on_block_size_or_worker_count(monkeypatch, mode, 
         assert reports[0].pathological > 0
     monkeypatch.setattr(rate, "BLOCK_BYTES", BLOCK_BYTES)
     drawn = rate._block_trials(cfg)
-    if mode == "semi":
-        assert drawn < trials                               # the default budget makes several blocks
+    assert -(-trials // drawn) == blocks                    # blocks at the default budget
     if cfg.K == 32:
         # at SEAM_BYTES each drawn block, the last one too, runs several Gram
         # sub-blocks, the last partial
