@@ -9,12 +9,10 @@ from contextlib import ExitStack
 from . import __version__
 from .bounds import lower_bound_rate
 from .checks import SUITES
-from .config import (beam_warnings, check_integers, codebook_zeta, config_from_dict,
-                     load_config_doc, parse_setting)
+from .config import (beam_warnings, codebook_zeta, config_from_dict, load_config_doc,
+                     parse_setting)
 from .errors import ParameterError
-from .rate import (MODES, _draw_block, _pilot_phase, _run_tables, _symbol_workspace,
-                   check_mode, check_trials, ergodic_rate)
-from .rng import STAGE_CHANNEL, STAGE_PILOT, streams
+from .rate import MODES, check_mode, check_trials, ergodic_rate, trial_zero
 from .sweep import (AXIS_COLUMN, _resolve, emit_plot_script, list_presets, load_preset,
                     load_sweep_spec, plotted_outputs, run_sweep, sweep_row, write_csv)
 from .training import build_codebook, gain_lower_bound
@@ -107,22 +105,13 @@ def _write_rows(fh, header, rows):
 
 
 def _debug_dump(cfg, mode, realization, error_power=None):
-    """Write trial 0's draws at BS 0, as the run computed them, to open files.
-
-    The realization CSV holds theta_0lk, beta_0lk and |c_0lk|.  Symbol mode
-    also writes ||e_0k||^2 from its sampled pilot phase; semi mode samples no
-    pilots, so it writes no error powers.
-    """
-    table = _run_tables(cfg)
-    theta0, c0, _, total, _ = _draw_block(cfg, range(1), streams(cfg.seed, STAGE_CHANNEL), table)
-    beta0 = table.b0
+    """Write rate.trial_zero's theta_0lk, beta_0lk and |c_0lk| to `realization`, and
+    symbol mode's error powers ||e_0k||^2 to `error_power`."""
+    theta, beta, c, err = trial_zero(cfg, mode)
     _write_rows(realization, ["l", "k", "theta", "beta", "abs_c"], [
-        [l, k, f"{theta0[0, l, k]:.10g}", f"{beta0[l, k]:.10g}", f"{abs(c0[0, l, k]):.10g}"]
+        [l, k, f"{theta[l, k]:.10g}", f"{beta[l, k]:.10g}", f"{abs(c[l, k]):.10g}"]
         for l in range(cfg.L) for k in range(cfg.K)])
-    if mode == "symbol":
-        eff, est = _pilot_phase(cfg, table, streams(cfg.seed, STAGE_PILOT)(range(1)),
-                                theta0, c0, total, _symbol_workspace(cfg, 1))
-        err = (abs(est[0] - eff[0, :, :cfg.K]) ** 2).sum(axis=0)
+    if err is not None:
         _write_rows(error_power, ["k", "err_power"],
                     [[k, f"{err[k]:.10g}"] for k in range(cfg.K)])
 
@@ -168,13 +157,12 @@ def cmd_validate(args):
 
 
 def cmd_codebook(args):
-    check_integers(M=args.M, B=args.B)
+    lo = gain_lower_bound(args.M, args.B)             # checks M and B before anything prints
     phases = build_codebook(args.B)
     zeta = codebook_zeta(args.B)
     print(f"B={args.B} -> {len(phases)} phases, interval zeta={zeta:.6f} rad")
     for i, p in enumerate(phases):
         print(f"  [{i:3d}] {p:.6f}")
-    lo = gain_lower_bound(args.M, args.B)
     print(f"gain bounds for M={args.M}: {lo:.6f} <= |c| <= {math.sqrt(args.M):.6f}")
     for w in beam_warnings(args.M, args.B):
         print(f"warning: {w}")

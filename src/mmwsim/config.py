@@ -72,7 +72,9 @@ def codebook_zeta(B):
 
 def beam_warnings(M, B):
     """The analytic lower gain bound only holds for zeta <= 2/M; wider
-    codebook intervals are allowed but flagged.  Returns () or one note."""
+    codebook intervals are allowed but flagged.  Returns () or one note.
+    M and B are checked as a SystemConfig's."""
+    check_integers(M=M, B=B)
     zeta = codebook_zeta(B)
     if zeta <= 2.0 / M:
         return ()

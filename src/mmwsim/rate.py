@@ -195,17 +195,15 @@ class _RunTable(NamedTuple):
 
     b0: np.ndarray          # BS 0's gains beta_0lk (L, K)
     root_b0: np.ndarray     # their square roots
-    codebook: np.ndarray    # the (2^B,) codebook angles
-    beams: np.ndarray       # its (2^B, M) beamformers
+    beams: np.ndarray       # the (2^B, M) beamformers of build_codebook(B), in index order
     pilots: np.ndarray      # the (tau, K) pilot matrix Psi
 
 
 def _run_tables(cfg):
     """Build the run's _RunTable, which both engine modes read."""
     b0 = large_scale_gains(cfg)[0]
-    codebook = build_codebook(cfg.B)
-    return _RunTable(b0, np.sqrt(b0), codebook, beamformer_from_angle(codebook, cfg.M),
-                    build_pilot_matrix(cfg.tau, cfg.K))
+    return _RunTable(b0, np.sqrt(b0), beamformer_from_angle(build_codebook(cfg.B), cfg.M),
+                     build_pilot_matrix(cfg.tau, cfg.K))
 
 
 def _draw_block(cfg, trials, channel, table):
@@ -224,7 +222,7 @@ def _draw_block(cfg, trials, channel, table):
     L, K, M = cfg.L, cfg.K, cfg.M
     angles = draw_angles(channel(trials), np.empty((len(trials), 2, L, L, K)))
     cells = np.arange(L)
-    w = table.beams[select_beams(angles[:, 0, cells, cells], table.codebook, M)]   # (T, L, K, M)
+    w = table.beams[select_beams(angles[:, 0, cells, cells], M, cfg.B)]   # (T, L, K, M)
     phi0, theta0 = angles[:, 0, 0].copy(), angles[:, 1, 0].copy()
     del angles                                        # BS 0's rows are all that is left to read
     h = steering_vector(phi0, M)
@@ -549,3 +547,17 @@ def ergodic_rate(cfg, trials, mode="semi"):
         rate_mc=rate, ci95=ci95, trials=trials, mode=mode,
         S=S, I=I, pathological=npath,
     )
+
+
+def trial_zero(cfg, mode):
+    """Trial 0 at BS 0 as ergodic_rate draws it in `mode`: the (L, K) theta_0lk, beta_0lk
+    and c_0lk, and symbol mode's (K,) error powers ||e_0k||^2 (None in semi mode)."""
+    check_mode(mode, [cfg])
+    table = _run_tables(cfg)
+    theta0, c0, _, total, _ = _draw_block(
+        cfg, range(1), rngmod.streams(cfg.seed, rngmod.STAGE_CHANNEL), table)
+    if mode == "semi":
+        return theta0[0], table.b0, c0[0], None
+    eff, est = _pilot_phase(cfg, table, rngmod.streams(cfg.seed, rngmod.STAGE_PILOT)(range(1)),
+                            theta0, c0, total, _symbol_workspace(cfg, 1))
+    return theta0[0], table.b0, c0[0], (abs(est[0] - eff[0, :, :cfg.K]) ** 2).sum(axis=0)

@@ -28,13 +28,16 @@ def build_codebook(B):
 def beamformer_from_angle(phi_hat, M):
     """Unit-norm analog beamformer steered at phi_hat; entries have modulus 1/sqrt(M).
 
-    phi_hat may be an array; the element axis is appended last.
+    phi_hat may be an array; the element axis is appended last.  M is
+    checked as a SystemConfig's M.
     """
+    check_integers(M=M)
     return steering_vector(phi_hat, M) / math.sqrt(M)
 
 
 def gain_lower_bound(M, B):
     """Noiseless in-cell gain floor sqrt(M) * sinc(M*pi*zeta/2), valid for zeta <= 2/M."""
+    check_integers(M=M, B=B)
     x = 0.5 * M * math.pi * codebook_zeta(B)
     return math.sqrt(M) * (math.sin(x) / x if x != 0.0 else 1.0)
 
@@ -160,11 +163,11 @@ def _beam_table(M, B):
     return edges, index
 
 
-def select_beams(own_phi, codebook, M):
-    """Index into `codebook` of the phase maximizing each user's noiseless tone magnitude.
+def select_beams(own_phi, M, B):
+    """Index into build_codebook(B) of the phase maximizing each user's noiseless tone magnitude.
 
     own_phi holds own-cell angles phi[l, l, k] with any leading shape; the
-    result has that shape.  `codebook` is build_codebook(B).  The tone
+    result has that shape.  M and B are checked as a SystemConfig's.  The tone
     amplitude beta_llk^(1/2) is 1 for every own-cell user, so it does not
     scale the scores.  The result is the argmax of _candidate_gains over
     the whole codebook, ties broken toward the smallest index; M = 1 scores
@@ -228,17 +231,18 @@ def select_beams(own_phi, codebook, M):
     interval is a chain of pieces from cos psi_j, so every point of the
     interval is certified.
     """
+    check_integers(M=M, B=B)
     own_phi = np.asarray(own_phi, dtype=float)
     if M == 1:
         return np.zeros(own_phi.shape, dtype=np.intp)
-    return _lookup(np.cos(own_phi).ravel(), codebook, M).reshape(own_phi.shape)
+    return _lookup(np.cos(own_phi).ravel(), M, B).reshape(own_phi.shape)
 
 
-def _lookup(cos_phi, codebook, M):
+def _lookup(cos_phi, M, B):
     """select_beams' indices for flat computed cos phi, M >= 2."""
-    edges, index = _beam_table(M, len(codebook).bit_length() - 1)
+    edges, index = _beam_table(M, B)
     idx = index[np.searchsorted(edges, cos_phi, side="right")]
     fallback = idx < 0
     if np.any(fallback):
-        idx[fallback] = _full_scan(cos_phi[fallback], np.cos(codebook), M)
+        idx[fallback] = _full_scan(cos_phi[fallback], np.cos(build_codebook(B)), M)
     return idx

@@ -199,7 +199,6 @@ class TrainingResult:
     phi_hat: np.ndarray
     w: np.ndarray
     c: np.ndarray
-    codebook: np.ndarray
 
 
 def train_beams(realization, cfg):
@@ -207,14 +206,13 @@ def train_beams(realization, cfg):
     gains.  Cells train on orthogonal resources, so nothing perturbs the
     selection."""
     L, M = realization.L, realization.M
-    codebook = build_codebook(cfg.B)
     cells = np.arange(L)
-    phi_hat = codebook[select_beams(realization.phi[cells, cells], codebook, M)]  # (L, K)
+    phi_hat = build_codebook(cfg.B)[select_beams(realization.phi[cells, cells], M, cfg.B)]  # (L, K)
     w = beamformer_from_angle(phi_hat, M)
 
     # c[j, l, k] = h_U[j, l, k]^H w[l, k]
     c = np.einsum("jlkm,lkm->jlk", realization.h_U.conj(), w)
-    return TrainingResult(phi_hat=phi_hat, w=w, c=c, codebook=codebook)
+    return TrainingResult(phi_hat=phi_hat, w=w, c=c)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pathlib
@@ -40,12 +41,16 @@ RETIRED = {
     "config": ["set_param", "gain_floor_warnings", "_PAIRED"],
     "config.SystemConfig": ["zeta", "log_rate", "validated", "sigma_n2"],
     "rate.RateReport": ["gamma_samples", "seed"],
+    "rate._RunTable": ["codebook"],
     "checks": ["xi_ordering_violations", "gain_bound_checks", "run_suite"],
 }
 
 SIGNATURES = {
     "rate.ergodic_rate": "(cfg, trials, mode='semi')",
-    "training.select_beams": "(own_phi, codebook, M)",
+    "training.select_beams": "(own_phi, M, B)",
+    "training.gain_lower_bound": "(M, B)",
+    "training.beamformer_from_angle": "(phi_hat, M)",
+    "config.beam_warnings": "(M, B)",
     "quantize.lloyd_max_design": "(bits)",
     "quantize.lloyd_max_distortion": "(bits)",
     "quantize.received_power": "(total, power)",
@@ -82,7 +87,8 @@ def test_retired_names_are_gone():
 
 
 def test_signatures():
-    # beam training is noiseless and unweighted; the quantizer design has one budget
+    # beam training is noiseless and unweighted and its helpers take (M, B);
+    # the quantizer design has one budget
     assert {name: str(inspect.signature(_lookup(name))) for name in SIGNATURES} == SIGNATURES
 
 
@@ -94,3 +100,18 @@ def test_rng_is_the_one_seeding_path():
     texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
     assert [name for name, text in texts.items() if "np.random" in text] == ["rng.py"]
     assert [name for name, text in texts.items() if "substream" in text] == ["checks.py", "rng.py"]
+
+
+def test_cli_asks_rate_for_what_a_run_computes():
+    # the CLI builds no trial itself: from rate it imports the entry points
+    # and trial_zero, no private name, and it imports nothing from rng.
+    # `from . import x` is keyed by x, so importing either module is caught too
+    tree = ast.parse((pathlib.Path(mmwsim.__file__).parent / "cli.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported.setdefault(node.module or alias.name, []).append(alias.name)
+    assert sorted(imported["rate"]) == ["MODES", "check_mode", "check_trials", "ergodic_rate",
+                                        "trial_zero"]
+    assert "rng" not in imported

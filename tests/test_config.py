@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from mmwsim import build_codebook, build_pilot_matrix, eta1, eta2, eta3, steering_vector
 from mmwsim.bounds import exact_mean_abs2, exact_mean_inner, exact_mean_triple
 from mmwsim.cli import _resolve_config, build_parser
-from mmwsim.config import (MAX_B, SETTABLE_KEYS, SystemConfig, config_from_dict,
+from mmwsim.config import (MAX_B, SETTABLE_KEYS, SystemConfig, beam_warnings, config_from_dict,
                            distortion_factor, load_config, validate_config)
 from mmwsim.errors import ConfigError, ParameterError
 from mmwsim.sweep import _point_config, sweep_spec_from_dict
+from mmwsim.training import beamformer_from_angle, gain_lower_bound, select_beams
 
 
 def test_distortion_factor_one_bit_is_analytic():
@@ -78,6 +79,15 @@ _HELPER_CASES = {
     "inner-0": (lambda: exact_mean_inner(0), dict(N=0)),
     "abs2-True": (lambda: exact_mean_abs2(True), dict(N=True)),
     "triple-64.0": (lambda: exact_mean_triple(64.0), dict(N=64.0)),
+    "warnings-M0": (lambda: beam_warnings(0, 6), dict(M=0)),
+    "warnings-MTrue": (lambda: beam_warnings(True, 6), dict(M=True)),
+    "gain-M0": (lambda: gain_lower_bound(0, 6), dict(M=0)),
+    "gain-B40": (lambda: gain_lower_bound(2, 40), dict(B=40)),
+    "gain-B-1": (lambda: gain_lower_bound(2, -1), dict(B=-1)),
+    "gain-M2.5": (lambda: gain_lower_bound(2.5, 6), dict(M=2.5)),
+    "beamformer-M2.5": (lambda: beamformer_from_angle(0.3, 2.5), dict(M=2.5)),
+    "select-M0": (lambda: select_beams(0.3, 0, 6), dict(M=0)),
+    "select-B13": (lambda: select_beams(0.3, 2, MAX_B + 1), dict(B=MAX_B + 1)),
 }
 
 

@@ -145,7 +145,7 @@ _KINDS = ("on", "below", "above", "mid", "cos_mid", "zero", "pi", "near_zero", "
 def test_select_beams_equals_full_scan(M, B, picks, uniform):
     cb = build_codebook(B)
     phi = np.array([_near_codebook(cb, i, kind) for i, kind in picks] + uniform + [0.0, np.pi])
-    _assert_picks_the_full_scan(select_beams(phi, cb, M), np.cos(phi), cb, M)
+    _assert_picks_the_full_scan(select_beams(phi, M, B), np.cos(phi), cb, M)
 
 
 def _dense_grid(cb, M, B):
@@ -187,13 +187,13 @@ def test_select_beams_equals_full_scan_on_each_family(family, M, B):
         edges, index = training._beam_table(M, B)
         cos_phi = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0)])
         cos_phi = cos_phi[np.abs(cos_phi) <= 1.0]
-        _assert_picks_the_full_scan(training._lookup(cos_phi, cb, M), cos_phi, cb, M)
+        _assert_picks_the_full_scan(training._lookup(cos_phi, M, B), cos_phi, cb, M)
         # lower edges and the doubles above them lie inside: the table answers those
         assert np.mean(index[np.searchsorted(edges, cos_phi, side="right")] >= 0) > 0.3
         phi = np.concatenate([cb, [0.0, np.pi]])       # and the codewords, through select_beams
     else:
         phi = _FAMILIES[family](cb, M, B)
-    got = select_beams(phi, cb, M)
+    got = select_beams(phi, M, B)
     assert got.shape == phi.shape
     _assert_picks_the_full_scan(got, np.cos(phi), cb, M)
 
@@ -212,7 +212,7 @@ def test_forced_fallback_scans_in_chunks(monkeypatch):
     monkeypatch.setattr(training, "_candidate_gains",
                         lambda c, cb, M: calls.append(np.shape(c)) or gains(c, cb, M))
     phi = np.random.default_rng(3).uniform(0.0, np.pi, (4, 5))
-    _assert_picks_the_full_scan(select_beams(phi, cb, 4), np.cos(phi), cb, 4)
+    _assert_picks_the_full_scan(select_beams(phi, 4, 6), np.cos(phi), cb, 4)
     assert calls == [(3,)] * 6 + [(2,)]
 
 
@@ -233,7 +233,7 @@ def test_certificate_settles_nearly_every_user(monkeypatch, M, B):
     monkeypatch.setattr(training, "_full_scan",
                         lambda c, cb, M: scanned.append(len(c)) or scan(c, cb, M))
     phi = np.random.default_rng(M).uniform(0.0, np.pi, 100_000)
-    select_beams(phi, build_codebook(B), M)
+    select_beams(phi, M, B)
     assert sum(scanned) <= 0.01 * len(phi)
 
 
