@@ -24,8 +24,9 @@ trials reuse memory instead of faulting in fresh pages.  A symbol run holds
 numpy's OpenBLAS pool at one thread, so its idle workers do not spin on the
 cores the blocks need; where that pool cannot be reached, symbol mode maps
 its blocks over one worker.  Every trial still draws from its own (seed,
-trial, stage) streams, so results do not depend on the block sizes or the
-thread count.
+trial, stage) streams, so its row does not depend on the block sizes, the
+thread count or the range it runs in: run_trials fills a range's rows, and
+ergodic_rate reduces them.
 """
 
 import contextlib
@@ -295,7 +296,8 @@ def _gram_kernel(N, trig, near, kernel, den, outer):
 
 
 def _semi_block(cfg, table, theta0, c0, bg, total, a, workspace):
-    """(I, pathological) at BS 0 for a drawn block: I is (T, K), from _draw_block's outputs.
+    """(I, floor) at BS 0 for a drawn block, from _draw_block's outputs: I is
+    (T, K) and floor (T,) counts each trial's users that hit the floor.
 
     The same conditional powers as the per-realization _conditional_powers
     in tests/oracles.py, with every BS-side inner product taken from the
@@ -310,7 +312,7 @@ def _semi_block(cfg, table, theta0, c0, bg, total, a, workspace):
     `table` is the run's _run_tables(cfg).
 
     I is the conditional variance E|y|^2 - S, or, where pilot contamination
-    drives that to zero or below (counted in `pathological`), E|y - a x|^2.
+    drives that to zero or below (counted in `floor`), E|y - a x|^2.
 
     The per-trial set-up (x and its sines and cosines, the phases, the
     coefficients, mu and sigma_q^2) is computed once for the block; the
@@ -368,7 +370,7 @@ def _semi_block(cfg, table, theta0, c0, bg, total, a, workspace):
 
     I = e_in + e_iq + e_sr - a ** 2
     bad = I <= 0.0
-    return np.where(bad, I + 2.0 * a * (a - ea), I), int(np.sum(bad))
+    return np.where(bad, I + 2.0 * a * (a - ea), I), np.sum(bad, axis=1)
 
 
 def _pilot_phase(cfg, table, rngs, theta0, c0, total, workspace):
@@ -470,18 +472,24 @@ def _symbol_block(cfg, table, pilots, data, trials, theta0, c0, total, a, worksp
     return I
 
 
-def ergodic_rate(cfg, trials, mode="semi"):
-    """Monte-Carlo ergodic rate over `trials` block-fading realizations.
+class TrialRows(NamedTuple):
+    """Per-trial rows of run_trials, in trial order."""
 
-    `mode` is "semi" (semi-analytic) or "symbol" (symbol-level).  Returns
-    mean log2(1 + gamma) with a 95% confidence half-width over per-trial
-    averages.  Deterministic for a given cfg.seed; trials run in blocks of
-    BLOCK_BYTES (semi mode's Gram kernel and symbol mode's pilot phase in
-    sub-blocks of their own), and every trial draws from its own (seed,
-    trial, stage) streams, so the result does not depend on the block sizes.
-    Up to WORKERS blocks run at once on a thread pool, each in a copy of the
-    caller's context (so np.errstate holds in every block), and the result
-    is bit-identical at any thread count.  Each pool thread builds one
+    S: np.ndarray           # (n, K) signal powers at BS 0
+    I: np.ndarray           # (n, K) interference-plus-noise powers at BS 0
+    floor: np.ndarray       # (n,) users of the trial that hit the contamination floor
+
+
+def run_trials(cfg, trials, mode):
+    """Per-trial rows at BS 0 for `trials`, a non-empty range of trial indices, in `mode`.
+
+    Trials run in blocks of BLOCK_BYTES (semi mode's Gram kernel and symbol
+    mode's pilot phase in sub-blocks of their own), and every trial draws
+    from its own (seed, trial, stage) streams, so a trial's row does not
+    depend on the range it runs in or on the block sizes.  Up to WORKERS
+    blocks run at once on a thread pool, each in a copy of the caller's
+    context (so np.errstate holds in every block), and the rows are
+    bit-identical at any thread count.  Each pool thread builds one
     workspace on its first block (a _semi_workspace or a _symbol_workspace,
     sized for a sub-block) and reuses it for the rest of the run; the
     workspaces are dropped when the run returns.
@@ -492,36 +500,33 @@ def ergodic_rate(cfg, trials, mode="semi"):
     work in the process also runs on one thread meanwhile, and symbol runs
     called from several threads at once take turns.
     """
-    check_trials(trials)
     check_mode(mode, [cfg])
-
-    S = np.empty((trials, cfg.K))
-    I = np.empty((trials, cfg.K))
-    block = min(_block_trials(cfg), trials)
+    n = len(trials)
+    S, I, floor = np.empty((n, cfg.K)), np.empty((n, cfg.K)), np.zeros(n, dtype=int)
+    block = min(_block_trials(cfg), n)
     sub = min(_block_trials(cfg, mode), block)
     table = _run_tables(cfg)
     channel, pilots, data = (rngmod.streams(cfg.seed, stage) for stage in (
         rngmod.STAGE_CHANNEL, rngmod.STAGE_PILOT, rngmod.STAGE_DATA))
     workspaces = {}                  # one per pool thread, which alone sets its key
 
-    def run_block(start):
-        """Fill the block's rows of S and I; return its floor count."""
-        ts = range(start, min(start + block, trials))
+    def run_block(i):
+        """Fill the rows of the block that starts at row i."""
+        ts = trials[i:i + block]
+        rows = slice(i, i + len(ts))
         theta0, c0, bg, total, a = _draw_block(cfg, ts, channel, table)
-        S[start:ts.stop] = a ** 2
-        rows = I[start:ts.stop]
+        S[rows] = a ** 2
         ident = threading.get_ident()
         if ident not in workspaces:
             workspaces[ident] = (_semi_workspace(sub, cfg.L, cfg.K) if mode == "semi"
                                  else _symbol_workspace(cfg, sub))
         workspace = workspaces[ident]
         if mode == "semi":
-            rows[:], nbad = _semi_block(cfg, table, theta0, c0, bg, total, a, workspace)
-            return nbad
-        rows[:] = _symbol_block(cfg, table, pilots, data, ts, theta0, c0, total, a, workspace)
-        return 0
+            I[rows], floor[rows] = _semi_block(cfg, table, theta0, c0, bg, total, a, workspace)
+        else:
+            I[rows] = _symbol_block(cfg, table, pilots, data, ts, theta0, c0, total, a, workspace)
 
-    starts = range(0, trials, block)
+    starts = range(0, n, block)
     workers = min(WORKERS, len(starts))
     hold = contextlib.nullcontext()
     if mode == "symbol":
@@ -533,8 +538,18 @@ def ergodic_rate(cfg, trials, mode="semi"):
     context = contextvars.copy_context()
     with hold, ThreadPoolExecutor(workers) as pool:
         # map's iterator cancels the blocks not yet started when one raises
-        npath = sum(pool.map(lambda start: context.copy().run(run_block, start), starts))
+        list(pool.map(lambda i: context.copy().run(run_block, i), starts))
+    return TrialRows(S, I, floor)
 
+
+def ergodic_rate(cfg, trials, mode="semi"):
+    """Monte-Carlo ergodic rate over run_trials' rows for trials [0, `trials`) in `mode`.
+
+    Returns mean log2(1 + gamma) with a 95% confidence half-width over
+    per-trial averages; deterministic for a given cfg.seed.
+    """
+    check_trials(trials)
+    S, I, floor = run_trials(cfg, range(trials), mode)
     gamma = S / I
     if not np.all(np.isfinite(gamma)):
         raise InternalConsistencyError(
@@ -545,12 +560,12 @@ def ergodic_rate(cfg, trials, mode="semi"):
     ci95 = float(1.96 * np.std(per_trial, ddof=1) / np.sqrt(trials))
     return RateReport(
         rate_mc=rate, ci95=ci95, trials=trials, mode=mode,
-        S=S, I=I, pathological=npath,
+        S=S, I=I, pathological=int(floor.sum()),
     )
 
 
 def trial_zero(cfg, mode):
-    """Trial 0 at BS 0 as ergodic_rate draws it in `mode`: the (L, K) theta_0lk, beta_0lk
+    """Trial 0 at BS 0 as run_trials draws it in `mode`: the (L, K) theta_0lk, beta_0lk
     and c_0lk, and symbol mode's (K,) error powers ||e_0k||^2 (None in semi mode)."""
     check_mode(mode, [cfg])
     table = _run_tables(cfg)

@@ -8,7 +8,8 @@ xi1 law is checked at a data SNR whose regime condition the test itself
 asserts.  Criteria 3-7 (xi ordering, the large-N limit, the steering-sum
 lemmas, the quantizer model and the analog-gain bounds) are the `bounds`,
 `lemmas`, `quantizer` and `rate` checks of `mmwsim validate`, which
-tests/golden/validate.txt runs in tier-1.
+tests/golden/validate.txt runs in tier-1.  One more test states where
+R_LB is no bound on the real quantizer's rate.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from mmwsim.bounds import bound_inputs, log_rate, low_snr_approx, lower_bound_rate
-from mmwsim.config import SystemConfig
+from mmwsim.config import SystemConfig, config_from_dict
 from mmwsim.rate import ergodic_rate
 from mmwsim.sweep import _point_config, load_preset
 
@@ -160,3 +161,20 @@ def test_criterion_9_model_consistency():
     _report(9, ok, f"semi={semi.rate_mc:.4f}, symbol={symb.rate_mc:.4f}, "
                    f"relative difference={rel:.2%} (tol 3%) at 3-bit depth")
     assert ok
+
+
+def test_r_lb_is_no_bound_on_the_real_quantizer_with_few_users():
+    # R_LB rests on the additive quantization-noise model; with one or two
+    # users the real quantizer's distortion is correlated along the signal
+    # and MRC does not average it out.  The two configs were chosen before
+    # the runs: the README's 1-bit L=1, K=2 point at 0 dB and seed 7, and
+    # the 3-bit L=K=1 point at 10 dB and seed 2
+    base = load_preset("fig2").base
+    for over in (dict(L=1, K=2, seed=7), dict(L=1, K=1, adc_bits=3, snr_db=10.0, seed=2)):
+        cfg = config_from_dict(base, over)
+        symb = ergodic_rate(cfg, 2000, mode="symbol")
+        r_lb = lower_bound_rate(cfg).R_LB
+        ok = symb.rate_mc + symb.ci95 < r_lb
+        _report("R_LB", ok, f"{over}: symbol={symb.rate_mc:.4f} +- {symb.ci95:.4f}, "
+                            f"R_LB={r_lb:.4f}")
+        assert ok

@@ -47,6 +47,7 @@ RETIRED = {
 
 SIGNATURES = {
     "rate.ergodic_rate": "(cfg, trials, mode='semi')",
+    "rate.run_trials": "(cfg, trials, mode)",
     "training.select_beams": "(own_phi, M, B)",
     "training.gain_lower_bound": "(M, B)",
     "training.beamformer_from_angle": "(phi_hat, M)",

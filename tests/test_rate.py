@@ -316,18 +316,18 @@ def test_semi_block_in_a_reused_workspace_matches_a_fresh_one(cfg):
     drawn = rate._draw_block(cfg, range(2 * sub + 1), streams(cfg.seed, STAGE_CHANNEL), table)
     workspace = rate._semi_workspace(sub, cfg.L, cfg.K)
     _dirty(workspace)
-    reused, nbad = rate._semi_block(cfg, table, *drawn, workspace)
-    fresh, n_fresh = [], 0
+    reused, floor = rate._semi_block(cfg, table, *drawn, workspace)
+    fresh = []
     for i in range(0, len(reused), sub):
         args = [x[i:i + sub] for x in drawn]
-        rows, n = rate._semi_block(cfg, table, *args,
-                                   rate._semi_workspace(len(args[0]), cfg.L, cfg.K))
-        fresh.append(rows)
-        n_fresh += n
-    assert reused.tobytes() == np.concatenate(fresh).tobytes() and nbad == n_fresh
+        fresh.append(rate._semi_block(cfg, table, *args,
+                                      rate._semi_workspace(len(args[0]), cfg.L, cfg.K)))
+    rows, floors = zip(*fresh)
+    assert reused.tobytes() == np.concatenate(rows).tobytes()
+    assert floor.tobytes() == np.concatenate(floors).tobytes()
     assert len(reused) % sub == 1
     if cfg.seed == 7:
-        assert nbad > 0
+        assert floor.sum() > 0
 
 
 @pytest.mark.parametrize("mode", rate.MODES)
@@ -440,6 +440,14 @@ def test_outputs_do_not_depend_on_block_size_or_worker_count(monkeypatch, mode, 
     monkeypatch.setattr(rate, "BLOCK_BYTES", BLOCK_BYTES)
     drawn = rate._block_trials(cfg)
     assert -(-trials // drawn) == blocks                    # blocks at the default budget
+    # run as [0, split) and [split, n), split no multiple of the drawn block,
+    # the rows concatenate to those of [0, n) bit for bit
+    split = trials // 2 + 1
+    assert split % drawn
+    whole = rate.run_trials(cfg, range(trials), mode)
+    parts = [rate.run_trials(cfg, r, mode) for r in (range(split), range(split, trials))]
+    for rows, pieces in zip(whole, zip(*parts), strict=True):
+        assert rows.tobytes() == np.concatenate(pieces).tobytes()
     if cfg.K == 32:
         # at SEAM_BYTES each drawn block, the last one too, runs several Gram
         # sub-blocks, the last partial
