@@ -14,25 +14,26 @@ draws to angles at once, looks each user's beam up in training's per-(M, B)
 table of certified intervals and takes its beamformer from the run's one
 table (_RunTable), which also holds BS 0's gains and the pilot matrix.
 Semi mode then computes the block's per-trial set-up once and runs its Gram
-kernel over sub-blocks sized for that kernel: outer products by np.einsum,
-and the vanishing-denominator fix-up only on the diagonal and the few
-trials whose angles can make one vanish.  Symbol mode runs its pilot phase,
-with one quantizer call, over sub-blocks sized for that phase, each
-followed by its trials' data phases.  Each mode writes its large arrays
-into one workspace per pool thread that lives for the run, so blocks and
-trials reuse memory instead of faulting in fresh pages.  A symbol run holds
-numpy's OpenBLAS pool at one thread, so its idle workers do not spin on the
-cores the blocks need; where that pool cannot be reached, symbol mode maps
-its blocks over one worker.  Every trial still draws from its own (seed,
-trial, stage) streams, so its row does not depend on the block sizes, the
-thread count or the range it runs in: run_trials fills a range's rows, and
-ergodic_rate reduces them.
+kernel over sub-blocks sized for that kernel: two outer products by
+np.einsum, each minus its transpose, and the vanishing-denominator fix-up
+only on the diagonal and the few trials whose angles can make one vanish.
+Symbol mode runs its pilot phase, with one quantizer call, over sub-blocks
+sized for that phase, each followed by its trials' data phases.  Each mode
+writes its large arrays into one workspace per pool thread that lives for
+the run, so blocks and trials reuse memory instead of faulting in fresh
+pages.  A symbol run holds numpy's OpenBLAS pool at one thread, so its idle
+workers do not spin on the cores the blocks need; where that pool cannot be
+reached, symbol mode maps its blocks over one worker.  Every trial still
+draws from its own (seed, trial, stage) streams, so its row does not depend
+on the block sizes, the thread count or the range it runs in: run_trials
+fills a range's rows, and ergodic_rate reduces them.
 """
 
 import contextlib
 import contextvars
 import ctypes
 import functools
+import importlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -119,11 +120,18 @@ def _blas_thread_calls():
 
     dlsym on an extension module numpy has loaded also searches the libraries
     it links, so this finds numpy's own OpenBLAS without naming its file.
-    None under MKL, Accelerate or a numpy without these exports.
+    numpy 1.x names the extension module numpy.core._multiarray_umath;
+    numpy 2 keeps that name as a deprecated shim, so it is read only where
+    numpy._core is absent.  None under MKL, Accelerate or a numpy without
+    these exports.
     """
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
+        umath = np._core._multiarray_umath
+    except AttributeError:                            # numpy 1.x: no numpy._core
+        umath = importlib.import_module("numpy.core._multiarray_umath")
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
         return None
     for get_name, set_name in _BLAS_THREAD_NAMES:
         try:
@@ -268,21 +276,20 @@ def _gram_kernel(N, trig, near, kernel, den, outer):
     """Write a sub-block's (T, LK, LK) Dirichlet Gram kernel into `kernel`.
 
     kernel[t, a, b] = sin(N(x_a - x_b)) / sin(x_a - x_b) for the sub-block's
-    rows of _angle_terms' `trig` and `near`, from the difference identities
-    as outer products (np.einsum, one product per entry); `den` and `outer`,
-    (T, LK, LK) float arrays, are overwritten.  Where the computed
-    denominator vanishes (|den| < 1e-12) the kernel takes
-    channel.dirichlet_limit at cos(x_a - x_b), also from the identities.  The
-    diagonal's denominator is exactly 0 and is set through a strided view;
-    the off-diagonal test runs on the `near` trials only.  Bit for bit the
-    full-mask arithmetic of tests/oracles.gram_kernel.
+    rows of _angle_terms' `trig` and `near`.  Both difference identities are
+    P - P^T for one np.einsum outer product P (s c^T, then sN cN^T), since
+    c_a s_b and s_b c_a are the same double; `den` and `outer`, (T, LK, LK)
+    float arrays, are overwritten.  Where the computed denominator vanishes
+    (|den| < 1e-12) the kernel takes channel.dirichlet_limit at
+    cos(x_a - x_b), also from the identities.  The diagonal's denominator is
+    exactly 0 and is set through a strided view; the off-diagonal test runs
+    on the `near` trials only.  Bit for bit the full-mask arithmetic of
+    tests/oracles.gram_kernel.
     """
     s, c, sN, cN = trig
     T, LK = s.shape
-    np.einsum("ta,tb->tab", s, c, out=den)
-    den -= np.einsum("ta,tb->tab", c, s, out=outer)
-    np.einsum("ta,tb->tab", sN, cN, out=kernel)
-    kernel -= np.einsum("ta,tb->tab", cN, sN, out=outer)
+    np.subtract(np.einsum("ta,tb->tab", s, c, out=outer), outer.swapaxes(1, 2), out=den)
+    np.subtract(np.einsum("ta,tb->tab", sN, cN, out=outer), outer.swapaxes(1, 2), out=kernel)
     den.reshape(T, -1)[:, ::LK + 1] = 1.0
     kernel.reshape(T, -1)[:, ::LK + 1] = dirichlet_limit(N, 1.0)      # cos(0) = 1
     rows = np.flatnonzero(near)
@@ -481,7 +488,7 @@ class TrialRows(NamedTuple):
 
 
 def run_trials(cfg, trials, mode):
-    """Per-trial rows at BS 0 for `trials`, a non-empty range of trial indices, in `mode`.
+    """Per-trial rows at BS 0 for `trials`, a range of trial indices, in `mode`.
 
     Trials run in blocks of BLOCK_BYTES (semi mode's Gram kernel and symbol
     mode's pilot phase in sub-blocks of their own), and every trial draws
@@ -498,11 +505,14 @@ def run_trials(cfg, trials, mode):
     or raises, then restores the count it found; where that pool cannot be
     reached, it runs on one worker.  The hold is process-wide: other BLAS
     work in the process also runs on one thread meanwhile, and symbol runs
-    called from several threads at once take turns.
+    called from several threads at once take turns.  An empty range returns
+    empty rows and starts no pool.
     """
     check_mode(mode, [cfg])
     n = len(trials)
     S, I, floor = np.empty((n, cfg.K)), np.empty((n, cfg.K)), np.zeros(n, dtype=int)
+    if not n:
+        return TrialRows(S, I, floor)
     block = min(_block_trials(cfg), n)
     sub = min(_block_trials(cfg, mode), block)
     table = _run_tables(cfg)

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import functools
 import gc
 import itertools
@@ -244,14 +245,17 @@ def test_gram_kernel_matches_the_full_mask_oracle_on_fig2(K):
 
 
 def test_numpy_facts_the_engine_relies_on():
-    # _gram_kernel's einsum outer product is the broadcast product, and
-    # draw_angles' scaled random draws are Generator.uniform(0, pi) on the
-    # same stream, bit for bit; a numpy that broke either fails here by
-    # name, not as a drifted golden
+    # _gram_kernel's einsum outer product is the broadcast product, its
+    # P - P^T is the oracle's two-product difference, and draw_angles' scaled
+    # random draws are Generator.uniform(0, pi) on the same stream, bit for
+    # bit; a numpy that broke any fails here by name, not as a drifted golden
     a, b = np.random.default_rng(1).standard_normal((2, 7, 96))
     out = np.empty((7, 96, 96))
     np.einsum("ta,tb->tab", a, b, out=out)
     assert out.tobytes() == (a[:, :, None] * b[:, None, :]).tobytes()
+    diff = np.subtract(out, out.swapaxes(1, 2), out=np.empty_like(out))
+    assert diff.tobytes() == (a[:, :, None] * b[:, None, :]
+                              - b[:, :, None] * a[:, None, :]).tobytes()
     block = np.empty((4, 2, 3, 3, 8))
     gen = np.random.default_rng(5)
     for row in block:
@@ -462,6 +466,20 @@ def test_outputs_do_not_depend_on_block_size_or_worker_count(monkeypatch, mode, 
         assert drawn >= trials > sub and trials % sub
         monkeypatch.setattr(rate, "BLOCK_BYTES", SEAM_BYTES)
         assert rate._block_trials(cfg) < trials
+
+
+@pytest.mark.parametrize("trials", [range(0), range(7, 7)], ids=["range0", "range7-7"])
+@pytest.mark.parametrize("mode", rate.MODES)
+def test_an_empty_range_gives_empty_rows_and_starts_no_pool(monkeypatch, mode, trials):
+    # an extension run's [n0, n) may be empty: no pool, no BLAS hold, (0, K) rows
+    def refuse(*args):
+        raise AssertionError("an empty range started engine work")
+
+    for name in ("ThreadPoolExecutor", "_blas_thread_calls", "_one_blas_thread", "_run_tables"):
+        monkeypatch.setattr(rate, name, refuse)
+    S, I, floor = rate.run_trials(_cfg(L=2, K=3), trials, mode)
+    assert (S.shape, I.shape, floor.shape) == ((0, 3), (0, 3), (0,))
+    assert (S.dtype, I.dtype, floor.dtype) == (float, float, int)
 
 
 def test_blocks_are_sized_for_the_draws(monkeypatch):
@@ -706,6 +724,20 @@ def test_symbol_mode_without_a_blas_pin_runs_on_one_worker(monkeypatch):
     unheld = _reports_by_workers(monkeypatch, cfg, 30, "symbol", workers_list=(2,))
     assert sizes == [1] * len(unheld)         # one pool per budget, each of one worker
     _assert_same_outputs(pooled + unheld)
+
+
+@needs_blas_pin
+def test_blas_thread_calls_fall_back_to_numpy_core_where_numpy_core_is_absent(monkeypatch):
+    # numpy 1.x has no numpy._core and loads its extension module as
+    # numpy.core._multiarray_umath; numpy 2's deprecated shim of that name is
+    # never touched while numpy._core exists (tier-1 makes its warning an error)
+    found = rate._blas_thread_calls.__wrapped__()
+    monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", np._core._multiarray_umath)
+    monkeypatch.delattr(np, "_core")
+    fallback = rate._blas_thread_calls.__wrapped__()
+    assert fallback is not None
+    for got, want in zip(fallback, found, strict=True):    # the same OpenBLAS entry points
+        assert ctypes.cast(got, ctypes.c_void_p).value == ctypes.cast(want, ctypes.c_void_p).value
 
 
 def test_ergodic_rate_trials_precondition():
