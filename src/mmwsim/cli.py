@@ -63,6 +63,8 @@ def _print_bound(cfg, rep):
     print(f"rate lower bound R_LB   = {rep.R_LB:.6f} bits/s/Hz")
     if cfg.L == 1:
         print(f"single-cell form R_LB_s = {rep.R_LB:.6f} bits/s/Hz")
+    print("premise: R_LB assumes the additive quantization-noise model; with few users at "
+          "high SNR the real quantizer's rate can fall below it (see README)")
     if math.isfinite(rep.R_inf):
         print(f"large-N limit R_inf     = {rep.R_inf:.6f} bits/s/Hz")
     else:

@@ -419,9 +419,9 @@ def _symbol_workspace(cfg, trials):
     Returns (pilots, data): _pilot_phase's (T, K, N) pilot sums, (T, N, tau)
     received pilots (whose storage the quantized pilots reuse) and their
     noise, (T, N, K) estimates and a quantize.quantizer_work for them; and
-    _symbol_trial's (LK, S) symbols, (N, S) noise and received signal (whose
-    storage the quantized signal reuses), float scratch for both phases'
-    normal draws and a quantizer_work.
+    _symbol_block's per-trial (LK, S) symbols, (N, S) noise and received
+    signal (whose storage the quantized signal reuses), float scratch for
+    both phases' normal draws and a quantizer_work.
     """
     L, K, N, tau, S = cfg.L, cfg.K, cfg.N, cfg.tau, SYMBOLS_PER_TRIAL
     pilots = (np.empty((trials, K, N), dtype=complex), np.empty((trials, N, tau), dtype=complex),
@@ -433,30 +433,6 @@ def _symbol_workspace(cfg, trials):
     return pilots, data
 
 
-def _symbol_trial(cfg, data_rng, eff, combiner, total, a, workspace):
-    """BS 0's I (K,) for one trial's data phase, with sampled symbols and quantizer.
-
-    eff (N, LK) and combiner (N, K) are the trial's rows of _pilot_phase's
-    outputs, and total and a its _draw_block outputs.  The symbols and noise
-    come from `data_rng`, the trial's STAGE_DATA stream.  The per-symbol
-    arrays are written into `workspace`, a _symbol_workspace; the output
-    does not depend on what it held.
-    """
-    K = cfg.K
-    X, noise, R, scratch, work = workspace[1]
-    rngmod.complex_normal(data_rng, X.shape, X, scratch)
-    rngmod.complex_normal(data_rng, noise.shape, noise, scratch)
-    np.matmul(np.sqrt(cfg.p_t) * eff, X, out=R)
-    R += noise
-    Q = lloyd_max_quantize(R, cfg.adc_bits, received_power(total, cfg.p_t), work, out=R)
-
-    Y = combiner.conj().T @ Q                         # (K, SYMBOLS_PER_TRIAL)
-    # measured mean-square deviation from the clean-coefficient signal; always
-    # positive, and everything the analytic path treats as interference
-    # (inter-user, inter-cell, noises, estimation error) lands in it
-    return np.mean(np.abs(Y - a[:, None] * X[:K, :]) ** 2, axis=1)
-
-
 def _symbol_block(cfg, table, pilots, data, trials, theta0, c0, total, a, workspace):
     """BS 0's I (T, K) for a drawn block of `trials` in symbol mode, from _draw_block's outputs.
 
@@ -464,17 +440,31 @@ def _symbol_block(cfg, table, pilots, data, trials, theta0, c0, total, a, worksp
     _symbol_workspace, holds, each followed by its trials' data phases.
     `pilots` and `data` are the run's rng.streams seeders for STAGE_PILOT
     and STAGE_DATA, called per sub-block, and `table` is the run's
-    _run_tables(cfg).  The output does not depend on what the workspace held.
+    _run_tables(cfg).  A trial's data phase draws its symbols X and noise
+    from its STAGE_DATA stream, passes R = sqrt(p_t) eff X + noise through
+    the real adc_bits quantizer and combines it with the trial's estimates.
+    The output does not depend on what the workspace held.
     """
+    K = cfg.K
+    X, noise, R, scratch, work = workspace[1]
     sub = len(workspace[0][0])
-    I = np.empty((len(trials), cfg.K))
+    I = np.empty((len(trials), K))
     for i in range(0, len(trials), sub):
         j = slice(i, i + sub)
         eff, combiner = _pilot_phase(cfg, table, pilots(trials[j]), theta0[j], c0[j], total[j],
                                      workspace)
         for t, data_rng in enumerate(data(trials[j]), i):
-            I[t] = _symbol_trial(cfg, data_rng, eff[t - i], combiner[t - i], total[t], a[t],
-                                 workspace)
+            rngmod.complex_normal(data_rng, X.shape, X, scratch)
+            rngmod.complex_normal(data_rng, noise.shape, noise, scratch)
+            np.matmul(np.sqrt(cfg.p_t) * eff[t - i], X, out=R)
+            R += noise
+            Q = lloyd_max_quantize(R, cfg.adc_bits, received_power(total[t], cfg.p_t), work, out=R)
+            Y = combiner[t - i].conj().T @ Q          # (K, SYMBOLS_PER_TRIAL)
+            # measured mean-square deviation from the clean-coefficient
+            # signal; always positive, and everything the analytic path
+            # treats as interference (inter-user, inter-cell, noises,
+            # estimation error) lands in it
+            I[t] = np.mean(np.abs(Y - a[t, :, None] * X[:K]) ** 2, axis=1)
         del eff, combiner                             # not alive beside the next sub-block's
     return I
 

@@ -90,16 +90,14 @@ def complex_normal(rng, shape, out=None, scratch=None):
     """Circularly-symmetric complex Gaussian entries of unit variance.
 
     Unit variance is the noise power, the library's unit of power, and the
-    data symbols' power.  Real parts are drawn before imaginary parts.
-    `out`, if given, is the contiguous complex128 array of `shape` to fill,
-    and `scratch` a float64 array of at least its size that takes the draws
-    (fresh if None).
+    data symbols' power.  Real parts are drawn before imaginary parts, each
+    scaled by sqrt(1/2) as it is copied out.  `out`, if given, is the
+    complex128 array of `shape` to fill, and `scratch` a float64 array of at
+    least its size that takes the draws (fresh if None).
     """
     if out is None:
         out = np.empty(shape, dtype=complex)
     draws = (np.empty(out.size) if scratch is None else scratch[:out.size]).reshape(out.shape)
-    out.real = rng.standard_normal(out=draws)
-    out.imag = rng.standard_normal(out=draws)
-    parts = out.reshape(-1).view(float)      # re, im interleaved
-    parts *= np.sqrt(0.5)
+    np.multiply(rng.standard_normal(out=draws), np.sqrt(0.5), out=out.real)
+    np.multiply(rng.standard_normal(out=draws), np.sqrt(0.5), out=out.imag)
     return out

@@ -8,8 +8,9 @@ xi1 law is checked at a data SNR whose regime condition the test itself
 asserts.  Criteria 3-7 (xi ordering, the large-N limit, the steering-sum
 lemmas, the quantizer model and the analog-gain bounds) are the `bounds`,
 `lemmas`, `quantizer` and `rate` checks of `mmwsim validate`, which
-tests/golden/validate.txt runs in tier-1.  One more test states where
-R_LB is no bound on the real quantizer's rate.
+tests/golden/validate.txt runs in tier-1.  Two more tests check the bound
+at every preset point in semi mode and state where R_LB is no bound on the
+real quantizer's rate.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ import numpy as np
 from mmwsim.bounds import bound_inputs, log_rate, low_snr_approx, lower_bound_rate
 from mmwsim.config import SystemConfig, config_from_dict
 from mmwsim.rate import ergodic_rate
-from mmwsim.sweep import _point_config, load_preset
+from mmwsim.sweep import _point_config, list_presets, load_preset
 
 
 def _report(num, ok, detail):
@@ -178,3 +179,28 @@ def test_r_lb_is_no_bound_on_the_real_quantizer_with_few_users():
         _report("R_LB", ok, f"{over}: symbol={symb.rate_mc:.4f} +- {symb.ci95:.4f}, "
                             f"R_LB={r_lb:.4f}")
         assert ok
+
+
+def test_the_bound_holds_at_every_preset_point():
+    # every point of every preset as `mmwsim sweep --preset NAME` runs it, at
+    # the preset's own trials and seed, in semi mode; the margin is counted
+    # in ci95 and the five tightest are printed
+    t0 = time.time()
+    points = []
+    for name in list_presets():
+        for cfg, mc in _sweep_points(dataclasses.replace(load_preset(name), mode="semi")):
+            r_lb = lower_bound_rate(cfg).R_LB
+            points.append((
+                (mc.rate_mc - r_lb) / mc.ci95, mc.rate_mc + mc.ci95 >= r_lb,
+                f"{name} L={cfg.L} K={cfg.K} N={cfg.N} M={cfg.M} bits={cfg.adc_bits} "
+                f"snr={cfg.snr_db:.4g}dB pilot_snr={cfg.pilot_snr_db:.4g}dB: "
+                f"rate_mc={mc.rate_mc:.6f} +- {mc.ci95:.6f}, R_LB={r_lb:.6f} "
+                f"({(mc.rate_mc - r_lb) / mc.rate_mc:.2%} of the rate)"))
+    points.sort(key=lambda point: point[0])
+    below = [text for _, holds, text in points if not holds]
+    ok = not below
+    tightest = "; ".join(f"{margin:.2f} ci95 at {text}" for margin, _, text in points[:5])
+    _report("bound", ok, f"R_LB <= rate_mc + ci95 at {len(points) - len(below)} of "
+                         f"{len(points)} preset points; tightest: {tightest}; "
+                         f"{time.time() - t0:.1f}s")
+    assert ok, f"R_LB above rate_mc + ci95 at: {below}"

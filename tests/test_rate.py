@@ -636,15 +636,16 @@ def test_symbol_run_builds_its_pilot_matrix_once(monkeypatch):
 
 @needs_blas_pin
 def test_symbol_run_restores_the_blas_thread_count(monkeypatch):
+    # the pilot phase runs on the pool threads inside the hold
     _pooled(monkeypatch)
-    symbol_trial = rate._symbol_trial
+    pilot_phase = rate._pilot_phase
     inside = []
 
     def record(*args):
         inside.append(_blas_threads())
-        return symbol_trial(*args)
+        return pilot_phase(*args)
 
-    monkeypatch.setattr(rate, "_symbol_trial", record)
+    monkeypatch.setattr(rate, "_pilot_phase", record)
     before = _blas_threads()
     ergodic_rate(_cfg(L=2, K=2), 20, mode="symbol")
     assert set(inside) == {1}
@@ -653,7 +654,7 @@ def test_symbol_run_restores_the_blas_thread_count(monkeypatch):
     def fail(*args):
         raise RuntimeError("block failed")
 
-    monkeypatch.setattr(rate, "_symbol_trial", fail)
+    monkeypatch.setattr(rate, "_pilot_phase", fail)
     with pytest.raises(RuntimeError, match="block failed"):
         ergodic_rate(_cfg(L=2, K=2), 20, mode="symbol")
     assert _blas_threads() == before
