@@ -3,6 +3,7 @@
 import argparse
 import csv
 import math
+import os
 import sys
 from contextlib import ExitStack
 
@@ -124,6 +125,9 @@ def cmd_sweep(args):
     if args.plot_script and "'" in args.out:
         # the script quotes the CSV path in gnuplot's '...' string
         raise ParameterError(f"--plot-script needs an --out path without \"'\", got {args.out!r}")
+    if args.plot_script and os.path.realpath(args.plot_script) == os.path.realpath(args.out):
+        # the script would overwrite the CSV it plots
+        raise ParameterError(f"--plot-script {args.plot_script!r} names the --out file {args.out!r}")
     spec = load_preset(args.preset) if args.preset else load_sweep_spec(args.spec)
     if args.plot_script:
         plotted_outputs(spec)

@@ -5,7 +5,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import ParameterError, ConfigError
+from .errors import ParameterError
 
 # Normalized MSE of the MSE-optimal (Lloyd-Max) scalar quantizer for a
 # unit-variance Gaussian input, by bit depth.  Values come from running the
@@ -90,7 +90,7 @@ class SystemConfig:
     the data and pilot SNRs.  `tau` and `p_p` default to K and tau*p_t when left
     unset.  Every instance is checked when it is built, and
     `dataclasses.replace` builds a new one, so a SystemConfig that exists is
-    valid; the checks collect every violation into one ConfigError.  Both
+    valid; the checks collect every violation into one ParameterError.  Both
     arrays are half-wavelength ULAs, as the closed-form bound assumes, and
     rates are in bits.
     """
@@ -109,15 +109,16 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # tau and p_p derive only from a K, tau and p_t that pass their type
+        # tau and p_p derive only from a K, tau and p_t that pass their full
         # checks; otherwise they stay unset and only the field at fault is reported
-        if self.tau is None and _is_int(self.K):
+        if self.tau is None and not _int_violations({"K": self.K}):
             object.__setattr__(self, "tau", self.K)
-        if self.p_p is None and _is_int(self.tau) and _is_finite_number(self.p_t):
+        if (self.p_p is None and not _int_violations({"tau": self.tau})
+                and _is_finite_number(self.p_t) and self.p_t > 0):
             object.__setattr__(self, "p_p", self.tau * self.p_t)
         errors = _violations(self)
         if errors:
-            raise ConfigError(errors)
+            raise ParameterError(errors)
 
     @property
     def warnings(self):
@@ -187,12 +188,13 @@ def check_integers(**values):
     each named integer field (L, K, N, M, B, tau, seed) passes its check."""
     errors = _int_violations(values)
     if errors:
-        raise ParameterError("; ".join(errors))
+        raise ParameterError(errors)
 
 
 def _violations(cfg):
     """Every violation in a config whose defaults are filled, as messages."""
-    # tau stays unset, and is not reported, only when K is at fault
+    # tau stays unset, and is not reported, only when K is at fault; p_p
+    # likewise when tau or p_t is
     ints = {name: getattr(cfg, name) for name in _INT_RANGES}
     if cfg.tau is None:
         del ints["tau"]
@@ -238,11 +240,22 @@ _DB_POWER = {"snr_db": "p_t", "pilot_snr_db": "p_p"}
 SETTABLE_KEYS = {f.name for f in fields(SystemConfig)} | set(_DB_POWER)
 
 
+def check_keys(keys):
+    """Raise ParameterError, one message per key, unless each of `keys` is
+    a settable key."""
+    unknown = [k for k in dict.fromkeys(keys) if k not in SETTABLE_KEYS]
+    if unknown:
+        raise ParameterError([f"unknown config key {k!r}" for k in unknown])
+
+
 def parse_setting(name, text):
     """Value of a `--set name=text` string, parsed by the key's type."""
-    if name not in SETTABLE_KEYS:
-        raise ParameterError(f"unknown parameter {name!r}")
-    return int(text) if name in _INT_KEYS else float(text)
+    check_keys([name])
+    kind, parse = ("an integer", int) if name in _INT_KEYS else ("a number", float)
+    try:
+        return parse(text)
+    except ValueError:
+        raise ParameterError(f"{name} must be {kind}, got {text!r}") from None
 
 
 def config_from_dict(*layers):
@@ -254,30 +267,37 @@ def config_from_dict(*layers):
     derives tau and p_p from the merged settings.  Other values keep their
     types, for SystemConfig to check.
     """
-    unknown = sorted({k for layer in layers for k in layer} - SETTABLE_KEYS)
-    if unknown:
-        raise ConfigError([f"unknown config key {k!r}" for k in unknown])
+    check_keys(k for layer in layers for k in layer)
     fields_doc = {}
     for layer in layers:
         for name, value in layer.items():
             if name in _DB_POWER:       # to p_t or p_p, in noise units
                 if not _is_finite_number(value):
-                    raise ConfigError(f"{name} must be a finite number, got {_shown(value)}")
+                    raise ParameterError(f"{name} must be a finite number, got {_shown(value)}")
                 try:
                     name, value = _DB_POWER[name], 10.0 ** (value / 10.0)
                 except OverflowError:
-                    raise ConfigError(f"{name} = {value!r} dB overflows a float power") from None
+                    raise ParameterError(f"{name} = {value!r} dB overflows a float power") from None
             fields_doc[name] = value
     return SystemConfig(**fields_doc)
 
 
+def load_json_object(path, what):
+    """The JSON object in the file at `path`, a `what` such as "sweep spec";
+    a file that holds no JSON object is a ParameterError naming the path."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:       # malformed JSON or text that is not UTF-8
+            raise ParameterError(f"{path} is not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def load_config_doc(path):
     """Read a settings document: a JSON object, checked by config_from_dict."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    return doc
+    return load_json_object(path, "config document")
 
 
 def load_config(path):

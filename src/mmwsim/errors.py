@@ -2,13 +2,10 @@
 
 
 class ParameterError(ValueError):
-    """An argument is outside the domain an operation accepts."""
+    """An input is outside the domain an operation accepts.
 
-
-class ConfigError(ValueError):
-    """One or more scenario parameters are invalid.
-
-    `errors` carries every violation found, not just the first.
+    `errors` carries every violation found, not just the first; a message
+    string is one violation.
     """
 
     def __init__(self, errors):

@@ -9,6 +9,8 @@ in one vectorized pass; `substream` is the reference it matches bit for bit.
 
 import numpy as np
 
+from .errors import ParameterError
+
 # Stage indices within one trial; beam training draws nothing, and 1 is unused.
 STAGE_CHANNEL = 0
 STAGE_PILOT = 2
@@ -60,7 +62,7 @@ def streams(seed, stage):
     seed, stage = int(seed), int(stage)
     message = "streams takes a seed >= 0, and trials and a stage in [0, 2^32)"
     if seed < 0 or not 0 <= stage <= _M32:
-        raise ValueError(message)
+        raise ParameterError(message)
     pool = np.random.SeedSequence(seed).pool[:, None]
     start = 4 * max(4, -(-seed.bit_length() // 32))
     trial_keys = _keys(_INIT_A, _MULT_A, start, 4)
@@ -70,7 +72,7 @@ def streams(seed, stage):
     def per_trial(trials):
         trials = list(trials)
         if not 0 <= min(trials, default=0) <= max(trials, default=0) <= _M32:
-            raise ValueError(message)
+            raise ParameterError(message)
         mixed = _mix(_mix(pool, _hashmix(np.array(trials, dtype=np.uint32), *trial_keys)),
                      stage_word)
         generated = np.ascontiguousarray(_hashmix(np.tile(mixed, (2, 1)), *generate_keys).T, "<u4")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 from .bounds import lower_bound_rate
-from .config import SETTABLE_KEYS, config_from_dict
+from .config import check_keys, config_from_dict, load_json_object
 from .errors import ParameterError
 from .rate import check_mode, check_trials, ergodic_rate
 
@@ -58,15 +58,12 @@ class SweepSpec:
         for name, layer in [("base", self.base)] + [("curve", c) for c in self.curves]:
             if not isinstance(layer, dict):
                 raise ParameterError(f"a sweep {name} must be an object, got {layer!r}")
-            unknown = set(layer) - SETTABLE_KEYS
-            if unknown:
-                raise ParameterError(f"unknown {name} config keys {sorted(unknown)}")
+            check_keys(layer)
         check_mode(self.mode)
 
 
 def load_sweep_spec(path):
-    with open(path) as fh:
-        return sweep_spec_from_dict(json.load(fh))
+    return sweep_spec_from_dict(load_json_object(path, "sweep spec"))
 
 
 def sweep_spec_from_dict(doc):

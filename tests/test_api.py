@@ -32,7 +32,7 @@ RETIRED = {
              "interference_power"],
     "quantize": ["BussgangModel", "total_rx_gain", "quant_noise_power_data",
                  "quant_noise_power_pilot"],
-    "errors": ["DegenerateInputError", "FormatError"],
+    "errors": ["DegenerateInputError", "FormatError", "ConfigError"],
     "rng": ["STAGE_TRAINING"],
     "sweep": ["read_csv_rows", "rows_to_csv_text"],
     "bounds": ["sinc", "single_cell_bound", "bessel_j0", "gain_floor"],

@@ -46,6 +46,18 @@ def test_set_without_a_value_exits_2(capsys):
     assert captured.out == "" and captured.err == "error: --set expects KEY=VALUE, got 'K'\n"
 
 
+@pytest.mark.parametrize("item, message", [
+    ("K=abc", "K must be an integer, got 'abc'"),
+    ("K=2.0", "K must be an integer, got '2.0'"),
+    ("p_t=abc", "p_t must be a number, got 'abc'"),
+    ("snr_db=", "snr_db must be a number, got ''"),
+], ids=["K-text", "K-float", "p_t-text", "snr_db-empty"])
+def test_set_value_that_does_not_parse_names_its_key(capsys, item, message):
+    assert main(["bound", "--set", "adc_bits=3", "--set", item]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["bound"], ["simulate", "--trials", "10"]], ids=["bound", "simulate"])
 def test_run_commands_print_the_coarse_phase_warning(capsys, argv):
     # the same note the codebook command prints for this M and B
@@ -133,6 +145,17 @@ def test_file_errors_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error: ") and "No such file or directory" in err
 
 
+@pytest.mark.parametrize("command", [["bound", "--config"], ["sweep", "--spec"]],
+                         ids=["config", "spec"])
+@pytest.mark.parametrize("content", [b'{"K": 2,\n}', b'\xff{}'], ids=["malformed", "not-utf8"])
+def test_a_file_that_holds_no_json_is_named(capsys, tmp_path, command, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {path} is not a JSON document: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--preset", "fig2", "--out", "{missing_dir}/x.csv"],
     ["sweep", "--preset", "fig2", "--out", "{tmp}/x.csv", "--plot-script", "{missing_dir}/x.gp"],
@@ -191,6 +214,13 @@ def test_config_file_must_hold_an_object(capsys, tmp_path, text, extra):
     cfg.write_text(text)
     assert main(["bound", "--config", str(cfg)] + extra) == 2
     assert "config document must be a JSON object" in capsys.readouterr().err
+
+
+def test_spec_file_must_hold_an_object(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text("[]")
+    assert main(["sweep", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: sweep spec must be a JSON object\n"
 
 
 def test_simulate_command(capsys):
@@ -337,6 +367,22 @@ def test_sweep_plot_script_rejects_a_quote_in_out(capsys, tmp_path):
     assert "--plot-script needs an --out path without" in captured.err
     assert "rate_mc=" not in captured.err and captured.out == ""
     assert not out.exists() and not gp.exists()
+
+
+@pytest.mark.parametrize("out, script", [("s.csv", "s.csv"), ("s.csv", "./s.csv"),
+                                         ("s.csv", "sub/../s.csv")],
+                         ids=["same", "dot", "dot-dot"])
+def test_sweep_plot_script_refuses_the_out_file(capsys, tmp_path, monkeypatch, out, script):
+    # one file cannot hold both the CSV and the script that plots it
+    monkeypatch.setattr(cli, "run_sweep", pytest.fail)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["sweep", "--preset", "fig2", "--trials", "10", "--out", out,
+                 "--plot-script", script]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --plot-script {script!r} names the --out file {out!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
 
 def test_sweep_plot_script_needs_a_plotted_output(capsys, tmp_path):

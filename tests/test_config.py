@@ -11,7 +11,8 @@ from mmwsim.bounds import exact_mean_abs2, exact_mean_inner, exact_mean_triple
 from mmwsim.cli import _resolve_config, build_parser
 from mmwsim.config import (MAX_B, SETTABLE_KEYS, SystemConfig, beam_warnings, config_from_dict,
                            distortion_factor, load_config, validate_config)
-from mmwsim.errors import ConfigError, ParameterError
+from mmwsim.errors import ParameterError
+from mmwsim.rng import streams
 from mmwsim.sweep import _point_config, sweep_spec_from_dict
 from mmwsim.training import beamformer_from_angle, gain_lower_bound, select_beams
 
@@ -49,12 +50,12 @@ def test_defaults_filled():
 
 
 def test_tau_less_than_K_is_hard_error():
-    with pytest.raises(ConfigError, match="tau < K"):
+    with pytest.raises(ParameterError, match="tau < K"):
         SystemConfig(K=8, tau=4, adc_bits=1)
 
 
 def test_all_violations_collected():
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ParameterError) as err:
         SystemConfig(K=8, tau=4, adc_bits=40, p_t=-1.0, beta_inter=0.0)
     assert len(err.value.errors) >= 4
 
@@ -93,11 +94,11 @@ _HELPER_CASES = {
 
 @pytest.mark.parametrize("call, values", _HELPER_CASES.values(), ids=_HELPER_CASES)
 def test_helpers_refuse_what_a_config_refuses(call, values):
-    with pytest.raises(ConfigError) as config_error:
+    with pytest.raises(ParameterError) as config_error:
         SystemConfig(adc_bits=3, **values)
     with pytest.raises(ParameterError) as helper_error:
         call()
-    assert str(helper_error.value) == str(config_error.value)
+    assert helper_error.value.errors == config_error.value.errors
 
 
 def test_rho_override_beats_bits():
@@ -106,7 +107,7 @@ def test_rho_override_beats_bits():
 
 
 def test_missing_quantizer_spec_is_error():
-    with pytest.raises(ConfigError, match="adc_bits or rho_ad"):
+    with pytest.raises(ParameterError, match="adc_bits or rho_ad"):
         SystemConfig(adc_bits=None, rho_ad=None)
 
 
@@ -121,14 +122,14 @@ def test_wide_codebook_interval_warns_not_fails():
 def test_replace_rechecks_tau_against_K():
     # tau was filled from K=2 when cfg was built, so K=8 breaks orthogonality
     cfg = SystemConfig(L=3, K=2, adc_bits=3)
-    with pytest.raises(ConfigError, match="tau < K"):
+    with pytest.raises(ParameterError, match="tau < K"):
         replace(cfg, K=8)
 
 
 @pytest.mark.parametrize("name, value", [("beta_inter", 5.0), ("p_t", -1.0)])
 def test_replace_rechecks_ranges(name, value):
     cfg = SystemConfig(L=3, K=2, adc_bits=3)
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ParameterError, match=name):
         replace(cfg, **{name: value})
 
 
@@ -147,14 +148,14 @@ def test_validate_is_idempotent():
 def test_unknown_json_key_is_hard_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"L": 2, "K": 2, "adc_bits": 3, "pt": 1.0}))
-    with pytest.raises(ConfigError, match="unknown config key 'pt'"):
+    with pytest.raises(ParameterError, match="unknown config key 'pt'"):
         load_config(path)
     # half-wavelength arrays, base-2 rates and the unit noise power are
     # fixed, not settings
     for key, value in (("antenna_spacing_ratio", 1.0), ("rate_log_base", 2.0),
                        ("sigma_n2", 1.0)):
         path.write_text(json.dumps({"L": 2, "K": 2, "adc_bits": 3, key: value}))
-        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        with pytest.raises(ParameterError, match=f"unknown config key '{key}'"):
             load_config(path)
 
 
@@ -173,11 +174,45 @@ def test_layer_snr_translation():
     base = {"adc_bits": 3}
     assert config_from_dict(base, {"snr_db": -10}).p_t == pytest.approx(0.1)
     assert config_from_dict(base, {"snr_db": -10}, {"pilot_snr_db": 10}).p_p == pytest.approx(10.0)
-    with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+    with pytest.raises(ParameterError, match="unknown config key 'bogus'"):
         config_from_dict(base, {"bogus": 1})
     with pytest.raises(ParameterError, match="antenna_spacing_ratio"):
         _resolve_config(build_parser().parse_args(
             ["bound", "--set", "antenna_spacing_ratio=0.5"]))
+
+
+def _config_doc(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return load_config(path)
+
+
+def _spec(**doc):
+    return sweep_spec_from_dict({"scenario_id": "s", "base": {"adc_bits": 3}, "axis": "K",
+                                 "values": [1], **doc})
+
+
+# (a call with bad input, the one message it must raise): every path a
+# settings key comes in by checks it with config.check_keys
+_BAD_INPUT = {
+    "set": (lambda tmp_path: _resolve_config(build_parser().parse_args(["bound", "--set", "foo=1"])),
+            "unknown config key 'foo'"),
+    "config-doc": (lambda tmp_path: _config_doc(tmp_path, {"adc_bits": 3, "foo": 1}),
+                   "unknown config key 'foo'"),
+    "sweep-base": (lambda tmp_path: _spec(base={"adc_bits": 3, "foo": 1}),
+                   "unknown config key 'foo'"),
+    "sweep-curve": (lambda tmp_path: _spec(curves=[{}, {"foo": 1}]),
+                    "unknown config key 'foo'"),
+    "streams-seed": (lambda tmp_path: streams(-1, 0),
+                     "streams takes a seed >= 0, and trials and a stage in [0, 2^32)"),
+}
+
+
+@pytest.mark.parametrize("call, message", _BAD_INPUT.values(), ids=_BAD_INPUT)
+def test_bad_input_raises_one_parameter_error(call, message, tmp_path):
+    with pytest.raises(ParameterError) as err:
+        call(tmp_path)
+    assert err.value.errors == [message]
 
 
 def _resolve(*settings):
@@ -201,7 +236,7 @@ def test_later_of_db_key_and_power_wins_from_any_source(tmp_path):
 def test_bad_db_value_fails_even_where_a_later_layer_sets_the_power():
     # a dB key translates as its layer merges, so a bad value is reported
     # though a later layer replaces the power it stands for
-    with pytest.raises(ConfigError, match="snr_db must be a finite number, got 'x'"):
+    with pytest.raises(ParameterError, match="snr_db must be a finite number, got 'x'"):
         config_from_dict({"adc_bits": 3, "snr_db": "x"}, {"p_t": 1.0})
 
 
@@ -246,13 +281,13 @@ def test_layers_rederive_what_replace_keeps():
 @pytest.mark.parametrize("name", ["p_t", "p_p", "beta_inter", "rho_ad"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_numbers_rejected(name, value):
-    with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+    with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
         SystemConfig(adc_bits=2, **{name: value})
 
 
 def test_infinite_power_fails_before_any_rate():
     # the config cannot be built, so no rate or bound ever sees it
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         SystemConfig(L=2, K=2, adc_bits=2, p_t=math.inf)
 
 
@@ -271,14 +306,18 @@ _WRONG_TYPES = [
     ({"seed": True}, "seed must be a non-negative integer, got True"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
     ({"rho_ad": 1.0}, "rho_ad must be in [0, 1), got 1.0"),
+    ({"K": 0}, "K must be a positive integer, got 0"),
+    ({"K": -2}, "K must be a positive integer, got -2"),
+    ({"p_t": -1.0}, "p_t must be > 0, got -1.0"),
+    ({"p_t": 0.0}, "p_t must be > 0, got 0.0"),
 ]
 
 
 @pytest.mark.parametrize("kw, message", _WRONG_TYPES,
                          ids=[",".join(f"{k}={v}" for k, v in kw.items()) for kw, _ in _WRONG_TYPES])
 def test_wrong_types_fail_with_config_error_naming_the_field(kw, message):
-    # one error, for the field at fault, not for the defaults derived from it
-    with pytest.raises(ConfigError) as err:
+    # one error, for the field at fault, not for the tau or p_p derived from it
+    with pytest.raises(ParameterError) as err:
         SystemConfig(**{"adc_bits": 2, **kw})
     assert err.value.errors == [message]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmwsim.config import SystemConfig, distortion_factor
-from mmwsim.errors import ConfigError, ParameterError
+from mmwsim.errors import ParameterError
 from mmwsim.quantize import (bussgang_decompose, lloyd_max_design, lloyd_max_distortion,
                              lloyd_max_quantize, quant_noise_power, quantizer_work,
                              received_power)
@@ -83,7 +83,7 @@ def test_adc_bits_rule_is_the_same_everywhere(bits):
     # cache the designs whose keys equal True and 3.0
     lloyd_max_design(1), lloyd_max_design(3)
     message = f"adc_bits must be an integer in [1, 12], got {bits!r}"
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ParameterError) as err:
         SystemConfig(adc_bits=bits)
     assert err.value.errors == [message]
     for call in (distortion_factor, lloyd_max_design,

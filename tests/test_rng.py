@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mmwsim.errors import ParameterError
 from mmwsim.rng import STAGE_CHANNEL, STAGE_DATA, STAGE_PILOT, streams, substream
 
 STAGES = [STAGE_CHANNEL, STAGE_PILOT, STAGE_DATA]
@@ -42,13 +43,13 @@ def test_streams_match_substream(seed, stage, trials, shapes):
 
 @pytest.mark.parametrize("trials", [[-1], [0, 2 ** 32], [2 ** 64], [3, -5, 4]])
 def test_streams_take_one_word_trials(trials):
-    with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+    with pytest.raises(ParameterError, match=r"\[0, 2\^32\)"):
         list(streams(1, STAGE_CHANNEL)(trials))
 
 
 @pytest.mark.parametrize("seed, stage", [(-1, 0), (0, -1), (0, 2 ** 32)])
 def test_streams_take_a_nonnegative_seed_and_a_one_word_stage(seed, stage):
-    with pytest.raises(ValueError, match=r"seed >= 0, .* stage in \[0, 2\^32\)"):
+    with pytest.raises(ParameterError, match=r"seed >= 0, .* stage in \[0, 2\^32\)"):
         streams(seed, stage)
 
 

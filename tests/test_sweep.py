@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mmwsim import sweep
-from mmwsim.errors import ConfigError, ParameterError
+from mmwsim.errors import ParameterError
 from mmwsim.sweep import (CSV_COLUMNS, emit_plot_script, list_presets, load_preset,
                           run_sweep, sweep_spec_from_dict, write_csv)
 
@@ -111,7 +111,7 @@ def test_unknown_base_key_rejected():
     ([], "non-empty"),
     ([{}, 5], "must be an object"),
     ([{"adc_bits": 1}, ["N", 8]], "must be an object"),
-    ([{"adc_bits": 1}, {"frequency": 28e9}], "unknown curve config keys"),
+    ([{"adc_bits": 1}, {"frequency": 28e9}], "unknown config key 'frequency'"),
 ], ids=["empty", "number", "list", "unknown-key"])
 def test_bad_curves_rejected_at_load(curves, message):
     with pytest.raises(ParameterError, match=message):
@@ -132,14 +132,14 @@ def test_wrongly_typed_values_fail_before_any_point(monkeypatch, where, key, val
         spec = _tiny_spec(base={**base, key: value}, axis="N", values=[16, 32])
     else:
         spec = _tiny_spec(base=base, axis=key, values=[1, value])
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ParameterError, match=key):
         run_sweep(spec)
 
 
 def test_overflowing_db_axis_value_fails_before_any_point(monkeypatch):
     monkeypatch.setattr(sweep, "lower_bound_rate", pytest.fail)
     spec = _tiny_spec(axis="snr_db", values=[0, 4000])
-    with pytest.raises(ConfigError, match="snr_db = 4000 dB overflows"):
+    with pytest.raises(ParameterError, match="snr_db = 4000 dB overflows"):
         run_sweep(spec)
 
 
